@@ -1,51 +1,2 @@
-"""Kernel backend selection: numba JIT by default, pure numpy on request.
-
-Environment knobs (both optional):
-  LOFIQ_BACKEND   "numba" (require numba), "numpy" (force the vectorized
-                  numpy fallback), or "auto" (default: numba if importable).
-  LOFIQ_THREADS   cap the numba thread pool.
-"""
-
-import logging
-import os
-import warnings
-
-logger = logging.getLogger(__name__)
-
-_requested = os.environ.get("LOFIQ_BACKEND", "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError(f"LOFIQ_BACKEND must be auto|numba|numpy, got {_requested!r}")
-
-HAVE_NUMBA = False
-if _requested != "numpy":
-    try:
-        import numba
-        from numba import njit, prange
-
-        HAVE_NUMBA = True
-        # Old-TBB advisory is harmless; numba picks another threading layer.
-        warnings.filterwarnings("ignore", message=".*TBB.*", category=numba.NumbaWarning)
-        _threads = os.environ.get("LOFIQ_THREADS")
-        if _threads:
-            try:
-                numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-            except ValueError:
-                logger.warning("ignoring non-integer LOFIQ_THREADS=%r", _threads)
-    except ImportError:
-        if _requested == "numba":
-            raise
-        logger.warning("numba not importable, falling back to numpy kernels")
-
-USE_NUMBA = HAVE_NUMBA
-
-if not HAVE_NUMBA:
-    def njit(*args, **kwargs):
-        """No-op stand-in so @njit-decorated twins stay importable."""
-        def wrap(func):
-            return func
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-    def prange(*args):
-        return range(*args)
+# perfbench/worker.py reports this flag in its environment line; numpy is the only backend.
+USE_NUMBA = False

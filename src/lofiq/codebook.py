@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import USE_NUMBA, njit, prange
 from .errors import EmptyTensor, UnknownFormat
 from .tensor import Tensor
 
@@ -126,13 +125,16 @@ class Codebook:
 
     ``codes[i]`` is the mantissa (or grid) integer of values[i]; adjacent
     values always carry codes of opposite parity, which makes the
-    ties-to-even rule in project() well defined.
+    ties-to-even rule in project() well defined. A codebook whose values are
+    exactly the grid of a standard spec with at least one mantissa bit is
+    rounded in closed form; any other is searched.
     """
 
     spec: FpFormatSpec
     values: np.ndarray
     codes: np.ndarray
     _mids: np.ndarray = field(repr=False, default=None)
+    _exmy: tuple = field(init=False, repr=False, default=None)  # (emin, y) of a true ExMy grid
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -142,9 +144,16 @@ class Codebook:
         mids = (v[:-1] + v[1:]) * 0.5
         for arr in (v, c, mids):
             arr.flags.writeable = False
+        spec = self.spec
+        exmy = None
+        if (spec.kind == "standard" and spec.mantissa_bits >= 1
+                and len(v) == _grid_size(spec)
+                and np.array_equal(v, _standard_grid(spec)[0])):
+            exmy = (1 - spec.bias, spec.mantissa_bits)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "codes", c)
         object.__setattr__(self, "_mids", mids)
+        object.__setattr__(self, "_exmy", exmy)
 
     def __len__(self):
         return len(self.values)
@@ -156,6 +165,33 @@ class Codebook:
     def contains(self, x):
         i = np.searchsorted(self.values, x)
         return bool(np.all((i < len(self.values)) & (self.values[np.minimum(i, len(self.values) - 1)] == x)))
+
+
+def _positive_count(spec):
+    """Number of non-negative finite values of a standard spec."""
+    top_exp = 2**spec.exponent_bits - 1 - (1 if spec.has_inf else 0)
+    return 2**spec.mantissa_bits * (top_exp + 1) - (0 if spec.has_inf else spec.nan_encodings)
+
+
+def _grid_size(spec):
+    n = _positive_count(spec)
+    return 2 * n - 1 if spec.signed else n
+
+
+def _standard_grid(spec):
+    """Sorted finite values and mantissa codes of a standard spec.
+
+    Codepoint k (sign bit aside) has exponent field k >> y and mantissa
+    field k & (2**y - 1); exponent field 0 holds zero and the subnormals.
+    """
+    y = spec.mantissa_bits
+    k = np.arange(_positive_count(spec), dtype=np.int64)
+    c, m = k >> y, k & (2**y - 1)
+    pos = np.ldexp(np.where(c == 0, m, m + 2**y).astype(np.float64),
+                   np.maximum(c, 1) - spec.bias - y)
+    if not spec.signed:
+        return pos, m
+    return np.concatenate([-pos[:0:-1], pos]), np.concatenate([m[:0:-1], m])
 
 
 def enumerate_codebook(spec):
@@ -175,29 +211,7 @@ def enumerate_codebook(spec):
                     vals.append(v)
                     codes.append(m)
         return Codebook(spec, np.array(vals), np.array(codes))
-
-    y = spec.mantissa_bits
-    vals = [0.0]
-    codes = [0]
-    for m in range(1, 2**y):  # subnormals
-        vals.append(math.ldexp(m, 1 - spec.bias - y))
-        codes.append(m)
-    top_exp = 2**spec.exponent_bits - 1 - (1 if spec.has_inf else 0)
-    for c in range(1, top_exp + 1):
-        man_top = 2**y - 1
-        if not spec.has_inf and c == top_exp:
-            man_top -= spec.nan_encodings
-        for m in range(0, man_top + 1):
-            vals.append(math.ldexp(2**y + m, c - spec.bias - y))
-            codes.append(m)
-    pos = np.array(vals)
-    pos_codes = np.array(codes, dtype=np.int64)
-    if spec.signed:
-        values = np.concatenate([-pos[:0:-1], pos])
-        all_codes = np.concatenate([pos_codes[:0:-1], pos_codes])
-    else:
-        values, all_codes = pos, pos_codes
-    return Codebook(spec, values, all_codes)
+    return Codebook(spec, *_standard_grid(spec))
 
 
 def mxint8_codebook():
@@ -209,11 +223,27 @@ def mxint8_codebook():
 
 # -- round-to-nearest projection ---------------------------------------------
 #
-# Nearest-value search never compares rounded distances: the midpoint of two
-# adjacent codebook values is exact in float64, so strict inequality against
-# it is the exact nearest test and equality is the exact tie test.
+# A true ExMy grid rounds in closed form: with q = max(floor(log2|x|), emin) - y
+# the grid step around x is 2**q, so rint(x / 2**q) * 2**q is the nearest
+# value, and rint's ties-to-even on that integer is the even mantissa code
+# (for y >= 1 the integer's parity is the code's). Both scalings by 2**q are
+# exact. Any other codebook searches its sorted values instead: the midpoint
+# of two adjacent values is exact in float64, so strict inequality against it
+# is the exact nearest test and equality is the exact tie test.
 
-def _project_numpy(values, codes, mids, x):
+def _round_exmy(x, lo, hi, emin, y):
+    out = np.clip(x, lo, hi)
+    _, q = np.frexp(out)
+    q -= 1 + y
+    np.maximum(q, emin - y, out=q)
+    np.ldexp(out, -q, out=out)
+    np.rint(out, out=out)
+    np.ldexp(out, q, out=out)
+    out += 0.0  # -0.0 -> +0.0: the codebook holds only +0.0
+    return out
+
+
+def _search_nearest(values, codes, mids, x):
     xc = np.clip(x, values[0], values[-1])
     i = np.searchsorted(values, xc)
     i = np.clip(i, 1, len(values) - 1)
@@ -228,53 +258,19 @@ def _project_numpy(values, codes, mids, x):
     return out
 
 
-@njit(cache=True)
-def _project_scalar(values, codes, mids, v):  # pragma: no cover - jitted
-    n = len(values)
-    if v <= values[0]:
-        return values[0]
-    if v >= values[n - 1]:
-        return values[n - 1]
-    lo = 0
-    hi = n - 1
-    while hi - lo > 1:
-        mid_i = (lo + hi) // 2
-        if values[mid_i] < v:
-            lo = mid_i
-        else:
-            hi = mid_i
-    mid = mids[lo]
-    if v > mid:
-        return values[hi]
-    if v < mid:
-        return values[lo]
-    if codes[lo] % 2 == 0:
-        return values[lo]
-    if codes[hi] % 2 == 0:
-        return values[hi]
-    return values[lo]
-
-
-@njit(cache=True, parallel=True)
-def _project_numba(values, codes, mids, x, out):  # pragma: no cover - jitted
-    for j in prange(x.size):
-        out[j] = _project_scalar(values, codes, mids, x[j])
-
-
 def project(cb, x):
     """Round finite input(s) onto the nearest codebook value.
 
     Values beyond the extremes clip to them; exact midpoints resolve to the
-    neighbour with the even mantissa code.
+    neighbour with the even mantissa code. A zero result is +0.0.
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
     arr = np.ascontiguousarray(x, dtype=np.float64)
     flat = arr.reshape(-1)
-    if USE_NUMBA and flat.size >= 4096:
-        out = np.empty_like(flat)
-        _project_numba(cb.values, cb.codes, cb._mids, flat, out)
+    if cb._exmy is not None:
+        out = _round_exmy(flat, cb.values[0], cb.values[-1], *cb._exmy)
     else:
-        out = _project_numpy(cb.values, cb.codes, cb._mids, flat)
+        out = _search_nearest(cb.values, cb.codes, cb._mids, flat)
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 

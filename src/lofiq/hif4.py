@@ -16,12 +16,10 @@ The literal sub-scale rule sets E2 = 1 only when A2/S1 clips at exactly 4
 thresholds to half the range for sensitivity studies.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import USE_NUMBA, njit, prange
 from .tensor import Tensor, axis_to_blocks, blocks_to_axis
 
 __all__ = ["BLOCK", "Q_MIN", "Q_MAX", "Hif4Quantized", "hif4_quantize", "hif4_dequantize"]
@@ -46,7 +44,7 @@ class Hif4Quantized:
     name: str = None
 
 
-def _quantize_numpy(X, halfrange):
+def _quantize_blocks(X, halfrange):
     A = np.abs(X)
     A3 = A.max(axis=3)
     A2 = A3.max(axis=2)
@@ -69,77 +67,8 @@ def _quantize_numpy(X, halfrange):
     denom = np.ldexp(S1[:, None, None, None], (E2[:, :, None] + E3)[..., None])
     Xt = np.minimum(A / denom, 1.75)
     Xh = np.floor(4.0 * Xt + 0.5).astype(np.uint8)
-    signs = np.where(X < 0, -1, 1).astype(np.int8)
+    signs = np.where(X < 0, np.int8(-1), np.int8(1))
     return E1, M1, E2, E3, signs, Xh
-
-
-@njit(cache=True, parallel=True)
-def _quantize_numba(x, halfrange, e1, m1, e2, e3, signs, xhat):  # pragma: no cover - jitted
-    B = x.shape[0]
-    t2 = 2.0 if halfrange else 4.0
-    t3 = 1.0 if halfrange else 2.0
-    for b in prange(B):
-        a1 = 0.0
-        for i in range(8):
-            a2 = 0.0
-            for j in range(2):
-                a3 = 0.0
-                for l in range(4):
-                    v = abs(x[b, i * 8 + j * 4 + l])
-                    if v > a3:
-                        a3 = v
-                e3[b, i, j] = 0  # filled below once S1 is known
-                if a3 > a2:
-                    a2 = a3
-            e2[b, i] = 0
-            if a2 > a1:
-                a1 = a2
-        at1 = a1 / 7.0
-        if at1 < Q_MIN:
-            at1 = Q_MIN
-        elif at1 > Q_MAX:
-            at1 = Q_MAX
-        _, ex = math.frexp(at1)
-        be1 = ex - 1
-        bm1 = int(math.floor(math.ldexp(at1, 2 - be1) + 0.5))
-        s1 = math.ldexp(float(bm1), be1 - 2)
-        e1[b] = be1
-        m1[b] = bm1
-        for i in range(8):
-            a2 = 0.0
-            for j in range(2):
-                a3 = 0.0
-                for l in range(4):
-                    v = abs(x[b, i * 8 + j * 4 + l])
-                    if v > a3:
-                        a3 = v
-                if a3 > a2:
-                    a2 = a3
-            at2 = a2 / s1
-            if at2 > 4.0:
-                at2 = 4.0
-            be2 = 1 if at2 >= t2 else 0
-            e2[b, i] = be2
-            s12 = math.ldexp(s1, be2)
-            for j in range(2):
-                a3 = 0.0
-                for l in range(4):
-                    v = abs(x[b, i * 8 + j * 4 + l])
-                    if v > a3:
-                        a3 = v
-                at3 = a3 / s12
-                if at3 > 2.0:
-                    at3 = 2.0
-                be3 = 1 if at3 >= t3 else 0
-                e3[b, i, j] = be3
-                denom = math.ldexp(s12, be3)
-                for l in range(4):
-                    v = x[b, i * 8 + j * 4 + l]
-                    xt = abs(v) / denom
-                    if xt > 1.75:
-                        xt = 1.75
-                    xhat[b, i, j, l] = np.uint8(math.floor(4.0 * xt + 0.5))
-                    signs[b, i, j, l] = -1 if v < 0 else 1
 
 
 def hif4_quantize(t, axis, subscale_mode="literal"):
@@ -150,20 +79,7 @@ def hif4_quantize(t, axis, subscale_mode="literal"):
     blocked, _ = axis_to_blocks(arr, axis, BLOCK)
     B = blocked.shape[0]
     halfrange = subscale_mode == "halfrange"
-
-    if USE_NUMBA and blocked.size >= 4096:
-        blocked = np.ascontiguousarray(blocked)
-        e1 = np.empty(B, dtype=np.int64)
-        m1 = np.empty(B, dtype=np.int64)
-        e2 = np.empty((B, 8), dtype=np.int64)
-        e3 = np.empty((B, 8, 2), dtype=np.int64)
-        signs = np.empty((B, 8, 2, 4), dtype=np.int8)
-        xhat = np.empty((B, 8, 2, 4), dtype=np.uint8)
-        _quantize_numba(blocked, halfrange, e1, m1, e2, e3, signs, xhat)
-    else:
-        X = blocked.reshape(B, 8, 2, 4)
-        e1, m1, e2, e3, signs, xhat = _quantize_numpy(X, halfrange)
-
+    e1, m1, e2, e3, signs, xhat = _quantize_blocks(blocked.reshape(B, 8, 2, 4), halfrange)
     return Hif4Quantized(axis, arr.shape, e1, m1, e2, e3, signs, xhat,
                          subscale_mode, getattr(t, "name", None))
 

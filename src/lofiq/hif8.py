@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import USE_NUMBA, njit, prange
 from .codebook import Codebook, FpFormatSpec
 from .tensor import Tensor, group_reduce_layout, groups_to_axis
 
@@ -116,58 +115,25 @@ def hif8_quantize_value(x, eps=DEFAULT_EPS):
     return math.copysign(val, x)
 
 
-def _hif8_numpy(arr):
-    ax = np.abs(arr)
-    _, e = np.frexp(ax)
-    e = e.astype(np.int64) - 1
-    ae = np.abs(e)
-    nm = np.select([ae <= 3, ae <= 7, ae <= 15], [3, 2, 1], default=0)
-    xh = np.floor(np.ldexp(ax, nm - e) + 0.5)
-    val = np.ldexp(xh, e - nm)
-    val = np.where((ax > 0) & (e < -22), MIN_SUBNORMAL, val)
-    np.minimum(val, MAX_NORMAL, out=val)
-    return np.copysign(val, arr)
-
-
-@njit(cache=True, parallel=True)
-def _hif8_numba(arr, out):  # pragma: no cover - jitted
-    for i in prange(arr.size):
-        x = arr[i]
-        ax = abs(x)
-        if ax == 0.0:
-            out[i] = 0.0
-            continue
-        _, be = math.frexp(ax)
-        e = be - 1
-        if e > 15:
-            out[i] = -MAX_NORMAL if x < 0 else MAX_NORMAL
-            continue
-        if e < -22:
-            out[i] = -MIN_SUBNORMAL if x < 0 else MIN_SUBNORMAL
-            continue
-        ae = abs(e)
-        if ae <= 3:
-            nm = 3
-        elif ae <= 7:
-            nm = 2
-        elif ae <= 15:
-            nm = 1
-        else:
-            nm = 0
-        xh = math.floor(math.ldexp(ax, nm - e) + 0.5)
-        val = math.ldexp(xh, e - nm)
-        if val > MAX_NORMAL:
-            val = MAX_NORMAL
-        out[i] = -val if x < 0 else val
+# Grid exponent e - n_m for each frexp exponent be = e + 1 of a float64
+# (be spans -1073 for the smallest subnormal up to 1024; zero has be = 0).
+_FREXP_MIN = -1073
+_GRID_EXP = np.array([be - 1 - _mantissa_bits(abs(be - 1)) for be in range(_FREXP_MIN, 1025)],
+                     dtype=np.int32)
 
 
 def _quantize_array(arr):
-    if USE_NUMBA and arr.size >= 4096:
-        flat = np.ascontiguousarray(arr, dtype=np.float64).ravel()
-        out = np.empty_like(flat)
-        _hif8_numba(flat, out)
-        return out.reshape(arr.shape)
-    return _hif8_numpy(np.asarray(arr, dtype=np.float64))
+    ax = np.abs(arr)
+    _, be = np.frexp(ax)
+    underflow = be < -21  # e < -22; zero has be = 0
+    q = _GRID_EXP[be - _FREXP_MIN]
+    xh = np.ldexp(ax, -q)
+    xh += 0.5
+    np.floor(xh, out=xh)
+    val = np.ldexp(xh, q, out=xh)
+    val[underflow] = MIN_SUBNORMAL
+    np.minimum(val, MAX_NORMAL, out=val)
+    return np.copysign(val, arr, out=val)
 
 
 def hif8_quantize(t):

@@ -11,16 +11,13 @@ power-of-two comparison; a floating log would misround exactly at powers of
 two, which are the boundary cases that matter here.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import USE_NUMBA, njit, prange
 from .codebook import (
     Codebook,
     FpFormatSpec,
-    _project_scalar,
     builtin_spec,
     enumerate_codebook,
     mxint8_codebook,
@@ -73,56 +70,18 @@ def _ceil_log2_ratio(amax, q_max):
     return e
 
 
-def _quantize_numpy(blocked, cb):
+def _quantize_blocks(blocked, cb):
     amax = np.max(np.abs(blocked), axis=1)
     nonzero = amax > 0
     q_max = cb.max_finite
     e = np.full(amax.shape, E_MIN, dtype=np.int64)
     if np.any(nonzero):
-        e_raw = _ceil_log2_ratio(amax[nonzero], q_max)
-        e_clipped = np.clip(e_raw, E_MIN, E_MAX)
-        # ceil guarantee: no post-scale clipping for any block whose exponent
-        # was not saturated by the E8M0 range clip
-        assert np.all(amax[nonzero][e_raw == e_clipped] <= np.ldexp(q_max, e_raw[e_raw == e_clipped]))
-        e[nonzero] = e_clipped
-    scale = np.ldexp(1.0, e)
-    y = np.clip(blocked / scale[:, None], -q_max, q_max)
-    codes = np.where(nonzero[:, None], project(cb, y), 0.0)
+        e[nonzero] = np.clip(_ceil_log2_ratio(amax[nonzero], q_max), E_MIN, E_MAX)
+    y = blocked / np.ldexp(1.0, e)[:, None]
+    np.clip(y, -q_max, q_max, out=y)
+    codes = project(cb, y)
+    codes[~nonzero] = 0.0
     return e, codes
-
-
-@njit(cache=True, parallel=True)
-def _quantize_numba(blocked, values, codes, mids, q_max, exps, out):  # pragma: no cover - jitted
-    B, k = blocked.shape
-    for b in prange(B):
-        amax = 0.0
-        for i in range(k):
-            v = abs(blocked[b, i])
-            if v > amax:
-                amax = v
-        if amax == 0.0:
-            exps[b] = E_MIN
-            for i in range(k):
-                out[b, i] = 0.0
-            continue
-        _, ea = math.frexp(amax)
-        _, eq = math.frexp(q_max)
-        e = ea - eq + 1
-        if math.ldexp(q_max, e - 1) >= amax:
-            e -= 1
-        if e < E_MIN:
-            e = E_MIN
-        elif e > E_MAX:
-            e = E_MAX
-        exps[b] = e
-        s = math.ldexp(1.0, e)
-        for i in range(k):
-            y = blocked[b, i] / s
-            if y > q_max:
-                y = q_max
-            elif y < -q_max:
-                y = -q_max
-            out[b, i] = _project_scalar(values, codes, mids, y)
 
 
 def mx_quantize(t, axis, element_spec, k=DEFAULT_BLOCK):
@@ -130,13 +89,7 @@ def mx_quantize(t, axis, element_spec, k=DEFAULT_BLOCK):
     cb = resolve_element(element_spec)
     arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
     blocked, moved_shape = axis_to_blocks(arr, axis, k)
-    if USE_NUMBA and blocked.size >= 4096:
-        blocked = np.ascontiguousarray(blocked)
-        e = np.empty(blocked.shape[0], dtype=np.int64)
-        codes = np.empty_like(blocked)
-        _quantize_numba(blocked, cb.values, cb.codes, cb._mids, cb.max_finite, e, codes)
-    else:
-        e, codes = _quantize_numpy(blocked, cb)
+    e, codes = _quantize_blocks(blocked, cb)
     codes = blocks_to_axis(codes, moved_shape, axis)
     return MxQuantized(cb, k, axis, arr.shape, e, codes, getattr(t, "name", None))
 

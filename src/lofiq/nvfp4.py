@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import USE_NUMBA, njit, prange
-from .codebook import _project_scalar, project
+from .codebook import project
 from .mx import resolve_element
 from .tensor import Tensor, axis_to_blocks, blocks_to_axis
 
@@ -39,7 +38,7 @@ class Nvfp4Quantized:
     name: str = None
 
 
-def _quantize_numpy(blocked, s2, e4m3, e2m1):
+def _quantize_blocks(blocked, s2, e4m3, e2m1):
     scaled = blocked / s2
     bmax = np.max(np.abs(scaled), axis=1)
     nonzero = bmax > 0
@@ -51,45 +50,11 @@ def _quantize_numpy(blocked, s2, e4m3, e2m1):
     # positive E4M3 value instead of a divide-by-zero
     s1[nonzero & (s1 == 0)] = _E4M3_MIN_POS
 
-    y = np.divide(scaled, s1[:, None], out=np.zeros_like(scaled), where=nonzero[:, None])
+    # an all-zero block divides by 1 and stays +-0, which project rounds to
+    # +0; project also applies the +-6 element clip
+    y = np.divide(scaled, np.where(nonzero, s1, 1.0)[:, None], out=scaled)
     overshoot = float(np.max(np.abs(y))) if y.size else 0.0
-    np.clip(y, -E2M1_MAX, E2M1_MAX, out=y)
-    codes = np.where(nonzero[:, None], project(e2m1, y), 0.0)
-    return s1, codes, overshoot
-
-
-@njit(cache=True, parallel=True)
-def _quantize_numba(blocked, s2, e4v, e4c, e4m, e2v, e2c, e2m,
-                    s1_out, codes_out, over_out):  # pragma: no cover - jitted
-    B, k = blocked.shape
-    for b in prange(B):
-        bmax = 0.0
-        for i in range(k):
-            v = abs(blocked[b, i]) / s2
-            if v > bmax:
-                bmax = v
-        if bmax == 0.0:
-            s1_out[b] = 0.0
-            over_out[b] = 0.0
-            for i in range(k):
-                codes_out[b, i] = 0.0
-            continue
-        s1 = _project_scalar(e4v, e4c, e4m, bmax / E2M1_MAX)
-        if s1 == 0.0:
-            s1 = _E4M3_MIN_POS
-        s1_out[b] = s1
-        over = 0.0
-        for i in range(k):
-            y = (blocked[b, i] / s2) / s1
-            ay = abs(y)
-            if ay > over:
-                over = ay
-            if y > E2M1_MAX:
-                y = E2M1_MAX
-            elif y < -E2M1_MAX:
-                y = -E2M1_MAX
-            codes_out[b, i] = _project_scalar(e2v, e2c, e2m, y)
-        over_out[b] = over
+    return s1, project(e2m1, y), overshoot
 
 
 def nvfp4_quantize(t, axis):
@@ -112,16 +77,7 @@ def nvfp4_quantize(t, axis):
     while amax / s2 > V_MAX:
         s2 = np.nextafter(s2, np.inf)
 
-    if USE_NUMBA and blocked.size >= 4096:
-        blocked = np.ascontiguousarray(blocked)
-        s1 = np.empty(blocked.shape[0])
-        codes = np.empty_like(blocked)
-        over = np.empty(blocked.shape[0])
-        _quantize_numba(blocked, s2, e4m3.values, e4m3.codes, e4m3._mids,
-                        e2m1.values, e2m1.codes, e2m1._mids, s1, codes, over)
-        overshoot = float(over.max())
-    else:
-        s1, codes, overshoot = _quantize_numpy(blocked, s2, e4m3, e2m1)
+    s1, codes, overshoot = _quantize_blocks(blocked, s2, e4m3, e2m1)
     codes = blocks_to_axis(codes, moved_shape, axis)
     return Nvfp4Quantized(float(s2), s1, codes, axis, arr.shape, overshoot,
                           getattr(t, "name", None))

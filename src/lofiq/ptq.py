@@ -112,12 +112,11 @@ def invert_smoothing(x_s, w_s, plan):
     return Tensor(xa * s), Tensor(wa / s[:, None])
 
 
-def _product_error(x, w, codec, alpha):
+def _product_error(x, w, codec, alpha, ref):
     plan = plan_for(x, w, alpha)
     xs, ws = apply_smoothing(x, w, plan)
     qx = codec.reconstruct(xs.data, "activation")
     qw = codec.reconstruct(ws.data, "weight")
-    ref = _as_array(x) @ _as_array(w)
     return float(np.linalg.norm(qx @ qw - ref)), plan
 
 
@@ -129,9 +128,10 @@ def search_alpha(x, w, fmt, grid=ALPHA_GRID):
     codec = _as_codec(fmt)
     if len(grid) == 0:
         raise ValueError("alpha grid is empty")
+    ref = _as_array(x) @ _as_array(w)
     best = None
     for alpha in grid:
-        err, plan = _product_error(x, w, codec, alpha)
+        err, plan = _product_error(x, w, codec, alpha, ref)
         if best is None or err < best[0]:
             best = (err, alpha, plan)
     return best[1], best[2]
@@ -203,7 +203,7 @@ def smoothquant_pipeline(x, w, fmt, alpha_grid=ALPHA_GRID, alpha=None):
     rtn_err = float(np.linalg.norm(rtn - ref)) / ref_norm
     if alpha is None:
         alpha, _ = search_alpha(x, w, codec, alpha_grid)
-    err, _ = _product_error(x, w, codec, alpha)
+    err, _ = _product_error(x, w, codec, alpha, ref)
     return SmoothReport(float(alpha), rtn_err, err / ref_norm, codec.selector)
 
 

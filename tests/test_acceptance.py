@@ -9,7 +9,6 @@ import time
 import numpy as np
 import pytest
 
-from lofiq import _accel
 from lofiq.cli import main as cli_main
 from lofiq.codebook import builtin_spec, enumerate_codebook, project
 from lofiq.hif4 import hif4_dequantize, hif4_quantize
@@ -43,19 +42,6 @@ class _Budget:
         if exc_type is None:
             assert elapsed < self.seconds, (
                 f"criterion {self.number} exceeded its {self.seconds}s budget: {elapsed:.2f}s")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    # JIT compilation is a fixed cost, not part of any criterion's budget
-    rng = np.random.default_rng(0)
-    small = tensor(rng.normal(size=(64, 64)))
-    hif8_quantize(small)
-    hif4_quantize(small, 0)
-    nvfp4_quantize(small, 0)
-    for elem in ("e5m2", "e4m3", "e3m2", "e2m3", "e2m1", "int8"):
-        mx_quantize(small, 0, elem)
-    project(enumerate_codebook("e4m3"), rng.normal(size=8192))
 
 
 def test_c01_format_extremes_exact():
@@ -298,8 +284,6 @@ def test_c11_byte_identical_runs_and_exit_codes(tmp_path, capsys):
         assert exc.value.code == 2
 
 
-@pytest.mark.skipif(not _accel.USE_NUMBA,
-                    reason="throughput floor is a property of the default jit backend")
 def test_c12_throughput_floor():
     with _Budget(12, 120.0, "each format quantizes a 4096x4096 tensor in under 2 s"):
         rng = np.random.default_rng(212)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lofiq.codebook import (
+    Codebook,
     builtin_spec,
     density_in_interval,
     empirical_cdf,
@@ -12,6 +13,7 @@ from lofiq.codebook import (
     project,
 )
 from lofiq.errors import EmptyTensor, UnknownFormat
+from lofiq.hif8 import hif8_enumerate
 from lofiq.tensor import tensor
 
 from oracles import brute_force_nearest, enumerate_by_codepoints, min_distances
@@ -138,6 +140,39 @@ class TestProject:
         p = project(cb, x)
         assert project(cb, p) == p
         assert project(cb, -x) == -p
+
+    @pytest.mark.parametrize("make", [
+        *(lambda n=n: enumerate_codebook(n) for n in ("e2m1", "e2m3", "e3m2", "e4m3", "e5m2")),
+        mxint8_codebook,
+        lambda: enumerate_codebook("e8m0"),
+        lambda: enumerate_codebook("e6m2u"),
+        hif8_enumerate,
+    ], ids=["e2m1", "e2m3", "e3m2", "e4m3", "e5m2", "int8", "e8m0", "e6m2u", "hif8"])
+    def test_matches_brute_force_with_positive_zero(self, make):
+        cb = make()
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=2000) * np.exp(rng.uniform(-60, 60, 2000))
+        tiny = cb.values[cb.values > 0][0] / 4  # rounds to zero where zero exists
+        x = np.concatenate([x, cb.values, cb._mids, [0.0, -0.0, tiny, -tiny, -5e-324, 1e308]])
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+        got = project(cb, x)
+        # beyond the extremes project clips; the oracle sees the clipped input
+        want = brute_force_nearest(cb.values, cb.codes, np.clip(x, cb.values[0], cb.values[-1]))
+        assert np.array_equal(got, want)
+        assert not np.any(np.signbit(got[got == 0.0]))
+
+    def test_closed_form_only_on_true_grids(self):
+        for name in ("e2m1", "e2m3", "e3m2", "e4m3", "e5m2"):
+            assert enumerate_codebook(name)._exmy is not None, name
+        assert mxint8_codebook()._exmy == (1, 7)
+        for cb in (enumerate_codebook("e8m0"), enumerate_codebook("e6m2u"), hif8_enumerate()):
+            assert cb._exmy is None, cb.spec.name
+        # a user-built subset of a standard grid keeps the search
+        full = enumerate_codebook("e4m3")
+        keep = slice(None, None, 2)
+        subset = Codebook(full.spec, full.values[keep], np.arange(len(full))[keep] // 2)
+        assert subset._exmy is None
+        assert project(subset, 0.009) == brute_force_nearest(subset.values, subset.codes, 0.009)[0]
 
     def test_mxint8_grid(self):
         cb = mxint8_codebook()

@@ -43,6 +43,20 @@ class TestWorkedValues:
         out = hif8_quantize(tensor(arr))
         assert out.data.tolist() == [1.0, 0.3125, 96.0, 0.0, -0.3125]
 
+    def test_kernel_matches_scalar(self):
+        rng = np.random.default_rng(99)
+        wild = rng.normal(size=512) * np.exp(rng.uniform(-60, 60, 512))
+        # every binade edge 2**k (2**15, 2**-22 and 2**-23 among them), the
+        # |e| = 3/4, 7/8, 15/16 width switches, and the neighbours of both
+        edges = np.ldexp(1.0, np.arange(-30, 20))
+        switches = np.ldexp(1.0, [3, 4, 7, 8, 15, 16, -3, -4, -7, -8, -15, -16])
+        x = np.concatenate([wild, [0.0, 1e308, 5e-324], edges, switches * 1.5,
+                            switches * 1.0625])
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, 0.0)])
+        x = np.concatenate([x, -x])
+        want = np.array([hif8_quantize_value(v) for v in x])
+        assert np.array_equal(hif8_quantize(tensor(x)).data, want)
+
     def test_decompose_fields(self):
         v = hif8_decompose(0.3)
         assert (v.sign, v.exponent, v.mantissa_bits, v.code) == (1, -2, 3, 10)

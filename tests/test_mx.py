@@ -44,8 +44,15 @@ class TestInvariants:
     def test_no_post_scale_clipping(self, elem):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(1000, 32)) * np.exp(rng.uniform(-20, 20, (1000, 1)))
-        q = mx_quantize(tensor(x), 1, elem)
         q_max = resolve_element(elem).max_finite
+        # blocks whose exponent lands on the E8M0 limits: exactly 127, exactly
+        # -127, and below -127 where the range clip raises it to -127
+        exps = np.array([127, 127, -127, -128, -400])
+        limits = np.ldexp(q_max, exps)[:, None] * rng.uniform(-1, 1, (5, 32))
+        limits[:, 0] = np.ldexp(q_max, exps) * [1.0, -0.6, -1.0, 1.0, 0.7]
+        x = np.concatenate([x, limits])
+        q = mx_quantize(tensor(x), 1, elem)
+        assert q.shared_exponents[-5:].tolist() == [127, 127, -127, -127, -127]
         amax = np.abs(x).max(axis=1)
         assert np.all(amax <= np.ldexp(q_max, q.shared_exponents))
 
