@@ -33,6 +33,6 @@ from .ptq import (
     svdquant_pipeline,
 )
 from .registry import parse_format
-from .tensor import Tensor, block_view, load_tensors, save_tensors, tensor
+from .tensor import Tensor, load_tensors, save_tensors, tensor
 
 __version__ = "0.1.0"

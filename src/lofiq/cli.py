@@ -9,8 +9,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import ptq
 from .codebook import builtin_names, builtin_spec, density_in_interval, enumerate_codebook
 from .errors import LofiqError, UnknownFormat
@@ -71,33 +69,13 @@ def cmd_enumerate(args):
     return 0
 
 
-def _pad_reconstruct(codec, arr, role, pad):
-    """Zero-pad the quantization axis to the codec's block multiple, then crop.
-
-    Padded elements never enter the returned reconstruction, so error
-    statistics computed against the original tensor are unaffected by them.
-    """
-    multiple = codec.pad_multiple()
-    axis = codec.pad_axis(role, arr.ndim)
-    if not pad or multiple is None or arr.shape[axis] % multiple == 0:
-        return codec.reconstruct(arr, role)
-    extent = arr.shape[axis]
-    padded_extent = ((extent + multiple - 1) // multiple) * multiple
-    widths = [(0, 0)] * arr.ndim
-    widths[axis] = (0, padded_extent - extent)
-    recon = codec.reconstruct(np.pad(arr, widths), role)
-    index = [slice(None)] * arr.ndim
-    index[axis] = slice(0, extent)
-    return recon[tuple(index)]
-
-
 def cmd_quantize(args):
     codec = parse_format(args.format)
     tensors = load_tensors(args.input)
     outputs, reports = [], []
     for t in tensors:
         try:
-            recon = _pad_reconstruct(codec, t.data, args.role, args.pad)
+            recon = codec.reconstruct(t, args.role, pad=args.pad)
         except LofiqError as exc:
             raise LofiqError(f"tensor {t.name!r}: {exc}") from exc
         outputs.append(Tensor(recon, t.name))

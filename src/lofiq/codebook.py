@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyTensor, UnknownFormat
-from .tensor import Tensor
+from .tensor import as_array
 
 __all__ = [
     "FpFormatSpec",
@@ -292,7 +292,7 @@ def empirical_cdf(t, n_points):
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+    arr = as_array(t)
     if arr.size == 0:
         raise EmptyTensor("cannot build a CDF from an empty tensor")
     mags = np.sort(np.abs(arr), axis=None)

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, axis_to_blocks, blocks_to_axis
+from .tensor import Tensor, as_array, axis_to_blocks, blocks_to_axis
 
-__all__ = ["BLOCK", "Q_MIN", "Q_MAX", "Hif4Quantized", "hif4_quantize", "hif4_dequantize"]
+__all__ = ["BLOCK", "MODES", "Q_MIN", "Q_MAX", "Hif4Quantized", "hif4_quantize", "hif4_dequantize"]
 
 BLOCK = 64
 Q_MIN = 2.0**-48
 Q_MAX = 1.5 * 2.0**15
-_MODES = ("literal", "halfrange")
+MODES = ("literal", "halfrange")
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,9 @@ def _quantize_blocks(X, halfrange):
 
 def hif4_quantize(t, axis, subscale_mode="literal"):
     """Quantize ``t`` in 64-element blocks along ``axis``."""
-    if subscale_mode not in _MODES:
-        raise ValueError(f"subscale_mode must be one of {_MODES}")
-    arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+    if subscale_mode not in MODES:
+        raise ValueError(f"subscale_mode must be one of {MODES}")
+    arr = as_array(t)
     blocked, _ = axis_to_blocks(arr, axis, BLOCK)
     B = blocked.shape[0]
     halfrange = subscale_mode == "halfrange"

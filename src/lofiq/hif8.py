@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook, FpFormatSpec
-from .tensor import Tensor, group_reduce_layout, groups_to_axis
+from .tensor import Tensor, as_array, group_reduce_layout, groups_to_axis
 
 __all__ = [
     "MAX_NORMAL",
@@ -133,12 +133,14 @@ def _quantize_array(arr):
     val = np.ldexp(xh, q, out=xh)
     val[underflow] = MIN_SUBNORMAL
     np.minimum(val, MAX_NORMAL, out=val)
-    return np.copysign(val, arr, out=val)
+    np.copysign(val, arr, out=val)
+    val += 0.0  # -0.0 -> +0.0, as hif8_quantize_value returns
+    return val
 
 
 def hif8_quantize(t):
     """Elementwise quantize-dequantize of a whole tensor."""
-    arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+    arr = as_array(t)
     out = _quantize_array(arr)
     return Tensor(out, getattr(t, "name", None))
 
@@ -195,7 +197,7 @@ def hif8_scaled_quantize(t, axis, K, eps=1e-12):
     """
     if K <= 0:
         raise ValueError("K must be positive")
-    arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+    arr = as_array(t)
     grouped, moved_shape = group_reduce_layout(arr, axis)
     gmax = np.max(np.abs(grouped), axis=1)
     scales = K / (gmax + eps)

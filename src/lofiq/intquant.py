@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, group_reduce_layout, groups_to_axis
+from .tensor import Tensor, as_array, group_reduce_layout, groups_to_axis
 
 __all__ = ["IntQuantized", "int_quantize_symmetric", "int_quantize_asymmetric", "int_dequantize"]
 
@@ -40,7 +40,7 @@ def int_quantize_symmetric(t, axis, bits):
     """Per-group symmetric quantization: scale = max|x| / (2**(b-1) - 1)."""
     if bits not in _BITS:
         raise ValueError(f"bits must be one of {_BITS}")
-    arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+    arr = as_array(t)
     grouped, moved_shape = group_reduce_layout(arr, axis)
     qmax = 2 ** (bits - 1) - 1
     amax = np.max(np.abs(grouped), axis=1)
@@ -59,7 +59,7 @@ def int_quantize_asymmetric(t, axis, bits):
     """
     if bits not in _BITS:
         raise ValueError(f"bits must be one of {_BITS}")
-    arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+    arr = as_array(t)
     grouped, moved_shape = group_reduce_layout(arr, axis)
     levels = 2**bits - 1
     lo = grouped.min(axis=1)

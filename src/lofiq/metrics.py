@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatch, ZeroSignal
-from .registry import parse_format
-from .tensor import Tensor
+from .registry import as_codec
+from .tensor import Tensor, as_array
 
 __all__ = [
     "FidelityReport",
@@ -63,8 +63,7 @@ class SyntheticSpec:
 
 def sqnr(x, x_hat):
     """Signal-to-quantization-noise ratio in dB."""
-    xa = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    ha = x_hat.data if isinstance(x_hat, Tensor) else np.asarray(x_hat, dtype=np.float64)
+    xa, ha = as_array(x), as_array(x_hat)
     if xa.shape != ha.shape:
         raise ShapeMismatch(f"shape {xa.shape} vs {ha.shape}")
     signal = float(np.sum(xa * xa))
@@ -93,8 +92,12 @@ def synth(spec):
 
 
 def fidelity_from_reconstruction(t, recon, codec, role):
-    """Report comparing one tensor against a reconstruction produced elsewhere."""
-    arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+    """Report comparing one tensor against a reconstruction array produced elsewhere.
+
+    ``recon`` enters through ``sqnr``, which checks it; the rest reuses it as is.
+    """
+    db = sqnr(t, recon)
+    arr = as_array(t)
     name = getattr(t, "name", None) or "<unnamed>"
     err = np.abs(recon - arr)
     ref_norm = float(np.linalg.norm(arr))
@@ -103,7 +106,7 @@ def fidelity_from_reconstruction(t, recon, codec, role):
         tensor_name=name,
         format_name=codec.selector,
         granularity=codec.granularity(role, arr.ndim),
-        sqnr_db=sqnr(arr, recon),
+        sqnr_db=db,
         max_abs_err=float(err.max()) if err.size else 0.0,
         mean_abs_err=float(err.mean()) if err.size else 0.0,
         rel_fro_err=rel,
@@ -113,12 +116,10 @@ def fidelity_from_reconstruction(t, recon, codec, role):
 
 def compare_formats(t, formats, role):
     """One FidelityReport per format, all against the same input tensor."""
-    arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
     reports = []
     for fmt in formats:
-        codec = parse_format(fmt) if isinstance(fmt, str) else fmt
-        recon = codec.reconstruct(arr, role)
-        reports.append(fidelity_from_reconstruction(t, recon, codec, role))
+        codec = as_codec(fmt)
+        reports.append(fidelity_from_reconstruction(t, codec.reconstruct(t, role), codec, role))
     return reports
 
 

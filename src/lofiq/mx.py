@@ -23,7 +23,7 @@ from .codebook import (
     mxint8_codebook,
     project,
 )
-from .tensor import Tensor, axis_to_blocks, blocks_to_axis
+from .tensor import Tensor, as_array, axis_to_blocks, blocks_to_axis
 
 __all__ = ["DEFAULT_BLOCK", "MxQuantized", "mx_quantize", "mx_dequantize", "resolve_element"]
 
@@ -87,7 +87,7 @@ def _quantize_blocks(blocked, cb):
 def mx_quantize(t, axis, element_spec, k=DEFAULT_BLOCK):
     """Quantize ``t`` in blocks of ``k`` along ``axis`` with element format ``element_spec``."""
     cb = resolve_element(element_spec)
-    arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+    arr = as_array(t)
     blocked, moved_shape = axis_to_blocks(arr, axis, k)
     e, codes = _quantize_blocks(blocked, cb)
     codes = blocks_to_axis(codes, moved_shape, axis)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .codebook import project
 from .mx import resolve_element
-from .tensor import Tensor, axis_to_blocks, blocks_to_axis
+from .tensor import Tensor, as_array, axis_to_blocks, blocks_to_axis
 
 __all__ = ["BLOCK", "V_MAX", "Nvfp4Quantized", "nvfp4_quantize", "nvfp4_dequantize"]
 
@@ -61,7 +61,7 @@ def nvfp4_quantize(t, axis):
     """Quantize in 16-element blocks along ``axis``; all-zero tensor keeps s2 = 1."""
     e4m3 = resolve_element("e4m3")
     e2m1 = resolve_element("e2m1")
-    arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+    arr = as_array(t)
     blocked, moved_shape = axis_to_blocks(arr, axis, BLOCK)
 
     amax = float(np.max(np.abs(arr))) if arr.size else 0.0

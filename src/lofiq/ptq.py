@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, NonConvergence, RankOutOfRange, ShapeMismatch
-from .registry import parse_format
-from .tensor import Tensor
+from .registry import as_codec
+from .tensor import Tensor, as_array
 
 __all__ = [
     "ALPHA_GRID",
@@ -39,14 +39,6 @@ __all__ = [
 ALPHA_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))  # 0.1 .. 0.9
 _MAX_FLOOR = 1e-8
 _S_LO, _S_HI = 1e-5, 1e5
-
-
-def _as_array(t):
-    return t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
-
-
-def _as_codec(fmt):
-    return parse_format(fmt) if isinstance(fmt, str) else fmt
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,7 @@ def smooth_scales(x_colmax, w_rowmax, alpha):
 
 def plan_for(x, w, alpha):
     """Build a SmoothingPlan from the tensors themselves."""
-    xa, wa = _as_array(x), _as_array(w)
+    xa, wa = as_array(x), as_array(w)
     if xa.shape[-1] != wa.shape[0]:
         raise ShapeMismatch(f"inner dims differ: x {xa.shape} vs w {wa.shape}")
     return smooth_scales(np.max(np.abs(xa), axis=0), np.max(np.abs(wa), axis=1), alpha)
@@ -97,7 +89,7 @@ def plan_for(x, w, alpha):
 
 def apply_smoothing(x, w, plan):
     """Return (x / s columnwise, s * w rowwise); the product is unchanged."""
-    xa, wa = _as_array(x), _as_array(w)
+    xa, wa = as_array(x), as_array(w)
     s = plan.scales
     if xa.shape[-1] != s.size or wa.shape[0] != s.size:
         raise ShapeMismatch(
@@ -107,7 +99,7 @@ def apply_smoothing(x, w, plan):
 
 def invert_smoothing(x_s, w_s, plan):
     """Undo apply_smoothing; exact in exact arithmetic."""
-    xa, wa = _as_array(x_s), _as_array(w_s)
+    xa, wa = as_array(x_s), as_array(w_s)
     s = plan.scales
     return Tensor(xa * s), Tensor(wa / s[:, None])
 
@@ -115,8 +107,8 @@ def invert_smoothing(x_s, w_s, plan):
 def _product_error(x, w, codec, alpha, ref):
     plan = plan_for(x, w, alpha)
     xs, ws = apply_smoothing(x, w, plan)
-    qx = codec.reconstruct(xs.data, "activation")
-    qw = codec.reconstruct(ws.data, "weight")
+    qx = codec.reconstruct(xs, "activation")
+    qw = codec.reconstruct(ws, "weight")
     return float(np.linalg.norm(qx @ qw - ref)), plan
 
 
@@ -125,10 +117,10 @@ def search_alpha(x, w, fmt, grid=ALPHA_GRID):
 
     Ties resolve to the smaller alpha.
     """
-    codec = _as_codec(fmt)
+    codec = as_codec(fmt)
     if len(grid) == 0:
         raise ValueError("alpha grid is empty")
-    ref = _as_array(x) @ _as_array(w)
+    ref = as_array(x) @ as_array(w)
     best = None
     for alpha in grid:
         err, plan = _product_error(x, w, codec, alpha, ref)
@@ -139,7 +131,7 @@ def search_alpha(x, w, fmt, grid=ALPHA_GRID):
 
 def svd_split(w, rank):
     """Split a matrix into its top-``rank`` singular part plus a residual."""
-    wa = _as_array(w)
+    wa = as_array(w)
     if wa.ndim != 2:
         raise ShapeMismatch(f"svd_split needs a matrix, got shape {wa.shape}")
     if not 1 <= rank <= min(wa.shape):
@@ -193,13 +185,13 @@ class SmoothReport:
 
 def smoothquant_pipeline(x, w, fmt, alpha_grid=ALPHA_GRID, alpha=None):
     """Migration-only pipeline: reports plain-RTN and smoothed product errors."""
-    codec = _as_codec(fmt)
-    xa, wa = _as_array(x), _as_array(w)
+    codec = as_codec(fmt)
+    xa, wa = as_array(x), as_array(w)
     ref = xa @ wa
     ref_norm = float(np.linalg.norm(ref))
     if ref_norm == 0.0:
         raise ShapeMismatch("x @ w vanishes; relative errors are undefined")
-    rtn = codec.reconstruct(xa, "activation") @ codec.reconstruct(wa, "weight")
+    rtn = codec.reconstruct(x, "activation") @ codec.reconstruct(w, "weight")
     rtn_err = float(np.linalg.norm(rtn - ref)) / ref_norm
     if alpha is None:
         alpha, _ = search_alpha(x, w, codec, alpha_grid)
@@ -207,42 +199,34 @@ def smoothquant_pipeline(x, w, fmt, alpha_grid=ALPHA_GRID, alpha=None):
     return SmoothReport(float(alpha), rtn_err, err / ref_norm, codec.selector)
 
 
-def svdquant_pipeline(x, w, fmt, alpha_grid=ALPHA_GRID, rank=16, smooth=True, alpha=None):
+def svdquant_pipeline(x, w, fmt, alpha_grid=ALPHA_GRID, rank=16, alpha=None):
     """Smooth, split the smoothed weight, quantize residual and activations.
 
     The reconstruction is x' @ L1L2 + Q(x') @ Q(residual); its relative
     Frobenius error is reported next to the smoothing-only and plain
     round-to-nearest figures. The migration strength comes from the
-    smoothing objective (or ``alpha`` when given); ``smooth=False`` skips
-    the migration entirely for ablation.
+    smoothing objective, or is ``alpha`` when given.
     """
-    codec = _as_codec(fmt)
-    xa, wa = _as_array(x), _as_array(w)
+    codec = as_codec(fmt)
+    xa, wa = as_array(x), as_array(w)
     ref = xa @ wa
     ref_norm = float(np.linalg.norm(ref))
     if ref_norm == 0.0:
         raise ShapeMismatch("x @ w vanishes; relative errors are undefined")
 
-    rtn = codec.reconstruct(xa, "activation") @ codec.reconstruct(wa, "weight")
+    rtn = codec.reconstruct(x, "activation") @ codec.reconstruct(w, "weight")
     rtn_err = float(np.linalg.norm(rtn - ref)) / ref_norm
 
-    if smooth:
-        if alpha is None:
-            alpha, plan = search_alpha(x, w, codec, alpha_grid)
-        else:
-            plan = plan_for(x, w, alpha)
+    if alpha is None:
+        alpha, plan = search_alpha(x, w, codec, alpha_grid)
     else:
-        alpha, plan = 0.0, None
-
-    if plan is not None:
-        xs, ws = apply_smoothing(x, w, plan)
-    else:
-        xs, ws = Tensor(xa), Tensor(wa)
-    qx = codec.reconstruct(xs.data, "activation")
-    qw = codec.reconstruct(ws.data, "weight")
+        plan = plan_for(x, w, alpha)
+    xs, ws = apply_smoothing(x, w, plan)
+    qx = codec.reconstruct(xs, "activation")
+    qw = codec.reconstruct(ws, "weight")
     smooth_err = float(np.linalg.norm(qx @ qw - ref)) / ref_norm
 
-    branch = svd_split(ws.data, rank)
+    branch = svd_split(ws, rank)
     qres = codec.reconstruct(branch.residual, "weight")
     recon = xs.data @ branch.product + qx @ qres
     svdq_err = float(np.linalg.norm(recon - ref)) / ref_norm

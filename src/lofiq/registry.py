@@ -20,18 +20,16 @@ Role conventions (defaults, overridable with axis=):
   weights and asymmetric (zero-point) elsewhere.
 """
 
+import math
+
 import numpy as np
 
 from . import hif4, hif8, intquant, mx, nvfp4
 from .codebook import builtin_spec, enumerate_codebook, project
 from .errors import UnknownFormat
-from .tensor import Tensor
+from .tensor import as_array
 
-__all__ = ["ROLES", "parse_format", "group_axis_for", "block_axis_for"]
-
-
-def _as_array(t):
-    return t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+__all__ = ["ROLES", "parse_format", "as_codec", "group_axis_for", "block_axis_for"]
 
 ROLES = ("weight", "activation", "kv")
 
@@ -68,28 +66,56 @@ def block_axis_for(role, ndim):
 
 
 class _Codec:
+    """Routing shared by every codec: the axis it works along, and padding.
+
+    ``role_axis`` is the role default (group_axis_for, block_axis_for, or
+    None for elementwise codecs), ``axis`` the selector's axis= override, and
+    ``block`` the multiple a block codec needs along that axis. Subclasses
+    supply ``_reconstruct(t, role, axis)`` on top of their kernels.
+    """
+
     selector = ""
+    axis = None
+    role_axis = None
+    block = None
 
-    def pad_multiple(self):
-        return None
-
-    def pad_axis(self, role, ndim):
-        return None
+    def axis_for(self, role, ndim):
+        return self.axis if self.axis is not None else self.role_axis(role, ndim)
 
     def granularity(self, role, ndim):
-        raise NotImplementedError
+        return "elementwise"
 
     def config(self, role):
         return {}
 
-    def reconstruct(self, arr, role):
-        raise NotImplementedError
+    def reconstruct(self, t, role, pad=False):
+        """Quantize then dequantize ``t`` under ``role``'s conventions.
+
+        With ``pad``, a block axis whose extent is not a multiple of the
+        block is zero-padded up to one and the reconstruction cropped back,
+        so padded elements never reach the output or statistics built on it.
+        """
+        if self.role_axis is None:
+            return self._reconstruct(t, role, None)
+        ndim = np.ndim(t)
+        axis = self.axis_for(role, ndim)
+        if pad and self.block and -ndim <= axis < ndim and np.shape(t)[axis] % self.block:
+            arr = as_array(t)
+            extent = arr.shape[axis]
+            widths = [(0, 0)] * ndim
+            widths[axis] = (0, -extent % self.block)
+            index = [slice(None)] * ndim
+            index[axis] = slice(0, extent)
+            return self._reconstruct(np.pad(arr, widths), role, axis)[tuple(index)]
+        return self._reconstruct(t, role, axis)
 
     def __repr__(self):
         return f"<codec {self.selector}>"
 
 
 class IntCodec(_Codec):
+    role_axis = staticmethod(group_axis_for)
+
     def __init__(self, bits, mode=None, axis=None):
         self.bits = bits
         self.mode = mode
@@ -98,27 +124,21 @@ class IntCodec(_Codec):
         suffix += f":axis={axis}" if axis is not None else ""
         self.selector = f"int{bits}{suffix}"
 
-    def _resolve(self, role, ndim):
-        mode = self.mode or ("sym" if role == "weight" else "asym")
-        axis = self.axis if self.axis is not None else group_axis_for(role, ndim)
-        return mode, axis
+    def _mode(self, role):
+        return self.mode or ("sym" if role == "weight" else "asym")
 
     def granularity(self, role, ndim):
-        mode, axis = self._resolve(role, ndim)
         kind = "per-channel" if role == "weight" else "per-token"
-        return f"{kind}(axis={axis},{mode})"
+        return f"{kind}(axis={self.axis_for(role, ndim)},{self._mode(role)})"
 
     def config(self, role):
-        mode, _ = self._resolve(role, 2)
-        return {"bits": self.bits, "mode": mode}
+        return {"bits": self.bits, "mode": self._mode(role)}
 
-    def reconstruct(self, arr, role):
-        arr = _as_array(arr)
-        mode, axis = self._resolve(role, arr.ndim)
-        if mode == "sym":
-            q = intquant.int_quantize_symmetric(arr, axis, self.bits)
+    def _reconstruct(self, t, role, axis):
+        if self._mode(role) == "sym":
+            q = intquant.int_quantize_symmetric(t, axis, self.bits)
         else:
-            q = intquant.int_quantize_asymmetric(arr, axis, self.bits)
+            q = intquant.int_quantize_asymmetric(t, axis, self.bits)
         return intquant.int_dequantize(q).data
 
 
@@ -127,80 +147,60 @@ class CastCodec(_Codec):
         self.selector = name
         self.cb = enumerate_codebook(builtin_spec(name))
 
-    def granularity(self, role, ndim):
-        return "elementwise"
-
-    def reconstruct(self, arr, role):
-        return project(self.cb, _as_array(arr))
+    def _reconstruct(self, t, role, axis):
+        return project(self.cb, as_array(t))
 
 
 class MxCodec(_Codec):
+    role_axis = staticmethod(block_axis_for)
+
     def __init__(self, element, k=mx.DEFAULT_BLOCK, axis=None):
         self.element = element
-        self.k = k
+        self.block = k
         self.axis = axis
         suffix = f":k={k}" if k != mx.DEFAULT_BLOCK else ""
         suffix += f":axis={axis}" if axis is not None else ""
         self.selector = f"mx:{element}{suffix}"
 
-    def pad_multiple(self):
-        return self.k
-
-    def _axis(self, role, ndim):
-        return self.axis if self.axis is not None else block_axis_for(role, ndim)
-
-    def pad_axis(self, role, ndim):
-        return self._axis(role, ndim)
-
     def granularity(self, role, ndim):
-        return f"block(k={self.k},axis={self._axis(role, ndim)})"
+        return f"block(k={self.block},axis={self.axis_for(role, ndim)})"
 
     def config(self, role):
-        return {"element": self.element, "k": self.k}
+        return {"element": self.element, "k": self.block}
 
-    def reconstruct(self, arr, role):
-        arr = _as_array(arr)
-        q = mx.mx_quantize(arr, self._axis(role, arr.ndim), self.element, self.k)
+    def _reconstruct(self, t, role, axis):
+        q = mx.mx_quantize(t, axis, self.element, self.block)
         return mx.mx_dequantize(q).data
 
 
 class Nvfp4Codec(_Codec):
+    role_axis = staticmethod(block_axis_for)
+    block = nvfp4.BLOCK
+
     def __init__(self, axis=None):
         self.axis = axis
         self.selector = "nvfp4" + (f":axis={axis}" if axis is not None else "")
 
-    def pad_multiple(self):
-        return nvfp4.BLOCK
-
-    def _axis(self, role, ndim):
-        return self.axis if self.axis is not None else block_axis_for(role, ndim)
-
-    def pad_axis(self, role, ndim):
-        return self._axis(role, ndim)
-
     def granularity(self, role, ndim):
-        return f"per-tensor+block(k=16,axis={self._axis(role, ndim)})"
+        return f"per-tensor+block(k=16,axis={self.axis_for(role, ndim)})"
 
     def config(self, role):
         return {"k": nvfp4.BLOCK}
 
-    def reconstruct(self, arr, role):
-        arr = _as_array(arr)
-        q = nvfp4.nvfp4_quantize(arr, self._axis(role, arr.ndim))
-        return nvfp4.nvfp4_dequantize(q).data
+    def _reconstruct(self, t, role, axis):
+        return nvfp4.nvfp4_dequantize(nvfp4.nvfp4_quantize(t, axis)).data
 
 
 class Hif8Codec(_Codec):
     selector = "hif8"
 
-    def granularity(self, role, ndim):
-        return "elementwise"
-
-    def reconstruct(self, arr, role):
-        return hif8.hif8_quantize(_as_array(arr)).data
+    def _reconstruct(self, t, role, axis):
+        return hif8.hif8_quantize(t).data
 
 
 class ScaledHif8Codec(_Codec):
+    role_axis = staticmethod(group_axis_for)
+
     def __init__(self, K=None, axis=None):
         self.K = K
         self.axis = axis
@@ -208,27 +208,24 @@ class ScaledHif8Codec(_Codec):
         suffix += f":axis={axis}" if axis is not None else ""
         self.selector = f"hif8-scaled{suffix}"
 
-    def _resolve(self, role, ndim):
-        K = self.K if self.K is not None else hif8.DEFAULT_K[role]
-        axis = self.axis if self.axis is not None else group_axis_for(role, ndim)
-        return K, axis
+    def _K(self, role):
+        return self.K if self.K is not None else hif8.DEFAULT_K[role]
 
     def granularity(self, role, ndim):
-        K, axis = self._resolve(role, ndim)
-        return f"per-axis(K={K:g},axis={axis})"
+        return f"per-axis(K={self._K(role):g},axis={self.axis_for(role, ndim)})"
 
     def config(self, role):
-        K, _ = self._resolve(role, 2)
-        return {"K": K}
+        return {"K": self._K(role)}
 
-    def reconstruct(self, arr, role):
-        arr = _as_array(arr)
-        K, axis = self._resolve(role, arr.ndim)
-        q = hif8.hif8_scaled_quantize(arr, axis, K)
+    def _reconstruct(self, t, role, axis):
+        q = hif8.hif8_scaled_quantize(t, axis, self._K(role))
         return hif8.hif8_scaled_dequantize(q).data
 
 
 class Hif4Codec(_Codec):
+    role_axis = staticmethod(block_axis_for)
+    block = hif4.BLOCK
+
     def __init__(self, axis=None, mode="literal"):
         self.axis = axis
         self.mode = mode
@@ -236,25 +233,14 @@ class Hif4Codec(_Codec):
         suffix += f":mode={mode}" if mode != "literal" else ""
         self.selector = f"hif4{suffix}"
 
-    def pad_multiple(self):
-        return hif4.BLOCK
-
-    def _axis(self, role, ndim):
-        return self.axis if self.axis is not None else block_axis_for(role, ndim)
-
-    def pad_axis(self, role, ndim):
-        return self._axis(role, ndim)
-
     def granularity(self, role, ndim):
-        return f"hier(64/8/4,axis={self._axis(role, ndim)})"
+        return f"hier(64/8/4,axis={self.axis_for(role, ndim)})"
 
     def config(self, role):
         return {"mode": self.mode}
 
-    def reconstruct(self, arr, role):
-        arr = _as_array(arr)
-        q = hif4.hif4_quantize(arr, self._axis(role, arr.ndim), self.mode)
-        return hif4.hif4_dequantize(q).data
+    def _reconstruct(self, t, role, axis):
+        return hif4.hif4_dequantize(hif4.hif4_quantize(t, axis, self.mode)).data
 
 
 def _parse_params(parts, selector):
@@ -277,6 +263,11 @@ def _as_int(params, key, selector):
         raise UnknownFormat(f"{selector!r}: bad integer for {key}") from exc
 
 
+def as_codec(fmt):
+    """A codec passes through; a selector string is parsed."""
+    return parse_format(fmt) if isinstance(fmt, str) else fmt
+
+
 def parse_format(selector):
     """Parse one selector string into a codec; raises UnknownFormat."""
     sel = selector.strip()
@@ -296,16 +287,18 @@ def parse_format(selector):
             return IntCodec(int(head[3]), mode, axis)
         if head in _CAST_NAMES and not parts[1:]:
             return CastCodec(head)
-        if head == "mx":
-            if not flags:
+        if head == "mx" or head in _MX_ALIASES:
+            if head in _MX_ALIASES:
+                element = _MX_ALIASES[head]
+            elif flags:
+                element = flags[0].lower()
+                mx.resolve_element(element)
+            else:
                 raise UnknownFormat(f"{sel!r}: mx needs an element type, e.g. mx:e2m1")
-            element = flags[0].lower()
-            mx.resolve_element(element)
             k = _as_int(params, "k", sel) if "k" in params else mx.DEFAULT_BLOCK
+            if k < 1:
+                raise UnknownFormat(f"{sel!r}: block size k must be positive")
             return MxCodec(element, k, axis)
-        if head in _MX_ALIASES:
-            k = _as_int(params, "k", sel) if "k" in params else mx.DEFAULT_BLOCK
-            return MxCodec(_MX_ALIASES[head], k, axis)
         if head == "nvfp4":
             return Nvfp4Codec(axis)
         if head == "hif8":
@@ -313,9 +306,14 @@ def parse_format(selector):
         if head == "hif8-scaled":
             K = float(params["K"]) if "K" in params else (
                 float(params["k"]) if "k" in params else None)
+            if K is not None and not 0.0 < K < math.inf:
+                raise UnknownFormat(f"{sel!r}: K must be positive and finite")
             return ScaledHif8Codec(K, axis)
         if head == "hif4":
-            return Hif4Codec(axis, params.get("mode", "literal"))
+            mode = params.get("mode", "literal")
+            if mode not in hif4.MODES:
+                raise UnknownFormat(f"{sel!r}: mode must be one of {hif4.MODES}")
+            return Hif4Codec(axis, mode)
     except UnknownFormat:
         raise
     except (ValueError, KeyError) as exc:

@@ -2,10 +2,12 @@
 
 All codecs in this package consume and produce 64-bit tensors; narrower
 on-disk dtypes are widened losslessly on load. Non-finite values are
-rejected at every ingest point since no codec defines them.
+rejected at ingest since no codec defines them: a Tensor is checked once
+when built, and ``as_array`` checks any other array-like it is handed.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -33,9 +35,7 @@ class Tensor:
 
     def __init__(self, values, name=None):
         arr = np.ascontiguousarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            label = name or "<unnamed>"
-            raise NonFiniteValue(f"tensor {label!r} contains NaN or Inf")
+        _check_finite(arr, f"tensor {name or '<unnamed>'!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "name", name)
@@ -65,48 +65,22 @@ def tensor(values, name=None):
     return Tensor(values, name)
 
 
-class BlockView:
-    """Partition of one tensor axis into contiguous blocks of fixed size.
+def _check_finite(arr, label):
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteValue(f"{label} contains NaN or Inf")
 
-    ``block_count`` counts blocks along the partitioned axis; iteration
-    yields every block of every slice in row-major order.
+
+def as_array(t):
+    """The float64 array behind ``t``, the one ingest of every library entry point.
+
+    A Tensor gives its (already checked) data; any other array-like is
+    converted and must be finite, else NonFiniteValue.
     """
-
-    def __init__(self, t, axis, block_size):
-        arr = t.data if isinstance(t, Tensor) else np.asarray(t)
-        if not 0 <= axis < arr.ndim:
-            raise AxisOutOfRange(f"axis {axis} out of range for rank {arr.ndim}")
-        extent = arr.shape[axis]
-        if block_size <= 0 or extent % block_size != 0:
-            raise NotDivisible(extent, block_size, axis)
-        self.axis = axis
-        self.block_size = block_size
-        self.block_count = extent // block_size
-        self._arr = arr
-
-    @property
-    def total_blocks(self):
-        return self._arr.size // self.block_size
-
-    def as_matrix(self):
-        """All blocks stacked as a (total_blocks, block_size) array."""
-        blocked, _ = axis_to_blocks(self._arr, self.axis, self.block_size)
-        return blocked
-
-    def __iter__(self):
-        mat = self.as_matrix()
-        for row in mat:
-            yield row
-
-    def reassemble(self, blocked):
-        """Inverse of as_matrix: scatter (total_blocks, block_size) back in place."""
-        moved_shape = np.moveaxis(self._arr, self.axis, -1).shape
-        return blocks_to_axis(np.asarray(blocked), moved_shape, self.axis)
-
-
-def block_view(t, axis, block_size):
-    """Partition ``axis`` of ``t`` into contiguous blocks of ``block_size``."""
-    return BlockView(t, axis, block_size)
+    if isinstance(t, Tensor):
+        return t.data
+    arr = np.asarray(t, dtype=np.float64)
+    _check_finite(arr, "array")
+    return arr
 
 
 def axis_to_blocks(arr, axis, k):
@@ -115,8 +89,10 @@ def axis_to_blocks(arr, axis, k):
     Returns (blocked, moved_shape); blocked is (arr.size // k, k) and
     moved_shape is the intermediate layout needed by blocks_to_axis.
     """
+    if not -arr.ndim <= axis < arr.ndim:
+        raise AxisOutOfRange(f"axis {axis} out of range for rank {arr.ndim}")
     extent = arr.shape[axis]
-    if extent % k != 0:
+    if k <= 0 or extent % k != 0:
         raise NotDivisible(extent, k, axis)
     moved = np.moveaxis(arr, axis, -1)
     return moved.reshape(-1, k), moved.shape
@@ -154,10 +130,14 @@ def save_tensors(tensors, path, dtype="f64"):
         raise ValueError(f"dtype must be f32 or f64, got {dtype!r}")
     np_dtype = _DTYPES[dtype]
     entries = []
+    names = set()
     payload = bytearray()
     for i, t in enumerate(tensors):
-        arr = t.data if isinstance(t, Tensor) else np.ascontiguousarray(t, dtype=np.float64)
-        name = (t.name if isinstance(t, Tensor) else None) or f"tensor_{i}"
+        arr = as_array(t)
+        name = getattr(t, "name", None) or f"tensor_{i}"
+        if not isinstance(name, str) or name in names:
+            raise ValueError(f"tensor name {name!r} is not a unique string")
+        names.add(name)
         raw = np.ascontiguousarray(arr, dtype=np_dtype).tobytes()
         entries.append(
             {"name": name, "dtype": dtype, "shape": list(arr.shape), "offset": len(payload)}
@@ -170,6 +150,11 @@ def save_tensors(tensors, path, dtype="f64"):
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
         fh.write(payload)
+
+
+def _is_count(v):
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def load_tensors(path):
@@ -187,33 +172,44 @@ def load_tensors(path):
     try:
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
         entries = header["tensors"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise HeaderParse(f"{path}: bad header ({exc})") from exc
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise HeaderParse(f"{path}: 'tensors' must be a list of objects")
 
     payload = blob[16 + header_len :]
     out = []
+    names = set()
     prev_end = 0
     for entry in entries:
         try:
             name = entry["name"]
             dtype = entry["dtype"]
-            shape = tuple(int(s) for s in entry["shape"])
-            offset = int(entry["offset"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise HeaderParse(f"{path}: malformed tensor entry ({exc})") from exc
-        if dtype not in _DTYPES:
+            shape = entry["shape"]
+            offset = entry["offset"]
+        except KeyError as exc:
+            raise HeaderParse(f"{path}: tensor entry lacks {exc}") from exc
+        if not isinstance(name, str) or name in names:
+            raise HeaderParse(f"{path}: tensor name {name!r} is not a unique string")
+        names.add(name)
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise HeaderParse(f"{path}: unknown dtype {dtype!r} for tensor {name!r}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * _DTYPES[dtype].itemsize
+        if not isinstance(shape, list) or not all(_is_count(s) for s in shape):
+            raise HeaderParse(f"{path}: tensor {name!r} shape {shape!r} is not a list "
+                              "of non-negative integers")
+        if not _is_count(offset):
+            raise HeaderParse(f"{path}: tensor {name!r} offset {offset!r} is not a "
+                              "non-negative integer")
+        nbytes = math.prod(shape) * _DTYPES[dtype].itemsize
         if offset < prev_end or offset + nbytes > len(payload):
             raise OffsetOutOfBounds(
                 f"{path}: tensor {name!r} at offset {offset} (+{nbytes}B) "
                 f"outside payload of {len(payload)}B"
             )
         prev_end = offset + nbytes
-        arr = np.frombuffer(payload, dtype=_DTYPES[dtype], count=count, offset=offset)
-        arr = arr.reshape(shape).astype(np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValue(f"{path}: tensor {name!r} contains NaN or Inf")
-        out.append(Tensor(arr, name))
+        arr = np.frombuffer(payload, dtype=_DTYPES[dtype], count=math.prod(shape), offset=offset)
+        try:
+            out.append(Tensor(arr.reshape(shape).astype(np.float64), name))
+        except NonFiniteValue as exc:
+            raise NonFiniteValue(f"{path}: {exc}") from None
     return out

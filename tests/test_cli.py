@@ -1,8 +1,13 @@
 import json
+import os
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lofiq
 from lofiq.cli import main, parse_synth
 from lofiq.metrics import SyntheticSpec
 from lofiq.tensor import load_tensors, save_tensors, tensor
@@ -93,6 +98,19 @@ class TestQuantize:
         src = tmp_path / "in.lqt"
         save_tensors([tensor([1.0])], src)
         assert run("quantize", src, "--format", "nope", "-o", tmp_path / "o.lqt") == 2
+
+    def test_malformed_header_exits_1_without_traceback(self, tmp_path):
+        header = json.dumps({"tensors": 5}).encode()
+        src = tmp_path / "bad.lqt"
+        src.write_bytes(b"LQT1" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lofiq.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lofiq.cli", "quantize", str(src), "--format", "int8",
+             "-o", str(tmp_path / "o.lqt")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_missing_input_exits_1(self, tmp_path):
         assert run("quantize", tmp_path / "absent.lqt", "--format", "hif8",

@@ -55,7 +55,10 @@ class TestWorkedValues:
         x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, 0.0)])
         x = np.concatenate([x, -x])
         want = np.array([hif8_quantize_value(v) for v in x])
-        assert np.array_equal(hif8_quantize(tensor(x)).data, want)
+        got = hif8_quantize(tensor(x)).data
+        assert np.array_equal(got, want)
+        # array_equal treats -0.0 == +0.0; the -0.0 input (from -x) must give +0.0
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_decompose_fields(self):
         v = hif8_decompose(0.3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lofiq.errors import NonFiniteValue
 from lofiq.intquant import int_dequantize, int_quantize_asymmetric, int_quantize_symmetric
 from lofiq.tensor import tensor
 
@@ -128,3 +129,12 @@ class TestProperties:
         q1 = int_quantize_symmetric(tensor(x), 1, 8)  # columns are groups
         assert q0.scales.tolist() == [100.0 / 127, 200.0 / 127]
         assert q1.scales.tolist() == [2.0 / 127, 200.0 / 127]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("quantize", [int_quantize_symmetric, int_quantize_asymmetric])
+def test_nonfinite_raw_array_rejected(quantize, bad):
+    # a raw ndarray skips Tensor's check, so the kernel's ingest must catch it
+    x = np.array([[0.5, bad], [1.0, 2.0]])
+    with pytest.raises(NonFiniteValue):
+        quantize(x, 0, 8)

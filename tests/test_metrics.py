@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lofiq.errors import ShapeMismatch, ZeroSignal
+from lofiq.errors import NonFiniteValue, ShapeMismatch, ZeroSignal
 from lofiq.metrics import (
     FidelityReport,
     SyntheticSpec,
@@ -44,6 +44,16 @@ class TestSqnr:
     def test_zero_signal(self):
         with pytest.raises(ZeroSignal):
             sqnr(tensor([0.0]), tensor([1.0]))
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_raw_arrays_rejected(self, bad):
+        x = np.array([1.0, 2.0, bad])
+        ok = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(NonFiniteValue):
+            sqnr(x, ok)
+        with pytest.raises(NonFiniteValue):
+            sqnr(ok, x)
 
 
 class TestSynth:

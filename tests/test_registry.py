@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lofiq.errors import UnknownFormat
+from lofiq.errors import AxisOutOfRange, NonFiniteValue, NotDivisible, UnknownFormat
 from lofiq.registry import block_axis_for, group_axis_for, parse_format
 
 
@@ -31,6 +31,9 @@ class TestParse:
     @pytest.mark.parametrize("sel", [
         "int7", "e9m9", "mx", "mx:e9m9", "int8:weird", "hif5",
         "mx:e2m1:k=x", "int8:axis=one",
+        # parameters out of range: each used to pass parsing and crash in a kernel
+        "mx:e2m1:k=0", "mx:e2m1:k=-32", "mxfp4:k=0", "hif4:mode=bogus",
+        "hif8-scaled:K=-1", "hif8-scaled:K=0", "hif8-scaled:K=inf",
     ])
     def test_unknown_rejected(self, sel):
         with pytest.raises(UnknownFormat):
@@ -82,10 +85,55 @@ class TestRoleConventions:
                 out = codec.reconstruct(x, role)
                 assert out.shape == x.shape, (sel, role)
 
-    def test_pad_metadata(self):
-        assert parse_format("mx:e2m1").pad_multiple() == 32
-        assert parse_format("nvfp4").pad_multiple() == 16
-        assert parse_format("hif4").pad_multiple() == 64
-        assert parse_format("int8").pad_multiple() is None
-        assert parse_format("hif4").pad_axis("weight", 2) == 0
-        assert parse_format("hif4").pad_axis("activation", 2) == 1
+    @pytest.mark.parametrize("sel,k", [("mx:e2m1", 32), ("nvfp4", 16), ("hif4", 64)])
+    @pytest.mark.parametrize("role,axis", [("weight", 0), ("activation", 1)])
+    def test_pad_reconstruct(self, sel, k, role, axis):
+        rng = np.random.default_rng(2)
+        codec = parse_format(sel)
+        shape = [2 * k, 2 * k]
+        shape[axis] = k + 3  # only the role's block axis fails to divide
+        x = rng.normal(size=shape)
+        with pytest.raises(NotDivisible):
+            codec.reconstruct(x, role)
+        out = codec.reconstruct(x, role, pad=True)
+        assert out.shape == x.shape
+        # the padding runs along the block axis: equal to quantizing the
+        # zero-padded tensor by hand and cropping it
+        widths = [(0, 0), (0, 0)]
+        widths[axis] = (0, k - 3)
+        full = codec.reconstruct(np.pad(x, widths), role)
+        assert np.array_equal(out, full[: shape[0], : shape[1]])
+        # an extent that divides is left alone
+        even = x[:k] if axis == 0 else x[:, :k]
+        assert np.array_equal(codec.reconstruct(even, role, pad=True),
+                              codec.reconstruct(even, role))
+
+    @pytest.mark.parametrize("sel", ["int8", "hif8", "hif8-scaled", "e4m3"])
+    def test_pad_leaves_unblocked_codecs_alone(self, sel):
+        x = np.random.default_rng(3).normal(size=(35, 67))
+        codec = parse_format(sel)
+        for role in ("weight", "activation"):
+            assert np.array_equal(codec.reconstruct(x, role, pad=True), codec.reconstruct(x, role))
+
+    def test_block_axis_out_of_range(self):
+        x = np.zeros((64, 64))
+        for sel in ("mx:e2m1:axis=5", "nvfp4:axis=2", "hif4:axis=-3"):
+            for pad in (False, True):
+                with pytest.raises(AxisOutOfRange):
+                    parse_format(sel).reconstruct(x, "weight", pad=pad)
+
+
+class TestIngest:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sel", ["int8", "int4", "e4m3", "hif8", "hif8-scaled",
+                                     "mxfp4", "nvfp4", "hif4"])
+    def test_nonfinite_raw_array_rejected(self, sel, bad):
+        x = np.ones((64, 64))
+        x[5, 7] = bad
+        with pytest.raises(NonFiniteValue):
+            parse_format(sel).reconstruct(x, "weight")
+
+    def test_array_like_accepted(self):
+        x = [[0.5, -1.25], [2.0, 3.0]]
+        assert np.array_equal(parse_format("int8").reconstruct(x, "weight"),
+                              parse_format("int8").reconstruct(np.array(x), "weight"))

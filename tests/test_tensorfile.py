@@ -15,7 +15,7 @@ from lofiq.errors import (
     NotDivisible,
     OffsetOutOfBounds,
 )
-from lofiq.tensor import block_view, load_tensors, save_tensors, tensor
+from lofiq.tensor import axis_to_blocks, blocks_to_axis, load_tensors, save_tensors, tensor
 
 from oracles import f32_roundtrip_oracle
 
@@ -92,6 +92,70 @@ def test_header_parse_error(tmp_path):
         load_tensors(path)
 
 
+class TestHeaderRules:
+    """Header fields that would otherwise load as a different tensor, or crash."""
+
+    @pytest.mark.parametrize("shape", [[-1], [2, -3], [2.0], ["2"], [True], 2])
+    def test_shape_entries_are_non_negative_ints(self, tmp_path, shape):
+        path = tmp_path / "x.lqt"
+        _raw_file(path, {"tensors": [{"name": "t", "dtype": "f64", "shape": shape,
+                                      "offset": 0}]}, b"\x00" * 48)
+        with pytest.raises(HeaderParse):
+            load_tensors(path)
+
+    @pytest.mark.parametrize("tensors", [5, "abc", {"name": "t"}, [5], [["t"]]])
+    def test_tensors_is_a_list_of_objects(self, tmp_path, tensors):
+        path = tmp_path / "x.lqt"
+        _raw_file(path, {"tensors": tensors}, b"")
+        with pytest.raises(HeaderParse):
+            load_tensors(path)
+
+    @pytest.mark.parametrize("header", [[1], 5, "tensors"])
+    def test_header_is_an_object(self, tmp_path, header):
+        path = tmp_path / "x.lqt"
+        _raw_file(path, header, b"")
+        with pytest.raises(HeaderParse):
+            load_tensors(path)
+
+    def test_names_are_unique(self, tmp_path):
+        path = tmp_path / "x.lqt"
+        header = {"tensors": [
+            {"name": "a", "dtype": "f64", "shape": [1], "offset": 0},
+            {"name": "a", "dtype": "f64", "shape": [1], "offset": 8},
+        ]}
+        _raw_file(path, header, b"\x00" * 16)
+        with pytest.raises(HeaderParse):
+            load_tensors(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("name", 7), ("name", ["a"]), ("dtype", ["f64"]), ("offset", 0.5), ("offset", "0"),
+    ])
+    def test_field_types(self, tmp_path, field, value):
+        path = tmp_path / "x.lqt"
+        entry = {"name": "t", "dtype": "f64", "shape": [1], "offset": 0, field: value}
+        _raw_file(path, {"tensors": [entry]}, b"\x00" * 8)
+        with pytest.raises(HeaderParse):
+            load_tensors(path)
+
+    def test_huge_shape_is_out_of_bounds(self, tmp_path):
+        path = tmp_path / "x.lqt"
+        _raw_file(path, {"tensors": [{"name": "t", "dtype": "f64", "shape": [2**40, 2**40],
+                                      "offset": 0}]}, b"\x00" * 8)
+        with pytest.raises(OffsetOutOfBounds):
+            load_tensors(path)
+
+    def test_save_rejects_names_load_would(self, tmp_path):
+        # a file the writer produces must pass the reader's header rules
+        with pytest.raises(ValueError, match="unique string"):
+            save_tensors([tensor([1.0], name="a"), tensor([2.0], name="a")], tmp_path / "x.lqt")
+        with pytest.raises(ValueError, match="unique string"):
+            save_tensors([tensor([1.0], name=5)], tmp_path / "x.lqt")
+
+    def test_save_rejects_nonfinite_arrays(self, tmp_path):
+        with pytest.raises(NonFiniteValue):
+            save_tensors([np.array([1.0, np.nan])], tmp_path / "x.lqt")
+
+
 def test_offset_out_of_bounds(tmp_path):
     path = tmp_path / "x.lqt"
     _raw_file(path, {"tensors": [{"name": "t", "dtype": "f64", "shape": [4], "offset": 8}]},
@@ -146,34 +210,31 @@ def test_tensor_immutable():
         t.name = "x"
 
 
-class TestBlockView:
+class TestAxisBlocks:
     def test_counts(self):
-        t = tensor(np.arange(128.0).reshape(2, 64))
-        bv = block_view(t, 1, 32)
-        assert bv.block_count == 2
-        assert bv.total_blocks == 4
-        assert all(len(b) == 32 for b in bv)
+        blocked, _ = axis_to_blocks(np.arange(128.0).reshape(2, 64), 1, 32)
+        assert blocked.shape == (4, 32)  # 2 blocks per slice, 2 slices
 
     def test_single_block_per_slice(self):
-        bv = block_view(tensor(np.zeros((2, 64))), 1, 64)
-        assert bv.block_count == 1
-        assert bv.total_blocks == 2
+        blocked, _ = axis_to_blocks(np.zeros((2, 64)), 1, 64)
+        assert blocked.shape == (2, 64)
 
     def test_not_divisible(self):
         with pytest.raises(NotDivisible):
-            block_view(tensor(np.zeros((2, 60))), 1, 32)
+            axis_to_blocks(np.zeros((2, 60)), 1, 32)
+        with pytest.raises(NotDivisible):
+            axis_to_blocks(np.zeros((2, 64)), 1, 0)
 
     def test_axis_out_of_range(self):
         with pytest.raises(AxisOutOfRange):
-            block_view(tensor(np.zeros((2, 4))), 2, 2)
+            axis_to_blocks(np.zeros((2, 4)), 2, 2)
 
     def test_blocks_reconstruct_axis(self):
         rng = np.random.default_rng(0)
         arr = rng.normal(size=(3, 8, 5))
-        bv = block_view(tensor(arr), 1, 4)
-        mat = bv.as_matrix()
+        mat, moved_shape = axis_to_blocks(arr, 1, 4)
         assert mat.shape == (30, 4)
-        assert np.array_equal(bv.reassemble(mat), arr)
+        assert np.array_equal(blocks_to_axis(mat, moved_shape, 1), arr)
         # blocks of one axis slice, concatenated in order, equal the slice
         moved = np.moveaxis(arr, 1, -1).reshape(-1, 4)
         assert np.array_equal(mat, moved)
