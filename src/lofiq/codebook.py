@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyTensor, UnknownFormat
+from .errors import EmptyTensor, NonFiniteValue, UnknownFormat
 from .tensor import as_array
 
 __all__ = [
@@ -262,11 +262,14 @@ def project(cb, x):
     """Round finite input(s) onto the nearest codebook value.
 
     Values beyond the extremes clip to them; exact midpoints resolve to the
-    neighbour with the even mantissa code. A zero result is +0.0.
+    neighbour with the even mantissa code. A zero result is +0.0. NaN or
+    Inf input raises NonFiniteValue.
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
     arr = np.ascontiguousarray(x, dtype=np.float64)
     flat = arr.reshape(-1)
+    if not np.isfinite(flat).all():
+        raise NonFiniteValue("project input contains NaN or Inf")
     if cb._exmy is not None:
         out = _round_exmy(flat, cb.values[0], cb.values[-1], *cb._exmy)
     else:

@@ -51,7 +51,7 @@ class SmoothingPlan:
 
 @dataclass(frozen=True)
 class LowRankBranch:
-    l1: np.ndarray  # (d, r)
+    l1: np.ndarray  # (d, r); W V or U, not U Sigma (see svd_split)
     l2: np.ndarray  # (r, n)
     rank: int
     residual: np.ndarray  # (d, n); l1 @ l2 + residual == input matrix
@@ -130,18 +130,26 @@ def search_alpha(x, w, fmt, grid=ALPHA_GRID):
 
 
 def svd_split(w, rank):
-    """Split a matrix into its top-``rank`` singular part plus a residual."""
+    """Split a matrix into its top-``rank`` singular part plus a residual.
+
+    The top singular vectors of the smaller side are the top eigenvectors
+    of its Gram matrix, so no full SVD is needed. A tall W (d >= n) gives
+    ``l1 = W V, l2 = V^T`` from ``W^T W``; a wide one gives ``l1 = U,
+    l2 = U^T W`` from ``W W^T``. l1 is not U Sigma, but ``l1 @ l2`` is the
+    rank-``rank`` SVD part up to rounding.
+    """
     wa = as_array(w)
     if wa.ndim != 2:
         raise ShapeMismatch(f"svd_split needs a matrix, got shape {wa.shape}")
     if not 1 <= rank <= min(wa.shape):
         raise RankOutOfRange(f"rank {rank} not in [1, {min(wa.shape)}] for shape {wa.shape}")
+    tall = wa.shape[0] >= wa.shape[1]
     try:
-        u, s, vh = np.linalg.svd(wa, full_matrices=False)
+        _, vecs = np.linalg.eigh(wa.T @ wa if tall else wa @ wa.T)
     except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"SVD failed to converge: {exc}") from exc
-    l1 = u[:, :rank] * s[:rank]
-    l2 = vh[:rank]
+        raise NonConvergence(f"eigendecomposition failed to converge: {exc}") from exc
+    top = vecs[:, -rank:][:, ::-1]  # eigh sorts ascending; strongest direction first
+    l1, l2 = (wa @ top, top.T) if tall else (top, top.T @ wa)
     return LowRankBranch(l1, l2, int(rank), wa - l1 @ l2)
 
 

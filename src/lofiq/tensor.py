@@ -109,7 +109,7 @@ def group_reduce_layout(arr, axis):
     Per-channel / per-token codecs treat each index along ``axis`` as one
     group; the result is (n_groups, group_size).
     """
-    if not 0 <= axis < arr.ndim:
+    if not -arr.ndim <= axis < arr.ndim:
         raise AxisOutOfRange(f"axis {axis} out of range for rank {arr.ndim}")
     moved = np.moveaxis(arr, axis, 0)
     return moved.reshape(arr.shape[axis], -1), moved.shape

@@ -12,7 +12,7 @@ from lofiq.codebook import (
     mxint8_codebook,
     project,
 )
-from lofiq.errors import EmptyTensor, UnknownFormat
+from lofiq.errors import EmptyTensor, NonFiniteValue, UnknownFormat
 from lofiq.hif8 import hif8_enumerate
 from lofiq.tensor import tensor
 
@@ -173,6 +173,20 @@ class TestProject:
         subset = Codebook(full.spec, full.values[keep], np.arange(len(full))[keep] // 2)
         assert subset._exmy is None
         assert project(subset, 0.009) == brute_force_nearest(subset.values, subset.codes, 0.009)[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make", [
+        lambda: enumerate_codebook("e4m3"),
+        lambda: enumerate_codebook("e8m0"),
+        lambda: Codebook(builtin_spec("e2m1"), np.array([-2.0, 0.0, 0.5, 3.0]),
+                         np.array([1, 0, 1, 0])),
+    ], ids=["e4m3-closed-form", "e8m0-search", "user-search"])
+    def test_nonfinite_rejected(self, make, bad):
+        cb = make()
+        with pytest.raises(NonFiniteValue):
+            project(cb, np.array([[1.0, bad], [0.5, -0.25]]))
+        with pytest.raises(NonFiniteValue):
+            project(cb, bad)
 
     def test_mxint8_grid(self):
         cb = mxint8_codebook()

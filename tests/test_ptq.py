@@ -197,6 +197,40 @@ class TestSvdSplit:
             res = float(np.linalg.norm(b.residual) ** 2)
             assert abs(res - tail) <= 1e-8 * float(np.linalg.norm(w) ** 2)
 
+    @staticmethod
+    def _svd_product(w, r):
+        u, s, vh = np.linalg.svd(w, full_matrices=False)
+        return (u[:, :r] * s[:r]) @ vh[:r]
+
+    @pytest.mark.parametrize("shape", [(64, 24), (24, 64), (32, 32)])
+    def test_matches_svd_product(self, shape):
+        w = np.random.default_rng(10).normal(size=shape)
+        for r in (1, 5, min(shape)):
+            b = svd_split(tensor(w), r)
+            assert b.l1.shape == (shape[0], r) and b.l2.shape == (r, shape[1])
+            err = np.linalg.norm(b.product - self._svd_product(w, r))
+            assert err <= 1e-12 * np.linalg.norm(w), (shape, r)
+            assert np.array_equal(b.residual, w - b.l1 @ b.l2)
+
+    @pytest.mark.parametrize("shape", [(48, 20), (20, 48)])
+    def test_matches_svd_product_on_decaying_spectrum(self, shape):
+        # sigma_k = 2^-k: the Gram matrix squares the spread to 4^-k, and
+        # every rank still sees a clear gap to the next singular value
+        rng = np.random.default_rng(11)
+        k = min(shape)
+        u, _ = np.linalg.qr(rng.normal(size=(shape[0], k)))
+        v, _ = np.linalg.qr(rng.normal(size=(shape[1], k)))
+        w = (u * 2.0 ** -np.arange(k)) @ v.T
+        for r in (1, 4, 8, k):
+            err = np.linalg.norm(svd_split(tensor(w), r).product - self._svd_product(w, r))
+            assert err <= 1e-12 * np.linalg.norm(w), (shape, r)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6)])
+    def test_zero_matrix(self, shape):
+        b = svd_split(tensor(np.zeros(shape)), 2)
+        assert not np.any(b.residual)
+        assert not np.any(b.product)
+
     def test_eckart_young_dominance(self):
         rng = np.random.default_rng(9)
         w = rng.normal(size=(20, 14))

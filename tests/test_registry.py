@@ -115,6 +115,17 @@ class TestRoleConventions:
         for role in ("weight", "activation"):
             assert np.array_equal(codec.reconstruct(x, role, pad=True), codec.reconstruct(x, role))
 
+    @pytest.mark.parametrize("sel", ["int8", "int4:asym", "hif8-scaled"])
+    def test_negative_group_axis(self, sel):
+        x = np.random.default_rng(4).normal(size=(64, 64))
+        for role in ("weight", "activation"):
+            assert np.array_equal(parse_format(f"{sel}:axis=-1").reconstruct(x, role),
+                                  parse_format(f"{sel}:axis=1").reconstruct(x, role))
+            assert np.array_equal(parse_format(f"{sel}:axis=-2").reconstruct(x, role),
+                                  parse_format(f"{sel}:axis=0").reconstruct(x, role))
+        with pytest.raises(AxisOutOfRange):
+            parse_format(f"{sel}:axis=-3").reconstruct(x, "weight")
+
     def test_block_axis_out_of_range(self):
         x = np.zeros((64, 64))
         for sel in ("mx:e2m1:axis=5", "nvfp4:axis=2", "hif4:axis=-3"):
