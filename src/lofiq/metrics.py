@@ -101,7 +101,7 @@ def fidelity_from_reconstruction(t, recon, codec, role):
     name = getattr(t, "name", None) or "<unnamed>"
     err = np.abs(recon - arr)
     ref_norm = float(np.linalg.norm(arr))
-    rel = float(np.linalg.norm(recon - arr)) / ref_norm if ref_norm else 0.0
+    rel = float(np.linalg.norm(err)) / ref_norm if ref_norm else 0.0
     return FidelityReport(
         tensor_name=name,
         format_name=codec.selector,

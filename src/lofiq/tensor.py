@@ -8,6 +8,7 @@ when built, and ``as_array`` checks any other array-like it is handed.
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -125,31 +126,33 @@ def save_tensors(tensors, path, dtype="f64"):
 
     f32 narrowing uses the hardware round-to-nearest-even conversion; a
     value that overflows f32 becomes Inf on disk and is rejected on load.
+    Every tensor is checked before the file is opened, and each array is
+    written as is, without staging the payload in memory.
     """
     if dtype not in _DTYPES:
         raise ValueError(f"dtype must be f32 or f64, got {dtype!r}")
     np_dtype = _DTYPES[dtype]
     entries = []
+    arrays = []
     names = set()
-    payload = bytearray()
+    offset = 0
     for i, t in enumerate(tensors):
         arr = as_array(t)
         name = getattr(t, "name", None) or f"tensor_{i}"
         if not isinstance(name, str) or name in names:
             raise ValueError(f"tensor name {name!r} is not a unique string")
         names.add(name)
-        raw = np.ascontiguousarray(arr, dtype=np_dtype).tobytes()
-        entries.append(
-            {"name": name, "dtype": dtype, "shape": list(arr.shape), "offset": len(payload)}
-        )
-        payload.extend(raw)
+        entries.append({"name": name, "dtype": dtype, "shape": list(arr.shape), "offset": offset})
+        arrays.append(arr)
+        offset += arr.size * np_dtype.itemsize
     header = json.dumps({"tensors": entries}, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        fh.write(payload)
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype=np_dtype))
 
 
 def _is_count(v):
@@ -157,28 +160,13 @@ def _is_count(v):
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-def load_tensors(path):
-    """Read an LQT1 container into a list of Tensors (f32 widened losslessly)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:4] != MAGIC:
-        raise BadMagic(f"{path}: not an LQT1 file")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
-        raise BadVersion(f"{path}: unsupported version {version}")
-    (header_len,) = struct.unpack_from("<Q", blob, 8)
-    if 16 + header_len > len(blob):
-        raise HeaderParse(f"{path}: header length {header_len} exceeds file size")
-    try:
-        header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
-        entries = header["tensors"]
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise HeaderParse(f"{path}: bad header ({exc})") from exc
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise HeaderParse(f"{path}: 'tensors' must be a list of objects")
+def _read_plan(path, entries, payload_len):
+    """Check the header entries against a payload of ``payload_len`` bytes.
 
-    payload = blob[16 + header_len :]
-    out = []
+    Returns (name, dtype, shape, offset) per tensor. It runs before any
+    array is allocated, so a hostile shape is rejected at no cost.
+    """
+    plan = []
     names = set()
     prev_end = 0
     for entry in entries:
@@ -201,15 +189,55 @@ def load_tensors(path):
             raise HeaderParse(f"{path}: tensor {name!r} offset {offset!r} is not a "
                               "non-negative integer")
         nbytes = math.prod(shape) * _DTYPES[dtype].itemsize
-        if offset < prev_end or offset + nbytes > len(payload):
+        if offset < prev_end or offset + nbytes > payload_len:
             raise OffsetOutOfBounds(
                 f"{path}: tensor {name!r} at offset {offset} (+{nbytes}B) "
-                f"outside payload of {len(payload)}B"
+                f"outside payload of {payload_len}B"
             )
         prev_end = offset + nbytes
-        arr = np.frombuffer(payload, dtype=_DTYPES[dtype], count=math.prod(shape), offset=offset)
+        plan.append((name, _DTYPES[dtype], shape, offset))
+    return plan
+
+
+def load_tensors(path):
+    """Read an LQT1 container into a list of Tensors (f32 widened losslessly).
+
+    The header and every bound are checked against the file size before any
+    array is allocated; each payload is then read straight into its array.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(16)
+        if len(preamble) < 16 or preamble[:4] != MAGIC:
+            raise BadMagic(f"{path}: not an LQT1 file")
+        (version,) = struct.unpack_from("<I", preamble, 4)
+        if version != VERSION:
+            raise BadVersion(f"{path}: unsupported version {version}")
+        (header_len,) = struct.unpack_from("<Q", preamble, 8)
+        if 16 + header_len > size:
+            raise HeaderParse(f"{path}: header length {header_len} exceeds file size")
         try:
-            out.append(Tensor(arr.reshape(shape).astype(np.float64), name))
-        except NonFiniteValue as exc:
-            raise NonFiniteValue(f"{path}: {exc}") from None
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            entries = header["tensors"]
+        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+            raise HeaderParse(f"{path}: bad header ({exc})") from exc
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise HeaderParse(f"{path}: 'tensors' must be a list of objects")
+        plan = _read_plan(path, entries, size - 16 - header_len)
+
+        out = []
+        for name, dtype, shape, offset in plan:
+            try:
+                arr = np.empty(shape, dtype=dtype)
+            except ValueError as exc:  # over 64 axes, or a zero-size shape past numpy's limits
+                raise HeaderParse(f"{path}: tensor {name!r} shape {shape!r}: {exc}") from None
+            # memoryview.cast rejects zero-size arrays, which have nothing to read
+            if arr.nbytes:
+                fh.seek(16 + header_len + offset)
+                if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+                    raise OffsetOutOfBounds(f"{path}: payload of tensor {name!r} is truncated")
+            try:
+                out.append(Tensor(arr, name))
+            except NonFiniteValue as exc:
+                raise NonFiniteValue(f"{path}: {exc}") from None
     return out

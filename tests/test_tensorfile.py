@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from lofiq.errors import (
     BadMagic,
     BadVersion,
     HeaderParse,
+    LofiqError,
     NonFiniteValue,
     NotDivisible,
     OffsetOutOfBounds,
@@ -50,14 +54,13 @@ def test_f32_narrowing_one_third(tmp_path):
     assert out.data[0] == 0.3333333432674408
 
 
-def _raw_file(path, header_obj, payload):
+def _raw_bytes(header_obj, payload):
     header = json.dumps(header_obj).encode()
-    with open(path, "wb") as fh:
-        fh.write(b"LQT1")
-        fh.write(struct.pack("<I", 1))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        fh.write(payload)
+    return b"LQT1" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header + payload
+
+
+def _raw_file(path, header_obj, payload):
+    path.write_bytes(_raw_bytes(header_obj, payload))
 
 
 def test_nan_payload_rejected(tmp_path):
@@ -193,6 +196,137 @@ def test_file_bytes_deterministic(tmp_path):
     save_tensors(ts, p1)
     save_tensors(ts, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _lqt1_oracle(arrays, dtype):
+    """LQT1 bytes built from the format table, independent of save_tensors."""
+    np_dtype = {"f32": "<f4", "f64": "<f8"}[dtype]
+    entries, offset = [], 0
+    for i, a in enumerate(arrays):
+        entries.append({"name": f"tensor_{i}", "dtype": dtype, "shape": list(a.shape),
+                        "offset": offset})
+        offset += a.size * np.dtype(np_dtype).itemsize
+    h = json.dumps({"tensors": entries}, separators=(",", ":")).encode()
+    return (b"LQT1" + struct.pack("<I", 1) + struct.pack("<Q", len(h)) + h
+            + b"".join(a.astype(np_dtype).tobytes() for a in arrays))
+
+
+_ODD_SHAPES = [
+    np.zeros((0, 3)),
+    np.array(2.5),
+    np.array([1.0, -0.5, 1.0 / 3.0]),
+    np.arange(-6.0, 6.0).reshape(3, 4) / 7.0,
+    np.zeros((2, 0, 5)),
+]
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_save_matches_byte_oracle_and_loads_back(tmp_path, dtype):
+    path = tmp_path / "odd.lqt"
+    save_tensors(_ODD_SHAPES, path, dtype=dtype)
+    assert path.read_bytes() == _lqt1_oracle(_ODD_SHAPES, dtype)
+    loaded = load_tensors(path)
+    assert [t.name for t in loaded] == [f"tensor_{i}" for i in range(len(_ODD_SHAPES))]
+    np_dtype = {"f32": np.float32, "f64": np.float64}[dtype]
+    for a, t in zip(_ODD_SHAPES, loaded):
+        want = a.astype(np_dtype).astype(np.float64)
+        assert t.data.dtype == np.float64 and t.size == a.size
+        # a Tensor keeps at least one axis, so a 0-d payload loads as shape (1,)
+        assert t.shape == (a.shape or (1,))
+        assert t.data.reshape(a.shape).tobytes() == want.tobytes()
+
+
+def test_truncated_mid_tensor(tmp_path):
+    path = tmp_path / "t.lqt"
+    save_tensors([tensor(np.ones(4), name="a"), tensor(np.ones(4), name="b")], path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-12])  # the last 12 of b's 32 bytes are gone
+    with pytest.raises(OffsetOutOfBounds, match="'b'"):
+        load_tensors(path)
+
+
+def test_short_read_is_out_of_bounds(tmp_path, monkeypatch):
+    # a file that shrinks after its size was taken: the bounds pass, the read comes up short
+    path = tmp_path / "t.lqt"
+    save_tensors([tensor(np.ones(4), name="a")], path)
+    path.write_bytes(path.read_bytes()[:-8])
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat",
+                        lambda fd: types.SimpleNamespace(st_size=fstat(fd).st_size + 8))
+    with pytest.raises(OffsetOutOfBounds, match="truncated"):
+        load_tensors(path)
+
+
+def test_header_len_past_eof(tmp_path):
+    path = tmp_path / "x.lqt"
+    header = json.dumps({"tensors": []}).encode()
+    path.write_bytes(b"LQT1" + struct.pack("<I", 1) + struct.pack("<Q", len(header) + 1) + header)
+    with pytest.raises(HeaderParse, match="exceeds file size"):
+        load_tensors(path)
+
+
+@pytest.mark.parametrize("shape", [[1] * 65, [0, 2**62, 4], [0, 2**64]])
+def test_shape_numpy_cannot_hold(tmp_path, shape):
+    # within the payload bounds (size 1 or 0) but not an ndarray shape
+    path = tmp_path / "x.lqt"
+    _raw_file(path, {"tensors": [{"name": "t", "dtype": "f64", "shape": shape, "offset": 0}]},
+              b"\x00" * 8)
+    with pytest.raises(HeaderParse, match="'t'"):
+        load_tensors(path)
+
+
+_FUZZ_BASE = _raw_bytes(
+    {"tensors": [{"name": "a", "dtype": "f32", "shape": [2, 3], "offset": 0},
+                 {"name": "b", "dtype": "f64", "shape": [2], "offset": 24}]},
+    np.arange(6, dtype="<f4").tobytes() + np.array([0.5, -1.5], dtype="<f8").tobytes(),
+)
+
+
+def test_fuzz_base_loads(tmp_path):
+    path = tmp_path / "base.lqt"
+    path.write_bytes(_FUZZ_BASE)
+    a, b = load_tensors(path)
+    assert np.array_equal(a.data, np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(b.data, [0.5, -1.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_FUZZ_BASE) - 1), st.integers(0, 255)),
+                max_size=4),
+       st.integers(0, len(_FUZZ_BASE)))
+def test_mutated_file_loads_or_raises_lofiq_error(tmp_path_factory, edits, keep):
+    blob = bytearray(_FUZZ_BASE)
+    for pos, byte in edits:
+        blob[pos] = byte
+    path = tmp_path_factory.mktemp("fuzz") / "m.lqt"
+    path.write_bytes(bytes(blob[:keep]))
+    try:
+        load_tensors(path)
+    except LofiqError:
+        pass
+
+
+def test_load_and_save_copy_each_payload_byte_once(tmp_path):
+    # four 2 MiB tensors, as the activation file of the benchmark is four tensors; besides
+    # the arrays themselves, loading allocates one tensor's finiteness mask (1/8 of its bytes)
+    rng = np.random.default_rng(0)
+    ts = [tensor(rng.normal(size=(256, 1024)), name=f"a{i}") for i in range(4)]
+    payload = sum(t.data.nbytes for t in ts)
+    assert payload == 8 * 2**20
+    path = tmp_path / "a.lqt"
+    tracemalloc.start()
+    try:
+        save_tensors(ts, path)
+        _, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before_load, _ = tracemalloc.get_traced_memory()
+        loaded = load_tensors(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert save_peak <= 0.1 * payload
+    assert load_peak - before_load <= 1.1 * payload + 64 * 1024
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(ts, loaded))
 
 
 def test_tensor_rejects_nonfinite():
