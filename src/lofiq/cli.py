@@ -78,8 +78,8 @@ def cmd_quantize(args):
             recon = codec.reconstruct(t, args.role, pad=args.pad)
         except LofiqError as exc:
             raise LofiqError(f"tensor {t.name!r}: {exc}") from exc
-        outputs.append(Tensor(recon, t.name))
-        reports.append(fidelity_from_reconstruction(t, recon, codec, args.role))
+        outputs.append(Tensor(recon, t.name))  # the one finiteness check of recon
+        reports.append(fidelity_from_reconstruction(t, outputs[-1], codec, args.role))
     save_tensors(outputs, args.output, dtype=args.dtype)
     if args.report:
         emit_report(reports, args.report_format, args.report)

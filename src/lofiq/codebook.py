@@ -91,10 +91,6 @@ class FpFormatSpec:
         frac = (2**self.mantissa_bits - 1) / 2**self.mantissa_bits
         return frac * 2.0 ** (1 - self.bias)
 
-    @property
-    def has_zero(self):
-        return self.kind != "pow2"
-
 
 _BUILTINS = {
     "e5m2": FpFormatSpec("e5m2", 5, 2, bias=15, has_inf=True),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, as_array, axis_to_blocks, blocks_to_axis
+from .tensor import Tensor, as_array, block_view
 
 __all__ = ["BLOCK", "MODES", "Q_MIN", "Q_MAX", "Hif4Quantized", "hif4_quantize", "hif4_dequantize"]
 
@@ -32,6 +32,8 @@ MODES = ("literal", "halfrange")
 
 @dataclass(frozen=True)
 class Hif4Quantized:
+    # B blocks along the last axis give the shapes below; blocks along another
+    # axis keep block_view's layout, with the trailing axes after these
     axis: int
     shape: tuple
     e1: np.ndarray  # (B,) block exponents
@@ -48,9 +50,9 @@ def _quantize_blocks(X, halfrange):
     A = np.abs(X)
     # max is exact, so this running maximum equals A.max(axis=3); that
     # reduction pays per-row overhead on rows of four and is ten times slower
-    A3 = np.maximum(A[..., 0], A[..., 1])
-    np.maximum(A3, A[..., 2], out=A3)
-    np.maximum(A3, A[..., 3], out=A3)
+    A3 = np.maximum(A[:, :, :, 0], A[:, :, :, 1])
+    np.maximum(A3, A[:, :, :, 2], out=A3)
+    np.maximum(A3, A[:, :, :, 3], out=A3)
     A2 = A3.max(axis=2)
     A1 = A2.max(axis=1)
 
@@ -68,10 +70,13 @@ def _quantize_blocks(X, halfrange):
     t3 = 1.0 if halfrange else 2.0
     E3 = (At3 >= t3).astype(np.int64)
 
-    denom = np.ldexp(S1[:, None, None, None], (E2[:, :, None] + E3)[..., None])
-    Xt = np.minimum(A / denom, 1.75)
-    Xh = np.floor(4.0 * Xt + 0.5).astype(np.uint8)
-    signs = np.where(X < 0, np.int8(-1), np.int8(1))
+    denom = np.ldexp(S1[:, None, None, None], (E2[:, :, None] + E3)[:, :, :, None])
+    Xt = np.minimum(np.divide(A, denom, out=A), 1.75, out=A)
+    Xt *= 4.0
+    Xt += 0.5
+    Xh = Xt.astype(np.uint8)  # floor(4 * Xt + 0.5): truncation, as every value is positive
+    signs = (X < 0).view(np.int8) * np.int8(-2)  # -1 where X < 0, else +1 (-0.0 too)
+    signs += np.int8(1)
     return E1, M1, E2, E3, signs, Xh
 
 
@@ -80,19 +85,19 @@ def hif4_quantize(t, axis, subscale_mode="literal"):
     if subscale_mode not in MODES:
         raise ValueError(f"subscale_mode must be one of {MODES}")
     arr = as_array(t)
-    blocked, _ = axis_to_blocks(arr, axis, BLOCK)
-    B = blocked.shape[0]
-    halfrange = subscale_mode == "halfrange"
-    e1, m1, e2, e3, signs, xhat = _quantize_blocks(blocked.reshape(B, 8, 2, 4), halfrange)
+    view = block_view(arr, axis, BLOCK)
+    X = view.reshape(view.shape[:1] + (8, 2, 4) + view.shape[2:])
+    e1, m1, e2, e3, signs, xhat = _quantize_blocks(X, subscale_mode == "halfrange")
     return Hif4Quantized(axis, arr.shape, e1, m1, e2, e3, signs, xhat,
                          subscale_mode, getattr(t, "name", None))
 
 
 def hif4_dequantize(q):
-    """Reconstruct sign * M1 * 2**(E1+E2+E3-4) * Xhat and restore the layout."""
-    exp = q.e1[:, None, None, None] + q.e2[:, :, None, None] + q.e3[:, :, :, None] - 4
-    mag = np.ldexp((q.m1[:, None, None, None] * q.xhat.astype(np.int64)).astype(np.float64), exp)
-    vals = (mag * q.signs).reshape(len(q.e1), BLOCK)
-    dims = list(q.shape)
-    dims.append(dims.pop(q.axis))
-    return Tensor(blocks_to_axis(vals, tuple(dims), q.axis), q.name)
+    """Reconstruct sign * M1 * 2**(E1+E2+E3-4) * Xhat in the input's layout."""
+    # M1 * 2**exp is a normal float and M1 * Xhat < 2**6, so scaling the
+    # micro-block's M1 first and multiplying by Xhat is exact
+    scale = np.ldexp(q.m1[:, None, None].astype(np.float64),
+                     q.e1[:, None, None] + q.e2[:, :, None] + q.e3 - 4)
+    out = np.multiply(q.xhat, scale[:, :, :, None], dtype=np.float64)
+    out *= q.signs  # after the product, so a zero code under sign -1 stays -0.0
+    return Tensor(out.reshape(q.shape), q.name)

@@ -61,15 +61,20 @@ class SyntheticSpec:
             raise ValueError("outlier_fraction must be in [0, 1]")
 
 
-def sqnr(x, x_hat):
-    """Signal-to-quantization-noise ratio in dB."""
-    xa, ha = as_array(x), as_array(x_hat)
-    if xa.shape != ha.shape:
-        raise ShapeMismatch(f"shape {xa.shape} vs {ha.shape}")
-    signal = float(np.sum(xa * xa))
+def sqnr(x, x_hat, *, signal=None, noise=None):
+    """Signal-to-quantization-noise ratio in dB.
+
+    A caller that holds signal = sum(x*x) or noise = sum((x_hat - x)**2)
+    passes it in; with both, x and x_hat are not read.
+    """
+    if signal is None or noise is None:
+        xa, ha = as_array(x), as_array(x_hat)
+        if xa.shape != ha.shape:
+            raise ShapeMismatch(f"shape {xa.shape} vs {ha.shape}")
+        signal = float(np.sum(xa * xa)) if signal is None else signal
+        noise = float(np.sum((ha - xa) ** 2)) if noise is None else noise
     if signal == 0.0:
         raise ZeroSignal("signal energy is zero")
-    noise = float(np.sum((xa - ha) ** 2))
     if noise == 0.0:
         return math.inf
     return 10.0 * math.log10(signal / noise)
@@ -91,19 +96,25 @@ def synth(spec):
     return Tensor(arr, name)
 
 
-def fidelity_from_reconstruction(t, recon, codec, role):
-    """Report comparing one tensor against a reconstruction array produced elsewhere.
+def fidelity_from_reconstruction(t, recon, codec, role, *, signal=None, ref_norm=None):
+    """Report comparing one tensor against a reconstruction produced elsewhere.
 
-    ``recon`` enters through ``sqnr``, which checks it; the rest reuses it as is.
+    ``recon`` is checked for finiteness once, here, unless it is a Tensor
+    (checked when built). ``signal`` (sum of x*x) and ``ref_norm`` (|x|_F)
+    may be passed by a caller that scores many reconstructions of ``t``.
     """
-    db = sqnr(t, recon)
     arr = as_array(t)
-    name = getattr(t, "name", None) or "<unnamed>"
-    err = np.abs(recon - arr)
-    ref_norm = float(np.linalg.norm(arr))
+    rec = as_array(recon)
+    if arr.shape != rec.shape:
+        raise ShapeMismatch(f"shape {arr.shape} vs {rec.shape}")
+    signal = float(np.sum(arr * arr)) if signal is None else signal
+    ref_norm = float(np.linalg.norm(arr)) if ref_norm is None else ref_norm
+    err = rec - arr
+    db = sqnr(arr, rec, signal=signal, noise=float(np.sum(err * err)))
+    np.abs(err, out=err)
     rel = float(np.linalg.norm(err)) / ref_norm if ref_norm else 0.0
     return FidelityReport(
-        tensor_name=name,
+        tensor_name=getattr(t, "name", None) or "<unnamed>",
         format_name=codec.selector,
         granularity=codec.granularity(role, arr.ndim),
         sqnr_db=db,
@@ -116,10 +127,13 @@ def fidelity_from_reconstruction(t, recon, codec, role):
 
 def compare_formats(t, formats, role):
     """One FidelityReport per format, all against the same input tensor."""
+    arr = as_array(t)
+    signal, ref_norm = float(np.sum(arr * arr)), float(np.linalg.norm(arr))
     reports = []
     for fmt in formats:
         codec = as_codec(fmt)
-        reports.append(fidelity_from_reconstruction(t, codec.reconstruct(t, role), codec, role))
+        reports.append(fidelity_from_reconstruction(t, codec.reconstruct(t, role), codec, role,
+                                                    signal=signal, ref_norm=ref_norm))
     return reports
 
 

@@ -23,7 +23,7 @@ from .codebook import (
     mxint8_codebook,
     project,
 )
-from .tensor import Tensor, as_array, axis_to_blocks, blocks_to_axis
+from .tensor import Tensor, as_array, block_view
 
 __all__ = ["DEFAULT_BLOCK", "MxQuantized", "mx_quantize", "mx_dequantize", "resolve_element"]
 
@@ -55,7 +55,7 @@ class MxQuantized:
     block_size: int
     axis: int
     shape: tuple
-    shared_exponents: np.ndarray  # one int per block, flat block order
+    shared_exponents: np.ndarray  # one int per block, block_view's (blocks, *trailing)
     codes: np.ndarray  # projected element values, original shape
     name: str = None
 
@@ -70,32 +70,24 @@ def _ceil_log2_ratio(amax, q_max):
     return e
 
 
-def _quantize_blocks(blocked, cb):
-    amax = np.max(np.abs(blocked), axis=1)
-    nonzero = amax > 0
-    q_max = cb.max_finite
-    e = np.full(amax.shape, E_MIN, dtype=np.int64)
-    if np.any(nonzero):
-        e[nonzero] = np.clip(_ceil_log2_ratio(amax[nonzero], q_max), E_MIN, E_MAX)
-    y = blocked / np.ldexp(1.0, e)[:, None]
-    np.clip(y, -q_max, q_max, out=y)
-    codes = project(cb, y)
-    codes[~nonzero] = 0.0
-    return e, codes
-
-
 def mx_quantize(t, axis, element_spec, k=DEFAULT_BLOCK):
     """Quantize ``t`` in blocks of ``k`` along ``axis`` with element format ``element_spec``."""
     cb = resolve_element(element_spec)
     arr = as_array(t)
-    blocked, moved_shape = axis_to_blocks(arr, axis, k)
-    e, codes = _quantize_blocks(blocked, cb)
-    codes = blocks_to_axis(codes, moved_shape, axis)
+    view = block_view(arr, axis, k)
+    amax = np.max(np.abs(view), axis=1)
+    nonzero = amax > 0
+    q_max = cb.max_finite
+    e = np.full(amax.shape, E_MIN, dtype=np.int64)
+    e[nonzero] = np.clip(_ceil_log2_ratio(amax[nonzero], q_max), E_MIN, E_MAX)
+    y = view / np.ldexp(1.0, e)[:, None]
+    np.clip(y, -q_max, q_max, out=y)
+    codes = project(cb, y).reshape(arr.shape)  # an all-zero block codes +0.0, like every zero
     return MxQuantized(cb, k, axis, arr.shape, e, codes, getattr(t, "name", None))
 
 
 def mx_dequantize(q):
     """Reconstruct 2**e * code elementwise."""
-    blocked, moved_shape = axis_to_blocks(q.codes, q.axis, q.block_size)
-    out = np.ldexp(blocked, q.shared_exponents[:, None])
-    return Tensor(blocks_to_axis(out, moved_shape, q.axis), q.name)
+    # a code times 2**e is a normal float, so the product equals ldexp(code, e)
+    out = block_view(q.codes, q.axis, q.block_size) * np.ldexp(1.0, q.shared_exponents)[:, None]
+    return Tensor(out.reshape(q.shape), q.name)

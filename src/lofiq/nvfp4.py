@@ -16,7 +16,7 @@ import numpy as np
 
 from .codebook import project
 from .mx import resolve_element
-from .tensor import Tensor, as_array, axis_to_blocks, blocks_to_axis
+from .tensor import Tensor, as_array, block_view
 
 __all__ = ["BLOCK", "V_MAX", "Nvfp4Quantized", "nvfp4_quantize", "nvfp4_dequantize"]
 
@@ -30,7 +30,7 @@ _E4M3_MIN_POS = 2.0**-9
 @dataclass(frozen=True)
 class Nvfp4Quantized:
     per_tensor_scale: float
-    block_scales: np.ndarray  # E4M3 members per block (0 marks an all-zero block)
+    block_scales: np.ndarray  # E4M3 per block, 0 if all-zero; block_view's (blocks, *trailing)
     codes: np.ndarray  # E2M1 members, original shape
     axis: int
     shape: tuple
@@ -38,11 +38,29 @@ class Nvfp4Quantized:
     name: str = None
 
 
-def _quantize_blocks(blocked, s2, e4m3, e2m1):
-    scaled = blocked / s2
-    bmax = np.max(np.abs(scaled), axis=1)
-    nonzero = bmax > 0
+def nvfp4_quantize(t, axis):
+    """Quantize in 16-element blocks along ``axis``; all-zero tensor keeps s2 = 1."""
+    e4m3 = resolve_element("e4m3")
+    e2m1 = resolve_element("e2m1")
+    arr = as_array(t)
+    view = block_view(arr, axis, BLOCK)
+    vmax = np.max(np.abs(view), axis=1)
 
+    amax = float(np.max(vmax)) if vmax.size else 0.0
+    if amax == 0.0:
+        return Nvfp4Quantized(1.0, np.zeros(vmax.shape), np.zeros(arr.shape), axis, arr.shape,
+                              0.0, getattr(t, "name", None))
+
+    s2 = amax / V_MAX
+    # division rounding can push max|x/s2| one ulp past V_MAX; nudge s2 up
+    # until the tensor-level no-clip guarantee holds exactly
+    while amax / s2 > V_MAX:
+        s2 = np.nextafter(s2, np.inf)
+
+    # x / s2 rounds monotonically, so the block maximum of |x / s2| is
+    # max|x| / s2 exactly, and likewise for the overshoot below
+    bmax = vmax / s2
+    nonzero = bmax > 0
     s1 = np.zeros_like(bmax)
     s1[nonzero] = project(e4m3, bmax[nonzero] / E2M1_MAX)
     # a nonzero block whose scale estimate rounds to 0 (possible when the
@@ -52,39 +70,15 @@ def _quantize_blocks(blocked, s2, e4m3, e2m1):
 
     # an all-zero block divides by 1 and stays +-0, which project rounds to
     # +0; project also applies the +-6 element clip
-    y = np.divide(scaled, np.where(nonzero, s1, 1.0)[:, None], out=scaled)
-    overshoot = float(np.max(np.abs(y))) if y.size else 0.0
-    return s1, project(e2m1, y), overshoot
-
-
-def nvfp4_quantize(t, axis):
-    """Quantize in 16-element blocks along ``axis``; all-zero tensor keeps s2 = 1."""
-    e4m3 = resolve_element("e4m3")
-    e2m1 = resolve_element("e2m1")
-    arr = as_array(t)
-    blocked, moved_shape = axis_to_blocks(arr, axis, BLOCK)
-
-    amax = float(np.max(np.abs(arr))) if arr.size else 0.0
-    if amax == 0.0:
-        codes = np.zeros(arr.shape)
-        scales = np.zeros(blocked.shape[0])
-        return Nvfp4Quantized(1.0, scales, codes, axis, arr.shape, 0.0,
-                              getattr(t, "name", None))
-
-    s2 = amax / V_MAX
-    # division rounding can push max|x/s2| one ulp past V_MAX; nudge s2 up
-    # until the tensor-level no-clip guarantee holds exactly
-    while amax / s2 > V_MAX:
-        s2 = np.nextafter(s2, np.inf)
-
-    s1, codes, overshoot = _quantize_blocks(blocked, s2, e4m3, e2m1)
-    codes = blocks_to_axis(codes, moved_shape, axis)
-    return Nvfp4Quantized(float(s2), s1, codes, axis, arr.shape, overshoot,
+    div = np.where(nonzero, s1, 1.0)
+    y = view / s2
+    np.divide(y, div[:, None], out=y)
+    codes = project(e2m1, y).reshape(arr.shape)
+    return Nvfp4Quantized(float(s2), s1, codes, axis, arr.shape, float(np.max(bmax / div)),
                           getattr(t, "name", None))
 
 
 def nvfp4_dequantize(q):
     """Reconstruct s1 * s2 * code elementwise."""
-    blocked, moved_shape = axis_to_blocks(q.codes, q.axis, BLOCK)
-    out = blocked * q.block_scales[:, None] * q.per_tensor_scale
-    return Tensor(blocks_to_axis(out, moved_shape, q.axis), q.name)
+    out = block_view(q.codes, q.axis, BLOCK) * q.block_scales[:, None] * q.per_tensor_scale
+    return Tensor(out.reshape(q.shape), q.name)

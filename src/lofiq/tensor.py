@@ -84,24 +84,22 @@ def as_array(t):
     return arr
 
 
-def axis_to_blocks(arr, axis, k):
-    """Reshape so blocks of k contiguous-along-axis elements become rows.
+def block_view(arr, axis, k):
+    """View ``arr`` as (blocks, k, *trailing): blocks of k consecutive elements along ``axis``.
 
-    Returns (blocked, moved_shape); blocked is (arr.size // k, k) and
-    moved_shape is the intermediate layout needed by blocks_to_axis.
+    Every axis before ``axis`` merges into the block count, so on a
+    C-contiguous array this is a free reshape and a block codec's output,
+    reshaped back to ``arr.shape``, is born in the input's layout. Per-block
+    fields keep the layout (blocks, *trailing); for the last axis that is
+    flat block order.
     """
     if not -arr.ndim <= axis < arr.ndim:
         raise AxisOutOfRange(f"axis {axis} out of range for rank {arr.ndim}")
     extent = arr.shape[axis]
     if k <= 0 or extent % k != 0:
         raise NotDivisible(extent, k, axis)
-    moved = np.moveaxis(arr, axis, -1)
-    return moved.reshape(-1, k), moved.shape
-
-
-def blocks_to_axis(blocked, moved_shape, axis):
-    """Inverse of axis_to_blocks."""
-    return np.moveaxis(blocked.reshape(moved_shape), -1, axis)
+    pos = axis % arr.ndim
+    return arr.reshape((math.prod(arr.shape[:pos]) * (extent // k), k) + arr.shape[pos + 1:])
 
 
 def group_reduce_layout(arr, axis):

@@ -94,6 +94,19 @@ class TestQuantize:
         assert t.shape == (2, 60)
         assert np.array_equal(t.data, vals)  # unpadded region round-trips
 
+    def test_each_array_checked_for_finiteness_once(self, tmp_path, monkeypatch):
+        src = tmp_path / "in.lqt"
+        save_tensors([tensor(np.ones((4, 8)), "a"), tensor(np.ones(8), "b")], src)
+        checked = []
+        module = sys.modules["lofiq.tensor"]  # the name lofiq.tensor is the function
+        inner = module._check_finite
+        monkeypatch.setattr(module, "_check_finite",
+                            lambda arr, label: (checked.append(arr.shape), inner(arr, label)))
+        assert run("quantize", src, "--format", "e4m3", "-o", tmp_path / "o.lqt",
+                   "--report", tmp_path / "r.json") == 0
+        # on load, and when each reconstruction becomes an output Tensor
+        assert checked == [(4, 8), (8,), (4, 8), (8,)]
+
     def test_unknown_format_exits_2(self, tmp_path):
         src = tmp_path / "in.lqt"
         save_tensors([tensor([1.0])], src)

@@ -126,5 +126,6 @@ class TestInvariants:
         x = rng.normal(size=(64, 3))
         q = hif4_quantize(tensor(x), 0)
         assert hif4_dequantize(q).shape == (64, 3)
-        # blocks run down each column: column scales are independent
-        assert q.e1.shape == (3,)
+        # blocks run down each column: one block, one column per trailing index
+        assert q.e1.shape == (1, 3)
+        assert q.xhat.shape == (1, 8, 2, 4, 3)

@@ -10,10 +10,12 @@ from lofiq.metrics import (
     SyntheticSpec,
     compare_formats,
     emit_report,
+    fidelity_from_reconstruction,
     report_rows,
     sqnr,
     synth,
 )
+from lofiq.registry import parse_format
 from lofiq.tensor import tensor
 
 
@@ -54,6 +56,45 @@ class TestSqnr:
             sqnr(x, ok)
         with pytest.raises(NonFiniteValue):
             sqnr(ok, x)
+
+    def test_precomputed_energies(self):
+        rng = np.random.default_rng(1)
+        x, xh = rng.normal(size=(8, 16)), rng.normal(size=(8, 16))
+        want = sqnr(x, xh)
+        err = xh - x
+        signal, noise = float(np.sum(x * x)), float(np.sum(err * err))
+        assert sqnr(x, xh, signal=signal) == want
+        assert sqnr(x, xh, noise=noise) == want
+        assert sqnr(None, None, signal=signal, noise=noise) == want
+        with pytest.raises(ZeroSignal):
+            sqnr(None, None, signal=0.0, noise=noise)
+
+
+class TestFidelity:
+    def test_fields_match_direct_formulas(self):
+        rng = np.random.default_rng(2)
+        t = tensor(rng.normal(size=(64, 64)), "w")
+        codec = parse_format("mxfp4")
+        recon = codec.reconstruct(t, "weight")
+        x = t.data
+        r = fidelity_from_reconstruction(t, recon, codec, "weight")
+        assert r.sqnr_db == 10.0 * math.log10(float(np.sum(x * x))
+                                              / float(np.sum((x - recon) ** 2)))
+        assert r.max_abs_err == float(np.abs(recon - x).max())
+        assert r.mean_abs_err == float(np.abs(recon - x).mean())
+        assert r.rel_fro_err == float(np.linalg.norm(np.abs(recon - x))) / float(np.linalg.norm(x))
+        # energies computed once per tensor by compare_formats give the same report
+        assert compare_formats(t, [codec], "weight") == [r]
+        # a Tensor reconstruction reports the same as its array
+        assert fidelity_from_reconstruction(t, tensor(recon), codec, "weight") == r
+
+    def test_reconstruction_checked(self):
+        t = tensor([1.0, 2.0])
+        codec = parse_format("e4m3")
+        with pytest.raises(NonFiniteValue):
+            fidelity_from_reconstruction(t, np.array([1.0, np.nan]), codec, "weight")
+        with pytest.raises(ShapeMismatch):
+            fidelity_from_reconstruction(t, np.array([1.0]), codec, "weight")
 
 
 class TestSynth:

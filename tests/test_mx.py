@@ -105,7 +105,7 @@ class TestConfig:
         rng = np.random.default_rng(15)
         x = rng.normal(size=(32, 3))
         q = mx_quantize(tensor(x), 0, "e4m3")
-        assert q.shared_exponents.shape == (3,)
+        assert q.shared_exponents.shape == (1, 3)  # (blocks, *trailing axes)
         assert mx_dequantize(q).shape == (32, 3)
 
     def test_mxint8_element(self):

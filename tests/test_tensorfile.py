@@ -19,7 +19,7 @@ from lofiq.errors import (
     NotDivisible,
     OffsetOutOfBounds,
 )
-from lofiq.tensor import axis_to_blocks, blocks_to_axis, load_tensors, save_tensors, tensor
+from lofiq.tensor import block_view, load_tensors, save_tensors, tensor
 
 from oracles import f32_roundtrip_oracle
 
@@ -346,29 +346,39 @@ def test_tensor_immutable():
 
 class TestAxisBlocks:
     def test_counts(self):
-        blocked, _ = axis_to_blocks(np.arange(128.0).reshape(2, 64), 1, 32)
-        assert blocked.shape == (4, 32)  # 2 blocks per slice, 2 slices
+        view = block_view(np.arange(128.0).reshape(2, 64), 1, 32)
+        assert view.shape == (4, 32)  # 2 blocks per slice, 2 slices
 
     def test_single_block_per_slice(self):
-        blocked, _ = axis_to_blocks(np.zeros((2, 64)), 1, 64)
-        assert blocked.shape == (2, 64)
+        view = block_view(np.zeros((2, 64)), 1, 64)
+        assert view.shape == (2, 64)
 
     def test_not_divisible(self):
         with pytest.raises(NotDivisible):
-            axis_to_blocks(np.zeros((2, 60)), 1, 32)
+            block_view(np.zeros((2, 60)), 1, 32)
         with pytest.raises(NotDivisible):
-            axis_to_blocks(np.zeros((2, 64)), 1, 0)
+            block_view(np.zeros((2, 64)), 1, 0)
+        with pytest.raises(NotDivisible):
+            block_view(np.zeros((2, 64)), -1, -32)
 
     def test_axis_out_of_range(self):
         with pytest.raises(AxisOutOfRange):
-            axis_to_blocks(np.zeros((2, 4)), 2, 2)
+            block_view(np.zeros((2, 4)), 2, 2)
+        with pytest.raises(AxisOutOfRange):
+            block_view(np.zeros((2, 4)), -3, 2)
 
     def test_blocks_reconstruct_axis(self):
         rng = np.random.default_rng(0)
         arr = rng.normal(size=(3, 8, 5))
-        mat, moved_shape = axis_to_blocks(arr, 1, 4)
-        assert mat.shape == (30, 4)
-        assert np.array_equal(blocks_to_axis(mat, moved_shape, 1), arr)
-        # blocks of one axis slice, concatenated in order, equal the slice
-        moved = np.moveaxis(arr, 1, -1).reshape(-1, 4)
-        assert np.array_equal(mat, moved)
+        for axis in (1, -2):
+            view = block_view(arr, axis, 4)
+            # leading axes merge into the block count; trailing axes stay
+            assert view.shape == (6, 4, 5)
+            assert np.shares_memory(view, arr)
+            assert np.array_equal(view.reshape(arr.shape), arr)
+            # block b of slice (i, :, j) holds arr[i, 4b:4b+4, j]
+            assert np.array_equal(view[3, :, 2], arr[1, 4:8, 2])
+
+    def test_zero_size(self):
+        assert block_view(np.zeros((0, 64)), 1, 32).shape == (0, 32)
+        assert block_view(np.zeros((32, 0)), 0, 16).shape == (2, 16, 0)
