@@ -7,8 +7,7 @@ floor(|x| / 2**(e - n_m) + 0.5). Results saturate at the format maximum
 2**15; nonzero magnitudes below the minimum 2**-22 land on +-2**-22.
 
 The exponent is extracted from the binary representation of |x| itself
-(never a floating log); the epsilon parameter only pins the x == 0 path,
-where the grid index rounds to 0.
+(never a floating log). Zero quantizes to +0.0.
 """
 
 import math
@@ -17,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook, FpFormatSpec
-from .tensor import Tensor, as_array, group_reduce_layout, groups_to_axis
+from .tensor import Tensor, as_array, group_axes
 
 __all__ = [
     "MAX_NORMAL",
     "MIN_NORMAL",
     "MAX_SUBNORMAL",
     "MIN_SUBNORMAL",
-    "DEFAULT_EPS",
     "DEFAULT_K",
     "Hif8Value",
     "hif8_decompose",
@@ -40,10 +38,13 @@ MAX_NORMAL = 2.0**15
 MIN_NORMAL = 2.0**-15
 MAX_SUBNORMAL = 2.0**-16
 MIN_SUBNORMAL = 2.0**-22
-DEFAULT_EPS = 2.0**-45
 
 # Target maximum magnitude for the scaled variant, by tensor role.
 DEFAULT_K = {"weight": 16.0, "activation": 4.0, "kv": 1.0}
+# Added to each group's max|x| before the scaled variant divides by it.
+_SCALE_EPS = 1e-12
+# Exponent field hif8_decompose reports for a zero input.
+_ZERO_EXP = -45
 
 
 def _mantissa_bits(abs_e):
@@ -70,17 +71,16 @@ class Hif8Value:
         return self.sign * math.ldexp(self.code, self.exponent - self.mantissa_bits)
 
 
-def hif8_decompose(x, eps=DEFAULT_EPS):
+def hif8_decompose(x):
     """Sign/exponent/width/code fields of the quantization of ``x``.
 
     Saturated and underflowed inputs report the fields of the clamp target
-    (2**15 and 2**-22), so .value always equals hif8_quantize_value(x).
+    (2**15 and 2**-22); .value is the quantized real.
     """
     sign = -1 if x < 0 else 1
     ax = abs(x)
     if ax == 0.0:
-        e = math.floor(math.log2(eps))
-        return Hif8Value(sign, e, _mantissa_bits(abs(e)), 0)
+        return Hif8Value(sign, _ZERO_EXP, _mantissa_bits(-_ZERO_EXP), 0)
     _, be = math.frexp(ax)
     e = be - 1
     if e > 15:
@@ -94,25 +94,9 @@ def hif8_decompose(x, eps=DEFAULT_EPS):
     return Hif8Value(sign, e, nm, code)
 
 
-def hif8_quantize_value(x, eps=DEFAULT_EPS):
-    """Quantize one finite real; scalar twin of the array kernel."""
-    ax = abs(x)
-    if ax == 0.0:
-        # eps pins the zero-input exponent; the grid index floor(0 + 0.5)
-        # rounds to 0 for any eps below the subnormal range.
-        return 0.0
-    _, be = math.frexp(ax)
-    e = be - 1
-    if e > 15:  # any grid point of these binades exceeds the format maximum
-        return math.copysign(MAX_NORMAL, x)
-    if e < -22:
-        return math.copysign(MIN_SUBNORMAL, x)
-    nm = _mantissa_bits(abs(e))
-    xh = math.floor(math.ldexp(ax, nm - e) + 0.5)
-    val = math.ldexp(xh, e - nm)
-    if val > MAX_NORMAL:
-        val = MAX_NORMAL
-    return math.copysign(val, x)
+def hif8_quantize_value(x):
+    """Quantize one finite real; scalar reference of the array kernel."""
+    return hif8_decompose(x).value
 
 
 # Grid exponent e - n_m for each frexp exponent be = e + 1 of a float64
@@ -123,7 +107,9 @@ _GRID_EXP = np.array([be - 1 - _mantissa_bits(abs(be - 1)) for be in range(_FREX
 
 
 def _quantize_array(arr):
-    ax = np.abs(arr)
+    """C-contiguous quantization of ``arr`` in its shape (0-d included)."""
+    flat = arr.reshape(-1)  # ufuncs turn 0-d arrays into scalars, which out= rejects
+    ax = np.abs(flat)
     _, be = np.frexp(ax)
     underflow = be < -21  # e < -22; zero has be = 0
     q = _GRID_EXP[be - _FREXP_MIN]
@@ -133,9 +119,9 @@ def _quantize_array(arr):
     val = np.ldexp(xh, q, out=xh)
     val[underflow] = MIN_SUBNORMAL
     np.minimum(val, MAX_NORMAL, out=val)
-    np.copysign(val, arr, out=val)
+    np.copysign(val, flat, out=val)
     val += 0.0  # -0.0 -> +0.0, as hif8_quantize_value returns
-    return val
+    return val.reshape(arr.shape)
 
 
 def hif8_quantize(t):
@@ -176,11 +162,10 @@ def hif8_enumerate():
 class ScaledHif8Quantized:
     """Per-group scaled quantization record; dequantization divides by scales."""
 
-    values: np.ndarray  # quantized values of the scaled tensor, original shape
-    scales: np.ndarray  # one positive scale per group along axis
+    values: np.ndarray  # quantized values of the scaled tensor in the input's shape, C-contiguous
+    scales: np.ndarray  # one positive scale per index along axis, flat
     K: float
     axis: int
-    eps: float
     name: str = None
 
     @property
@@ -188,26 +173,23 @@ class ScaledHif8Quantized:
         return self.values.shape
 
 
-def hif8_scaled_quantize(t, axis, K, eps=1e-12):
+def hif8_scaled_quantize(t, axis, K):
     """Scale each group along ``axis`` to target max magnitude K, then quantize.
 
-    The per-group scale is K / (max|x| + eps); a group of zeros gets a huge
-    scale but every element still quantizes to zero, so dequantization
-    reproduces zeros.
+    The per-group scale is K / (max|x| + 1e-12); a group of zeros (or an
+    empty one) gets a huge scale but every element still quantizes to zero,
+    so dequantization reproduces zeros.
     """
     if K <= 0:
         raise ValueError("K must be positive")
     arr = as_array(t)
-    grouped, moved_shape = group_reduce_layout(arr, axis)
-    gmax = np.max(np.abs(grouped), axis=1)
-    scales = K / (gmax + eps)
-    scaled = grouped * scales[:, None]
-    values = groups_to_axis(_quantize_array(scaled), moved_shape, axis)
-    return ScaledHif8Quantized(values, scales, float(K), axis, float(eps),
+    gmax = np.max(np.abs(arr), axis=group_axes(arr.ndim, axis), keepdims=True, initial=0.0)
+    scales = K / (gmax + _SCALE_EPS)
+    values = _quantize_array(arr * scales)
+    return ScaledHif8Quantized(values, scales.reshape(-1), float(K), axis,
                                getattr(t, "name", None))
 
 
 def hif8_scaled_dequantize(q):
-    grouped, moved_shape = group_reduce_layout(q.values, q.axis)
-    out = grouped / q.scales[:, None]
-    return Tensor(groups_to_axis(out, moved_shape, q.axis), q.name)
+    scales = np.expand_dims(q.scales, group_axes(q.values.ndim, q.axis))
+    return Tensor(q.values / scales, q.name)

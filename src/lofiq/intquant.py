@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, as_array, group_reduce_layout, groups_to_axis
+from .tensor import Tensor, as_array, group_axes
 
 __all__ = ["IntQuantized", "int_quantize_symmetric", "int_quantize_asymmetric", "int_dequantize"]
 
@@ -19,9 +19,9 @@ _BITS = (4, 8)
 
 @dataclass(frozen=True)
 class IntQuantized:
-    codes: np.ndarray  # integer grid values, original shape
-    scales: np.ndarray  # one positive scale per group
-    zero_points: np.ndarray  # one integer per group, asymmetric only (else None)
+    codes: np.ndarray  # integer grid values in the input's shape, C-contiguous
+    scales: np.ndarray  # one positive scale per index along axis, flat
+    zero_points: np.ndarray  # one integer per index along axis, asymmetric only (else None)
     axis: int
     bits: int
     mode: str  # "symmetric" | "asymmetric"
@@ -41,14 +41,13 @@ def int_quantize_symmetric(t, axis, bits):
     if bits not in _BITS:
         raise ValueError(f"bits must be one of {_BITS}")
     arr = as_array(t)
-    grouped, moved_shape = group_reduce_layout(arr, axis)
     qmax = 2 ** (bits - 1) - 1
-    amax = np.max(np.abs(grouped), axis=1)
+    # initial= gives an empty group the fields of an all-zero one
+    amax = np.max(np.abs(arr), axis=group_axes(arr.ndim, axis), keepdims=True, initial=0.0)
     scales = np.where(amax > 0, amax / qmax, 1.0)
-    codes = np.clip(_round_half_away(grouped / scales[:, None]), -qmax, qmax)
-    codes = groups_to_axis(codes.astype(np.int64), moved_shape, axis)
-    return IntQuantized(codes, scales, None, axis, bits, "symmetric",
-                        getattr(t, "name", None))
+    codes = np.clip(_round_half_away(arr / scales), -qmax, qmax)
+    return IntQuantized(codes.astype(np.int64, order="C"), scales.reshape(-1), None, axis, bits,
+                        "symmetric", getattr(t, "name", None))
 
 
 def int_quantize_asymmetric(t, axis, bits):
@@ -60,23 +59,24 @@ def int_quantize_asymmetric(t, axis, bits):
     if bits not in _BITS:
         raise ValueError(f"bits must be one of {_BITS}")
     arr = as_array(t)
-    grouped, moved_shape = group_reduce_layout(arr, axis)
+    others = group_axes(arr.ndim, axis)
     levels = 2**bits - 1
-    lo = grouped.min(axis=1)
-    hi = grouped.max(axis=1)
+    # initial= gives an empty group the fields of an all-zero one
+    lo = arr.min(axis=others, keepdims=True, initial=np.inf)
+    hi = arr.max(axis=others, keepdims=True, initial=-np.inf)
     scales = np.where(hi > lo, (hi - lo) / levels, 1.0)
     zps = np.clip(_round_half_away(-lo / scales), 0, levels).astype(np.int64)
-    codes = np.clip(_round_half_away(grouped / scales[:, None]) + zps[:, None], 0, levels)
-    codes = groups_to_axis(codes.astype(np.int64), moved_shape, axis)
-    return IntQuantized(codes, scales, zps, axis, bits, "asymmetric",
-                        getattr(t, "name", None))
+    codes = np.clip(_round_half_away(arr / scales) + zps, 0, levels)
+    return IntQuantized(codes.astype(np.int64, order="C"), scales.reshape(-1), zps.reshape(-1),
+                        axis, bits, "asymmetric", getattr(t, "name", None))
 
 
 def int_dequantize(q):
     """scale * code (symmetric) or scale * (code - zero_point) (asymmetric)."""
-    grouped, moved_shape = group_reduce_layout(q.codes.astype(np.float64), q.axis)
+    others = group_axes(q.codes.ndim, q.axis)
+    scales = np.expand_dims(q.scales, others)
     if q.mode == "symmetric":
-        out = grouped * q.scales[:, None]
+        out = q.codes * scales
     else:
-        out = (grouped - q.zero_points[:, None]) * q.scales[:, None]
-    return Tensor(groups_to_axis(out, moved_shape, q.axis), q.name)
+        out = (q.codes - np.expand_dims(q.zero_points, others)) * scales
+    return Tensor(out, q.name)

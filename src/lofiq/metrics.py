@@ -109,7 +109,7 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, signal=None, ref_norm
         raise ShapeMismatch(f"shape {arr.shape} vs {rec.shape}")
     signal = float(np.sum(arr * arr)) if signal is None else signal
     ref_norm = float(np.linalg.norm(arr)) if ref_norm is None else ref_norm
-    err = rec - arr
+    err = np.asarray(rec - arr)  # 0-d operands give a scalar, which out= below rejects
     db = sqnr(arr, rec, signal=signal, noise=float(np.sum(err * err)))
     np.abs(err, out=err)
     rel = float(np.linalg.norm(err)) / ref_norm if ref_norm else 0.0

@@ -191,7 +191,7 @@ class SmoothReport:
         }
 
 
-def smoothquant_pipeline(x, w, fmt, alpha_grid=ALPHA_GRID, alpha=None):
+def smoothquant_pipeline(x, w, fmt, alpha=None):
     """Migration-only pipeline: reports plain-RTN and smoothed product errors."""
     codec = as_codec(fmt)
     xa, wa = as_array(x), as_array(w)
@@ -202,12 +202,12 @@ def smoothquant_pipeline(x, w, fmt, alpha_grid=ALPHA_GRID, alpha=None):
     rtn = codec.reconstruct(x, "activation") @ codec.reconstruct(w, "weight")
     rtn_err = float(np.linalg.norm(rtn - ref)) / ref_norm
     if alpha is None:
-        alpha, _ = search_alpha(x, w, codec, alpha_grid)
+        alpha, _ = search_alpha(x, w, codec)
     err, _ = _product_error(x, w, codec, alpha, ref)
     return SmoothReport(float(alpha), rtn_err, err / ref_norm, codec.selector)
 
 
-def svdquant_pipeline(x, w, fmt, alpha_grid=ALPHA_GRID, rank=16, alpha=None):
+def svdquant_pipeline(x, w, fmt, rank=16, alpha=None):
     """Smooth, split the smoothed weight, quantize residual and activations.
 
     The reconstruction is x' @ L1L2 + Q(x') @ Q(residual); its relative
@@ -226,7 +226,7 @@ def svdquant_pipeline(x, w, fmt, alpha_grid=ALPHA_GRID, rank=16, alpha=None):
     rtn_err = float(np.linalg.norm(rtn - ref)) / ref_norm
 
     if alpha is None:
-        alpha, plan = search_alpha(x, w, codec, alpha_grid)
+        alpha, plan = search_alpha(x, w, codec)
     else:
         plan = plan_for(x, w, alpha)
     xs, ws = apply_smoothing(x, w, plan)

@@ -35,7 +35,7 @@ class Tensor:
     __slots__ = ("data", "name")
 
     def __init__(self, values, name=None):
-        arr = np.ascontiguousarray(values, dtype=np.float64)
+        arr = np.asarray(values, dtype=np.float64, order="C")  # 0-d stays 0-d
         _check_finite(arr, f"tensor {name or '<unnamed>'!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -102,21 +102,16 @@ def block_view(arr, axis, k):
     return arr.reshape((math.prod(arr.shape[:pos]) * (extent // k), k) + arr.shape[pos + 1:])
 
 
-def group_reduce_layout(arr, axis):
-    """View with the grouping axis first and everything else flattened.
+def group_axes(ndim, axis):
+    """Every axis but ``axis``: what a per-group codec reduces over.
 
-    Per-channel / per-token codecs treat each index along ``axis`` as one
-    group; the result is (n_groups, group_size).
+    Each index along ``axis`` is one group. Reducing over these axes with
+    keepdims=True gives per-group fields that broadcast against the input
+    in its own layout, so nothing is transposed.
     """
-    if not -arr.ndim <= axis < arr.ndim:
-        raise AxisOutOfRange(f"axis {axis} out of range for rank {arr.ndim}")
-    moved = np.moveaxis(arr, axis, 0)
-    return moved.reshape(arr.shape[axis], -1), moved.shape
-
-
-def groups_to_axis(grouped, moved_shape, axis):
-    """Inverse of group_reduce_layout."""
-    return np.moveaxis(grouped.reshape(moved_shape), 0, axis)
+    if not -ndim <= axis < ndim:
+        raise AxisOutOfRange(f"axis {axis} out of range for rank {ndim}")
+    return tuple(i for i in range(ndim) if i != axis % ndim)
 
 
 def save_tensors(tensors, path, dtype="f64"):

@@ -17,6 +17,12 @@ def run(*args):
     return main([str(a) for a in args])
 
 
+def run_subprocess(*args):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lofiq.__file__)))
+    return subprocess.run([sys.executable, "-m", "lofiq.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def _parse_listing(text):
     fields = {}
     values = []
@@ -116,14 +122,30 @@ class TestQuantize:
         header = json.dumps({"tensors": 5}).encode()
         src = tmp_path / "bad.lqt"
         src.write_bytes(b"LQT1" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header)
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lofiq.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "lofiq.cli", "quantize", str(src), "--format", "int8",
-             "-o", str(tmp_path / "o.lqt")],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = run_subprocess("quantize", src, "--format", "int8", "-o", tmp_path / "o.lqt")
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("fmt", ["int8", "int4", "hif8-scaled"])
+    def test_zero_size_exits_1_without_traceback(self, tmp_path, fmt):
+        src = tmp_path / "z.lqt"
+        save_tensors([tensor(np.zeros((0, 3)), name="z")], src)
+        for proc in (run_subprocess("quantize", src, "-f", fmt, "-o", tmp_path / "o.lqt"),
+                     run_subprocess("compare", "--input", src, "--formats", fmt,
+                                    "--role", "activation", "-o", tmp_path / "r.json")):
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("error: ")
+            assert "Traceback" not in proc.stderr
+
+    def test_zero_dim_tensor(self, tmp_path, capsys):
+        src, dst = tmp_path / "s.lqt", tmp_path / "o.lqt"
+        save_tensors([tensor(2.4, name="s")], src)
+        assert run("quantize", src, "-f", "e4m3", "-o", dst) == 0
+        (out,) = load_tensors(dst)
+        assert out.shape == () and float(out.data) == 2.5
+        assert run("quantize", src, "-f", "int8", "-o", dst) == 1
+        assert "out of range for rank 0" in capsys.readouterr().err
 
     def test_missing_input_exits_1(self, tmp_path):
         assert run("quantize", tmp_path / "absent.lqt", "--format", "hif8",

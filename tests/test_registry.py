@@ -3,6 +3,7 @@ import pytest
 
 from lofiq.errors import AxisOutOfRange, NonFiniteValue, NotDivisible, UnknownFormat
 from lofiq.registry import block_axis_for, group_axis_for, parse_format
+from lofiq.tensor import tensor
 
 
 class TestParse:
@@ -132,6 +133,21 @@ class TestRoleConventions:
             for pad in (False, True):
                 with pytest.raises(AxisOutOfRange):
                     parse_format(sel).reconstruct(x, "weight", pad=pad)
+
+
+class TestRankZero:
+    @pytest.mark.parametrize("sel", ["int8", "int4:asym", "hif8-scaled", "mxfp4", "nvfp4", "hif4"])
+    @pytest.mark.parametrize("pad", [False, True])
+    def test_grouped_and_blocked_codecs_raise(self, sel, pad):
+        for role in ("weight", "activation"):
+            with pytest.raises(AxisOutOfRange):
+                parse_format(sel).reconstruct(tensor(2.5), role, pad=pad)
+
+    @pytest.mark.parametrize("sel,want", [("e4m3", 2.5), ("e2m1", 2.0), ("hif8", 2.5)])
+    def test_elementwise_codecs_keep_the_shape(self, sel, want):
+        out = parse_format(sel).reconstruct(tensor(2.4), "weight")
+        assert np.shape(out) == ()
+        assert out == want
 
 
 class TestIngest:

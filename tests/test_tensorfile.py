@@ -19,7 +19,7 @@ from lofiq.errors import (
     NotDivisible,
     OffsetOutOfBounds,
 )
-from lofiq.tensor import block_view, load_tensors, save_tensors, tensor
+from lofiq.tensor import block_view, group_axes, load_tensors, save_tensors, tensor
 
 from oracles import f32_roundtrip_oracle
 
@@ -231,9 +231,8 @@ def test_save_matches_byte_oracle_and_loads_back(tmp_path, dtype):
     for a, t in zip(_ODD_SHAPES, loaded):
         want = a.astype(np_dtype).astype(np.float64)
         assert t.data.dtype == np.float64 and t.size == a.size
-        # a Tensor keeps at least one axis, so a 0-d payload loads as shape (1,)
-        assert t.shape == (a.shape or (1,))
-        assert t.data.reshape(a.shape).tobytes() == want.tobytes()
+        assert t.shape == a.shape  # a 0-d payload reloads as 0-d
+        assert t.data.tobytes() == want.tobytes()
 
 
 def test_truncated_mid_tensor(tmp_path):
@@ -336,6 +335,20 @@ def test_tensor_rejects_nonfinite():
         tensor([np.inf])
 
 
+def test_tensor_keeps_zero_dim():
+    assert tensor(2.5).shape == ()
+    assert tensor(np.array(-0.0)).ndim == 0
+
+
+def test_zero_dim_tensor_roundtrip(tmp_path):
+    path = tmp_path / "s.lqt"
+    save_tensors([tensor(-0.0, name="s")], path)
+    assert b'"shape":[]' in path.read_bytes()
+    (t,) = load_tensors(path)
+    assert t.shape == ()
+    assert t.data.tobytes() == np.array(-0.0).tobytes()
+
+
 def test_tensor_immutable():
     t = tensor([1.0, 2.0])
     with pytest.raises(ValueError):
@@ -366,6 +379,8 @@ class TestAxisBlocks:
             block_view(np.zeros((2, 4)), 2, 2)
         with pytest.raises(AxisOutOfRange):
             block_view(np.zeros((2, 4)), -3, 2)
+        with pytest.raises(AxisOutOfRange):
+            block_view(np.array(1.0), 0, 1)
 
     def test_blocks_reconstruct_axis(self):
         rng = np.random.default_rng(0)
@@ -382,3 +397,16 @@ class TestAxisBlocks:
     def test_zero_size(self):
         assert block_view(np.zeros((0, 64)), 1, 32).shape == (0, 32)
         assert block_view(np.zeros((32, 0)), 0, 16).shape == (2, 16, 0)
+
+
+class TestGroupAxes:
+    def test_every_axis_but_the_group_axis(self):
+        assert group_axes(3, 1) == (0, 2)
+        assert group_axes(3, -1) == (0, 1)
+        assert group_axes(3, -3) == (1, 2)
+        assert group_axes(1, 0) == ()
+
+    @pytest.mark.parametrize("ndim,axis", [(2, 2), (2, -3), (1, 1), (0, 0), (0, -1)])
+    def test_axis_out_of_range(self, ndim, axis):
+        with pytest.raises(AxisOutOfRange):
+            group_axes(ndim, axis)
