@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyTensor, NonFiniteValue, UnknownFormat
+from .errors import EmptyTensor, UnknownFormat
 from .tensor import as_array
 
 __all__ = [
@@ -261,16 +261,13 @@ def project(cb, x):
     neighbour with the even mantissa code. A zero result is +0.0. NaN or
     Inf input raises NonFiniteValue.
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    arr = np.ascontiguousarray(x, dtype=np.float64)
+    arr = as_array(x)
     flat = arr.reshape(-1)
-    if not np.isfinite(flat).all():
-        raise NonFiniteValue("project input contains NaN or Inf")
     if cb._exmy is not None:
         out = _round_exmy(flat, cb.values[0], cb.values[-1], *cb._exmy)
     else:
         out = _search_nearest(cb.values, cb.codes, cb._mids, flat)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return out.reshape(arr.shape)
 
 
 def density_in_interval(cb, lo, hi):

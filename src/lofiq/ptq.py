@@ -13,7 +13,7 @@ The low-rank split W = L1 @ L2 + residual keeps the top singular
 directions exact and quantizes only the residual.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,12 +79,21 @@ def smooth_scales(x_colmax, w_rowmax, alpha):
     return SmoothingPlan(s, float(alpha), xm, wm)
 
 
+def _matrices(x, w):
+    """X and W as arrays: both 2-D with matching inner dimensions, else ShapeMismatch."""
+    xa, wa = as_array(x), as_array(w)
+    if xa.ndim != 2 or wa.ndim != 2 or xa.shape[1] != wa.shape[0]:
+        raise ShapeMismatch(f"need x (m, d) and w (d, n), got x {xa.shape} and w {wa.shape}")
+    return xa, wa
+
+
+def _maxima(xa, wa):
+    return np.max(np.abs(xa), axis=0), np.max(np.abs(wa), axis=1)
+
+
 def plan_for(x, w, alpha):
     """Build a SmoothingPlan from the tensors themselves."""
-    xa, wa = as_array(x), as_array(w)
-    if xa.shape[-1] != wa.shape[0]:
-        raise ShapeMismatch(f"inner dims differ: x {xa.shape} vs w {wa.shape}")
-    return smooth_scales(np.max(np.abs(xa), axis=0), np.max(np.abs(wa), axis=1), alpha)
+    return smooth_scales(*_maxima(*_matrices(x, w)), alpha)
 
 
 def apply_smoothing(x, w, plan):
@@ -104,29 +113,28 @@ def invert_smoothing(x_s, w_s, plan):
     return Tensor(xa * s), Tensor(wa / s[:, None])
 
 
-def _product_error(x, w, codec, alpha, ref):
-    plan = plan_for(x, w, alpha)
-    xs, ws = apply_smoothing(x, w, plan)
-    qx = codec.reconstruct(xs, "activation")
-    qw = codec.reconstruct(ws, "weight")
-    return float(np.linalg.norm(qx @ qw - ref)), plan
-
-
 def search_alpha(x, w, fmt, grid=ALPHA_GRID):
     """Grid-search the migration strength minimizing |Q(x')Q(w') - xw|_F.
 
+    Returns the winner as ``(plan, error, qx)``: its SmoothingPlan (whose
+    ``alpha`` is the winning alpha), the absolute product error and Q(x').
     Ties resolve to the smaller alpha.
     """
     codec = as_codec(fmt)
     if len(grid) == 0:
         raise ValueError("alpha grid is empty")
-    ref = as_array(x) @ as_array(w)
+    xa, wa = _matrices(x, w)
+    ref = xa @ wa
+    maxima = _maxima(xa, wa)
     best = None
     for alpha in grid:
-        err, plan = _product_error(x, w, codec, alpha, ref)
-        if best is None or err < best[0]:
-            best = (err, alpha, plan)
-    return best[1], best[2]
+        plan = smooth_scales(*maxima, alpha)
+        xs, ws = apply_smoothing(x, w, plan)
+        qx = codec.reconstruct(xs, "activation")
+        err = float(np.linalg.norm(qx @ codec.reconstruct(ws, "weight") - ref))
+        if best is None or err < best[1]:
+            best = (plan, err, qx)
+    return best
 
 
 def svd_split(w, rank):
@@ -157,54 +165,51 @@ def svd_split(w, rank):
 class PipelineReport:
     """Relative reconstruction errors of the three pipeline stages."""
 
+    format: str
     alpha: float
     rank: int
     rtn_rel_err: float
     smooth_rel_err: float
     svdq_rel_err: float
-    format: str
 
     def to_dict(self):
-        return {
-            "format": self.format,
-            "alpha": self.alpha,
-            "rank": self.rank,
-            "rtn_rel_err": self.rtn_rel_err,
-            "smooth_rel_err": self.smooth_rel_err,
-            "svdq_rel_err": self.svdq_rel_err,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class SmoothReport:
+    format: str
     alpha: float
     rtn_rel_err: float
     smooth_rel_err: float
-    format: str
 
     def to_dict(self):
-        return {
-            "format": self.format,
-            "alpha": self.alpha,
-            "rtn_rel_err": self.rtn_rel_err,
-            "smooth_rel_err": self.smooth_rel_err,
-        }
+        return asdict(self)
 
 
-def smoothquant_pipeline(x, w, fmt, alpha=None):
-    """Migration-only pipeline: reports plain-RTN and smoothed product errors."""
-    codec = as_codec(fmt)
-    xa, wa = as_array(x), as_array(w)
+def _smoothing_stage(x, w, codec, alpha):
+    """The stage both pipelines start with: exact product, RTN error, smoothing.
+
+    Returns ``(ref, ref_norm, rtn_err, plan, smooth_err, qx)``. The plan is
+    the searched winner, or the plan at ``alpha`` when given; the errors are
+    relative to ``ref_norm``; ``qx`` is Q(x') under that plan.
+    """
+    xa, wa = _matrices(x, w)
     ref = xa @ wa
     ref_norm = float(np.linalg.norm(ref))
     if ref_norm == 0.0:
         raise ShapeMismatch("x @ w vanishes; relative errors are undefined")
     rtn = codec.reconstruct(x, "activation") @ codec.reconstruct(w, "weight")
     rtn_err = float(np.linalg.norm(rtn - ref)) / ref_norm
-    if alpha is None:
-        alpha, _ = search_alpha(x, w, codec)
-    err, _ = _product_error(x, w, codec, alpha, ref)
-    return SmoothReport(float(alpha), rtn_err, err / ref_norm, codec.selector)
+    plan, err, qx = search_alpha(x, w, codec, ALPHA_GRID if alpha is None else (alpha,))
+    return ref, ref_norm, rtn_err, plan, err / ref_norm, qx
+
+
+def smoothquant_pipeline(x, w, fmt, alpha=None):
+    """Migration-only pipeline: reports plain-RTN and smoothed product errors."""
+    codec = as_codec(fmt)
+    _, _, rtn_err, plan, smooth_err, _ = _smoothing_stage(x, w, codec, alpha)
+    return SmoothReport(codec.selector, plan.alpha, rtn_err, smooth_err)
 
 
 def svdquant_pipeline(x, w, fmt, rank=16, alpha=None):
@@ -216,28 +221,9 @@ def svdquant_pipeline(x, w, fmt, rank=16, alpha=None):
     smoothing objective, or is ``alpha`` when given.
     """
     codec = as_codec(fmt)
-    xa, wa = as_array(x), as_array(w)
-    ref = xa @ wa
-    ref_norm = float(np.linalg.norm(ref))
-    if ref_norm == 0.0:
-        raise ShapeMismatch("x @ w vanishes; relative errors are undefined")
-
-    rtn = codec.reconstruct(x, "activation") @ codec.reconstruct(w, "weight")
-    rtn_err = float(np.linalg.norm(rtn - ref)) / ref_norm
-
-    if alpha is None:
-        alpha, plan = search_alpha(x, w, codec)
-    else:
-        plan = plan_for(x, w, alpha)
+    ref, ref_norm, rtn_err, plan, smooth_err, qx = _smoothing_stage(x, w, codec, alpha)
     xs, ws = apply_smoothing(x, w, plan)
-    qx = codec.reconstruct(xs, "activation")
-    qw = codec.reconstruct(ws, "weight")
-    smooth_err = float(np.linalg.norm(qx @ qw - ref)) / ref_norm
-
     branch = svd_split(ws, rank)
-    qres = codec.reconstruct(branch.residual, "weight")
-    recon = xs.data @ branch.product + qx @ qres
+    recon = xs.data @ branch.product + qx @ codec.reconstruct(branch.residual, "weight")
     svdq_err = float(np.linalg.norm(recon - ref)) / ref_norm
-
-    return PipelineReport(float(alpha), int(rank), rtn_err, smooth_err, svdq_err,
-                          codec.selector)
+    return PipelineReport(codec.selector, plan.alpha, int(rank), rtn_err, smooth_err, svdq_err)

@@ -148,7 +148,7 @@ class CastCodec(_Codec):
         self.cb = enumerate_codebook(builtin_spec(name))
 
     def _reconstruct(self, t, role, axis):
-        return project(self.cb, as_array(t))
+        return project(self.cb, t)
 
 
 class MxCodec(_Codec):
@@ -243,7 +243,7 @@ class Hif4Codec(_Codec):
         return hif4.hif4_dequantize(hif4.hif4_quantize(t, axis, self.mode)).data
 
 
-def _parse_params(parts, selector):
+def _parse_params(parts):
     """Split trailing 'key=value' / bare-flag parameters."""
     params = {}
     flags = []
@@ -273,7 +273,7 @@ def parse_format(selector):
     sel = selector.strip()
     parts = sel.split(":")
     head = parts[0].lower()
-    params, flags = _parse_params(parts[1:], sel)
+    params, flags = _parse_params(parts[1:])
     axis = _as_int(params, "axis", sel) if "axis" in params else None
 
     try:

@@ -168,9 +168,9 @@ def test_c07_smoothing_equivalence_and_argmin_invariance():
         x = rng.normal(size=(32, 16)) * 0.05
         x[:, 2] *= 300
         w = rng.normal(size=(16, 16)) * 0.02
-        a1, _ = search_alpha(tensor(x), tensor(w), "int8")
-        a2, _ = search_alpha(tensor(4.0 * x), tensor(w), "int8")
-        assert a1 == a2
+        p1, _, _ = search_alpha(tensor(x), tensor(w), "int8")
+        p2, _, _ = search_alpha(tensor(4.0 * x), tensor(w), "int8")
+        assert p1.alpha == p2.alpha
 
 
 def test_c08_svd_against_jacobi_oracle():

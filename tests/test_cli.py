@@ -243,6 +243,18 @@ class TestPtqCommands:
         assert run("svdq", "--x", xp, "--w", wp, "--format", "hif4", "-o", r2) == 0
         assert r1.read_bytes() == r2.read_bytes()
 
+    @pytest.mark.parametrize("cmd", ["smooth", "svdq"])
+    @pytest.mark.parametrize("shape", [(4,), ()])
+    def test_non_matrix_exits_1_without_traceback(self, tmp_path, cmd, shape):
+        xp, wp = tmp_path / "x.lqt", tmp_path / "w.lqt"
+        save_tensors([tensor(np.ones(shape), name="x")], xp)
+        save_tensors([tensor(np.ones((4, 4)), name="w")], wp)
+        for x, w in ((xp, wp), (wp, xp)):
+            proc = run_subprocess(cmd, "--x", x, "--w", w, "-f", "int8")
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("error: ")
+            assert "Traceback" not in proc.stderr
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self):

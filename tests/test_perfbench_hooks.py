@@ -70,4 +70,4 @@ def test_tracer_records_every_boundary(tmp_path):
     for name in ("metrics.fidelity", "metrics.sqnr", "metrics.emit_report", "tensor.load",
                  "ptq.pipeline", "ptq.search_alpha", "ptq.svd_split", "ptq.apply_smoothing"):
         assert name in spans, name
-    assert svdq["ptq.reconstruct_calls"] == 23
+    assert svdq["ptq.reconstruct_calls"] == 21

@@ -124,21 +124,20 @@ class TestSearchAlpha:
             if best is None or err < best[1]:
                 best = (a, err)
         assert best[0] == 0.9
-        alpha, _ = search_alpha(tensor(x), tensor(w), "int8")
-        assert alpha == 0.9
+        plan, _, _ = search_alpha(tensor(x), tensor(w), "int8")
+        assert plan.alpha == 0.9
 
     def test_tie_prefers_smaller_alpha(self):
         # all-ones instance: every alpha gives scales 1 and zero error
         x = tensor(np.ones((4, 4)))
         w = tensor(np.ones((4, 4)))
-        alpha, _ = search_alpha(x, w, "e4m3")
-        assert alpha == 0.1
+        plan, _, _ = search_alpha(x, w, "e4m3")
+        assert plan.alpha == 0.1
 
     def test_single_point_grid(self):
         x = tensor(np.ones((4, 4)))
         w = tensor(np.ones((4, 4)))
-        alpha, plan = search_alpha(x, w, "e4m3", grid=(0.4,))
-        assert alpha == 0.4
+        plan, _, _ = search_alpha(x, w, "e4m3", grid=(0.4,))
         assert plan.alpha == 0.4
 
     def test_argmin_invariant_under_x_scaling(self):
@@ -146,9 +145,40 @@ class TestSearchAlpha:
         x = rng.normal(size=(32, 16)) * 0.05
         x[:, 2] *= 300
         w = rng.normal(size=(16, 16)) * 0.02
-        a1, _ = search_alpha(tensor(x), tensor(w), "int8")
-        a2, _ = search_alpha(tensor(4.0 * x), tensor(w), "int8")
-        assert a1 == a2
+        p1, _, _ = search_alpha(tensor(x), tensor(w), "int8")
+        p2, _, _ = search_alpha(tensor(4.0 * x), tensor(w), "int8")
+        assert p1.alpha == p2.alpha
+
+    def test_returns_the_winner(self):
+        # the error and Q(x') handed back are those of the winning plan,
+        # evaluated independently at its alpha
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(24, 16)) * 0.05
+        x[:, 5] *= 200
+        w = rng.normal(size=(16, 8)) * 0.02
+        codec = parse_format("int8")
+        plan, err, qx = search_alpha(tensor(x), tensor(w), codec)
+        ref_plan = plan_for(x, w, plan.alpha)
+        assert np.array_equal(plan.scales, ref_plan.scales)
+        xs, ws = apply_smoothing(tensor(x), tensor(w), ref_plan)
+        want_qx = codec.reconstruct(xs.data, "activation")
+        want = np.linalg.norm(want_qx @ codec.reconstruct(ws.data, "weight") - x @ w)
+        assert np.array_equal(qx, want_qx)
+        assert err == want
+        for a in ALPHA_GRID:
+            p = plan_for(x, w, a)
+            xs, ws = apply_smoothing(tensor(x), tensor(w), p)
+            qa = codec.reconstruct(xs.data, "activation") @ codec.reconstruct(ws.data, "weight")
+            assert err <= np.linalg.norm(qa - x @ w)
+
+    @pytest.mark.parametrize("x_shape,w_shape", [((4,), (4, 4)), ((4, 4), (4,)), ((), (4, 4)),
+                                                 ((4, 3), (4, 4)), ((2, 4, 4), (4, 4))])
+    def test_shape_mismatch(self, x_shape, w_shape):
+        x, w = tensor(np.ones(x_shape)), tensor(np.ones(w_shape))
+        with pytest.raises(ShapeMismatch):
+            search_alpha(x, w, "int8")
+        with pytest.raises(ShapeMismatch):
+            plan_for(x, w, 0.5)
 
 
 class TestSvdSplit:
@@ -246,6 +276,19 @@ class TestSvdSplit:
             assert best <= np.linalg.norm(w - cand) + 1e-12
 
 
+class _SpyCodec:
+    """Counts the reconstruct calls a pipeline makes through a real codec."""
+
+    def __init__(self, selector):
+        self.codec = parse_format(selector)
+        self.selector = self.codec.selector
+        self.calls = 0
+
+    def reconstruct(self, t, role, pad=False):
+        self.calls += 1
+        return self.codec.reconstruct(t, role, pad)
+
+
 class TestPipelines:
     def test_smooth_report_fields(self):
         rng = np.random.default_rng(10)
@@ -285,3 +328,24 @@ class TestPipelines:
             w = tensor(rng.normal(size=(128, 128)) * 0.02)
             rep = svdquant_pipeline(x, w, "hif4", rank=16)
             assert rep.svdq_rel_err <= rep.rtn_rel_err
+
+    @pytest.mark.parametrize("pipeline,alpha,calls", [
+        (svdquant_pipeline, None, 21), (svdquant_pipeline, 0.3, 5),
+        (smoothquant_pipeline, None, 20), (smoothquant_pipeline, 0.3, 4)])
+    def test_reconstruct_calls(self, pipeline, alpha, calls):
+        # RTN takes 2, each grid point 2, and svdq's residual 1; the winner
+        # is never quantized again
+        rng = np.random.default_rng(15)
+        x = tensor(rng.normal(size=(16, 24)))
+        w = tensor(rng.normal(size=(24, 20)))
+        spy = _SpyCodec("int8")
+        rep = pipeline(x, w, spy, alpha=alpha)
+        assert spy.calls == calls
+        assert rep.to_dict() == pipeline(x, w, "int8", alpha=alpha).to_dict()
+
+    @pytest.mark.parametrize("pipeline", [smoothquant_pipeline, svdquant_pipeline])
+    @pytest.mark.parametrize("x_shape,w_shape", [((4,), (4, 4)), ((4, 4), (4,)), ((), ()),
+                                                 ((4, 3), (4, 4))])
+    def test_shape_mismatch(self, pipeline, x_shape, w_shape):
+        with pytest.raises(ShapeMismatch):
+            pipeline(tensor(np.ones(x_shape)), tensor(np.ones(w_shape)), "int8")
