@@ -78,7 +78,7 @@ def cmd_quantize(args):
             recon = codec.reconstruct(t, args.role, pad=args.pad)
         except LofiqError as exc:
             raise LofiqError(f"tensor {t.name!r}: {exc}") from exc
-        outputs.append(Tensor(recon, t.name))  # the one finiteness check of recon
+        outputs.append(Tensor.of_checked(recon, t.name))
         reports.append(fidelity_from_reconstruction(t, outputs[-1], codec, args.role))
     save_tensors(outputs, args.output, dtype=args.dtype)
     if args.report:

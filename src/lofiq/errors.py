@@ -68,5 +68,9 @@ class RankOutOfRange(LofiqError):
     pass
 
 
+class AlphaOutOfRange(LofiqError, ValueError):
+    """A migration strength outside [0, 1]; a ValueError too, for callers that catch that."""
+
+
 class NonConvergence(LofiqError):
     pass

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook, FpFormatSpec
-from .tensor import Tensor, as_array, group_axes
+from .tensor import Tensor, as_array, group_absmax, group_axes
 
 __all__ = [
     "MAX_NORMAL",
@@ -183,8 +183,7 @@ def hif8_scaled_quantize(t, axis, K):
     if K <= 0:
         raise ValueError("K must be positive")
     arr = as_array(t)
-    gmax = np.max(np.abs(arr), axis=group_axes(arr.ndim, axis), keepdims=True, initial=0.0)
-    scales = K / (gmax + _SCALE_EPS)
+    scales = K / (group_absmax(arr, axis) + _SCALE_EPS)
     values = _quantize_array(arr * scales)
     return ScaledHif8Quantized(values, scales.reshape(-1), float(K), axis,
                                getattr(t, "name", None))

@@ -10,16 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, as_array, group_axes
+from .tensor import Tensor, as_array, group_absmax, group_axes
 
 __all__ = ["IntQuantized", "int_quantize_symmetric", "int_quantize_asymmetric", "int_dequantize"]
 
 _BITS = (4, 8)
+_TINY = np.nextafter(0.0, 1.0)  # smallest positive float64
 
 
 @dataclass(frozen=True)
 class IntQuantized:
-    codes: np.ndarray  # integer grid values in the input's shape, C-contiguous
+    codes: np.ndarray  # int16 grid values in the input's shape, C-contiguous
     scales: np.ndarray  # one positive scale per index along axis, flat
     zero_points: np.ndarray  # one integer per index along axis, asymmetric only (else None)
     axis: int
@@ -32,8 +33,26 @@ class IntQuantized:
         return self.codes.shape
 
 
-def _round_half_away(v):
-    return np.sign(v) * np.floor(np.abs(v) + 0.5)
+def _round_half_away(mag, sign):
+    """Round v half away from zero in place, where ``mag`` holds |v| and ``sign`` has v's sign.
+
+    Gives the bits of sign(v) * floor(|v| + 0.5). A quotient by a positive
+    scale has its dividend's sign, so callers pass the input as ``sign``
+    and no signed copy of v is made.
+    """
+    mag += 0.5
+    np.floor(mag, out=mag)
+    return np.copysign(mag, sign, out=mag)
+
+
+def _positive_scales(step):
+    # a step below the smallest subnormal rounds to 0; keep it the smallest
+    # positive scale so the division stays finite
+    return np.maximum(step, _TINY)
+
+
+def _codes(v):
+    return v.astype(np.int16, order="C")
 
 
 def int_quantize_symmetric(t, axis, bits):
@@ -42,12 +61,13 @@ def int_quantize_symmetric(t, axis, bits):
         raise ValueError(f"bits must be one of {_BITS}")
     arr = as_array(t)
     qmax = 2 ** (bits - 1) - 1
-    # initial= gives an empty group the fields of an all-zero one
-    amax = np.max(np.abs(arr), axis=group_axes(arr.ndim, axis), keepdims=True, initial=0.0)
-    scales = np.where(amax > 0, amax / qmax, 1.0)
-    codes = np.clip(_round_half_away(arr / scales), -qmax, qmax)
-    return IntQuantized(codes.astype(np.int64, order="C"), scales.reshape(-1), None, axis, bits,
-                        "symmetric", getattr(t, "name", None))
+    amax = group_absmax(arr, axis)
+    scales = np.where(amax > 0, _positive_scales(amax / qmax), 1.0)
+    v = np.abs(arr)
+    v /= scales
+    np.clip(_round_half_away(v, arr), -qmax, qmax, out=v)
+    return IntQuantized(_codes(v), scales.reshape(-1), None, axis, bits, "symmetric",
+                        getattr(t, "name", None))
 
 
 def int_quantize_asymmetric(t, axis, bits):
@@ -64,11 +84,15 @@ def int_quantize_asymmetric(t, axis, bits):
     # initial= gives an empty group the fields of an all-zero one
     lo = arr.min(axis=others, keepdims=True, initial=np.inf)
     hi = arr.max(axis=others, keepdims=True, initial=-np.inf)
-    scales = np.where(hi > lo, (hi - lo) / levels, 1.0)
-    zps = np.clip(_round_half_away(-lo / scales), 0, levels).astype(np.int64)
-    codes = np.clip(_round_half_away(arr / scales) + zps, 0, levels)
-    return IntQuantized(codes.astype(np.int64, order="C"), scales.reshape(-1), zps.reshape(-1),
-                        axis, bits, "asymmetric", getattr(t, "name", None))
+    scales = np.where(hi > lo, _positive_scales((hi - lo) / levels), 1.0)
+    zps = np.clip(_round_half_away(np.abs(lo) / scales, -lo), 0, levels)
+    v = np.abs(arr)
+    v /= scales
+    _round_half_away(v, arr)
+    v += zps
+    np.clip(v, 0, levels, out=v)
+    return IntQuantized(_codes(v), scales.reshape(-1), _codes(zps).reshape(-1), axis, bits,
+                        "asymmetric", getattr(t, "name", None))
 
 
 def int_dequantize(q):
@@ -78,5 +102,7 @@ def int_dequantize(q):
     if q.mode == "symmetric":
         out = q.codes * scales
     else:
-        out = (q.codes - np.expand_dims(q.zero_points, others)) * scales
+        # integer differences are exact in float64, so this is (codes - zps) * scales
+        out = np.subtract(q.codes, np.expand_dims(q.zero_points, others), dtype=np.float64)
+        out *= scales
     return Tensor(out, q.name)

@@ -132,8 +132,10 @@ def compare_formats(t, formats, role):
     reports = []
     for fmt in formats:
         codec = as_codec(fmt)
-        reports.append(fidelity_from_reconstruction(t, codec.reconstruct(t, role), codec, role,
-                                                    signal=signal, ref_norm=ref_norm))
+        # no name holds the reconstruction, so it is freed before the next one is made
+        reports.append(fidelity_from_reconstruction(
+            t, Tensor.of_checked(codec.reconstruct(t, role)), codec, role,
+            signal=signal, ref_norm=ref_norm))
     return reports
 
 

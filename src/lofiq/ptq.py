@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NonConvergence, RankOutOfRange, ShapeMismatch
+from .errors import AlphaOutOfRange, LengthMismatch, NonConvergence, RankOutOfRange, ShapeMismatch
 from .registry import as_codec
 from .tensor import Tensor, as_array
 
@@ -61,6 +61,16 @@ class LowRankBranch:
         return self.l1 @ self.l2
 
 
+def _check_alpha(alpha):
+    if not 0.0 <= alpha <= 1.0:  # NaN fails too
+        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
+
+
+def _check_rank(rank, shape):
+    if not 1 <= rank <= min(shape):
+        raise RankOutOfRange(f"rank {rank} not in [1, {min(shape)}] for shape {shape}")
+
+
 def smooth_scales(x_colmax, w_rowmax, alpha):
     """Per-channel scales from column maxima of X and row maxima of W.
 
@@ -71,8 +81,7 @@ def smooth_scales(x_colmax, w_rowmax, alpha):
     wm = np.asarray(w_rowmax, dtype=np.float64).ravel()
     if xm.shape != wm.shape:
         raise LengthMismatch(f"activation maxima ({xm.size}) vs weight maxima ({wm.size})")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     xm = np.maximum(xm, _MAX_FLOOR)
     wm = np.maximum(wm, _MAX_FLOOR)
     s = np.clip(xm**alpha / wm ** (1.0 - alpha), _S_LO, _S_HI)
@@ -113,18 +122,20 @@ def invert_smoothing(x_s, w_s, plan):
     return Tensor(xa * s), Tensor(wa / s[:, None])
 
 
-def search_alpha(x, w, fmt, grid=ALPHA_GRID):
+def search_alpha(x, w, fmt, grid=ALPHA_GRID, ref=None):
     """Grid-search the migration strength minimizing |Q(x')Q(w') - xw|_F.
 
     Returns the winner as ``(plan, error, qx)``: its SmoothingPlan (whose
     ``alpha`` is the winning alpha), the absolute product error and Q(x').
-    Ties resolve to the smaller alpha.
+    Ties resolve to the smaller alpha. A caller that holds ``x @ w`` passes
+    it as ``ref``; otherwise it is formed here.
     """
     codec = as_codec(fmt)
     if len(grid) == 0:
         raise ValueError("alpha grid is empty")
     xa, wa = _matrices(x, w)
-    ref = xa @ wa
+    if ref is None:
+        ref = xa @ wa
     maxima = _maxima(xa, wa)
     best = None
     for alpha in grid:
@@ -149,8 +160,7 @@ def svd_split(w, rank):
     wa = as_array(w)
     if wa.ndim != 2:
         raise ShapeMismatch(f"svd_split needs a matrix, got shape {wa.shape}")
-    if not 1 <= rank <= min(wa.shape):
-        raise RankOutOfRange(f"rank {rank} not in [1, {min(wa.shape)}] for shape {wa.shape}")
+    _check_rank(rank, wa.shape)
     tall = wa.shape[0] >= wa.shape[1]
     try:
         _, vecs = np.linalg.eigh(wa.T @ wa if tall else wa @ wa.T)
@@ -187,21 +197,27 @@ class SmoothReport:
         return asdict(self)
 
 
-def _smoothing_stage(x, w, codec, alpha):
+def _smoothing_stage(x, w, codec, alpha, rank=None):
     """The stage both pipelines start with: exact product, RTN error, smoothing.
 
     Returns ``(ref, ref_norm, rtn_err, plan, smooth_err, qx)``. The plan is
     the searched winner, or the plan at ``alpha`` when given; the errors are
-    relative to ``ref_norm``; ``qx`` is Q(x') under that plan.
+    relative to ``ref_norm``; ``qx`` is Q(x') under that plan. The shapes,
+    ``alpha`` and the low-rank split's ``rank`` are checked before any
+    quantization runs.
     """
     xa, wa = _matrices(x, w)
+    if alpha is not None:
+        _check_alpha(alpha)
+    if rank is not None:
+        _check_rank(rank, wa.shape)
     ref = xa @ wa
     ref_norm = float(np.linalg.norm(ref))
     if ref_norm == 0.0:
         raise ShapeMismatch("x @ w vanishes; relative errors are undefined")
     rtn = codec.reconstruct(x, "activation") @ codec.reconstruct(w, "weight")
     rtn_err = float(np.linalg.norm(rtn - ref)) / ref_norm
-    plan, err, qx = search_alpha(x, w, codec, ALPHA_GRID if alpha is None else (alpha,))
+    plan, err, qx = search_alpha(x, w, codec, ALPHA_GRID if alpha is None else (alpha,), ref=ref)
     return ref, ref_norm, rtn_err, plan, err / ref_norm, qx
 
 
@@ -221,7 +237,7 @@ def svdquant_pipeline(x, w, fmt, rank=16, alpha=None):
     smoothing objective, or is ``alpha`` when given.
     """
     codec = as_codec(fmt)
-    ref, ref_norm, rtn_err, plan, smooth_err, qx = _smoothing_stage(x, w, codec, alpha)
+    ref, ref_norm, rtn_err, plan, smooth_err, qx = _smoothing_stage(x, w, codec, alpha, rank)
     xs, ws = apply_smoothing(x, w, plan)
     branch = svd_split(ws, rank)
     recon = xs.data @ branch.product + qx @ codec.reconstruct(branch.residual, "weight")

@@ -37,9 +37,18 @@ class Tensor:
     def __init__(self, values, name=None):
         arr = np.asarray(values, dtype=np.float64, order="C")  # 0-d stays 0-d
         _check_finite(arr, f"tensor {name or '<unnamed>'!r}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "name", name)
+        _hold(self, arr, name)
+
+    @classmethod
+    def of_checked(cls, values, name=None):
+        """A Tensor of values that already passed the finiteness check, without a second scan.
+
+        For a codec's reconstruction, whose kernel checked it when it was
+        made; a strided view of one is copied to C order.
+        """
+        t = cls.__new__(cls)
+        _hold(t, np.asarray(values, dtype=np.float64, order="C"), name)
+        return t
 
     def __setattr__(self, key, value):
         raise AttributeError("Tensor is immutable")
@@ -59,6 +68,12 @@ class Tensor:
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"Tensor{label} shape={self.shape}"
+
+
+def _hold(t, arr, name):
+    arr.flags.writeable = False
+    object.__setattr__(t, "data", arr)
+    object.__setattr__(t, "name", name)
 
 
 def tensor(values, name=None):
@@ -112,6 +127,16 @@ def group_axes(ndim, axis):
     if not -ndim <= axis < ndim:
         raise AxisOutOfRange(f"axis {axis} out of range for rank {ndim}")
     return tuple(i for i in range(ndim) if i != axis % ndim)
+
+
+def group_absmax(arr, axis):
+    """max|x| of each group along ``axis``, keepdims=True; 0 for an empty group.
+
+    Two reductions of ``arr`` itself, so no |x| array is made.
+    """
+    others = group_axes(arr.ndim, axis)
+    return np.maximum(arr.max(axis=others, keepdims=True, initial=0.0),
+                      -arr.min(axis=others, keepdims=True, initial=0.0))
 
 
 def save_tensors(tensors, path, dtype="f64"):

@@ -198,6 +198,23 @@ class TestCompare:
         with pytest.raises(ValueError):
             parse_synth("gaussian_outlier:8x8", 0)
 
+    def test_each_reconstruction_checked_for_finiteness_once(self, tmp_path, monkeypatch):
+        src = tmp_path / "in.lqt"
+        save_tensors([tensor(np.random.default_rng(2).normal(size=(64, 32)), "w")], src)
+        formats = ["int8", "int4", "e4m3", "hif8", "hif8-scaled", "mxfp4", "nvfp4", "hif4"]
+        checked = []
+        module = sys.modules["lofiq.tensor"]  # the name lofiq.tensor is the function
+        inner = module._check_finite
+        monkeypatch.setattr(module, "_check_finite",
+                            lambda arr, label: (checked.append(label), inner(arr, label)))
+        assert run("compare", "--input", src, "--formats", ",".join(formats),
+                   "-o", tmp_path / "r.json") == 0
+        # Tensors: the loaded input, then one per reconstruction, made by its
+        # kernel. The "array" checks are project's, on the scaled blocks that
+        # mxfp4 (1) and nvfp4 (2) round inside their kernels.
+        assert sum(label.startswith("tensor") for label in checked) == 1 + len(formats)
+        assert checked.count("array") == 3
+
     def test_bad_synth_exits_1(self, tmp_path):
         assert run("compare", "--synth", "cauchy:8x8", "--formats", "int8",
                    "-o", tmp_path / "r.json") == 1
@@ -254,6 +271,16 @@ class TestPtqCommands:
             assert proc.returncode == 1
             assert proc.stderr.startswith("error: ")
             assert "Traceback" not in proc.stderr
+
+
+    @pytest.mark.parametrize("cmd,extra", [("svdq", ("--rank", "0")), ("svdq", ("--alpha", "1.5")),
+                                           ("smooth", ("--alpha", "1.5"))])
+    def test_bad_rank_or_alpha_exits_1_without_traceback(self, tmp_path, cmd, extra):
+        xp, wp = self._pair(tmp_path)
+        proc = run_subprocess(cmd, "--x", xp, "--w", wp, "-f", "int8", *extra)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -140,6 +141,28 @@ class TestCompareFormats:
         rev = compare_formats(t, ["hif8", "int8"], "weight")
         assert fwd[0] == rev[1]
         assert fwd[1] == rev[0]
+
+    def test_each_reconstruction_freed_before_the_next(self):
+        # peak memory holds one reconstruction at a time, not two
+        made = []
+
+        class Spy:
+            selector = "spy"
+
+            def granularity(self, role, ndim):
+                return "spy"
+
+            def config(self, role):
+                return {}
+
+            def reconstruct(self, t, role, pad=False):
+                assert all(ref() is None for ref in made)
+                out = np.array(t.data)
+                made.append(weakref.ref(out))
+                return out
+
+        t = synth(SyntheticSpec("gaussian", (8, 8), seed=3))
+        assert len(compare_formats(t, [Spy(), Spy(), Spy()], "weight")) == 3
 
     def test_role_changes_granularity(self):
         t = synth(SyntheticSpec("gaussian", (32, 32), seed=0))

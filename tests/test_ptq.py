@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lofiq.errors import LengthMismatch, RankOutOfRange, ShapeMismatch
+from lofiq.errors import AlphaOutOfRange, LengthMismatch, LofiqError, RankOutOfRange, ShapeMismatch
 from lofiq.ptq import (
     ALPHA_GRID,
     apply_smoothing,
@@ -37,6 +37,13 @@ class TestSmoothScales:
     def test_alpha_range(self):
         with pytest.raises(ValueError):
             smooth_scales([1.0], [1.0], 1.5)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+    def test_alpha_range_is_a_typed_error(self, alpha):
+        with pytest.raises(AlphaOutOfRange) as info:
+            smooth_scales([1.0], [1.0], alpha)
+        assert isinstance(info.value, LofiqError)
+        assert isinstance(info.value, ValueError)
 
     def test_degenerate_channel_clamps(self):
         plan = smooth_scales([0.0], [1e9], 0.9)
@@ -170,6 +177,19 @@ class TestSearchAlpha:
             xs, ws = apply_smoothing(tensor(x), tensor(w), p)
             qa = codec.reconstruct(xs.data, "activation") @ codec.reconstruct(ws.data, "weight")
             assert err <= np.linalg.norm(qa - x @ w)
+
+    def test_takes_the_product_from_its_caller(self):
+        rng = np.random.default_rng(16)
+        x, w = tensor(rng.normal(size=(12, 8))), tensor(rng.normal(size=(8, 6)))
+        codec = parse_format("int8")
+        plan, err, qx = search_alpha(x, w, codec)
+        given = search_alpha(x, w, codec, ref=x.data @ w.data)
+        assert given[0].alpha == plan.alpha and given[1] == err
+        assert np.array_equal(given[2], qx)
+        # the product passed in is the one measured against
+        _, err0, qx0 = search_alpha(x, w, codec, grid=(0.5,), ref=np.zeros((12, 6)))
+        ws = apply_smoothing(x, w, plan_for(x, w, 0.5))[1]
+        assert err0 == np.linalg.norm(qx0 @ codec.reconstruct(ws, "weight"))
 
     @pytest.mark.parametrize("x_shape,w_shape", [((4,), (4, 4)), ((4, 4), (4,)), ((), (4, 4)),
                                                  ((4, 3), (4, 4)), ((2, 4, 4), (4, 4))])
@@ -319,6 +339,20 @@ class TestPipelines:
         w = tensor(np.ones((4, 4)))
         with pytest.raises(RankOutOfRange):
             svdquant_pipeline(x, w, "int8", rank=0)
+
+    @pytest.mark.parametrize("pipeline,kwargs,error", [
+        (svdquant_pipeline, {"rank": 0}, RankOutOfRange),
+        (svdquant_pipeline, {"rank": 9}, RankOutOfRange),
+        (svdquant_pipeline, {"alpha": 1.5}, AlphaOutOfRange),
+        (smoothquant_pipeline, {"alpha": -0.5}, AlphaOutOfRange),
+        (smoothquant_pipeline, {"alpha": float("nan")}, AlphaOutOfRange)])
+    def test_arguments_checked_before_any_quantization(self, pipeline, kwargs, error):
+        rng = np.random.default_rng(17)
+        x, w = tensor(rng.normal(size=(6, 8))), tensor(rng.normal(size=(8, 10)))
+        spy = _SpyCodec("int8")
+        with pytest.raises(error):
+            pipeline(x, w, spy, **kwargs)
+        assert spy.calls == 0
 
     def test_low_rank_branch_beats_rtn(self):
         rng = np.random.default_rng(13)
