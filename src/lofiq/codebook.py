@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyTensor, UnknownFormat
-from .tensor import as_array
+from .tensor import as_array, check_chunk, for_chunks
 
 __all__ = [
     "FpFormatSpec",
@@ -227,8 +227,8 @@ def mxint8_codebook():
 # of two adjacent values is exact in float64, so strict inequality against it
 # is the exact nearest test and equality is the exact tie test.
 
-def _round_exmy(x, lo, hi, emin, y):
-    out = np.clip(x, lo, hi)
+def _round_exmy(x, lo, hi, emin, y, out):
+    out = np.clip(x, lo, hi, out=out)
     _, q = np.frexp(out)
     q -= 1 + y
     np.maximum(q, emin - y, out=q)
@@ -254,19 +254,31 @@ def _search_nearest(values, codes, mids, x):
     return out
 
 
+def _round(cb, x, out):
+    """Round the finite array ``x`` (at least 1-D) onto ``cb`` into ``out``, which may be ``x``.
+
+    project's rounding without its ingest and checks, for a kernel's chunk
+    of values it derived from checked data.
+    """
+    if cb._exmy is not None:
+        return _round_exmy(x, cb.values[0], cb.values[-1], *cb._exmy, out=out)
+    out[...] = _search_nearest(cb.values, cb.codes, cb._mids, x)
+    return out
+
+
 def project(cb, x):
     """Round finite input(s) onto the nearest codebook value.
 
     Values beyond the extremes clip to them; exact midpoints resolve to the
     neighbour with the even mantissa code. A zero result is +0.0. NaN or
-    Inf input raises NonFiniteValue.
+    Inf input raises NonFiniteValue. The output is rounded and checked in
+    chunks, so a cast's reconstruction needs no second scan.
     """
     arr = as_array(x)
     flat = arr.reshape(-1)
-    if cb._exmy is not None:
-        out = _round_exmy(flat, cb.values[0], cb.values[-1], *cb._exmy)
-    else:
-        out = _search_nearest(cb.values, cb.codes, cb._mids, flat)
+    out = np.empty(flat.shape)
+    name = getattr(x, "name", None)
+    for_chunks(lambda s: check_chunk(_round(cb, flat[s], out[s]), name), flat)
     return out.reshape(arr.shape)
 
 

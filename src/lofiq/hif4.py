@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, as_array, block_view
+from .tensor import Tensor, as_array, block_view, check_chunk, for_chunks
 
 __all__ = ["BLOCK", "MODES", "Q_MIN", "Q_MAX", "Hif4Quantized", "hif4_quantize", "hif4_dequantize"]
 
@@ -87,17 +87,33 @@ def hif4_quantize(t, axis, subscale_mode="literal"):
     arr = as_array(t)
     view = block_view(arr, axis, BLOCK)
     X = view.reshape(view.shape[:1] + (8, 2, 4) + view.shape[2:])
-    e1, m1, e2, e3, signs, xhat = _quantize_blocks(X, subscale_mode == "halfrange")
-    return Hif4Quantized(axis, arr.shape, e1, m1, e2, e3, signs, xhat,
-                         subscale_mode, getattr(t, "name", None))
+    B, T = X.shape[:1], X.shape[4:]
+    fields = (np.empty(B + T, np.int64), np.empty(B + T, np.int64),
+              np.empty(B + (8,) + T, np.int64), np.empty(B + (8, 2) + T, np.int64),
+              np.empty(X.shape, np.int8), np.empty(X.shape, np.uint8))
+    halfrange = subscale_mode == "halfrange"
+
+    def chunk(s):
+        for field, part in zip(fields, _quantize_blocks(X[s], halfrange)):
+            field[s] = part
+
+    for_chunks(chunk, X)
+    return Hif4Quantized(axis, arr.shape, *fields, subscale_mode, getattr(t, "name", None))
 
 
 def hif4_dequantize(q):
     """Reconstruct sign * M1 * 2**(E1+E2+E3-4) * Xhat in the input's layout."""
-    # M1 * 2**exp is a normal float and M1 * Xhat < 2**6, so scaling the
-    # micro-block's M1 first and multiplying by Xhat is exact
-    scale = np.ldexp(q.m1[:, None, None].astype(np.float64),
-                     q.e1[:, None, None] + q.e2[:, :, None] + q.e3 - 4)
-    out = np.multiply(q.xhat, scale[:, :, :, None], dtype=np.float64)
-    out *= q.signs  # after the product, so a zero code under sign -1 stays -0.0
-    return Tensor(out.reshape(q.shape), q.name)
+    out = np.empty(q.shape)
+    out_view = block_view(out, q.axis, BLOCK).reshape(q.xhat.shape)
+
+    def chunk(s):
+        # M1 * 2**exp is a normal float and M1 * Xhat < 2**6, so scaling the
+        # micro-block's M1 first and multiplying by Xhat is exact
+        scale = np.ldexp(q.m1[s][:, None, None].astype(np.float64),
+                         q.e1[s][:, None, None] + q.e2[s][:, :, None] + q.e3[s] - 4)
+        o = np.multiply(q.xhat[s], scale[:, :, :, None], out=out_view[s])
+        o *= q.signs[s]  # after the product, so a zero code under sign -1 stays -0.0
+        check_chunk(o, q.name)
+
+    for_chunks(chunk, q.xhat)
+    return Tensor.of_checked(out, q.name)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook, FpFormatSpec
-from .tensor import Tensor, as_array, group_absmax, group_axes
+from .tensor import Tensor, as_array, check_chunk, for_chunks, group_absmax, group_axes, rows
 
 __all__ = [
     "MAX_NORMAL",
@@ -106,29 +106,31 @@ _GRID_EXP = np.array([be - 1 - _mantissa_bits(abs(be - 1)) for be in range(_FREX
                      dtype=np.int32)
 
 
-def _quantize_array(arr):
-    """C-contiguous quantization of ``arr`` in its shape (0-d included)."""
-    flat = arr.reshape(-1)  # ufuncs turn 0-d arrays into scalars, which out= rejects
-    ax = np.abs(flat)
+def _quantize_into(x, out):
+    """Quantize the array ``x`` (at least 1-D) into ``out`` of its shape."""
+    ax = np.abs(x)
     _, be = np.frexp(ax)
     underflow = be < -21  # e < -22; zero has be = 0
     q = _GRID_EXP[be - _FREXP_MIN]
-    xh = np.ldexp(ax, -q)
-    xh += 0.5
-    np.floor(xh, out=xh)
-    val = np.ldexp(xh, q, out=xh)
+    val = np.ldexp(ax, -q, out=out)
+    val += 0.5
+    np.floor(val, out=val)
+    np.ldexp(val, q, out=val)
     val[underflow] = MIN_SUBNORMAL
     np.minimum(val, MAX_NORMAL, out=val)
-    np.copysign(val, flat, out=val)
+    np.copysign(val, x, out=val)
     val += 0.0  # -0.0 -> +0.0, as hif8_quantize_value returns
-    return val.reshape(arr.shape)
+    return val
 
 
 def hif8_quantize(t):
     """Elementwise quantize-dequantize of a whole tensor."""
     arr = as_array(t)
-    out = _quantize_array(arr)
-    return Tensor(out, getattr(t, "name", None))
+    name = getattr(t, "name", None)
+    flat = arr.reshape(-1)  # ufuncs turn 0-d arrays into scalars, which out= rejects
+    out = np.empty(flat.shape)
+    for_chunks(lambda s: check_chunk(_quantize_into(flat[s], out[s]), name), flat)
+    return Tensor.of_checked(out.reshape(arr.shape), name)
 
 
 def hif8_enumerate():
@@ -184,11 +186,18 @@ def hif8_scaled_quantize(t, axis, K):
         raise ValueError("K must be positive")
     arr = as_array(t)
     scales = K / (group_absmax(arr, axis) + _SCALE_EPS)
-    values = _quantize_array(arr * scales)
+    values = np.empty(arr.shape)
+    for_chunks(lambda s: _quantize_into(arr[s] * rows(scales, s), values[s]), arr)
     return ScaledHif8Quantized(values, scales.reshape(-1), float(K), axis,
                                getattr(t, "name", None))
 
 
 def hif8_scaled_dequantize(q):
     scales = np.expand_dims(q.scales, group_axes(q.values.ndim, q.axis))
-    return Tensor(q.values / scales, q.name)
+    out = np.empty(q.values.shape)
+
+    def chunk(s):
+        check_chunk(np.divide(q.values[s], rows(scales, s), out=out[s]), q.name)
+
+    for_chunks(chunk, q.values)
+    return Tensor.of_checked(out, q.name)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, as_array, group_absmax, group_axes
+from .tensor import Tensor, as_array, check_chunk, for_chunks, group_absmax, group_axes, rows
 
 __all__ = ["IntQuantized", "int_quantize_symmetric", "int_quantize_asymmetric", "int_dequantize"]
 
@@ -55,6 +55,23 @@ def _codes(v):
     return v.astype(np.int16, order="C")
 
 
+def _quantize_codes(arr, scales, finish):
+    """int16 codes of ``arr``: |x| / scale rounded half away from zero, then ``finish``ed in place.
+
+    Runs in chunks along the first axis, each one rounded in its own buffer.
+    """
+    codes = np.empty(arr.shape, np.int16)
+
+    def chunk(s):
+        x = arr[s]
+        v = np.abs(x)
+        v /= rows(scales, s)
+        codes[s] = finish(_round_half_away(v, x), s)
+
+    for_chunks(chunk, arr)
+    return codes
+
+
 def int_quantize_symmetric(t, axis, bits):
     """Per-group symmetric quantization: scale = max|x| / (2**(b-1) - 1)."""
     if bits not in _BITS:
@@ -63,10 +80,8 @@ def int_quantize_symmetric(t, axis, bits):
     qmax = 2 ** (bits - 1) - 1
     amax = group_absmax(arr, axis)
     scales = np.where(amax > 0, _positive_scales(amax / qmax), 1.0)
-    v = np.abs(arr)
-    v /= scales
-    np.clip(_round_half_away(v, arr), -qmax, qmax, out=v)
-    return IntQuantized(_codes(v), scales.reshape(-1), None, axis, bits, "symmetric",
+    codes = _quantize_codes(arr, scales, lambda v, s: np.clip(v, -qmax, qmax, out=v))
+    return IntQuantized(codes, scales.reshape(-1), None, axis, bits, "symmetric",
                         getattr(t, "name", None))
 
 
@@ -86,12 +101,13 @@ def int_quantize_asymmetric(t, axis, bits):
     hi = arr.max(axis=others, keepdims=True, initial=-np.inf)
     scales = np.where(hi > lo, _positive_scales((hi - lo) / levels), 1.0)
     zps = np.clip(_round_half_away(np.abs(lo) / scales, -lo), 0, levels)
-    v = np.abs(arr)
-    v /= scales
-    _round_half_away(v, arr)
-    v += zps
-    np.clip(v, 0, levels, out=v)
-    return IntQuantized(_codes(v), scales.reshape(-1), _codes(zps).reshape(-1), axis, bits,
+
+    def finish(v, s):
+        v += rows(zps, s)
+        return np.clip(v, 0, levels, out=v)
+
+    codes = _quantize_codes(arr, scales, finish)
+    return IntQuantized(codes, scales.reshape(-1), _codes(zps).reshape(-1), axis, bits,
                         "asymmetric", getattr(t, "name", None))
 
 
@@ -99,10 +115,17 @@ def int_dequantize(q):
     """scale * code (symmetric) or scale * (code - zero_point) (asymmetric)."""
     others = group_axes(q.codes.ndim, q.axis)
     scales = np.expand_dims(q.scales, others)
-    if q.mode == "symmetric":
-        out = q.codes * scales
-    else:
-        # integer differences are exact in float64, so this is (codes - zps) * scales
-        out = np.subtract(q.codes, np.expand_dims(q.zero_points, others), dtype=np.float64)
-        out *= scales
-    return Tensor(out, q.name)
+    zps = None if q.mode == "symmetric" else np.expand_dims(q.zero_points, others)
+    out = np.empty(q.codes.shape)
+
+    def chunk(s):
+        if zps is None:
+            o = np.multiply(q.codes[s], rows(scales, s), out=out[s])
+        else:
+            # integer differences are exact in float64, so this is (codes - zps) * scales
+            o = np.subtract(q.codes[s], rows(zps, s), dtype=np.float64, out=out[s])
+            o *= rows(scales, s)
+        check_chunk(o, q.name)
+
+    for_chunks(chunk, q.codes)
+    return Tensor.of_checked(out, q.name)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ShapeMismatch, ZeroSignal
 from .registry import as_codec
-from .tensor import Tensor, as_array
+from .tensor import Tensor, as_array, for_chunks
 
 __all__ = [
     "FidelityReport",
@@ -109,17 +109,27 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, signal=None, ref_norm
         raise ShapeMismatch(f"shape {arr.shape} vs {rec.shape}")
     signal = float(np.sum(arr * arr)) if signal is None else signal
     ref_norm = float(np.linalg.norm(arr)) if ref_norm is None else ref_norm
-    err = np.asarray(rec - arr)  # 0-d operands give a scalar, which out= below rejects
-    db = sqnr(arr, rec, signal=signal, noise=float(np.sum(err * err)))
-    np.abs(err, out=err)
+    a, r = (arr, rec) if arr.ndim else (arr.reshape(1), rec.reshape(1))
+    err = np.empty(a.shape)  # |recon - arr|, formed and maximized in chunks
+
+    def chunk(s):
+        e = np.subtract(r[s], a[s], out=err[s])
+        return np.abs(e, out=e).max(initial=0.0)
+
+    max_abs = max(for_chunks(chunk, a), default=0.0)
+    # sums, the mean and the norm run over the whole array, in the order a
+    # single pass adds, so every reported digit is that pass's
+    mean_abs = float(err.mean()) if err.size else 0.0
     rel = float(np.linalg.norm(err)) / ref_norm if ref_norm else 0.0
+    for_chunks(lambda s: np.multiply(err[s], err[s], out=err[s]), a)
+    db = sqnr(arr, rec, signal=signal, noise=float(np.sum(err)))
     return FidelityReport(
         tensor_name=getattr(t, "name", None) or "<unnamed>",
         format_name=codec.selector,
         granularity=codec.granularity(role, arr.ndim),
         sqnr_db=db,
-        max_abs_err=float(err.max()) if err.size else 0.0,
-        mean_abs_err=float(err.mean()) if err.size else 0.0,
+        max_abs_err=float(max_abs),
+        mean_abs_err=mean_abs,
         rel_fro_err=rel,
         config=codec.config(role),
     )

@@ -18,12 +18,12 @@ import numpy as np
 from .codebook import (
     Codebook,
     FpFormatSpec,
+    _round,
     builtin_spec,
     enumerate_codebook,
     mxint8_codebook,
-    project,
 )
-from .tensor import Tensor, as_array, block_view
+from .tensor import Tensor, as_array, block_view, check_chunk, for_chunks
 
 __all__ = ["DEFAULT_BLOCK", "MxQuantized", "mx_quantize", "mx_dequantize", "resolve_element"]
 
@@ -75,19 +75,35 @@ def mx_quantize(t, axis, element_spec, k=DEFAULT_BLOCK):
     cb = resolve_element(element_spec)
     arr = as_array(t)
     view = block_view(arr, axis, k)
-    amax = np.max(np.abs(view), axis=1)
-    nonzero = amax > 0
     q_max = cb.max_finite
-    e = np.full(amax.shape, E_MIN, dtype=np.int64)
-    e[nonzero] = np.clip(_ceil_log2_ratio(amax[nonzero], q_max), E_MIN, E_MAX)
-    y = view / np.ldexp(1.0, e)[:, None]
-    np.clip(y, -q_max, q_max, out=y)
-    codes = project(cb, y).reshape(arr.shape)  # an all-zero block codes +0.0, like every zero
+    e = np.empty(view.shape[:1] + view.shape[2:], dtype=np.int64)
+    codes = np.empty(arr.shape)
+    code_view = block_view(codes, axis, k)
+
+    def chunk(s):
+        amax = np.max(np.abs(view[s]), axis=1)
+        nonzero = amax > 0
+        es = e[s]
+        es[...] = E_MIN
+        es[nonzero] = np.clip(_ceil_log2_ratio(amax[nonzero], q_max), E_MIN, E_MAX)
+        y = np.divide(view[s], np.ldexp(1.0, es)[:, None], out=code_view[s])
+        np.clip(y, -q_max, q_max, out=y)
+        _round(cb, y, y)  # an all-zero block codes +0.0, like every zero
+
+    for_chunks(chunk, view)
     return MxQuantized(cb, k, axis, arr.shape, e, codes, getattr(t, "name", None))
 
 
 def mx_dequantize(q):
     """Reconstruct 2**e * code elementwise."""
-    # a code times 2**e is a normal float, so the product equals ldexp(code, e)
-    out = block_view(q.codes, q.axis, q.block_size) * np.ldexp(1.0, q.shared_exponents)[:, None]
-    return Tensor(out.reshape(q.shape), q.name)
+    codes = block_view(q.codes, q.axis, q.block_size)
+    out = np.empty(q.shape)
+    out_view = block_view(out, q.axis, q.block_size)
+
+    def chunk(s):
+        # a code times 2**e is a normal float, so the product equals ldexp(code, e)
+        o = np.multiply(codes[s], np.ldexp(1.0, q.shared_exponents[s])[:, None], out=out_view[s])
+        check_chunk(o, q.name)
+
+    for_chunks(chunk, codes)
+    return Tensor.of_checked(out, q.name)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import project
+from .codebook import _round
 from .mx import resolve_element
-from .tensor import Tensor, as_array, block_view
+from .tensor import Tensor, as_array, block_view, check_chunk, for_chunks
 
 __all__ = ["BLOCK", "V_MAX", "Nvfp4Quantized", "nvfp4_quantize", "nvfp4_dequantize"]
 
@@ -44,7 +44,8 @@ def nvfp4_quantize(t, axis):
     e2m1 = resolve_element("e2m1")
     arr = as_array(t)
     view = block_view(arr, axis, BLOCK)
-    vmax = np.max(np.abs(view), axis=1)
+    vmax = np.empty(view.shape[:1] + view.shape[2:])
+    for_chunks(lambda s: np.max(np.abs(view[s]), axis=1, out=vmax[s]), view)
 
     amax = float(np.max(vmax)) if vmax.size else 0.0
     if amax == 0.0:
@@ -57,28 +58,47 @@ def nvfp4_quantize(t, axis):
     while amax / s2 > V_MAX:
         s2 = np.nextafter(s2, np.inf)
 
-    # x / s2 rounds monotonically, so the block maximum of |x / s2| is
-    # max|x| / s2 exactly, and likewise for the overshoot below
-    bmax = vmax / s2
-    nonzero = bmax > 0
-    s1 = np.zeros_like(bmax)
-    s1[nonzero] = project(e4m3, bmax[nonzero] / E2M1_MAX)
-    # a nonzero block whose scale estimate rounds to 0 (possible when the
-    # block maximum is tiny relative to the tensor maximum) gets the smallest
-    # positive E4M3 value instead of a divide-by-zero
-    s1[nonzero & (s1 == 0)] = _E4M3_MIN_POS
+    s1 = np.zeros_like(vmax)
+    codes = np.empty(arr.shape)
+    code_view = block_view(codes, axis, BLOCK)
 
-    # an all-zero block divides by 1 and stays +-0, which project rounds to
-    # +0; project also applies the +-6 element clip
-    div = np.where(nonzero, s1, 1.0)
-    y = view / s2
-    np.divide(y, div[:, None], out=y)
-    codes = project(e2m1, y).reshape(arr.shape)
-    return Nvfp4Quantized(float(s2), s1, codes, axis, arr.shape, float(np.max(bmax / div)),
+    def chunk(s):
+        # x / s2 rounds monotonically, so the block maximum of |x / s2| is
+        # max|x| / s2 exactly, and likewise for the overshoot below
+        bmax = vmax[s] / s2
+        nonzero = bmax > 0
+        s1s = s1[s]
+        est = bmax[nonzero] / E2M1_MAX
+        s1s[nonzero] = _round(e4m3, est, est)
+        # a nonzero block whose scale estimate rounds to 0 (possible when the
+        # block maximum is tiny relative to the tensor maximum) gets the
+        # smallest positive E4M3 value instead of a divide-by-zero
+        s1s[nonzero & (s1s == 0)] = _E4M3_MIN_POS
+
+        # an all-zero block divides by 1 and stays +-0, which rounds to +0;
+        # the rounding also applies the +-6 element clip
+        div = np.where(nonzero, s1s, 1.0)
+        y = np.divide(view[s], s2, out=code_view[s])
+        np.divide(y, div[:, None], out=y)
+        _round(e2m1, y, y)
+        np.divide(bmax, div, out=bmax)
+        return np.max(bmax)
+
+    overshoot = max(for_chunks(chunk, view))
+    return Nvfp4Quantized(float(s2), s1, codes, axis, arr.shape, float(overshoot),
                           getattr(t, "name", None))
 
 
 def nvfp4_dequantize(q):
     """Reconstruct s1 * s2 * code elementwise."""
-    out = block_view(q.codes, q.axis, BLOCK) * q.block_scales[:, None] * q.per_tensor_scale
-    return Tensor(out.reshape(q.shape), q.name)
+    codes = block_view(q.codes, q.axis, BLOCK)
+    out = np.empty(q.shape)
+    out_view = block_view(out, q.axis, BLOCK)
+
+    def chunk(s):
+        o = np.multiply(codes[s], q.block_scales[s][:, None], out=out_view[s])
+        o *= q.per_tensor_scale
+        check_chunk(o, q.name)
+
+    for_chunks(chunk, codes)
+    return Tensor.of_checked(out, q.name)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AlphaOutOfRange, LengthMismatch, NonConvergence, RankOutOfRange, ShapeMismatch
 from .registry import as_codec
-from .tensor import Tensor, as_array
+from .tensor import Tensor, as_array, check_chunk, for_chunks, group_absmax
 
 __all__ = [
     "ALPHA_GRID",
@@ -89,15 +89,17 @@ def smooth_scales(x_colmax, w_rowmax, alpha):
 
 
 def _matrices(x, w):
-    """X and W as arrays: both 2-D with matching inner dimensions, else ShapeMismatch."""
+    """X and W as arrays: non-empty, 2-D, matching inner dimensions; else ShapeMismatch."""
     xa, wa = as_array(x), as_array(w)
-    if xa.ndim != 2 or wa.ndim != 2 or xa.shape[1] != wa.shape[0]:
-        raise ShapeMismatch(f"need x (m, d) and w (d, n), got x {xa.shape} and w {wa.shape}")
+    if xa.ndim != 2 or wa.ndim != 2 or xa.shape[1] != wa.shape[0] or not xa.size or not wa.size:
+        raise ShapeMismatch(f"need non-empty x (m, d) and w (d, n), "
+                            f"got x {xa.shape} and w {wa.shape}")
     return xa, wa
 
 
 def _maxima(xa, wa):
-    return np.max(np.abs(xa), axis=0), np.max(np.abs(wa), axis=1)
+    """max|X| per column and max|W| per row, with no |X| or |W| array."""
+    return group_absmax(xa, 1).ravel(), group_absmax(wa, 0).ravel()
 
 
 def plan_for(x, w, alpha):
@@ -106,13 +108,27 @@ def plan_for(x, w, alpha):
 
 
 def apply_smoothing(x, w, plan):
-    """Return (x / s columnwise, s * w rowwise); the product is unchanged."""
-    xa, wa = as_array(x), as_array(w)
+    """Return (x / s columnwise, s * w rowwise); the product is unchanged.
+
+    Both are formed in chunks and each chunk is checked for finiteness as
+    it is made.
+    """
+    xa, wa = _matrices(x, w)
     s = plan.scales
-    if xa.shape[-1] != s.size or wa.shape[0] != s.size:
+    if s.shape != (xa.shape[1],):
         raise ShapeMismatch(
             f"plan length {s.size} does not match x {xa.shape} / w {wa.shape}")
-    return Tensor(xa / s, getattr(x, "name", None)), Tensor(s[:, None] * wa, getattr(w, "name", None))
+    xs = _scaled(xa.shape, lambda rs, o: np.divide(xa[rs], s, out=o), getattr(x, "name", None))
+    ws = _scaled(wa.shape, lambda rs, o: np.multiply(s[rs, None], wa[rs], out=o),
+                 getattr(w, "name", None))
+    return xs, ws
+
+
+def _scaled(shape, op, name):
+    """A Tensor built in chunks: ``op(rs, out)`` writes rows ``rs`` into ``out``, then is checked."""
+    out = np.empty(shape)
+    for_chunks(lambda rs: check_chunk(op(rs, out[rs]), name), out)
+    return Tensor.of_checked(out, name)
 
 
 def invert_smoothing(x_s, w_s, plan):

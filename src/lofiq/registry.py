@@ -27,7 +27,7 @@ import numpy as np
 from . import hif4, hif8, intquant, mx, nvfp4
 from .codebook import builtin_spec, enumerate_codebook, project
 from .errors import UnknownFormat
-from .tensor import Tensor, as_array
+from .tensor import as_array
 
 __all__ = ["ROLES", "parse_format", "as_codec", "group_axis_for", "block_axis_for"]
 
@@ -95,9 +95,9 @@ class _Codec:
         block is zero-padded up to one and the reconstruction cropped back,
         so padded elements never reach the output or statistics built on it.
 
-        The result has passed one finiteness check, made when the kernel
-        built its Tensor; a caller wraps it with ``Tensor.of_checked``
-        rather than scanning it again.
+        The result has passed one finiteness check, made by the kernel on
+        each chunk of its output; a caller wraps it with
+        ``Tensor.of_checked`` rather than scanning it again.
         """
         if self.role_axis is None:
             return self._reconstruct(t, role, None)
@@ -152,7 +152,7 @@ class CastCodec(_Codec):
         self.cb = enumerate_codebook(builtin_spec(name))
 
     def _reconstruct(self, t, role, axis):
-        return Tensor(project(self.cb, t)).data
+        return project(self.cb, t)
 
 
 class MxCodec(_Codec):

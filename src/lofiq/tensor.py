@@ -1,4 +1,4 @@
-"""Dense float64 tensor container, axis/block partitioning, and the LQT1 file format.
+"""Dense float64 tensor container, axis/block partitioning, slices run on every core, and LQT1.
 
 All codecs in this package consume and produce 64-bit tensors; narrower
 on-disk dtypes are widened losslessly on load. Non-finite values are
@@ -10,6 +10,7 @@ import json
 import math
 import os
 import struct
+import threading
 
 import numpy as np
 
@@ -86,6 +87,104 @@ def _check_finite(arr, label):
         raise NonFiniteValue(f"{label} contains NaN or Inf")
 
 
+def check_chunk(arr, name):
+    """The finiteness check of one chunk of a reconstruction named ``name``.
+
+    A kernel calls it on each chunk of its output while the chunk is still
+    in cache, then wraps the whole output with ``Tensor.of_checked``.
+    """
+    _check_finite(arr, f"tensor {name or '<unnamed>'!r}")
+
+
+# -- chunks on every core -----------------------------------------------------
+#
+# Kernels split their arrays along the first axis into slices of about CHUNK
+# elements, so a slice and its temporaries stay in one core's L2 cache, and run
+# the slices on every usable core: the calling thread and a pool of one thread
+# per other core take slices from one shared list until it is empty. numpy
+# releases the GIL inside its loops. Every chunk writes its own part of
+# preallocated outputs and each element is computed by the same operations as
+# in one whole-array pass, so results are bit-identical for any chunk size and
+# core count.
+
+CHUNK = 1 << 16  # elements per slice: 512 KiB of float64
+
+_pool = None  # None until first use, then (executor, helper count), or False with one usable core
+_pool_lock = threading.Lock()
+_in_chunk = threading.local()
+
+
+def _forget_pool():
+    global _pool
+    _pool = None  # a forked child has none of its parent's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _get_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+            if cores > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
+                _pool = (ThreadPoolExecutor(cores - 1, thread_name_prefix="lofiq-chunk"),
+                         cores - 1)
+            else:
+                _pool = False
+    return _pool
+
+
+def for_chunks(fn, arr):
+    """Call ``fn(s)`` for each slice ``s`` of ``arr``'s first axis; the results in slice order.
+
+    Only ``arr``'s shape is read; it has at least one axis. Each slice holds
+    about CHUNK elements (at least one index). With one slice, one usable
+    core, or when called from inside ``fn``, the calls run inline on the
+    calling thread. Otherwise every slice runs, and then the first error in
+    slice order is raised.
+    """
+    step = max(1, CHUNK // max(1, math.prod(arr.shape[1:])))
+    slices = [slice(i, i + step) for i in range(0, arr.shape[0], step)]
+    inline = len(slices) <= 1 or getattr(_in_chunk, "flag", False)
+    pool = False if inline else _get_pool()
+    if not pool:
+        return [fn(s) for s in slices]
+    results = [None] * len(slices)
+    errors = [None] * len(slices)
+    todo = iter(range(len(slices)))
+    take = threading.Lock()
+
+    def drain():
+        _in_chunk.flag = True
+        try:
+            while True:
+                with take:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(slices[i])
+                except Exception as exc:  # raised below, once every slice is done
+                    errors[i] = exc
+        finally:
+            _in_chunk.flag = False
+
+    executor, count = pool
+    helpers = [executor.submit(drain) for _ in range(count)]
+    drain()
+    for h in helpers:
+        h.result()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def as_array(t):
     """The float64 array behind ``t``, the one ingest of every library entry point.
 
@@ -137,6 +236,15 @@ def group_absmax(arr, axis):
     others = group_axes(arr.ndim, axis)
     return np.maximum(arr.max(axis=others, keepdims=True, initial=0.0),
                       -arr.min(axis=others, keepdims=True, initial=0.0))
+
+
+def rows(field, s):
+    """The part of a keepdims per-group ``field`` that meets slice ``s`` of the array's first axis.
+
+    A field grouped along axis 0 is sliced with the array; any other has
+    extent 1 there and broadcasts whole.
+    """
+    return field if field.shape[0] == 1 else field[s]
 
 
 def save_tensors(tensors, path, dtype="f64"):

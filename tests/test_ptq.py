@@ -200,6 +200,23 @@ class TestSearchAlpha:
         with pytest.raises(ShapeMismatch):
             plan_for(x, w, 0.5)
 
+    @pytest.mark.parametrize("x_shape,w_shape", [((0, 4), (4, 3)), ((2, 4), (4, 0)),
+                                                 ((2, 0), (0, 3))])
+    def test_empty_inputs_rejected(self, x_shape, w_shape):
+        # a zero-size X or W is a typed error, not numpy's bare ValueError
+        # from a max over an empty axis, nor an empty plan
+        x, w = tensor(np.ones(x_shape)), tensor(np.ones(w_shape))
+        with pytest.raises(ShapeMismatch):
+            search_alpha(x, w, "int8")
+        with pytest.raises(ShapeMismatch):
+            plan_for(x, w, 0.5)
+        plan = smooth_scales(np.ones(x_shape[1]), np.ones(x_shape[1]), 0.5)
+        with pytest.raises(ShapeMismatch):
+            apply_smoothing(x, w, plan)
+        for pipeline in (smoothquant_pipeline, svdquant_pipeline):
+            with pytest.raises(ShapeMismatch):
+                pipeline(x, w, "int8")
+
 
 class TestSvdSplit:
     def test_rank_one_exact(self):
