@@ -5,7 +5,6 @@ from .codebook import (
     FpFormatSpec,
     builtin_spec,
     density_in_interval,
-    empirical_cdf,
     enumerate_codebook,
     project,
 )

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyTensor, UnknownFormat
-from .tensor import as_array, check_chunk, for_chunks
+from .errors import UnknownFormat
+from .tensor import as_array, made_in_chunks
 
 __all__ = [
     "FpFormatSpec",
@@ -35,7 +35,6 @@ __all__ = [
     "mxint8_codebook",
     "project",
     "density_in_interval",
-    "empirical_cdf",
 ]
 
 
@@ -276,10 +275,8 @@ def project(cb, x):
     """
     arr = as_array(x)
     flat = arr.reshape(-1)
-    out = np.empty(flat.shape)
-    name = getattr(x, "name", None)
-    for_chunks(lambda s: check_chunk(_round(cb, flat[s], out[s]), name), flat)
-    return out.reshape(arr.shape)
+    return made_in_chunks(arr.shape, lambda s, o: _round(cb, flat[s], o),
+                          getattr(x, "name", None), np.ravel)
 
 
 def density_in_interval(cb, lo, hi):
@@ -290,21 +287,3 @@ def density_in_interval(cb, lo, hi):
     right = np.searchsorted(cb.values, hi, side="right")
     return int(right - left)
 
-
-def empirical_cdf(t, n_points):
-    """CDF of absolute values sampled at n_points order-statistic quantiles.
-
-    Returns a list of (magnitude, cumulative fraction) pairs where the
-    fraction is the exact rank of that magnitude; step-evaluating the pairs
-    reproduces the empirical distribution of |values|.
-    """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    arr = as_array(t)
-    if arr.size == 0:
-        raise EmptyTensor("cannot build a CDF from an empty tensor")
-    mags = np.sort(np.abs(arr), axis=None)
-    qs = np.linspace(0.0, 1.0, n_points)
-    points = np.quantile(mags, qs, method="lower")
-    fractions = np.searchsorted(mags, points, side="right") / mags.size
-    return [(float(m), float(f)) for m, f in zip(points, fractions)]

@@ -50,10 +50,6 @@ class LengthMismatch(LofiqError):
     pass
 
 
-class EmptyTensor(LofiqError):
-    pass
-
-
 class ZeroSignal(LofiqError):
     pass
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, as_array, block_view, check_chunk, for_chunks
+from .tensor import Tensor, as_array, block_view, for_chunks, made_in_chunks
 
 __all__ = ["BLOCK", "MODES", "Q_MIN", "Q_MAX", "Hif4Quantized", "hif4_quantize", "hif4_dequantize"]
 
@@ -103,17 +103,15 @@ def hif4_quantize(t, axis, subscale_mode="literal"):
 
 def hif4_dequantize(q):
     """Reconstruct sign * M1 * 2**(E1+E2+E3-4) * Xhat in the input's layout."""
-    out = np.empty(q.shape)
-    out_view = block_view(out, q.axis, BLOCK).reshape(q.xhat.shape)
 
-    def chunk(s):
+    def fill(s, o):
         # M1 * 2**exp is a normal float and M1 * Xhat < 2**6, so scaling the
         # micro-block's M1 first and multiplying by Xhat is exact
         scale = np.ldexp(q.m1[s][:, None, None].astype(np.float64),
                          q.e1[s][:, None, None] + q.e2[s][:, :, None] + q.e3[s] - 4)
-        o = np.multiply(q.xhat[s], scale[:, :, :, None], out=out_view[s])
+        np.multiply(q.xhat[s], scale[:, :, :, None], out=o)
         o *= q.signs[s]  # after the product, so a zero code under sign -1 stays -0.0
-        check_chunk(o, q.name)
 
-    for_chunks(chunk, q.xhat)
+    out = made_in_chunks(q.shape, fill, q.name,
+                         lambda o: block_view(o, q.axis, BLOCK).reshape(q.xhat.shape))
     return Tensor.of_checked(out, q.name)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook, FpFormatSpec
-from .tensor import Tensor, as_array, check_chunk, for_chunks, group_absmax, group_axes, rows
+from .tensor import Tensor, as_array, for_chunks, group_absmax, group_axes, made_in_chunks, rows
 
 __all__ = [
     "MAX_NORMAL",
@@ -128,9 +128,8 @@ def hif8_quantize(t):
     arr = as_array(t)
     name = getattr(t, "name", None)
     flat = arr.reshape(-1)  # ufuncs turn 0-d arrays into scalars, which out= rejects
-    out = np.empty(flat.shape)
-    for_chunks(lambda s: check_chunk(_quantize_into(flat[s], out[s]), name), flat)
-    return Tensor.of_checked(out.reshape(arr.shape), name)
+    out = made_in_chunks(arr.shape, lambda s, o: _quantize_into(flat[s], o), name, np.ravel)
+    return Tensor.of_checked(out, name)
 
 
 def hif8_enumerate():
@@ -194,10 +193,6 @@ def hif8_scaled_quantize(t, axis, K):
 
 def hif8_scaled_dequantize(q):
     scales = np.expand_dims(q.scales, group_axes(q.values.ndim, q.axis))
-    out = np.empty(q.values.shape)
-
-    def chunk(s):
-        check_chunk(np.divide(q.values[s], rows(scales, s), out=out[s]), q.name)
-
-    for_chunks(chunk, q.values)
+    out = made_in_chunks(q.values.shape,
+                         lambda s, o: np.divide(q.values[s], rows(scales, s), out=o), q.name)
     return Tensor.of_checked(out, q.name)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, as_array, check_chunk, for_chunks, group_absmax, group_axes, rows
+from .tensor import Tensor, as_array, for_chunks, group_absmax, group_axes, made_in_chunks, rows
 
 __all__ = ["IntQuantized", "int_quantize_symmetric", "int_quantize_asymmetric", "int_dequantize"]
 
@@ -116,16 +116,13 @@ def int_dequantize(q):
     others = group_axes(q.codes.ndim, q.axis)
     scales = np.expand_dims(q.scales, others)
     zps = None if q.mode == "symmetric" else np.expand_dims(q.zero_points, others)
-    out = np.empty(q.codes.shape)
 
-    def chunk(s):
+    def fill(s, o):
         if zps is None:
-            o = np.multiply(q.codes[s], rows(scales, s), out=out[s])
+            np.multiply(q.codes[s], rows(scales, s), out=o)
         else:
             # integer differences are exact in float64, so this is (codes - zps) * scales
-            o = np.subtract(q.codes[s], rows(zps, s), dtype=np.float64, out=out[s])
+            np.subtract(q.codes[s], rows(zps, s), dtype=np.float64, out=o)
             o *= rows(scales, s)
-        check_chunk(o, q.name)
 
-    for_chunks(chunk, q.codes)
-    return Tensor.of_checked(out, q.name)
+    return Tensor.of_checked(made_in_chunks(q.codes.shape, fill, q.name), q.name)

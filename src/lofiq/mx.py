@@ -23,7 +23,7 @@ from .codebook import (
     enumerate_codebook,
     mxint8_codebook,
 )
-from .tensor import Tensor, as_array, block_view, check_chunk, for_chunks
+from .tensor import Tensor, as_array, block_view, for_chunks, made_in_chunks
 
 __all__ = ["DEFAULT_BLOCK", "MxQuantized", "mx_quantize", "mx_dequantize", "resolve_element"]
 
@@ -97,13 +97,10 @@ def mx_quantize(t, axis, element_spec, k=DEFAULT_BLOCK):
 def mx_dequantize(q):
     """Reconstruct 2**e * code elementwise."""
     codes = block_view(q.codes, q.axis, q.block_size)
-    out = np.empty(q.shape)
-    out_view = block_view(out, q.axis, q.block_size)
 
-    def chunk(s):
+    def fill(s, o):
         # a code times 2**e is a normal float, so the product equals ldexp(code, e)
-        o = np.multiply(codes[s], np.ldexp(1.0, q.shared_exponents[s])[:, None], out=out_view[s])
-        check_chunk(o, q.name)
+        np.multiply(codes[s], np.ldexp(1.0, q.shared_exponents[s])[:, None], out=o)
 
-    for_chunks(chunk, codes)
+    out = made_in_chunks(q.shape, fill, q.name, lambda o: block_view(o, q.axis, q.block_size))
     return Tensor.of_checked(out, q.name)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .codebook import _round
 from .mx import resolve_element
-from .tensor import Tensor, as_array, block_view, check_chunk, for_chunks
+from .tensor import Tensor, as_array, block_view, for_chunks, made_in_chunks
 
 __all__ = ["BLOCK", "V_MAX", "Nvfp4Quantized", "nvfp4_quantize", "nvfp4_dequantize"]
 
@@ -92,13 +92,10 @@ def nvfp4_quantize(t, axis):
 def nvfp4_dequantize(q):
     """Reconstruct s1 * s2 * code elementwise."""
     codes = block_view(q.codes, q.axis, BLOCK)
-    out = np.empty(q.shape)
-    out_view = block_view(out, q.axis, BLOCK)
 
-    def chunk(s):
-        o = np.multiply(codes[s], q.block_scales[s][:, None], out=out_view[s])
+    def fill(s, o):
+        np.multiply(codes[s], q.block_scales[s][:, None], out=o)
         o *= q.per_tensor_scale
-        check_chunk(o, q.name)
 
-    for_chunks(chunk, codes)
+    out = made_in_chunks(q.shape, fill, q.name, lambda o: block_view(o, q.axis, BLOCK))
     return Tensor.of_checked(out, q.name)

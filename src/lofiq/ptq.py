@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AlphaOutOfRange, LengthMismatch, NonConvergence, RankOutOfRange, ShapeMismatch
 from .registry import as_codec
-from .tensor import Tensor, as_array, check_chunk, for_chunks, group_absmax
+from .tensor import Tensor, as_array, group_absmax, made_in_chunks
 
 __all__ = [
     "ALPHA_GRID",
@@ -27,7 +27,6 @@ __all__ = [
     "LowRankBranch",
     "smooth_scales",
     "apply_smoothing",
-    "invert_smoothing",
     "search_alpha",
     "svd_split",
     "smoothquant_pipeline",
@@ -118,24 +117,10 @@ def apply_smoothing(x, w, plan):
     if s.shape != (xa.shape[1],):
         raise ShapeMismatch(
             f"plan length {s.size} does not match x {xa.shape} / w {wa.shape}")
-    xs = _scaled(xa.shape, lambda rs, o: np.divide(xa[rs], s, out=o), getattr(x, "name", None))
-    ws = _scaled(wa.shape, lambda rs, o: np.multiply(s[rs, None], wa[rs], out=o),
-                 getattr(w, "name", None))
-    return xs, ws
-
-
-def _scaled(shape, op, name):
-    """A Tensor built in chunks: ``op(rs, out)`` writes rows ``rs`` into ``out``, then is checked."""
-    out = np.empty(shape)
-    for_chunks(lambda rs: check_chunk(op(rs, out[rs]), name), out)
-    return Tensor.of_checked(out, name)
-
-
-def invert_smoothing(x_s, w_s, plan):
-    """Undo apply_smoothing; exact in exact arithmetic."""
-    xa, wa = as_array(x_s), as_array(w_s)
-    s = plan.scales
-    return Tensor(xa * s), Tensor(wa / s[:, None])
+    xname, wname = getattr(x, "name", None), getattr(w, "name", None)
+    xs = made_in_chunks(xa.shape, lambda rs, o: np.divide(xa[rs], s, out=o), xname)
+    ws = made_in_chunks(wa.shape, lambda rs, o: np.multiply(s[rs, None], wa[rs], out=o), wname)
+    return Tensor.of_checked(xs, xname), Tensor.of_checked(ws, wname)
 
 
 def search_alpha(x, w, fmt, grid=ALPHA_GRID, ref=None):

@@ -12,6 +12,11 @@ Selector grammar (one canonical string per codec, parameters as suffixes):
     hif8-scaled[:K=X][:axis=N]
     hif4[:axis=N][:mode=literal|halfrange]
 
+Any other parameter or flag, a repeated key or a second int mode flag is an
+UnknownFormat error (CLI exit 2). ``hif8-scaled`` also takes ``k=X`` for
+``K=X``. The MX elements are the five casts and int8; the unsigned scale
+formats e8m0 and e6m2u are not elements.
+
 Role conventions (defaults, overridable with axis=):
   per-channel/per-axis grouping: weights group along the last axis (output
   channels), activations and KV states along axis 0 (tokens). Block formats
@@ -42,6 +47,21 @@ _MX_ALIASES = {
     "mxint8": "int8",
 }
 _CAST_NAMES = ("e4m3", "e5m2", "e3m2", "e2m3", "e2m1")
+# The element formats of mx:<elem>. The unsigned scale formats e8m0 and e6m2u
+# encode no sign (and e8m0 no zero), so they are not elements.
+_MX_ELEMENTS = _CAST_NAMES + ("int8",)
+# The parameter keys and bare flags each selector head takes after its name
+# (after the element, for mx); anything else is an error.
+_SYNTAX = {
+    "int8": (("axis",), ("sym", "asym")),
+    "int4": (("axis",), ("sym", "asym")),
+    **{name: ((), ()) for name in _CAST_NAMES},
+    "mx": (("k", "axis"), ()),
+    "nvfp4": (("axis",), ()),
+    "hif8": ((), ()),
+    "hif8-scaled": (("K", "k", "axis"), ()),
+    "hif4": (("axis", "mode"), ()),
+}
 
 
 def _check_role(role):
@@ -95,9 +115,9 @@ class _Codec:
         block is zero-padded up to one and the reconstruction cropped back,
         so padded elements never reach the output or statistics built on it.
 
-        The result has passed one finiteness check, made by the kernel on
-        each chunk of its output; a caller wraps it with
-        ``Tensor.of_checked`` rather than scanning it again.
+        The result has passed one finiteness check, made slice by slice
+        by ``tensor.made_in_chunks`` as the kernel wrote it; a caller wraps
+        it with ``Tensor.of_checked`` rather than scanning it again.
         """
         if self.role_axis is None:
             return self._reconstruct(t, role, None)
@@ -247,20 +267,34 @@ class Hif4Codec(_Codec):
         return hif4.hif4_dequantize(hif4.hif4_quantize(t, axis, self.mode)).data
 
 
-def _parse_params(parts):
-    """Split trailing 'key=value' / bare-flag parameters."""
+def _params(sel, parts, keys, flags):
+    """The 'key=value' parameters of ``parts`` and their one bare flag (or None).
+
+    Any key outside ``keys``, a repeated key, a flag outside ``flags`` or a
+    second flag raises UnknownFormat.
+    """
     params = {}
-    flags = []
+    flag = None
     for part in parts:
-        if "=" in part:
-            key, _, val = part.partition("=")
-            params[key] = val
+        key, eq, val = part.partition("=")
+        if not eq:
+            if part not in flags:
+                raise UnknownFormat(f"{sel!r}: unknown flag {part!r}")
+            if flag is not None:
+                raise UnknownFormat(f"{sel!r}: flags {flag!r} and {part!r} exclude each other")
+            flag = part
+        elif key not in keys:
+            raise UnknownFormat(f"{sel!r}: unknown parameter {key!r}")
+        elif key in params:
+            raise UnknownFormat(f"{sel!r}: parameter {key!r} given twice")
         else:
-            flags.append(part)
-    return params, flags
+            params[key] = val
+    return params, flag
 
 
-def _as_int(params, key, selector):
+def _as_int(params, key, selector, default=None):
+    if key not in params:
+        return default
     try:
         return int(params[key])
     except ValueError as exc:
@@ -273,53 +307,51 @@ def as_codec(fmt):
 
 
 def parse_format(selector):
-    """Parse one selector string into a codec; raises UnknownFormat."""
-    sel = selector.strip()
-    parts = sel.split(":")
-    head = parts[0].lower()
-    params, flags = _parse_params(parts[1:])
-    axis = _as_int(params, "axis", sel) if "axis" in params else None
+    """Parse one selector string into a codec; raises UnknownFormat.
 
-    try:
-        if head in ("int8", "int4"):
-            mode = None
-            for flag in flags:
-                if flag in ("sym", "asym"):
-                    mode = flag
-                else:
-                    raise UnknownFormat(f"{sel!r}: unknown flag {flag!r}")
-            return IntCodec(int(head[3]), mode, axis)
-        if head in _CAST_NAMES and not parts[1:]:
-            return CastCodec(head)
-        if head == "mx" or head in _MX_ALIASES:
-            if head in _MX_ALIASES:
-                element = _MX_ALIASES[head]
-            elif flags:
-                element = flags[0].lower()
-                mx.resolve_element(element)
-            else:
-                raise UnknownFormat(f"{sel!r}: mx needs an element type, e.g. mx:e2m1")
-            k = _as_int(params, "k", sel) if "k" in params else mx.DEFAULT_BLOCK
-            if k < 1:
-                raise UnknownFormat(f"{sel!r}: block size k must be positive")
-            return MxCodec(element, k, axis)
-        if head == "nvfp4":
-            return Nvfp4Codec(axis)
-        if head == "hif8":
-            return Hif8Codec()
-        if head == "hif8-scaled":
-            K = float(params["K"]) if "K" in params else (
-                float(params["k"]) if "k" in params else None)
-            if K is not None and not 0.0 < K < math.inf:
-                raise UnknownFormat(f"{sel!r}: K must be positive and finite")
-            return ScaledHif8Codec(K, axis)
-        if head == "hif4":
-            mode = params.get("mode", "literal")
-            if mode not in hif4.MODES:
-                raise UnknownFormat(f"{sel!r}: mode must be one of {hif4.MODES}")
-            return Hif4Codec(axis, mode)
-    except UnknownFormat:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise UnknownFormat(f"bad format selector {selector!r}: {exc}") from exc
-    raise UnknownFormat(f"unknown format {selector!r}")
+    A parameter or flag the selector's head does not take is an error.
+    """
+    sel = selector.strip()
+    head, *rest = sel.split(":")
+    head = head.lower()
+    if head in _MX_ALIASES:
+        head, element = "mx", _MX_ALIASES[head]
+    elif head == "mx":
+        if not rest or "=" in rest[0]:
+            raise UnknownFormat(f"{sel!r}: mx needs an element type, e.g. mx:e2m1")
+        element = rest.pop(0).lower()
+        if element not in _MX_ELEMENTS:
+            raise UnknownFormat(f"{sel!r}: mx element must be one of {', '.join(_MX_ELEMENTS)}")
+    if head not in _SYNTAX:
+        raise UnknownFormat(f"unknown format {selector!r}")
+    params, flag = _params(sel, rest, *_SYNTAX[head])
+    axis = _as_int(params, "axis", sel)
+
+    if head in ("int8", "int4"):
+        return IntCodec(int(head[3]), flag, axis)
+    if head in _CAST_NAMES:
+        return CastCodec(head)
+    if head == "mx":
+        k = _as_int(params, "k", sel, mx.DEFAULT_BLOCK)
+        if k < 1:
+            raise UnknownFormat(f"{sel!r}: block size k must be positive")
+        return MxCodec(element, k, axis)
+    if head == "nvfp4":
+        return Nvfp4Codec(axis)
+    if head == "hif8":
+        return Hif8Codec()
+    if head == "hif8-scaled":
+        if "K" in params and "k" in params:
+            raise UnknownFormat(f"{sel!r}: parameter 'K' given twice")
+        K = params.get("K", params.get("k"))
+        try:
+            K = None if K is None else float(K)
+        except ValueError as exc:
+            raise UnknownFormat(f"{sel!r}: bad number for K") from exc
+        if K is not None and not 0.0 < K < math.inf:
+            raise UnknownFormat(f"{sel!r}: K must be positive and finite")
+        return ScaledHif8Codec(K, axis)
+    mode = params.get("mode", "literal")  # hif4
+    if mode not in hif4.MODES:
+        raise UnknownFormat(f"{sel!r}: mode must be one of {hif4.MODES}")
+    return Hif4Codec(axis, mode)

@@ -3,7 +3,8 @@
 All codecs in this package consume and produce 64-bit tensors; narrower
 on-disk dtypes are widened losslessly on load. Non-finite values are
 rejected at ingest since no codec defines them: a Tensor is checked once
-when built, and ``as_array`` checks any other array-like it is handed.
+when built, and ``as_array`` checks any other array-like it is handed. A
+kernel's output is made and checked slice by slice by ``made_in_chunks``.
 """
 
 import json
@@ -85,15 +86,6 @@ def tensor(values, name=None):
 def _check_finite(arr, label):
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValue(f"{label} contains NaN or Inf")
-
-
-def check_chunk(arr, name):
-    """The finiteness check of one chunk of a reconstruction named ``name``.
-
-    A kernel calls it on each chunk of its output while the chunk is still
-    in cache, then wraps the whole output with ``Tensor.of_checked``.
-    """
-    _check_finite(arr, f"tensor {name or '<unnamed>'!r}")
 
 
 # -- chunks on every core -----------------------------------------------------
@@ -183,6 +175,28 @@ def for_chunks(fn, arr):
         if exc is not None:
             raise exc
     return results
+
+
+def made_in_chunks(shape, fill, name, view=None):
+    """A float64 array of ``shape`` made slice by slice, each slice checked while it is in cache.
+
+    ``fill(s, part)`` writes slice ``s`` of the output's first axis into
+    ``part``; with ``view``, the slices are those of ``view(out)`` (np.ravel
+    for an elementwise kernel, a block view for a block one). Each part is
+    then checked for finiteness under the label of tensor ``name``, so the
+    caller wraps the result with ``Tensor.of_checked`` without a second scan.
+    """
+    out = np.empty(shape)
+    parts = out if view is None else view(out)
+    label = f"tensor {name or '<unnamed>'!r}"
+
+    def chunk(s):
+        part = parts[s]
+        fill(s, part)
+        _check_finite(part, label)
+
+    for_chunks(chunk, parts)
+    return out
 
 
 def as_array(t):

@@ -162,6 +162,24 @@ class TestQuantize:
         assert run("quantize", tmp_path / "absent.lqt", "--format", "hif8",
                    "-o", tmp_path / "o.lqt") == 1
 
+    def test_nonfinite_reconstruction_exits_1_without_traceback(self, tmp_path):
+        # a finite input whose reconstruction is NaN: a zero scale divides 0 by 0
+        src = tmp_path / "big.lqt"
+        save_tensors([tensor(np.full((4, 4), 1e300), name="big")], src)
+        proc = run_subprocess("quantize", src, "-f", "hif8-scaled:K=1e-300",
+                              "-o", tmp_path / "o.lqt")
+        assert proc.returncode == 1
+        assert any(line.startswith("error: ") and "'big'" in line
+                   for line in proc.stderr.splitlines())
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o.lqt").exists()
+
+    @pytest.mark.parametrize("fmt", ["nvfp4:k=8", "mx:e8m0"])
+    def test_unknown_selector_parameter_exits_2(self, tmp_path, fmt):
+        src = tmp_path / "in.lqt"
+        save_tensors([tensor(np.ones((32, 32)))], src)
+        assert run("quantize", src, "--format", fmt, "-o", tmp_path / "o.lqt") == 2
+
 
 class TestCompare:
     def test_synth_row_count(self, tmp_path):

@@ -7,14 +7,12 @@ from lofiq.codebook import (
     Codebook,
     builtin_spec,
     density_in_interval,
-    empirical_cdf,
     enumerate_codebook,
     mxint8_codebook,
     project,
 )
-from lofiq.errors import EmptyTensor, NonFiniteValue, UnknownFormat
+from lofiq.errors import NonFiniteValue, UnknownFormat
 from lofiq.hif8 import hif8_enumerate
-from lofiq.tensor import tensor
 
 from oracles import brute_force_nearest, enumerate_by_codepoints, min_distances
 
@@ -207,33 +205,3 @@ class TestDensity:
 
     def test_e4m3_unit_interval(self):
         assert density_in_interval(enumerate_codebook("e4m3"), -1, 1) == 113
-
-
-class TestEmpiricalCdf:
-    def test_constant_jumps_to_one(self):
-        pairs = empirical_cdf(tensor([1.0, 1.0, 1.0, 1.0]), 5)
-        assert all(m == 1.0 for m, _ in pairs)
-        assert all(f == 1.0 for _, f in pairs)
-
-    def test_symmetric_endpoint(self):
-        pairs = empirical_cdf(tensor([-2.0, 2.0]), 3)
-        assert pairs[-1] == (2.0, 1.0)
-
-    def test_rank_statistics(self):
-        pairs = empirical_cdf(tensor([1.0, 2.0, 3.0, 4.0]), 4)
-        # step-evaluate at 2.5: largest sampled magnitude <= 2.5 carries 0.5
-        below = [f for m, f in pairs if m <= 2.5]
-        assert below[-1] == 0.5
-
-    def test_monotone(self):
-        rng = np.random.default_rng(0)
-        pairs = empirical_cdf(tensor(rng.normal(size=1000)), 17)
-        mags = [m for m, _ in pairs]
-        fracs = [f for _, f in pairs]
-        assert mags == sorted(mags)
-        assert fracs == sorted(fracs)
-        assert fracs[-1] == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyTensor):
-            empirical_cdf(tensor(np.zeros((0,))), 4)

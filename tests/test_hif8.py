@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from lofiq.hif8 import (
     hif8_scaled_dequantize,
     hif8_scaled_quantize,
 )
+from lofiq.errors import NonFiniteValue
+from lofiq.registry import parse_format
 from lofiq.tensor import tensor
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -188,3 +191,14 @@ class TestScaled:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             hif8_scaled_quantize(tensor([1.0]), 0, 0.0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("chunk", [None, 4], ids=["default-chunk", "chunk-4"])
+    def test_nonfinite_reconstruction_names_the_tensor(self, monkeypatch, chunk):
+        # K / max|x| underflows to a zero scale, so dequantization divides 0 by 0:
+        # the input is finite and only the check of each output slice sees the NaN
+        if chunk is not None:
+            monkeypatch.setattr(sys.modules["lofiq.tensor"], "CHUNK", chunk)
+        big = tensor(np.full((4, 4), 1e300), "big")
+        with pytest.raises(NonFiniteValue, match="'big'"):
+            parse_format("hif8-scaled:K=1e-300").reconstruct(big, "weight")

@@ -25,6 +25,30 @@ class TestParse:
         ("hif8-scaled:K=16", "hif8-scaled:K=16"),
         ("hif4", "hif4"),
         ("hif4:mode=halfrange", "hif4:mode=halfrange"),
+        # every form the grammar documents keeps its canonical selector
+        ("int8:sym:axis=1", "int8:sym:axis=1"),
+        ("int4:asym:axis=-1", "int4:asym:axis=-1"),
+        (" INT8 ", "int8"),
+        ("e5m2", "e5m2"),
+        ("e3m2", "e3m2"),
+        ("e2m3", "e2m3"),
+        ("e2m1", "e2m1"),
+        ("mx:e4m3", "mx:e4m3"),
+        ("mx:e5m2", "mx:e5m2"),
+        ("mx:e3m2", "mx:e3m2"),
+        ("mx:e2m3", "mx:e2m3"),
+        ("mx:int8", "mx:int8"),
+        ("mx:E2M1", "mx:e2m1"),
+        ("mx:e2m1:k=32", "mx:e2m1"),
+        ("mx:e4m3:k=16:axis=0", "mx:e4m3:k=16:axis=0"),
+        ("mxfp4:k=16", "mx:e2m1:k=16"),
+        ("mxint8:axis=0", "mx:int8:axis=0"),
+        ("nvfp4:axis=0", "nvfp4:axis=0"),
+        ("hif8-scaled", "hif8-scaled"),
+        ("hif8-scaled:k=16", "hif8-scaled:K=16"),
+        ("hif8-scaled:K=3:axis=0", "hif8-scaled:K=3:axis=0"),
+        ("hif4:mode=literal", "hif4"),
+        ("hif4:axis=1:mode=halfrange", "hif4:axis=1:mode=halfrange"),
     ])
     def test_selector_normalization(self, sel, canon):
         assert parse_format(sel).selector == canon
@@ -38,6 +62,23 @@ class TestParse:
     ])
     def test_unknown_rejected(self, sel):
         with pytest.raises(UnknownFormat):
+            parse_format(sel)
+
+    @pytest.mark.parametrize("sel", [
+        # a key or flag the head does not take, a repeated key, or a second flag
+        "nvfp4:k=8", "hif4:k=32", "hif8:axis=0", "hif8:junk", "int8:k=4", "mx:e2m1:foo=1",
+        "mxfp4:e4m3", "int8:sym:asym", "int8:axis=0:axis=1",
+        "int8:sym:sym", "hif8-scaled:K=2:k=2", "hif4:mode=halfrange:mode=literal",
+        "mx:e2m1:e4m3", "mx:e2m1:k=16:k=8", "nvfp4:", "hif8-scaled:mode=literal",
+    ])
+    def test_unknown_parameter_rejected(self, sel):
+        with pytest.raises(UnknownFormat):
+            parse_format(sel)
+
+    @pytest.mark.parametrize("sel", ["mx:e8m0", "mx:e6m2u", "mx:E8M0", "mx:e6m2u:k=16"])
+    def test_unsigned_scale_format_is_not_an_mx_element(self, sel):
+        # no sign and no zero: mx:e8m0 would reconstruct -1 and 0 as 3.4e-77
+        with pytest.raises(UnknownFormat, match="element"):
             parse_format(sel)
 
 
