@@ -77,6 +77,8 @@ def cmd_quantize(args):
         try:
             recon = codec.reconstruct(t, args.role, pad=args.pad)
         except LofiqError as exc:
+            if str(exc).startswith(f"tensor {t.name!r}"):
+                raise
             raise LofiqError(f"tensor {t.name!r}: {exc}") from exc
         outputs.append(Tensor.of_checked(recon, t.name))
         reports.append(fidelity_from_reconstruction(t, outputs[-1], codec, args.role))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook, FpFormatSpec
+from .errors import NonFiniteValue
 from .tensor import Tensor, as_array, for_chunks, group_absmax, group_axes, made_in_chunks, rows
 
 __all__ = [
@@ -179,16 +180,25 @@ def hif8_scaled_quantize(t, axis, K):
 
     The per-group scale is K / (max|x| + 1e-12); a group of zeros (or an
     empty one) gets a huge scale but every element still quantizes to zero,
-    so dequantization reproduces zeros.
+    so dequantization reproduces zeros. A scale that underflows to 0 or
+    overflows to inf could not be divided out again and raises
+    NonFiniteValue; only the scales are checked, not the elements.
     """
     if K <= 0:
         raise ValueError("K must be positive")
     arr = as_array(t)
-    scales = K / (group_absmax(arr, axis) + _SCALE_EPS)
+    name = getattr(t, "name", None)
+    with np.errstate(over="ignore"):
+        scales = K / (group_absmax(arr, axis) + _SCALE_EPS)
+    flat = scales.reshape(-1)
+    bad = (flat == 0) | ~np.isfinite(flat)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonFiniteValue(f"tensor {name or '<unnamed>'!r}: hif8-scaled scale K / (max|x| + "
+                             f"{_SCALE_EPS}) of group {i} is {flat[i]} for K={K}")
     values = np.empty(arr.shape)
     for_chunks(lambda s: _quantize_into(arr[s] * rows(scales, s), values[s]), arr)
-    return ScaledHif8Quantized(values, scales.reshape(-1), float(K), axis,
-                               getattr(t, "name", None))
+    return ScaledHif8Quantized(values, flat, float(K), axis, name)
 
 
 def hif8_scaled_dequantize(q):

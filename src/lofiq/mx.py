@@ -23,6 +23,7 @@ from .codebook import (
     enumerate_codebook,
     mxint8_codebook,
 )
+from .errors import UnknownFormat
 from .tensor import Tensor, as_array, block_view, for_chunks, made_in_chunks
 
 __all__ = ["DEFAULT_BLOCK", "MxQuantized", "mx_quantize", "mx_dequantize", "resolve_element"]
@@ -34,7 +35,12 @@ _ELEMENT_CACHE = {}
 
 
 def resolve_element(element):
-    """Accept a codebook, a format spec, or a name ('e4m3', ..., 'int8')."""
+    """Accept a codebook, a format spec, or a name ('e4m3', ..., 'int8').
+
+    A spec or name of an unsigned scale format (e8m0, e6m2u) raises
+    UnknownFormat: it cannot code a negative element. A Codebook is taken
+    as given.
+    """
     if isinstance(element, Codebook):
         return element
     if isinstance(element, FpFormatSpec):
@@ -45,7 +51,10 @@ def resolve_element(element):
         if key == "int8":
             _ELEMENT_CACHE[key] = mxint8_codebook()
         else:
-            _ELEMENT_CACHE[key] = enumerate_codebook(builtin_spec(key))
+            spec = builtin_spec(key)
+            if not spec.signed:
+                raise UnknownFormat(f"{key!r} is an unsigned scale format, not an MX element")
+            _ELEMENT_CACHE[key] = enumerate_codebook(spec)
     return _ELEMENT_CACHE[key]
 
 

@@ -10,7 +10,11 @@ s_j = max|X[:, j]|**alpha / max|W[j, :]|**(1 - alpha); alpha in [0, 1]
 controls how much outlier mass migrates from activations into weights.
 
 The low-rank split W = L1 @ L2 + residual keeps the top singular
-directions exact and quantizes only the residual.
+directions exact and quantizes only the residual. Those directions are the
+top eigenvectors of the smaller-side Gram matrix, found by a block Krylov
+solver with a Rayleigh-Ritz step that stops on its Ritz residuals scaled
+by the Ritz gap (a Davis-Kahan bound on the product error of 1e-12 |W|_F),
+with a full ``np.linalg.eigh`` as the fallback; see ``svd_split``.
 """
 
 from dataclasses import asdict, dataclass
@@ -149,6 +153,72 @@ def search_alpha(x, w, fmt, grid=ALPHA_GRID, ref=None):
     return best
 
 
+# The partial eigensolver of svd_split: block Krylov with a Rayleigh-Ritz step
+# (Halko, Martinsson and Tropp, arXiv 0909.4061; Musco and Musco, arXiv
+# 1504.05477). The block is ``rank`` columns wide.
+_KRYLOV_SEED = 0  # the start block is drawn from this seed, so reruns are bit-identical
+_CAP_DIV = 4  # the basis holds at most n // 4 columns of the n x n Gram matrix
+# eigh runs when fewer blocks than this fit under the cap: a flat (Gaussian)
+# spectrum takes 24-28 blocks at ranks 16-32, and an attempt that ends at
+# the cap costs more than eigh alone
+_MIN_BLOCKS = 28
+_CHECK_EVERY = 4  # Ritz residuals are checked every 4 blocks
+_TOL = 1e-12  # stop when the bound on the product error is below this times |W|_F
+
+
+def _krylov_top(g, rank):
+    """Top-``rank`` eigenvectors of the PSD Gram matrix ``g`` as (n, rank) columns,
+    strongest first, or None when ``np.linalg.eigh`` of ``g`` must decide.
+
+    Each new block ``G B_j`` is orthogonalized twice against the basis (CGS2)
+    and then QR'd into it; ``B^T G B`` grows one block column at a time. Every
+    ``_CHECK_EVERY`` blocks the Ritz pairs ``(theta, v)`` of ``B^T G B`` are
+    formed, and the solver stops once the Davis-Kahan bound on the rank-r
+    product error, ``sqrt(2 theta_1) |G V - V Theta|_F / (theta_r - theta_r+1)``,
+    is at most ``_TOL |W|_F``. It gives up (None) when the basis would pass its
+    column cap, and when a new block is at roundoff level: the Krylov space is
+    then invariant, and its Ritz pairs are returned only if they pass the same
+    test. A block at roundoff level is never QR'd into the basis.
+    """
+    n = g.shape[0]
+    b = rank
+    cap = n // _CAP_DIV // b * b
+    fro2 = float(np.trace(g))  # |W|_F^2, an upper bound on |G|_2
+    if cap < _MIN_BLOCKS * b or not np.isfinite(fro2):
+        return None
+    roundoff = n * np.finfo(np.float64).eps * fro2
+    basis = np.empty((cap, n))  # rows are the orthonormal basis vectors
+    gb = np.empty((cap, n))  # rows are G times them
+    h = np.empty((cap, cap))  # B^T G B
+    start = np.random.default_rng(_KRYLOV_SEED).standard_normal((n, b))
+    basis[:b] = np.linalg.qr(start)[0].T
+    k = 0
+    while True:
+        new = slice(k, k + b)
+        np.matmul(basis[new], g, out=gb[new])  # (G B_j)^T, as G is symmetric
+        k += b
+        h[:k, new] = basis[:k] @ gb[new].T
+        h[new, :k - b] = h[:k - b, new].T
+        done = k + b > cap
+        if not done:
+            y = gb[new] - h[:k, new].T @ basis[:k]  # the first pass reuses B^T G B_j
+            y -= (y @ basis[:k].T) @ basis[:k]
+            q, r = np.linalg.qr(y.T)
+            done = np.linalg.svd(r, compute_uv=False)[-1] <= roundoff
+            if not done:
+                basis[k:k + b] = q.T
+        if (done or k // b % _CHECK_EVERY == 0) and k > rank:
+            theta, s = np.linalg.eigh(h[:k, :k])
+            theta, s = theta[::-1][:rank + 1], s[:, ::-1][:, :rank]
+            v = s.T @ basis[:k]
+            res = float(np.linalg.norm(s.T @ gb[:k] - theta[:rank, None] * v))
+            gap = theta[rank - 1] - theta[rank]  # a zero gap passes only with a zero residual
+            if np.sqrt(2 * max(theta[0], 0.0)) * res <= _TOL * np.sqrt(fro2) * gap:
+                return v.T
+        if done:
+            return None
+
+
 def svd_split(w, rank):
     """Split a matrix into its top-``rank`` singular part plus a residual.
 
@@ -157,17 +227,28 @@ def svd_split(w, rank):
     ``l1 = W V, l2 = V^T`` from ``W^T W``; a wide one gives ``l1 = U,
     l2 = U^T W`` from ``W W^T``. l1 is not U Sigma, but ``l1 @ l2`` is the
     rank-``rank`` SVD part up to rounding.
+
+    The eigenvectors come from a block Krylov solver (``_krylov_top``) that
+    stops on its Ritz residuals, scaled by the Ritz gap, once the Davis-Kahan
+    bound on the product error is at most 1e-12 |W|_F. It falls back to a
+    full ``np.linalg.eigh`` of the Gram matrix when its basis would pass n/4
+    columns, when fewer than 28 blocks of ``rank`` columns fit under that cap
+    (a small matrix or a large rank), and when the Krylov space turns
+    invariant before the test passes (an exactly low-rank or zero W). A
+    failed eigendecomposition raises NonConvergence.
     """
     wa = as_array(w)
     if wa.ndim != 2:
         raise ShapeMismatch(f"svd_split needs a matrix, got shape {wa.shape}")
     _check_rank(rank, wa.shape)
     tall = wa.shape[0] >= wa.shape[1]
+    g = wa.T @ wa if tall else wa @ wa.T
     try:
-        _, vecs = np.linalg.eigh(wa.T @ wa if tall else wa @ wa.T)
+        top = _krylov_top(g, rank)
+        if top is None:
+            top = np.linalg.eigh(g)[1][:, -rank:][:, ::-1]  # ascending; strongest first
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigendecomposition failed to converge: {exc}") from exc
-    top = vecs[:, -rank:][:, ::-1]  # eigh sorts ascending; strongest direction first
     l1, l2 = (wa @ top, top.T) if tall else (top, top.T @ wa)
     return LowRankBranch(l1, l2, int(rank), wa - l1 @ l2)
 
@@ -232,7 +313,8 @@ def smoothquant_pipeline(x, w, fmt, alpha=None):
 def svdquant_pipeline(x, w, fmt, rank=16, alpha=None):
     """Smooth, split the smoothed weight, quantize residual and activations.
 
-    The reconstruction is x' @ L1L2 + Q(x') @ Q(residual); its relative
+    The reconstruction is (x' @ L1) @ L2 + Q(x') @ Q(residual), with no
+    dense L1 @ L2 beyond the one the residual needs; its relative
     Frobenius error is reported next to the smoothing-only and plain
     round-to-nearest figures. The migration strength comes from the
     smoothing objective, or is ``alpha`` when given.
@@ -241,6 +323,6 @@ def svdquant_pipeline(x, w, fmt, rank=16, alpha=None):
     ref, ref_norm, rtn_err, plan, smooth_err, qx = _smoothing_stage(x, w, codec, alpha, rank)
     xs, ws = apply_smoothing(x, w, plan)
     branch = svd_split(ws, rank)
-    recon = xs.data @ branch.product + qx @ codec.reconstruct(branch.residual, "weight")
+    recon = (xs.data @ branch.l1) @ branch.l2 + qx @ codec.reconstruct(branch.residual, "weight")
     svdq_err = float(np.linalg.norm(recon - ref)) / ref_norm
     return PipelineReport(codec.selector, plan.alpha, int(rank), rtn_err, smooth_err, svdq_err)

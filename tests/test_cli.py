@@ -174,6 +174,19 @@ class TestQuantize:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o.lqt").exists()
 
+    @pytest.mark.parametrize("fill,K", [(1e300, "1e-300"), (0.0, "1e300")])
+    def test_scale_out_of_range_is_one_error_line(self, tmp_path, fill, K):
+        # a zero or infinite hif8-scaled scale: exit 1, no numpy warning, and
+        # the tensor named once
+        src = tmp_path / "big.lqt"
+        save_tensors([tensor(np.full((4, 4), fill), name="big")], src)
+        proc = run_subprocess("quantize", src, "-f", f"hif8-scaled:K={K}",
+                              "-o", tmp_path / "o.lqt")
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: tensor 'big': ")
+        assert proc.stderr.count("'big'") == 1
+        assert not (tmp_path / "o.lqt").exists()
+
     @pytest.mark.parametrize("fmt", ["nvfp4:k=8", "mx:e8m0"])
     def test_unknown_selector_parameter_exits_2(self, tmp_path, fmt):
         src = tmp_path / "in.lqt"

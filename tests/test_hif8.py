@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -192,13 +193,23 @@ class TestScaled:
         with pytest.raises(ValueError):
             hif8_scaled_quantize(tensor([1.0]), 0, 0.0)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("chunk", [None, 4], ids=["default-chunk", "chunk-4"])
     def test_nonfinite_reconstruction_names_the_tensor(self, monkeypatch, chunk):
-        # K / max|x| underflows to a zero scale, so dequantization divides 0 by 0:
-        # the input is finite and only the check of each output slice sees the NaN
+        # K / max|x| underflows to a zero scale, which dequantization could not
+        # divide out: the input is finite and the scale check sees it
         if chunk is not None:
             monkeypatch.setattr(sys.modules["lofiq.tensor"], "CHUNK", chunk)
         big = tensor(np.full((4, 4), 1e300), "big")
         with pytest.raises(NonFiniteValue, match="'big'"):
             parse_format("hif8-scaled:K=1e-300").reconstruct(big, "weight")
+
+    @pytest.mark.parametrize("fill,K,scale", [(1e300, 1e-300, "0.0"), (0.0, 1e300, "inf")])
+    def test_scale_out_of_range_raises_before_rounding(self, fill, K, scale):
+        # a scale of 0 or inf is caught on the (n_groups,) scales, without
+        # numpy's divide or multiply warnings and before any element is rounded
+        x = np.ones((3, 4))
+        x[1] = fill
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=rf"'w'.* group 1 is {scale} "):
+                hif8_scaled_quantize(tensor(x, "w"), 0, K)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lofiq.errors import NotDivisible
+from lofiq.codebook import builtin_spec, enumerate_codebook
+from lofiq.errors import NotDivisible, UnknownFormat
 from lofiq.mx import mx_dequantize, mx_quantize, resolve_element
 from lofiq.tensor import tensor
 
@@ -115,3 +116,18 @@ class TestConfig:
         x = tensor(np.ldexp(np.arange(-127, 128) / 64.0, 5).reshape(-1, 51))
         q = mx_quantize(x, 1, "int8", 51)
         assert np.array_equal(mx_dequantize(q).data, x.data)
+
+    @pytest.mark.parametrize("element", ["e8m0", "E6M2U", builtin_spec("e8m0"),
+                                         builtin_spec("e6m2u")])
+    def test_unsigned_scale_format_is_not_an_element(self, element):
+        # e8m0 has no sign: -1 used to come back as 2**-253 * 2**-1
+        with pytest.raises(UnknownFormat, match="unsigned"):
+            mx_quantize(tensor([[-1.0, 0.5, 0.0, 3.0]]), 1, element, 4)
+        with pytest.raises(UnknownFormat):
+            resolve_element(element)
+
+    def test_unsigned_codebook_passed_directly_is_taken_as_given(self):
+        cb = enumerate_codebook("e8m0")
+        assert resolve_element(cb) is cb
+        q = mx_quantize(tensor([[0.5, 1.0, 2.0, 4.0]]), 1, cb, 4)
+        assert q.element is cb

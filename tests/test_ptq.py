@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from lofiq.errors import AlphaOutOfRange, LengthMismatch, LofiqError, RankOutOfRange, ShapeMismatch
+from lofiq import ptq
+from lofiq.errors import (
+    AlphaOutOfRange,
+    LengthMismatch,
+    LofiqError,
+    NonConvergence,
+    RankOutOfRange,
+    ShapeMismatch,
+)
 from lofiq.ptq import (
     ALPHA_GRID,
     apply_smoothing,
@@ -217,6 +225,46 @@ class TestSearchAlpha:
                 pipeline(x, w, "int8")
 
 
+def _svd_product(w, r):
+    u, s, vh = np.linalg.svd(w, full_matrices=False)
+    return (u[:, :r] * s[:r]) @ vh[:r]
+
+
+def _gram(w):
+    return w.T @ w if w.shape[0] >= w.shape[1] else w @ w.T
+
+
+def _eigh_product(w, r):
+    """The rank-r product of the full-eigh split: what the fallback must return."""
+    top = np.linalg.eigh(_gram(w))[1][:, -r:][:, ::-1]
+    return (w @ top) @ top.T if w.shape[0] >= w.shape[1] else top @ (top.T @ w)
+
+
+def _with_spectrum(shape, sv, seed):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(shape[0], sv.size)))
+    v, _ = np.linalg.qr(rng.normal(size=(shape[1], sv.size)))
+    return (u * sv) @ v.T
+
+
+def _low_rank(shape, k, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(shape[0], k)) @ rng.normal(size=(k, shape[1]))
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of every np.linalg.eigh call: the Ritz steps and any fallback."""
+    calls, real = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
 class TestSvdSplit:
     def test_rank_one_exact(self):
         u = np.arange(1.0, 9.0)[:, None]
@@ -263,18 +311,13 @@ class TestSvdSplit:
             res = float(np.linalg.norm(b.residual) ** 2)
             assert abs(res - tail) <= 1e-8 * float(np.linalg.norm(w) ** 2)
 
-    @staticmethod
-    def _svd_product(w, r):
-        u, s, vh = np.linalg.svd(w, full_matrices=False)
-        return (u[:, :r] * s[:r]) @ vh[:r]
-
     @pytest.mark.parametrize("shape", [(64, 24), (24, 64), (32, 32)])
     def test_matches_svd_product(self, shape):
         w = np.random.default_rng(10).normal(size=shape)
         for r in (1, 5, min(shape)):
             b = svd_split(tensor(w), r)
             assert b.l1.shape == (shape[0], r) and b.l2.shape == (r, shape[1])
-            err = np.linalg.norm(b.product - self._svd_product(w, r))
+            err = np.linalg.norm(b.product - _svd_product(w, r))
             assert err <= 1e-12 * np.linalg.norm(w), (shape, r)
             assert np.array_equal(b.residual, w - b.l1 @ b.l2)
 
@@ -288,7 +331,7 @@ class TestSvdSplit:
         v, _ = np.linalg.qr(rng.normal(size=(shape[1], k)))
         w = (u * 2.0 ** -np.arange(k)) @ v.T
         for r in (1, 4, 8, k):
-            err = np.linalg.norm(svd_split(tensor(w), r).product - self._svd_product(w, r))
+            err = np.linalg.norm(svd_split(tensor(w), r).product - _svd_product(w, r))
             assert err <= 1e-12 * np.linalg.norm(w), (shape, r)
 
     @pytest.mark.parametrize("shape", [(6, 4), (4, 6)])
@@ -310,6 +353,100 @@ class TestSvdSplit:
             if denom > 0:
                 cand = cand * (np.vdot(cand, w) / denom)
             assert best <= np.linalg.norm(w - cand) + 1e-12
+
+
+class TestKrylovSplit:
+    """svd_split's block Krylov path, on matrices big enough to take it."""
+
+    @pytest.mark.parametrize("shape,rank,decay,krylov", [
+        ((1024, 512), 4, 0.97, True),  # converges within the 128-column cap
+        ((512, 1024), 2, 0.97, True),
+        ((512, 1024), 4, 1.0, False),  # flat spectrum: the cap is reached first
+        ((640, 480), 4, 0.9, False),
+    ])
+    def test_gap_of_1_001(self, shape, rank, decay, krylov):
+        # lambda_r / lambda_r+1 = 1.001: either the Krylov product meets the
+        # bound, or the split is the full-eigh split bit for bit
+        sv = decay ** np.arange(min(shape), dtype=float)
+        sv[rank:] *= sv[rank - 1] / sv[rank] / np.sqrt(1.001)
+        w = _with_spectrum(shape, sv, 3)
+        assert (ptq._krylov_top(_gram(w), rank) is not None) == krylov
+        b = svd_split(tensor(w), rank)
+        if krylov:
+            err = np.linalg.norm(b.product - _svd_product(w, rank))
+            assert err <= 1e-12 * np.linalg.norm(w)
+        else:
+            assert np.array_equal(b.product, _eigh_product(w, rank))
+
+    @pytest.mark.parametrize("shape", [(768, 256), (256, 768)])
+    def test_tall_and_wide(self, shape, eigh_calls):
+        w = _with_spectrum(shape, 0.95 ** np.arange(256.0), 5)
+        b = svd_split(tensor(w), 2)
+        assert max(c[0] for c in eigh_calls) < 256  # Ritz steps only, no full eigh
+        assert b.l1.shape == (shape[0], 2) and b.l2.shape == (2, shape[1])
+        assert np.linalg.norm(b.product - _svd_product(w, 2)) <= 1e-12 * np.linalg.norm(w)
+        assert np.array_equal(b.residual, w - b.l1 @ b.l2)
+
+    def test_reruns_are_bit_identical(self, eigh_calls):
+        # the start block is drawn from a fixed seed
+        w = _with_spectrum((256, 768), 0.95 ** np.arange(256.0), 6)
+        a, b = svd_split(tensor(w), 2), svd_split(tensor(w), 2)
+        assert max(c[0] for c in eigh_calls) < 256
+        assert np.array_equal(a.l1, b.l1) and np.array_equal(a.residual, b.residual)
+
+    def test_exact_rank_5_at_rank_16_falls_back(self, monkeypatch, eigh_calls):
+        # the first block's projection is at roundoff level in 11 of 16
+        # directions: no Ritz step, then the full eigh (the 128-column cap
+        # holds 8 blocks of 16, so the size rule is relaxed to let it start)
+        monkeypatch.setattr(ptq, "_MIN_BLOCKS", 8)
+        w = _low_rank((512, 512), 5, 4)
+        b = svd_split(tensor(w), 16)
+        assert eigh_calls == [(512, 512)]
+        assert np.linalg.norm(b.product - _svd_product(w, 16)) <= 1e-12 * np.linalg.norm(w)
+        assert np.linalg.norm(b.residual) <= 1e-12 * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("shape", [(300, 300), (512, 256), (256, 512)])
+    def test_exact_rank_4_at_rank_2_returns_ritz_pairs(self, shape, eigh_calls):
+        # three blocks of 2 span the invariant space B_1 + range(G); the
+        # fourth is roundoff, and one Ritz step on 6 columns decides
+        w = _low_rank(shape, 4, 4)
+        b = svd_split(tensor(w), 2)
+        assert eigh_calls == [(6, 6)]
+        assert np.linalg.norm(b.product - _svd_product(w, 2)) <= 1e-12 * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("shape", [(300, 300), (512, 256), (256, 512)])
+    def test_zero_matrix(self, shape, eigh_calls):
+        # G B_1 = 0: the first projected block is at roundoff level
+        b = svd_split(tensor(np.zeros(shape)), 2)
+        assert eigh_calls == [(256, 256) if shape != (300, 300) else (300, 300)]
+        assert not np.any(b.product) and not np.any(b.residual)
+
+    @pytest.mark.parametrize("shape", [(20, 12), (12, 20), (16, 16), (9, 9)])
+    def test_every_rank_with_small_constants(self, monkeypatch, shape):
+        # a basis as wide as the matrix, one block allowed, a check after every block
+        monkeypatch.setattr(ptq, "_CAP_DIV", 1)
+        monkeypatch.setattr(ptq, "_MIN_BLOCKS", 1)
+        monkeypatch.setattr(ptq, "_CHECK_EVERY", 1)
+        w = np.random.default_rng(12).normal(size=shape)
+        krylov = 0
+        for r in range(1, min(shape) + 1):
+            krylov += ptq._krylov_top(_gram(w), r) is not None
+            b = svd_split(tensor(w), r)
+            err = np.linalg.norm(b.product - _svd_product(w, r))
+            assert err <= 1e-12 * np.linalg.norm(w), (shape, r)
+            assert np.array_equal(b.residual, w - b.l1 @ b.l2)
+        assert krylov >= 2
+
+    @pytest.mark.parametrize("shape,rank", [((6, 4), 2), ((300, 300), 2)])
+    def test_eigh_failure_is_nonconvergence(self, monkeypatch, shape, rank):
+        # the fallback's eigh and the Ritz step's eigh both map to NonConvergence
+        def boom(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        w = tensor(np.random.default_rng(14).normal(size=shape))
+        with pytest.raises(NonConvergence, match="did not converge"):
+            svd_split(w, rank)
 
 
 class _SpyCodec:
@@ -349,6 +486,20 @@ class TestPipelines:
         rep = svdquant_pipeline(x, w, "int8", rank=16)
         # residual ~ 0 leaves only activation-side quantization in the error
         assert rep.svdq_rel_err <= rep.smooth_rel_err
+
+    def test_svdq_error_of_the_factored_branch(self):
+        # (x' @ L1) @ L2 in place of x' @ (L1 @ L2): the same error up to rounding
+        rng = np.random.default_rng(16)
+        x, w = tensor(rng.normal(size=(24, 32))), tensor(rng.normal(size=(32, 20)))
+        rep = svdquant_pipeline(x, w, "int8", rank=4, alpha=0.5)
+        codec = parse_format("int8")
+        xs, ws = apply_smoothing(x, w, plan_for(x, w, 0.5))
+        b = svd_split(ws, 4)
+        ref = x.data @ w.data
+        recon = xs.data @ b.product + (codec.reconstruct(xs, "activation")
+                                       @ codec.reconstruct(b.residual, "weight"))
+        err = float(np.linalg.norm(recon - ref)) / float(np.linalg.norm(ref))
+        assert rep.svdq_rel_err == pytest.approx(err, rel=1e-12)
 
     def test_rank_zero_rejected(self):
         x = tensor(np.ones((4, 4)))
