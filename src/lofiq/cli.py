@@ -77,7 +77,7 @@ def cmd_quantize(args):
         try:
             recon = codec.reconstruct(t, args.role, pad=args.pad)
         except LofiqError as exc:
-            if str(exc).startswith(f"tensor {t.name!r}"):
+            if exc.tensor is not None:  # the message names the tensor already
                 raise
             raise LofiqError(f"tensor {t.name!r}: {exc}") from exc
         outputs.append(Tensor.of_checked(recon, t.name))

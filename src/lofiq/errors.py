@@ -2,7 +2,15 @@
 
 
 class LofiqError(Exception):
-    """Base class for all lofiq errors."""
+    """Base class for all lofiq errors.
+
+    ``tensor`` is the name of the tensor the message already names
+    (``'<unnamed>'`` for a tensor without one), or None when it names none.
+    """
+
+    def __init__(self, *args, tensor=None):
+        super().__init__(*args)
+        self.tensor = tensor
 
 
 # -- tensor file container --------------------------------------------------

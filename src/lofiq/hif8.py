@@ -180,22 +180,24 @@ def hif8_scaled_quantize(t, axis, K):
 
     The per-group scale is K / (max|x| + 1e-12); a group of zeros (or an
     empty one) gets a huge scale but every element still quantizes to zero,
-    so dequantization reproduces zeros. A scale that underflows to 0 or
-    overflows to inf could not be divided out again and raises
-    NonFiniteValue; only the scales are checked, not the elements.
+    so dequantization reproduces zeros. A scale that overflows to inf, or one
+    so small that the least nonzero code MIN_SUBNORMAL divided by it
+    overflows (a scale of 0 included), could not be divided out again and
+    raises NonFiniteValue; only the scales are checked, not the elements.
     """
     if K <= 0:
         raise ValueError("K must be positive")
     arr = as_array(t)
     name = getattr(t, "name", None)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         scales = K / (group_absmax(arr, axis) + _SCALE_EPS)
-    flat = scales.reshape(-1)
-    bad = (flat == 0) | ~np.isfinite(flat)
+        flat = scales.reshape(-1)
+        bad = ~np.isfinite(flat) | ~np.isfinite(MIN_SUBNORMAL / flat)
     if bad.any():
         i = int(np.argmax(bad))
-        raise NonFiniteValue(f"tensor {name or '<unnamed>'!r}: hif8-scaled scale K / (max|x| + "
-                             f"{_SCALE_EPS}) of group {i} is {flat[i]} for K={K}")
+        shown = name or "<unnamed>"
+        raise NonFiniteValue(f"tensor {shown!r}: hif8-scaled scale K / (max|x| + {_SCALE_EPS}) "
+                             f"of group {i} is {flat[i]} for K={K}, out of range", tensor=shown)
     values = np.empty(arr.shape)
     for_chunks(lambda s: _quantize_into(arr[s] * rows(scales, s), values[s]), arr)
     return ScaledHif8Quantized(values, flat, float(K), axis, name)

@@ -13,7 +13,7 @@ The low-rank split W = L1 @ L2 + residual keeps the top singular
 directions exact and quantizes only the residual. Those directions are the
 top eigenvectors of the smaller-side Gram matrix, found by a block Krylov
 solver with a Rayleigh-Ritz step that stops on its Ritz residuals scaled
-by the Ritz gap (a Davis-Kahan bound on the product error of 1e-12 |W|_F),
+by the Ritz gap (a Davis-Kahan estimate of the product error, 1e-12 |W|_F),
 with a full ``np.linalg.eigh`` as the fallback; see ``svd_split``.
 """
 
@@ -163,7 +163,7 @@ _CAP_DIV = 4  # the basis holds at most n // 4 columns of the n x n Gram matrix
 # the cap costs more than eigh alone
 _MIN_BLOCKS = 28
 _CHECK_EVERY = 4  # Ritz residuals are checked every 4 blocks
-_TOL = 1e-12  # stop when the bound on the product error is below this times |W|_F
+_TOL = 1e-12  # stop when the estimated product error is below this times |W|_F
 
 
 def _krylov_top(g, rank):
@@ -173,12 +173,15 @@ def _krylov_top(g, rank):
     Each new block ``G B_j`` is orthogonalized twice against the basis (CGS2)
     and then QR'd into it; ``B^T G B`` grows one block column at a time. Every
     ``_CHECK_EVERY`` blocks the Ritz pairs ``(theta, v)`` of ``B^T G B`` are
-    formed, and the solver stops once the Davis-Kahan bound on the rank-r
+    formed, and the solver stops once the Davis-Kahan estimate of the rank-r
     product error, ``sqrt(2 theta_1) |G V - V Theta|_F / (theta_r - theta_r+1)``,
-    is at most ``_TOL |W|_F``. It gives up (None) when the basis would pass its
-    column cap, and when a new block is at roundoff level: the Krylov space is
-    then invariant, and its Ritz pairs are returned only if they pass the same
-    test. A block at roundoff level is never QR'd into the basis.
+    is at most ``_TOL |W|_F``. It is an estimate, not a guaranteed bound: the
+    Ritz gap can exceed the true gap theta_r - lambda_r+1 while theta_r+1 has
+    not yet converged, since theta_r+1 <= lambda_r+1. It gives up (None) when
+    the basis would pass its column cap, and when a new block is at roundoff
+    level: the Krylov space is then invariant, and its Ritz pairs are returned
+    only if they pass the same test. A block at roundoff level is never QR'd
+    into the basis.
     """
     n = g.shape[0]
     b = rank
@@ -230,7 +233,8 @@ def svd_split(w, rank):
 
     The eigenvectors come from a block Krylov solver (``_krylov_top``) that
     stops on its Ritz residuals, scaled by the Ritz gap, once the Davis-Kahan
-    bound on the product error is at most 1e-12 |W|_F. It falls back to a
+    estimate of the product error is at most 1e-12 |W|_F (an estimate: the
+    Ritz gap stands in for the true one). It falls back to a
     full ``np.linalg.eigh`` of the Gram matrix when its basis would pass n/4
     columns, when fewer than 28 blocks of ``rank`` columns fit under that cap
     (a small matrix or a large rank), and when the Krylov space turns

@@ -38,7 +38,7 @@ class Tensor:
 
     def __init__(self, values, name=None):
         arr = np.asarray(values, dtype=np.float64, order="C")  # 0-d stays 0-d
-        _check_finite(arr, f"tensor {name or '<unnamed>'!r}")
+        _check_finite(arr, name or "<unnamed>")
         _hold(self, arr, name)
 
     @classmethod
@@ -83,9 +83,12 @@ def tensor(values, name=None):
     return Tensor(values, name)
 
 
-def _check_finite(arr, label):
+def _check_finite(arr, shown):
+    """NonFiniteValue unless ``arr`` is all finite; ``shown`` is the name of
+    the tensor it belongs to, or None for a bare array."""
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue(f"{label} contains NaN or Inf")
+        label = "array" if shown is None else f"tensor {shown!r}"
+        raise NonFiniteValue(f"{label} contains NaN or Inf", tensor=shown)
 
 
 # -- chunks on every core -----------------------------------------------------
@@ -188,12 +191,12 @@ def made_in_chunks(shape, fill, name, view=None):
     """
     out = np.empty(shape)
     parts = out if view is None else view(out)
-    label = f"tensor {name or '<unnamed>'!r}"
+    shown = name or "<unnamed>"
 
     def chunk(s):
         part = parts[s]
         fill(s, part)
-        _check_finite(part, label)
+        _check_finite(part, shown)
 
     for_chunks(chunk, parts)
     return out
@@ -208,7 +211,7 @@ def as_array(t):
     if isinstance(t, Tensor):
         return t.data
     arr = np.asarray(t, dtype=np.float64)
-    _check_finite(arr, "array")
+    _check_finite(arr, None)
     return arr
 
 
@@ -379,5 +382,5 @@ def load_tensors(path):
             try:
                 out.append(Tensor(arr, name))
             except NonFiniteValue as exc:
-                raise NonFiniteValue(f"{path}: {exc}") from None
+                raise NonFiniteValue(f"{path}: {exc}", tensor=exc.tensor) from None
     return out

@@ -72,14 +72,14 @@ class TestEnumerate:
 
 
 def _spy_finiteness(monkeypatch):
-    """Elements passed to the finiteness check, summed by label, however they are chunked."""
+    """Elements passed to the finiteness check, summed by tensor name, however they are chunked."""
     checked = {}
     module = sys.modules["lofiq.tensor"]  # the name lofiq.tensor is the function
     inner = module._check_finite
 
-    def spy(arr, label):
-        checked[label] = checked.get(label, 0) + arr.size
-        inner(arr, label)
+    def spy(arr, shown):
+        checked[shown] = checked.get(shown, 0) + arr.size
+        inner(arr, shown)
 
     monkeypatch.setattr(module, "_check_finite", spy)
     return checked
@@ -122,7 +122,7 @@ class TestQuantize:
                    "--report", tmp_path / "r.json") == 0
         # every element twice: on load, and in the kernel's chunks of its
         # reconstruction, which becomes the output Tensor unscanned
-        assert checked == {"tensor 'a'": 2 * 32, "tensor 'b'": 2 * 8}
+        assert checked == {"a": 2 * 32, "b": 2 * 8}
 
     def test_unknown_format_exits_2(self, tmp_path):
         src = tmp_path / "in.lqt"
@@ -163,21 +163,22 @@ class TestQuantize:
                    "-o", tmp_path / "o.lqt") == 1
 
     def test_nonfinite_reconstruction_exits_1_without_traceback(self, tmp_path):
-        # a finite input whose reconstruction is NaN: a zero scale divides 0 by 0
+        # a finite input whose reconstruction is Inf, past the scale check:
+        # K=19 rounds up to the code 20, and 1.75e308 * 20 / 19 overflows
         src = tmp_path / "big.lqt"
-        save_tensors([tensor(np.full((4, 4), 1e300), name="big")], src)
-        proc = run_subprocess("quantize", src, "-f", "hif8-scaled:K=1e-300",
+        save_tensors([tensor(np.full((4, 4), 1.75e308), name="big")], src)
+        proc = run_subprocess("quantize", src, "-f", "hif8-scaled:K=19",
                               "-o", tmp_path / "o.lqt")
         assert proc.returncode == 1
-        assert any(line.startswith("error: ") and "'big'" in line
-                   for line in proc.stderr.splitlines())
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+        assert errors == ["error: tensor 'big' contains NaN or Inf"]
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o.lqt").exists()
 
-    @pytest.mark.parametrize("fill,K", [(1e300, "1e-300"), (0.0, "1e300")])
+    @pytest.mark.parametrize("fill,K", [(1e300, "1e-300"), (1e15, "1e-300"), (0.0, "1e300")])
     def test_scale_out_of_range_is_one_error_line(self, tmp_path, fill, K):
-        # a zero or infinite hif8-scaled scale: exit 1, no numpy warning, and
-        # the tensor named once
+        # a hif8-scaled scale of 0, of inf, or one too small to divide the
+        # least nonzero code by: exit 1, no numpy warning, the tensor named once
         src = tmp_path / "big.lqt"
         save_tensors([tensor(np.full((4, 4), fill), name="big")], src)
         proc = run_subprocess("quantize", src, "-f", f"hif8-scaled:K={K}",
@@ -250,7 +251,7 @@ class TestCompare:
         # the loaded input, then each reconstruction in its kernel's chunks;
         # the scaled blocks mxfp4 and nvfp4 round from checked data are not
         # scanned, so no check carries the "array" label of a raw input
-        assert checked == {"tensor 'w'": (1 + len(formats)) * 64 * 32}
+        assert checked == {"w": (1 + len(formats)) * 64 * 32}
 
     def test_bad_synth_exits_1(self, tmp_path):
         assert run("compare", "--synth", "cauchy:8x8", "--formats", "int8",

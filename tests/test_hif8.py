@@ -11,6 +11,7 @@ from lofiq.hif8 import (
     DEFAULT_K,
     MAX_NORMAL,
     MIN_SUBNORMAL,
+    ScaledHif8Quantized,
     hif8_decompose,
     hif8_enumerate,
     hif8_quantize,
@@ -193,17 +194,20 @@ class TestScaled:
         with pytest.raises(ValueError):
             hif8_scaled_quantize(tensor([1.0]), 0, 0.0)
 
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     @pytest.mark.parametrize("chunk", [None, 4], ids=["default-chunk", "chunk-4"])
     def test_nonfinite_reconstruction_names_the_tensor(self, monkeypatch, chunk):
-        # K / max|x| underflows to a zero scale, which dequantization could not
-        # divide out: the input is finite and the scale check sees it
+        # a record with zero scales, which quantize never makes: dequantization
+        # divides 1 by 0, and the output check of every chunk names the tensor
         if chunk is not None:
             monkeypatch.setattr(sys.modules["lofiq.tensor"], "CHUNK", chunk)
-        big = tensor(np.full((4, 4), 1e300), "big")
-        with pytest.raises(NonFiniteValue, match="'big'"):
-            parse_format("hif8-scaled:K=1e-300").reconstruct(big, "weight")
+        q = ScaledHif8Quantized(np.ones((4, 4)), np.zeros(4), 1.0, 0, "big")
+        with pytest.raises(NonFiniteValue, match="^tensor 'big' contains NaN or Inf$") as exc:
+            hif8_scaled_dequantize(q)
+        assert exc.value.tensor == "big"
 
-    @pytest.mark.parametrize("fill,K,scale", [(1e300, 1e-300, "0.0"), (0.0, 1e300, "inf")])
+    @pytest.mark.parametrize("fill,K,scale", [(1e300, 1e-300, "0.0"), (1e15, 1e-300, "1e-315"),
+                                              (0.0, 1e300, "inf")])
     def test_scale_out_of_range_raises_before_rounding(self, fill, K, scale):
         # a scale of 0 or inf is caught on the (n_groups,) scales, without
         # numpy's divide or multiply warnings and before any element is rounded
