@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import ptq
-from .codebook import builtin_names, builtin_spec, density_in_interval, enumerate_codebook
+from .codebook import builtin_names, density_in_interval, enumerate_codebook
 from .errors import LofiqError, UnknownFormat
 from .hif8 import hif8_enumerate
 from .metrics import (
@@ -21,22 +21,19 @@ from .metrics import (
     report_rows,
     synth,
 )
-from .mx import mxint8_codebook
 from .registry import ROLES, parse_format
 from .tensor import Tensor, load_tensors, save_tensors
 
+_ENUMERABLE = ", ".join(sorted(builtin_names() + ["hif8"]))
+
 
 def _enumerable(name):
-    key = name.strip().lower()
-    if key == "hif8":
+    if name.strip().lower() == "hif8":
         return hif8_enumerate()
-    if key == "int8":
-        return mxint8_codebook()
     try:
-        return enumerate_codebook(builtin_spec(key))
+        return enumerate_codebook(name)
     except UnknownFormat:
-        known = ", ".join(builtin_names() + ["hif8", "int8"])
-        raise UnknownFormat(f"unknown format {name!r}; known: {known}") from None
+        raise UnknownFormat(f"unknown format {name!r}; known: {_ENUMERABLE}") from None
 
 
 def _fmt_value(v):
@@ -170,7 +167,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list all representable values of a format")
-    p.add_argument("format", help=f"one of {', '.join(builtin_names())}, hif8, int8")
+    p.add_argument("format", help=f"one of {_ENUMERABLE}")
     p.add_argument("--interval", nargs=2, type=float, metavar=("LO", "HI"),
                    help="also count/list values inside [LO, HI]")
     p.add_argument("--output", "-o", help="write listing to a file instead of stdout")

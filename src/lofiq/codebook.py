@@ -1,10 +1,10 @@
 """Generic ExMy floating-point formats: specs, exhaustive value sets, projection.
 
-Every element format in this package (FP8/FP6/FP4 variants, the power-of-two
-scale format, the unsigned block-scale format) is described by an FpFormatSpec
-and realized as a Codebook: the complete sorted set of finite representable
-values. Rounding a real onto a codebook uses round-to-nearest with ties to
-the even mantissa code.
+Every builtin element grid (the FP8/FP6/FP4 casts, the int8 MX element, the
+power-of-two and the unsigned block-scale formats) is an FpFormatSpec, one
+codepoint rule for all, realized as a Codebook: the complete sorted set of
+finite representable values. Rounding a real onto a codebook uses
+round-to-nearest with ties to the even code.
 
 Conventions baked into the builtin specs:
   * E4M3 has no infinities; the top codepoint per sign (exp and mantissa all
@@ -12,12 +12,14 @@ Conventions baked into the builtin specs:
   * E5M2 reserves the all-ones exponent for Inf/NaN, so the max finite value
     is 1.75 * 2**15.
   * E3M2, E2M3, E2M1 have neither Inf nor NaN: every codepoint is finite.
+  * int8 is E0M7 with bias 0: the subnormals m / 64, so {-127..127} / 64.
   * E8M0 is an unsigned pure power-of-two format, bias 127, one NaN
     codepoint, values 2**-127 .. 2**127. It encodes no zero.
-  * E6M2U is the unsigned block-scale format with values m * 2**(e-2),
-    m in 4..7, clipped to [2**-48, 1.5 * 2**15].
+  * E6M2U is the unsigned block-scale format, bias 48, one reserved
+    codepoint: (1 + m/4) * 2**e in [2**-48, 1.5 * 2**15], and no zero.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +34,6 @@ __all__ = [
     "builtin_spec",
     "builtin_names",
     "enumerate_codebook",
-    "mxint8_codebook",
     "project",
     "density_in_interval",
 ]
@@ -42,11 +43,12 @@ __all__ = [
 class FpFormatSpec:
     """Declarative description of an ExMy format.
 
-    ``nan_encodings`` counts codepoints (per sign) reserved as NaN at the top
-    of the encoding space when the format has no infinities. ``kind`` selects
-    the enumeration rule: "standard" IEEE-like layouts, "pow2" for the
-    exponent-only scale format, "scale-u8" for the unsigned mantissa-scale
-    format defined by its m * 2**(e-2) encode rule.
+    Codepoint k (sign bit aside) has exponent field c = k >> y and mantissa
+    field m = k & (2**y - 1), y = ``mantissa_bits``. Each c is a binade of
+    values (2**y + m) * 2**(c - bias - y). With ``subnormals``, c = 0 holds
+    zero and the subnormals m * 2**(1 - bias - y) instead; without them the
+    grid has no zero. The top codepoints are reserved: the whole top binade
+    with ``has_inf``, else the ``nan_encodings`` highest codepoints.
     """
 
     name: str
@@ -56,39 +58,26 @@ class FpFormatSpec:
     bias: int = 0
     has_inf: bool = False
     nan_encodings: int = 0
-    kind: str = "standard"
+    subnormals: bool = True
 
     @property
     def max_finite(self):
-        if self.kind == "pow2":
-            return 2.0 ** (2**self.exponent_bits - 2 - self.bias)
-        if self.kind == "scale-u8":
-            return 1.5 * 2.0**15
-        top_exp = 2**self.exponent_bits - 1 - (1 if self.has_inf else 0)
-        top_man = 2**self.mantissa_bits - 1 - (0 if self.has_inf else self.nan_encodings)
-        return (1.0 + top_man / 2.0**self.mantissa_bits) * 2.0 ** (top_exp - self.bias)
+        return float(_magnitudes(self, _count(self) - 1))
 
     @property
     def min_normal(self):
-        if self.kind == "pow2":
-            return 2.0**-self.bias
-        if self.kind == "scale-u8":
-            return 2.0**-48
-        return 2.0 ** (1 - self.bias)
+        return 2.0 ** (int(self.subnormals) - self.bias)
 
     @property
     def min_subnormal(self):
         """Smallest positive value (equals min_normal when subnormal-free)."""
-        if self.kind in ("pow2", "scale-u8") or self.mantissa_bits == 0:
-            return self.min_normal
-        return 2.0 ** (1 - self.bias - self.mantissa_bits)
+        return float(_magnitudes(self, int(self.subnormals)))
 
     @property
     def max_subnormal(self):
-        if self.kind in ("pow2", "scale-u8") or self.mantissa_bits == 0:
+        if not self.subnormals or self.mantissa_bits == 0:
             return None
-        frac = (2**self.mantissa_bits - 1) / 2**self.mantissa_bits
-        return frac * 2.0 ** (1 - self.bias)
+        return float(_magnitudes(self, 2**self.mantissa_bits - 1))
 
 
 _BUILTINS = {
@@ -97,8 +86,11 @@ _BUILTINS = {
     "e3m2": FpFormatSpec("e3m2", 3, 2, bias=3),
     "e2m3": FpFormatSpec("e2m3", 2, 3, bias=1),
     "e2m1": FpFormatSpec("e2m1", 2, 1, bias=1),
-    "e8m0": FpFormatSpec("e8m0", 8, 0, signed=False, bias=127, nan_encodings=1, kind="pow2"),
-    "e6m2u": FpFormatSpec("e6m2u", 6, 2, signed=False, bias=48, kind="scale-u8"),
+    "int8": FpFormatSpec("int8", 0, 7, bias=0),
+    "e8m0": FpFormatSpec("e8m0", 8, 0, signed=False, bias=127, nan_encodings=1,
+                         subnormals=False),
+    "e6m2u": FpFormatSpec("e6m2u", 6, 2, signed=False, bias=48, nan_encodings=1,
+                          subnormals=False),
 }
 
 
@@ -118,11 +110,11 @@ def builtin_spec(name):
 class Codebook:
     """All finite values of a format, sorted ascending, with tie-break codes.
 
-    ``codes[i]`` is the mantissa (or grid) integer of values[i]; adjacent
-    values always carry codes of opposite parity, which makes the
-    ties-to-even rule in project() well defined. A codebook whose values are
-    exactly the grid of a standard spec with at least one mantissa bit is
-    rounded in closed form; any other is searched.
+    ``codes[i]`` is the codepoint of values[i], sign bit aside (or any grid
+    integer for a user-built codebook); adjacent values always carry codes
+    of opposite parity, which makes the ties-to-even rule in project() well
+    defined. A codebook whose values are exactly its spec's grid, with at
+    least one mantissa bit, is rounded in closed form; any other is searched.
     """
 
     spec: FpFormatSpec
@@ -141,10 +133,10 @@ class Codebook:
             arr.flags.writeable = False
         spec = self.spec
         exmy = None
-        if (spec.kind == "standard" and spec.mantissa_bits >= 1
-                and len(v) == _grid_size(spec)
-                and np.array_equal(v, _standard_grid(spec)[0])):
-            exmy = (1 - spec.bias, spec.mantissa_bits)
+        # a signed grid without zero has a gap at 0 that the closed form misses
+        if (spec.mantissa_bits >= 1 and (spec.subnormals or not spec.signed)
+                and np.array_equal(v, _grid(spec)[0])):
+            exmy = (round(math.log2(spec.min_normal)), spec.mantissa_bits)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "codes", c)
         object.__setattr__(self, "_mids", mids)
@@ -157,71 +149,50 @@ class Codebook:
     def max_finite(self):
         return float(self.values[-1])
 
-    def contains(self, x):
-        i = np.searchsorted(self.values, x)
-        return bool(np.all((i < len(self.values)) & (self.values[np.minimum(i, len(self.values) - 1)] == x)))
+
+def _count(spec):
+    """Number of finite codepoints, sign bit aside: all but the reserved top ones."""
+    return 2 ** (spec.exponent_bits + spec.mantissa_bits) - (
+        2**spec.mantissa_bits if spec.has_inf else spec.nan_encodings)
 
 
-def _positive_count(spec):
-    """Number of non-negative finite values of a standard spec."""
-    top_exp = 2**spec.exponent_bits - 1 - (1 if spec.has_inf else 0)
-    return 2**spec.mantissa_bits * (top_exp + 1) - (0 if spec.has_inf else spec.nan_encodings)
-
-
-def _grid_size(spec):
-    n = _positive_count(spec)
-    return 2 * n - 1 if spec.signed else n
-
-
-def _standard_grid(spec):
-    """Sorted finite values and mantissa codes of a standard spec.
-
-    Codepoint k (sign bit aside) has exponent field k >> y and mantissa
-    field k & (2**y - 1); exponent field 0 holds zero and the subnormals.
-    """
+def _magnitudes(spec, k):
+    """Values of the codepoints ``k`` (sign bit aside) of ``spec``."""
     y = spec.mantissa_bits
-    k = np.arange(_positive_count(spec), dtype=np.int64)
     c, m = k >> y, k & (2**y - 1)
-    pos = np.ldexp(np.where(c == 0, m, m + 2**y).astype(np.float64),
-                   np.maximum(c, 1) - spec.bias - y)
+    lead = (c > 0) | (not spec.subnormals)  # the implicit leading bit
+    return np.ldexp(m + lead * 2.0**y, np.maximum(c, int(spec.subnormals)) - spec.bias - y)
+
+
+def _grid(spec):
+    """Sorted finite values of ``spec`` and their codepoints, sign bit aside."""
+    k = np.arange(_count(spec), dtype=np.int64)
+    pos = _magnitudes(spec, k)
     if not spec.signed:
-        return pos, m
-    return np.concatenate([-pos[:0:-1], pos]), np.concatenate([m[:0:-1], m])
+        return pos, k
+    z = int(spec.subnormals)  # codepoint 0 is then zero, which has no negative twin
+    return np.concatenate([-pos[z:][::-1], pos]), np.concatenate([k[z:][::-1], k])
 
 
 def enumerate_codebook(spec):
-    """Enumerate every finite representable value of ``spec`` exactly once."""
+    """Every finite value of ``spec`` (or a builtin name) once; a shared, cached Codebook."""
     if isinstance(spec, str):
         spec = builtin_spec(spec)
-    if spec.kind == "pow2":
-        codes = np.arange(0, 2**spec.exponent_bits - spec.nan_encodings, dtype=np.int64)
-        values = np.ldexp(1.0, codes - spec.bias)
-        return Codebook(spec, values, codes)
-    if spec.kind == "scale-u8":
-        vals, codes = [], []
-        for e in range(-spec.bias, 2**spec.exponent_bits - spec.bias):
-            for m in range(4, 8):
-                v = math.ldexp(m, e - 2)
-                if v <= spec.max_finite:
-                    vals.append(v)
-                    codes.append(m)
-        return Codebook(spec, np.array(vals), np.array(codes))
-    return Codebook(spec, *_standard_grid(spec))
+    return _codebook(spec)
 
 
-def mxint8_codebook():
-    """Symmetric integer element grid {-127..127}/64 used by the MX int config."""
-    codes = np.arange(-127, 128, dtype=np.int64)
-    spec = FpFormatSpec("int8", 0, 7, bias=0)
-    return Codebook(spec, codes / 64.0, codes)
+@functools.lru_cache(maxsize=64)  # the builtins, and room for user specs without growing
+def _codebook(spec):
+    return Codebook(spec, *_grid(spec))
 
 
 # -- round-to-nearest projection ---------------------------------------------
 #
 # A true ExMy grid rounds in closed form: with q = max(floor(log2|x|), emin) - y
 # the grid step around x is 2**q, so rint(x / 2**q) * 2**q is the nearest
-# value, and rint's ties-to-even on that integer is the even mantissa code
-# (for y >= 1 the integer's parity is the code's). Both scalings by 2**q are
+# value, and rint's ties-to-even on that integer is the even code (for y >= 1
+# the integer's parity is the codepoint's). A grid without subnormals starts
+# at 2**emin, where the clip puts every smaller x. Both scalings by 2**q are
 # exact. Any other codebook searches its sorted values instead: the midpoint
 # of two adjacent values is exact in float64, so strict inequality against it
 # is the exact nearest test and equality is the exact tie test.

@@ -3,6 +3,10 @@
 The signal-to-quantization-noise ratio in dB is
 10 * log10(|X|_F^2 / |X - Xhat|_F^2); a perfect reconstruction reports the
 +inf sentinel, which serializes as the string "inf".
+
+Every figure is that of the plain formula without overflow. Data whose sums
+overflow float64 is scaled by 2**-k, which is exact, and the sum kept as a
+pair (value, k) for value * 2**k, or value * 4**k for a sum of squares.
 """
 
 import csv
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch, ZeroSignal
+from .errors import NonFiniteValue, ShapeMismatch, ZeroSignal
 from .registry import as_codec
 from .tensor import Tensor, as_array, for_chunks
 
@@ -61,23 +65,51 @@ class SyntheticSpec:
             raise ValueError("outlier_fraction must be in [0, 1]")
 
 
+def _exact(fn, a):
+    """(fn(a), 0), or (fn(a * 2**-k), k) with max|a * 2**-k| < 1 when fn(a) overflowed."""
+    with np.errstate(over="ignore"):
+        v = float(fn(a))
+    if v != math.inf:
+        return v, 0
+    k = math.frexp(float(np.max(np.abs(a))))[1]
+    return float(fn(np.ldexp(a, -k))), k
+
+
+def _sum_squares(a):
+    return np.sum(a * a)
+
+
+def _pair(v):
+    return v if isinstance(v, tuple) else (float(v), 0)
+
+
 def sqnr(x, x_hat, *, signal=None, noise=None):
     """Signal-to-quantization-noise ratio in dB.
 
     A caller that holds signal = sum(x*x) or noise = sum((x_hat - x)**2)
-    passes it in; with both, x and x_hat are not read.
+    passes it in, as a float or as a (value, k) pair for value * 4**k; with
+    both, x and x_hat are not read.
     """
     if signal is None or noise is None:
         xa, ha = as_array(x), as_array(x_hat)
         if xa.shape != ha.shape:
             raise ShapeMismatch(f"shape {xa.shape} vs {ha.shape}")
-        signal = float(np.sum(xa * xa)) if signal is None else signal
-        noise = float(np.sum((ha - xa) ** 2)) if noise is None else noise
-    if signal == 0.0:
+        signal = _exact(_sum_squares, xa) if signal is None else signal
+        with np.errstate(over="ignore"):
+            noise = _exact(_sum_squares, ha - xa) if noise is None else noise
+    (s, ks), (n, kn) = _pair(signal), _pair(noise)
+    if s == 0.0:
         raise ZeroSignal("signal energy is zero")
-    if noise == 0.0:
+    if n == 0.0:
         return math.inf
-    return 10.0 * math.log10(signal / noise)
+    if n == math.inf:
+        raise NonFiniteValue("x_hat - x overflows float64")
+    # signal / noise = (ms / mn) * 2**e, exact while that is a normal float
+    (ms, es), (mn, en) = math.frexp(s), math.frexp(n)
+    e = es - en + 2 * (ks - kn)
+    if -1021 <= e <= 1023:
+        return 10.0 * math.log10(math.ldexp(ms / mn, e))
+    return 10.0 * (math.log10(ms / mn) + e * math.log10(2.0))
 
 
 def synth(spec):
@@ -101,30 +133,43 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, signal=None, ref_norm
 
     ``recon`` is checked for finiteness once, here, unless it is a Tensor
     (checked when built). ``signal`` (sum of x*x) and ``ref_norm`` (|x|_F)
-    may be passed by a caller that scores many reconstructions of ``t``.
+    may be passed by a caller that scores many reconstructions of ``t``, as
+    floats or pairs. An error beyond float64 raises NonFiniteValue.
     """
     arr = as_array(t)
     rec = as_array(recon)
     if arr.shape != rec.shape:
         raise ShapeMismatch(f"shape {arr.shape} vs {rec.shape}")
-    signal = float(np.sum(arr * arr)) if signal is None else signal
-    ref_norm = float(np.linalg.norm(arr)) if ref_norm is None else ref_norm
+    signal = _exact(_sum_squares, arr) if signal is None else signal
+    rn, rk = _exact(np.linalg.norm, arr) if ref_norm is None else _pair(ref_norm)
     a, r = (arr, rec) if arr.ndim else (arr.reshape(1), rec.reshape(1))
     err = np.empty(a.shape)  # |recon - arr|, formed and maximized in chunks
+    shown = getattr(t, "name", None) or "<unnamed>"
 
+    @np.errstate(over="ignore")  # an overflowing difference makes rel_fro_err inf below
     def chunk(s):
         e = np.subtract(r[s], a[s], out=err[s])
         return np.abs(e, out=e).max(initial=0.0)
 
     max_abs = max(for_chunks(chunk, a), default=0.0)
+    # with |err| < 2**top its squares sum below 2**(2 * top + bits of size);
+    # past 2**1023 err is scaled by 2**-top first, which is exact
+    top = math.frexp(max_abs)[1]
+    k = top if 2 * top + err.size.bit_length() > 1023 else 0
+    if k:
+        for_chunks(lambda s: np.ldexp(err[s], -k, out=err[s]), a)
     # sums, the mean and the norm run over the whole array, in the order a
     # single pass adds, so every reported digit is that pass's
-    mean_abs = float(err.mean()) if err.size else 0.0
-    rel = float(np.linalg.norm(err)) / ref_norm if ref_norm else 0.0
+    mean_abs = math.ldexp(float(err.mean()), k) if err.size else 0.0
+    with np.errstate(over="ignore"):
+        rel = float(np.ldexp(float(np.linalg.norm(err)) / rn, k - rk)) if rn else 0.0
+    if rel == math.inf:  # also when |recon - arr| overflowed: then |err|_F is inf
+        raise NonFiniteValue(f"tensor {shown!r}: the error of {codec.selector} overflows float64",
+                             tensor=shown)
     for_chunks(lambda s: np.multiply(err[s], err[s], out=err[s]), a)
-    db = sqnr(arr, rec, signal=signal, noise=float(np.sum(err)))
+    db = sqnr(arr, rec, signal=signal, noise=(float(np.sum(err)), k))
     return FidelityReport(
-        tensor_name=getattr(t, "name", None) or "<unnamed>",
+        tensor_name=shown,
         format_name=codec.selector,
         granularity=codec.granularity(role, arr.ndim),
         sqnr_db=db,
@@ -138,7 +183,7 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, signal=None, ref_norm
 def compare_formats(t, formats, role):
     """One FidelityReport per format, all against the same input tensor."""
     arr = as_array(t)
-    signal, ref_norm = float(np.sum(arr * arr)), float(np.linalg.norm(arr))
+    signal, ref_norm = _exact(_sum_squares, arr), _exact(np.linalg.norm, arr)
     reports = []
     for fmt in formats:
         codec = as_codec(fmt)

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import (
-    Codebook,
-    FpFormatSpec,
-    _round,
-    builtin_spec,
-    enumerate_codebook,
-    mxint8_codebook,
-)
+from .codebook import Codebook, FpFormatSpec, _round, builtin_spec, enumerate_codebook
 from .errors import UnknownFormat
 from .tensor import Tensor, as_array, block_view, for_chunks, made_in_chunks
 
@@ -30,8 +23,6 @@ __all__ = ["DEFAULT_BLOCK", "MxQuantized", "mx_quantize", "mx_dequantize", "reso
 
 DEFAULT_BLOCK = 32
 E_MIN, E_MAX = -127, 127
-
-_ELEMENT_CACHE = {}
 
 
 def resolve_element(element):
@@ -43,19 +34,10 @@ def resolve_element(element):
     """
     if isinstance(element, Codebook):
         return element
-    if isinstance(element, FpFormatSpec):
-        key = element.name
-    else:
-        key = str(element).strip().lower()
-    if key not in _ELEMENT_CACHE:
-        if key == "int8":
-            _ELEMENT_CACHE[key] = mxint8_codebook()
-        else:
-            spec = builtin_spec(key)
-            if not spec.signed:
-                raise UnknownFormat(f"{key!r} is an unsigned scale format, not an MX element")
-            _ELEMENT_CACHE[key] = enumerate_codebook(spec)
-    return _ELEMENT_CACHE[key]
+    spec = element if isinstance(element, FpFormatSpec) else builtin_spec(str(element))
+    if not spec.signed:
+        raise UnknownFormat(f"{spec.name!r} is an unsigned scale format, not an MX element")
+    return enumerate_codebook(spec)
 
 
 @dataclass(frozen=True)

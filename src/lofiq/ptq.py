@@ -253,8 +253,10 @@ def svd_split(w, rank):
             top = np.linalg.eigh(g)[1][:, -rank:][:, ::-1]  # ascending; strongest first
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigendecomposition failed to converge: {exc}") from exc
+    del g  # the pipeline's peak memory is its live W-sized arrays, and g is one
     l1, l2 = (wa @ top, top.T) if tall else (top, top.T @ wa)
-    return LowRankBranch(l1, l2, int(rank), wa - l1 @ l2)
+    residual = l1 @ l2
+    return LowRankBranch(l1, l2, int(rank), np.subtract(wa, residual, out=residual))
 
 
 @dataclass(frozen=True)
@@ -327,6 +329,7 @@ def svdquant_pipeline(x, w, fmt, rank=16, alpha=None):
     ref, ref_norm, rtn_err, plan, smooth_err, qx = _smoothing_stage(x, w, codec, alpha, rank)
     xs, ws = apply_smoothing(x, w, plan)
     branch = svd_split(ws, rank)
+    del ws  # the split holds what is left of it
     recon = (xs.data @ branch.l1) @ branch.l2 + qx @ codec.reconstruct(branch.residual, "weight")
     svdq_err = float(np.linalg.norm(recon - ref)) / ref_norm
     return PipelineReport(codec.selector, plan.alpha, int(rank), rtn_err, smooth_err, svdq_err)

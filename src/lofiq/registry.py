@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from . import hif4, hif8, intquant, mx, nvfp4
-from .codebook import builtin_spec, enumerate_codebook, project
+from .codebook import enumerate_codebook, project
 from .errors import UnknownFormat
 from .tensor import as_array
 
@@ -169,7 +169,7 @@ class IntCodec(_Codec):
 class CastCodec(_Codec):
     def __init__(self, name):
         self.selector = name
-        self.cb = enumerate_codebook(builtin_spec(name))
+        self.cb = enumerate_codebook(name)
 
     def _reconstruct(self, t, role, axis):
         return project(self.cb, t)

@@ -193,6 +193,7 @@ def made_in_chunks(shape, fill, name, view=None):
     parts = out if view is None else view(out)
     shown = name or "<unnamed>"
 
+    @np.errstate(all="ignore")  # a NaN or Inf that fill makes is caught by the check
     def chunk(s):
         part = parts[s]
         fill(s, part)

@@ -26,15 +26,19 @@ def decode_minifloat(word, exp_bits, man_bits, bias, has_inf, nan_top):
     return sign * (1.0 + man / (1 << man_bits)) * 2.0 ** (exp - bias)
 
 
-def enumerate_by_codepoints(exp_bits, man_bits, bias, has_inf=False, nan_top=0):
-    """All finite values of a signed format by walking every codepoint."""
-    total_bits = 1 + exp_bits + man_bits
-    vals = set()
-    for word in range(1 << total_bits):
+def walk_codepoints(exp_bits, man_bits, bias, has_inf=False, nan_top=0):
+    """{value: mantissa field} of every finite codepoint of a signed format."""
+    found = {}
+    for word in range(1 << (1 + exp_bits + man_bits)):
         v = decode_minifloat(word, exp_bits, man_bits, bias, has_inf, nan_top)
         if v is not None:
-            vals.add(v + 0.0)  # collapses -0.0 into 0.0
-    return np.array(sorted(vals))
+            found[v + 0.0] = word & ((1 << man_bits) - 1)  # + 0.0 collapses -0.0 into 0.0
+    return found
+
+
+def enumerate_by_codepoints(exp_bits, man_bits, bias, has_inf=False, nan_top=0):
+    """All finite values of a signed format by walking every codepoint."""
+    return np.array(sorted(walk_codepoints(exp_bits, man_bits, bias, has_inf, nan_top)))
 
 
 def brute_force_nearest(values, codes, x):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -170,10 +171,27 @@ class TestQuantize:
         proc = run_subprocess("quantize", src, "-f", "hif8-scaled:K=19",
                               "-o", tmp_path / "o.lqt")
         assert proc.returncode == 1
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
-        assert errors == ["error: tensor 'big' contains NaN or Inf"]
-        assert "Traceback" not in proc.stderr
+        # the kernel's chunk threads print no numpy warning before the error line
+        assert proc.stderr == "error: tensor 'big' contains NaN or Inf\n"
         assert not (tmp_path / "o.lqt").exists()
+
+    @pytest.mark.parametrize("fmt,fill,want", [
+        # 2**-22 over scales near 2e-299 gives finite values near 1e292, whose squares overflow
+        ("hif8-scaled:K=1e-300", None, -5872.9009),
+        # the input's own squares overflow; hif8 saturates at 2**15, far below 1e300
+        ("hif8", 1e300, 0.0),
+    ])
+    def test_overflowing_squares_report_exact_figures(self, tmp_path, fmt, fill, want):
+        data = (np.full((4, 4), fill) if fill else
+                np.random.default_rng(0).normal(0.0, 0.02, (8, 8)))
+        src, rep = tmp_path / "in.lqt", tmp_path / "r.json"
+        save_tensors([tensor(data, name="t")], src)
+        proc = run_subprocess("quantize", src, "-f", fmt, "-o", tmp_path / "o.lqt",
+                              "--report", rep)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        (row,) = json.loads(rep.read_text())
+        assert row["sqnr_db"] == want
+        assert all(math.isfinite(row[k]) for k in ("max_abs_err", "mean_abs_err", "rel_fro_err"))
 
     @pytest.mark.parametrize("fill,K", [(1e300, "1e-300"), (1e15, "1e-300"), (0.0, "1e300")])
     def test_scale_out_of_range_is_one_error_line(self, tmp_path, fill, K):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,18 +7,48 @@ from hypothesis import strategies as st
 
 from lofiq.codebook import (
     Codebook,
+    FpFormatSpec,
+    builtin_names,
     builtin_spec,
     density_in_interval,
     enumerate_codebook,
-    mxint8_codebook,
     project,
 )
 from lofiq.errors import NonFiniteValue, UnknownFormat
 from lofiq.hif8 import hif8_enumerate
+from lofiq.mx import resolve_element
+from lofiq.registry import parse_format
 
-from oracles import brute_force_nearest, enumerate_by_codepoints, min_distances
+from oracles import brute_force_nearest, enumerate_by_codepoints, min_distances, walk_codepoints
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+# (exponent bits, mantissa bits, bias, has_inf, NaN codepoints at the top)
+_STANDARD = {
+    "e2m1": (2, 1, 1, False, 0),
+    "e2m3": (2, 3, 1, False, 0),
+    "e3m2": (3, 2, 3, False, 0),
+    "e4m3": (4, 3, 7, False, 1),
+    "e5m2": (5, 2, 15, True, 0),
+}
+GRIDS = ("e2m1", "e2m3", "e3m2", "e4m3", "e5m2", "int8", "e8m0", "e6m2u")
+
+
+def independent_grid(name):
+    """(values, tie codes) of a builtin grid from its definition, without lofiq."""
+    if name == "e8m0":  # 2**-127 .. 2**127, ties to the even exponent code
+        e = np.arange(-127, 128)
+        return np.ldexp(1.0, e), e + 127
+    if name == "e6m2u":  # m * 2**(e-2), m in 4..7, kept within [2**-48, 1.5 * 2**15]
+        grid = [(math.ldexp(m, e - 2), m) for e in range(-48, 16) for m in range(4, 8)
+                if 2.0**-48 <= math.ldexp(m, e - 2) <= 1.5 * 2**15]
+        return np.array([v for v, _ in grid]), np.array([m for _, m in grid])
+    if name == "int8":  # {-127..127} / 64
+        k = np.arange(-127, 128)
+        return k / 64.0, k
+    found = walk_codepoints(*_STANDARD[name])
+    values = sorted(found)
+    return np.array(values), np.array([found[v] for v in values])
 
 
 class TestBuiltinExtremes:
@@ -68,6 +100,24 @@ class TestEnumerate:
         cb = enumerate_codebook(name)
         oracle = enumerate_by_codepoints(exp, man, bias, has_inf, nan_top)
         assert np.array_equal(cb.values, oracle)
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_values_and_tie_parity_match_definition(self, name):
+        cb = enumerate_codebook(name)
+        values, codes = independent_grid(name)
+        assert np.array_equal(cb.values, values)
+        assert np.array_equal(cb.codes % 2, codes % 2)
+
+    def test_builtins_are_the_eight_grids(self):
+        assert builtin_names() == sorted(GRIDS)
+
+    def test_name_lookup_is_shared(self):
+        cb = enumerate_codebook("e4m3")
+        assert enumerate_codebook(" E4M3") is cb
+        assert enumerate_codebook(builtin_spec("e4m3")) is cb
+        assert resolve_element("e4m3") is cb
+        assert parse_format("e4m3").cb is cb
+        assert resolve_element("int8") is enumerate_codebook("int8")
 
     def test_e4m3_count(self):
         assert len(enumerate_codebook("e4m3")) == 253
@@ -141,7 +191,7 @@ class TestProject:
 
     @pytest.mark.parametrize("make", [
         *(lambda n=n: enumerate_codebook(n) for n in ("e2m1", "e2m3", "e3m2", "e4m3", "e5m2")),
-        mxint8_codebook,
+        lambda: enumerate_codebook("int8"),
         lambda: enumerate_codebook("e8m0"),
         lambda: enumerate_codebook("e6m2u"),
         hif8_enumerate,
@@ -162,8 +212,10 @@ class TestProject:
     def test_closed_form_only_on_true_grids(self):
         for name in ("e2m1", "e2m3", "e3m2", "e4m3", "e5m2"):
             assert enumerate_codebook(name)._exmy is not None, name
-        assert mxint8_codebook()._exmy == (1, 7)
-        for cb in (enumerate_codebook("e8m0"), enumerate_codebook("e6m2u"), hif8_enumerate()):
+        assert enumerate_codebook("int8")._exmy == (1, 7)
+        assert enumerate_codebook("e6m2u")._exmy == (-48, 2)
+        # e8m0 has no mantissa bit to carry the tie parity
+        for cb in (enumerate_codebook("e8m0"), hif8_enumerate()):
             assert cb._exmy is None, cb.spec.name
         # a user-built subset of a standard grid keeps the search
         full = enumerate_codebook("e4m3")
@@ -171,6 +223,15 @@ class TestProject:
         subset = Codebook(full.spec, full.values[keep], np.arange(len(full))[keep] // 2)
         assert subset._exmy is None
         assert project(subset, 0.009) == brute_force_nearest(subset.values, subset.codes, 0.009)[0]
+
+    def test_signed_grid_without_zero_keeps_search(self):
+        cb = enumerate_codebook(FpFormatSpec("e3m2nz", 3, 2, bias=3, subnormals=False))
+        assert cb._exmy is None
+        assert 0.0 not in cb.values and np.array_equal(cb.values, -cb.values[::-1])
+        assert len(cb) == 2 * 32
+        x = np.concatenate([cb.values, cb._mids, [0.0, 0.01, -0.01, 1e9, -1e9]])
+        want = brute_force_nearest(cb.values, cb.codes, np.clip(x, cb.values[0], cb.values[-1]))
+        assert np.array_equal(project(cb, x), want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("make", [
@@ -187,7 +248,7 @@ class TestProject:
             project(cb, bad)
 
     def test_mxint8_grid(self):
-        cb = mxint8_codebook()
+        cb = enumerate_codebook("int8")
         assert len(cb) == 255
         assert cb.values[-1] == 127 / 64
         assert project(cb, 1.0) == 1.0

@@ -87,9 +87,9 @@ class TestEnumerate:
         assert subs.tolist() == [2.0**e for e in range(-22, -15)]
 
     def test_membership(self):
-        assert CB.contains(0.3125)
-        assert CB.contains(96.0)
-        assert not CB.contains(0.3)
+        assert 0.3125 in CB.values
+        assert 96.0 in CB.values
+        assert 0.3 not in CB.values
 
     def test_mantissa_width_by_binade(self):
         # widths at representative decompositions follow the |exponent| table:

@@ -1,6 +1,8 @@
 import json
 import math
+import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,6 +71,57 @@ class TestSqnr:
         assert sqnr(None, None, signal=signal, noise=noise) == want
         with pytest.raises(ZeroSignal):
             sqnr(None, None, signal=0.0, noise=noise)
+
+
+class TestOverflow:
+    """Figures whose plain sums overflow float64 are those of the plain formula."""
+
+    C = 2.0**1000  # scaling by a power of two moves exponents only
+
+    def _pair(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(16, 8))
+        return x, x + rng.normal(scale=1e-3, size=x.shape)
+
+    def test_scaled_data_reports_the_same_figures(self):
+        x, xh = self._pair()
+        codec = parse_format("e4m3")
+        want = fidelity_from_reconstruction(tensor(x), xh, codec, "weight")
+        got = fidelity_from_reconstruction(tensor(x * self.C), xh * self.C, codec, "weight")
+        assert (got.sqnr_db, got.rel_fro_err) == (want.sqnr_db, want.rel_fro_err)
+        assert (got.max_abs_err, got.mean_abs_err) == (want.max_abs_err * self.C,
+                                                       want.mean_abs_err * self.C)
+        assert sqnr(x * self.C, xh * self.C) == sqnr(x, xh)
+
+    def test_only_the_noise_overflows(self):
+        x, xh = self._pair()
+        xh = xh + np.random.default_rng(6).normal(size=x.shape) * 2.0**600
+        r = fidelity_from_reconstruction(tensor(x), xh, parse_format("e4m3"), "weight")
+        signal = sum(Fraction(v) ** 2 for v in x.ravel())
+        noise = sum((Fraction(b) - Fraction(a)) ** 2 for a, b in zip(x.ravel(), xh.ravel()))
+        ratio = noise / signal / 4**600
+        assert r.sqnr_db == pytest.approx(-10 * (math.log10(ratio) + 1200 * math.log10(2)),
+                                          rel=1e-12)
+        assert r.rel_fro_err == pytest.approx(math.sqrt(ratio) * 2.0**600, rel=1e-12)
+
+    def test_finite_squares_whose_sum_overflows(self):
+        x = np.zeros(16)
+        x[0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            r = fidelity_from_reconstruction(tensor(x), np.full(16, 1e154),
+                                             parse_format("e4m3"), "weight")
+        noise = 15 * Fraction(1e154) ** 2 + (Fraction(1e154) - 1) ** 2
+        assert r.sqnr_db == pytest.approx(-10 * math.log10(noise.numerator), rel=1e-12)
+        assert r.rel_fro_err == pytest.approx(math.sqrt(noise / 2**1000) * 2.0**500, rel=1e-12)
+        assert (r.max_abs_err, r.mean_abs_err) == (1e154, 1e154)
+
+    def test_figures_beyond_float64_raise(self):
+        codec = parse_format("e4m3")
+        with pytest.raises(NonFiniteValue, match="overflows"):  # |recon - x| itself
+            fidelity_from_reconstruction(tensor([1.7e308]), np.array([-1.7e308]), codec, "weight")
+        with pytest.raises(NonFiniteValue, match="overflows"):  # rel_fro_err: 1e160 / 1e-150
+            fidelity_from_reconstruction(tensor([1e-150]), np.array([1e160]), codec, "weight")
 
 
 class TestFidelity:
