@@ -31,7 +31,7 @@ def _enumerable(name):
     if name.strip().lower() == "hif8":
         return hif8_enumerate()
     try:
-        return enumerate_codebook(name)
+        return enumerate_codebook(name).values
     except UnknownFormat:
         raise UnknownFormat(f"unknown format {name!r}; known: {_ENUMERABLE}") from None
 
@@ -41,10 +41,9 @@ def _fmt_value(v):
 
 
 def cmd_enumerate(args):
-    cb = _enumerable(args.format)
+    values = _enumerable(args.format)
     out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
     try:
-        values = cb.values
         print(f"format: {args.format.strip().lower()}", file=out)
         print(f"count: {len(values)}", file=out)
         positives = values[values > 0]
@@ -53,7 +52,7 @@ def cmd_enumerate(args):
             print(f"min_positive: {_fmt_value(positives[0])}", file=out)
         if args.interval is not None:
             lo, hi = args.interval
-            n = density_in_interval(cb, lo, hi)
+            n = density_in_interval(values, lo, hi)
             print(f"interval: [{_fmt_value(lo)}, {_fmt_value(hi)}]", file=out)
             print(f"count_in_interval: {n}", file=out)
             values = values[(values >= lo) & (values <= hi)]

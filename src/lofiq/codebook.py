@@ -3,8 +3,10 @@
 Every builtin element grid (the FP8/FP6/FP4 casts, the int8 MX element, the
 power-of-two and the unsigned block-scale formats) is an FpFormatSpec, one
 codepoint rule for all, realized as a Codebook: the complete sorted set of
-finite representable values. Rounding a real onto a codebook uses
-round-to-nearest with ties to the even code.
+finite representable values. A grid has one rounding rule, round-to-nearest
+with ties to the even code, computed in closed form (see project); E8M0,
+with no mantissa bit to carry the tie parity, and any signed grid without
+zero have none, and project refuses them.
 
 Conventions baked into the builtin specs:
   * E4M3 has no infinities; the top codepoint per sign (exp and mantissa all
@@ -20,7 +22,6 @@ Conventions baked into the builtin specs:
 """
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,38 +109,30 @@ def builtin_spec(name):
 
 @dataclass(frozen=True)
 class Codebook:
-    """All finite values of a format, sorted ascending, with tie-break codes.
+    """The grid of ``spec``: all its finite values, sorted ascending, and their codepoints.
 
-    ``codes[i]`` is the codepoint of values[i], sign bit aside (or any grid
-    integer for a user-built codebook); adjacent values always carry codes
-    of opposite parity, which makes the ties-to-even rule in project() well
-    defined. A codebook whose values are exactly its spec's grid, with at
-    least one mantissa bit, is rounded in closed form; any other is searched.
+    ``codes[i]`` is the codepoint of values[i], sign bit aside; adjacent
+    values carry codes of opposite parity, which makes the ties-to-even rule
+    in project() well defined. ``_exmy`` is the (emin, y) of that rule's
+    closed form, or None for a grid without one: y = 0 leaves no mantissa
+    bit for the tie parity, and a signed grid without zero has a gap at 0
+    that the closed form misses. Codebooks compare and hash by their spec.
     """
 
     spec: FpFormatSpec
-    values: np.ndarray
-    codes: np.ndarray
-    _mids: np.ndarray = field(repr=False, default=None)
-    _exmy: tuple = field(init=False, repr=False, default=None)  # (emin, y) of a true ExMy grid
+    values: np.ndarray = field(init=False, compare=False)
+    codes: np.ndarray = field(init=False, compare=False)
+    _exmy: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        c = np.ascontiguousarray(self.codes, dtype=np.int64)
-        # Midpoints are exact in float64 for every builtin format: neighbours
-        # share (or nearly share) a binade and have few mantissa bits.
-        mids = (v[:-1] + v[1:]) * 0.5
-        for arr in (v, c, mids):
-            arr.flags.writeable = False
         spec = self.spec
+        values, codes = _grid(spec)
+        values.flags.writeable = codes.flags.writeable = False
         exmy = None
-        # a signed grid without zero has a gap at 0 that the closed form misses
-        if (spec.mantissa_bits >= 1 and (spec.subnormals or not spec.signed)
-                and np.array_equal(v, _grid(spec)[0])):
-            exmy = (round(math.log2(spec.min_normal)), spec.mantissa_bits)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "codes", c)
-        object.__setattr__(self, "_mids", mids)
+        if spec.mantissa_bits >= 1 and (spec.subnormals or not spec.signed):
+            exmy = (int(spec.subnormals) - spec.bias, spec.mantissa_bits)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "_exmy", exmy)
 
     def __len__(self):
@@ -183,22 +176,33 @@ def enumerate_codebook(spec):
 
 @functools.lru_cache(maxsize=64)  # the builtins, and room for user specs without growing
 def _codebook(spec):
-    return Codebook(spec, *_grid(spec))
+    return Codebook(spec)
 
 
 # -- round-to-nearest projection ---------------------------------------------
 #
-# A true ExMy grid rounds in closed form: with q = max(floor(log2|x|), emin) - y
-# the grid step around x is 2**q, so rint(x / 2**q) * 2**q is the nearest
-# value, and rint's ties-to-even on that integer is the even code (for y >= 1
-# the integer's parity is the codepoint's). A grid without subnormals starts
-# at 2**emin, where the clip puts every smaller x. Both scalings by 2**q are
-# exact. Any other codebook searches its sorted values instead: the midpoint
-# of two adjacent values is exact in float64, so strict inequality against it
-# is the exact nearest test and equality is the exact tie test.
+# With q = max(floor(log2|x|), emin) - y the grid step around x is 2**q, so
+# rint(x / 2**q) * 2**q is the nearest value, and rint's ties-to-even on that
+# integer is the even code (for y >= 1 the integer's parity is the
+# codepoint's). A grid without subnormals starts at 2**emin, where the clip
+# puts every smaller x. Both scalings by 2**q are exact.
 
-def _round_exmy(x, lo, hi, emin, y, out):
-    out = np.clip(x, lo, hi, out=out)
+def _rule(cb):
+    """``cb`` itself, or UnknownFormat when its grid has no rounding rule."""
+    if cb._exmy is None:
+        raise UnknownFormat(f"{cb.spec.name!r} has no rounding rule: it needs a mantissa bit, "
+                            f"and zero or no sign")
+    return cb
+
+
+def _round(cb, x, out):
+    """Round the finite array ``x`` (at least 1-D) onto ``cb`` into ``out``, which may be ``x``.
+
+    project's rounding without its ingest and checks, for a kernel's chunk
+    of values it derived from checked data.
+    """
+    emin, y = cb._exmy
+    out = np.clip(x, cb.values[0], cb.values[-1], out=out)
     _, q = np.frexp(out)
     q -= 1 + y
     np.maximum(q, emin - y, out=q)
@@ -209,52 +213,26 @@ def _round_exmy(x, lo, hi, emin, y, out):
     return out
 
 
-def _search_nearest(values, codes, mids, x):
-    xc = np.clip(x, values[0], values[-1])
-    i = np.searchsorted(values, xc)
-    i = np.clip(i, 1, len(values) - 1)
-    left = values[i - 1]
-    right = values[i]
-    mid = mids[i - 1]
-    out = np.where(xc > mid, right, left)
-    tie = xc == mid
-    if np.any(tie):
-        swap = tie & (codes[i - 1] % 2 != 0) & (codes[i] % 2 == 0)
-        out = np.where(swap, right, out)
-    return out
-
-
-def _round(cb, x, out):
-    """Round the finite array ``x`` (at least 1-D) onto ``cb`` into ``out``, which may be ``x``.
-
-    project's rounding without its ingest and checks, for a kernel's chunk
-    of values it derived from checked data.
-    """
-    if cb._exmy is not None:
-        return _round_exmy(x, cb.values[0], cb.values[-1], *cb._exmy, out=out)
-    out[...] = _search_nearest(cb.values, cb.codes, cb._mids, x)
-    return out
-
-
 def project(cb, x):
     """Round finite input(s) onto the nearest codebook value.
 
     Values beyond the extremes clip to them; exact midpoints resolve to the
     neighbour with the even mantissa code. A zero result is +0.0. NaN or
-    Inf input raises NonFiniteValue. The output is rounded and checked in
-    chunks, so a cast's reconstruction needs no second scan.
+    Inf input raises NonFiniteValue, and a grid without a rounding rule
+    UnknownFormat, before anything is rounded. The output is rounded and
+    checked in chunks, so a cast's reconstruction needs no second scan.
     """
     arr = as_array(x)
+    _rule(cb)
     flat = arr.reshape(-1)
     return made_in_chunks(arr.shape, lambda s, o: _round(cb, flat[s], o),
                           getattr(x, "name", None), np.ravel)
 
 
-def density_in_interval(cb, lo, hi):
-    """Count codebook values v with lo <= v <= hi."""
+def density_in_interval(values, lo, hi):
+    """Count the sorted ``values`` v with lo <= v <= hi."""
     if lo > hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    left = np.searchsorted(cb.values, lo, side="left")
-    right = np.searchsorted(cb.values, hi, side="right")
+    left = np.searchsorted(values, lo, side="left")
+    right = np.searchsorted(values, hi, side="right")
     return int(right - left)
-

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, FpFormatSpec
 from .errors import NonFiniteValue
 from .tensor import Tensor, as_array, for_chunks, group_absmax, group_axes, made_in_chunks, rows
 
@@ -134,30 +133,18 @@ def hif8_quantize(t):
 
 
 def hif8_enumerate():
-    """Full sorted codebook of representable values.
+    """Every representable value once, as a sorted float64 array.
 
     Built straight from the legal (e, n_m, grid index) space: pure powers of
     two below the normal range, then each normal binade at its mantissa
     width; values above the saturation bound are not representable.
     """
-    vals = [0.0]
-    codes = [0]
-    for i, e in enumerate(range(-22, -15)):  # 2**-22 .. 2**-16
-        vals.append(math.ldexp(1.0, e))
-        codes.append(i + 1)
+    pos = [0.0] + [math.ldexp(1.0, e) for e in range(-22, -15)]  # 2**-22 .. 2**-16
     for e in range(-15, 16):
         nm = _mantissa_bits(abs(e))
-        for xh in range(2**nm, 2 ** (nm + 1)):
-            v = math.ldexp(xh, e - nm)
-            if v <= MAX_NORMAL:
-                vals.append(v)
-                codes.append(xh)
-    pos = np.array(vals)
-    pos_codes = np.array(codes, dtype=np.int64)
-    values = np.concatenate([-pos[:0:-1], pos])
-    all_codes = np.concatenate([pos_codes[:0:-1], pos_codes])
-    spec = FpFormatSpec("hif8", 5, 3, bias=15)
-    return Codebook(spec, values, all_codes)
+        pos += [math.ldexp(xh, e - nm) for xh in range(2**nm, 2 ** (nm + 1))]
+    pos = np.array([v for v in pos if v <= MAX_NORMAL])
+    return np.concatenate([-pos[:0:-1], pos])
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ The signal-to-quantization-noise ratio in dB is
 10 * log10(|X|_F^2 / |X - Xhat|_F^2); a perfect reconstruction reports the
 +inf sentinel, which serializes as the string "inf".
 
-Every figure is that of the plain formula without overflow. Data whose sums
-overflow float64 is scaled by 2**-k, which is exact, and the sum kept as a
-pair (value, k) for value * 2**k, or value * 4**k for a sum of squares.
+Every figure is that of the plain formula without overflow or underflow.
+Data whose squares could leave float64's normal range is scaled by 2**-k,
+which is exact, and the sum kept as a pair (value, k) for value * 2**k, or
+value * 4**k for a sum of squares.
 """
 
 import csv
@@ -65,14 +66,37 @@ class SyntheticSpec:
             raise ValueError("outlier_fraction must be in [0, 1]")
 
 
+# Below this, a sum of squares or its root may come from data that _shift scales
+_SMALL = 2.0**-452
+
+
+def _shift(top, size):
+    """k such that ``size`` values below 2**top are scaled by 2**-k before squaring.
+
+    It is ``top`` when their squares could sum past float64's maximum or
+    the largest come within 2**53 of the subnormals; else 0.
+    """
+    return top if 2 * top + size.bit_length() > 1023 or 2 * top < -967 else 0
+
+
 def _exact(fn, a):
-    """(fn(a), 0), or (fn(a * 2**-k), k) with max|a * 2**-k| < 1 when fn(a) overflowed."""
+    """(fn(a), 0), or (fn(a * 2**-k), k) with k = _shift(top, a.size) for max|a| < 2**top.
+
+    ``fn`` is a sum of squares or its root; max|a| is read only when fn(a)
+    overflowed or is small, the only cases that can need a shift.
+    """
     with np.errstate(over="ignore"):
         v = float(fn(a))
-    if v != math.inf:
+    if _SMALL <= v < math.inf:
         return v, 0
-    k = math.frexp(float(np.max(np.abs(a))))[1]
-    return float(fn(np.ldexp(a, -k))), k
+    k = _shift(math.frexp(float(np.max(np.abs(a), initial=0.0)))[1], a.size)
+    return (float(fn(np.ldexp(a, -k))), k) if k else (v, 0)
+
+
+def _frobenius(a):
+    """|a|_F with no square lost to overflow or underflow; inf if beyond float64."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(*_exact(np.linalg.norm, a)))
 
 
 def _sum_squares(a):
@@ -152,10 +176,8 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, signal=None, ref_norm
         return np.abs(e, out=e).max(initial=0.0)
 
     max_abs = max(for_chunks(chunk, a), default=0.0)
-    # with |err| < 2**top its squares sum below 2**(2 * top + bits of size);
-    # past 2**1023 err is scaled by 2**-top first, which is exact
-    top = math.frexp(max_abs)[1]
-    k = top if 2 * top + err.size.bit_length() > 1023 else 0
+    # with |err| < 2**top its squares sum below 2**(2 * top + bits of size)
+    k = _shift(math.frexp(max_abs)[1], err.size)
     if k:
         for_chunks(lambda s: np.ldexp(err[s], -k, out=err[s]), a)
     # sums, the mean and the norm run over the whole array, in the order a

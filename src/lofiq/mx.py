@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, FpFormatSpec, _round, builtin_spec, enumerate_codebook
+from .codebook import Codebook, FpFormatSpec, _round, _rule, builtin_spec, enumerate_codebook
 from .errors import UnknownFormat
 from .tensor import Tensor, as_array, block_view, for_chunks, made_in_chunks
 
@@ -26,18 +26,18 @@ E_MIN, E_MAX = -127, 127
 
 
 def resolve_element(element):
-    """Accept a codebook, a format spec, or a name ('e4m3', ..., 'int8').
+    """The codebook of an element given as a codebook, a spec, or a name ('e4m3', ..., 'int8').
 
-    A spec or name of an unsigned scale format (e8m0, e6m2u) raises
-    UnknownFormat: it cannot code a negative element. A Codebook is taken
-    as given.
+    An unsigned scale format (e8m0, e6m2u) cannot code a negative element,
+    and a grid without a rounding rule cannot round one: either raises
+    UnknownFormat, in whichever form it comes.
     """
-    if isinstance(element, Codebook):
-        return element
-    spec = element if isinstance(element, FpFormatSpec) else builtin_spec(str(element))
+    spec = element.spec if isinstance(element, Codebook) else element
+    if not isinstance(spec, FpFormatSpec):
+        spec = builtin_spec(str(spec))
     if not spec.signed:
         raise UnknownFormat(f"{spec.name!r} is an unsigned scale format, not an MX element")
-    return enumerate_codebook(spec)
+    return _rule(enumerate_codebook(spec))
 
 
 @dataclass(frozen=True)

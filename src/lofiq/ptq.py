@@ -21,7 +21,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, LengthMismatch, NonConvergence, RankOutOfRange, ShapeMismatch
+from .errors import (AlphaOutOfRange, LengthMismatch, NonConvergence, NonFiniteValue,
+                     RankOutOfRange, ShapeMismatch)
+from .metrics import _frobenius
 from .registry import as_codec
 from .tensor import Tensor, as_array, group_absmax, made_in_chunks
 
@@ -147,7 +149,7 @@ def search_alpha(x, w, fmt, grid=ALPHA_GRID, ref=None):
         plan = smooth_scales(*maxima, alpha)
         xs, ws = apply_smoothing(x, w, plan)
         qx = codec.reconstruct(xs, "activation")
-        err = float(np.linalg.norm(qx @ codec.reconstruct(ws, "weight") - ref))
+        err = _frobenius(qx @ codec.reconstruct(ws, "weight") - ref)
         if best is None or err < best[1]:
             best = (plan, err, qx)
     return best
@@ -300,11 +302,13 @@ def _smoothing_stage(x, w, codec, alpha, rank=None):
     if rank is not None:
         _check_rank(rank, wa.shape)
     ref = xa @ wa
-    ref_norm = float(np.linalg.norm(ref))
+    ref_norm = _frobenius(ref)
     if ref_norm == 0.0:
         raise ShapeMismatch("x @ w vanishes; relative errors are undefined")
+    if ref_norm == np.inf:
+        raise NonFiniteValue("|x @ w|_F overflows float64")
     rtn = codec.reconstruct(x, "activation") @ codec.reconstruct(w, "weight")
-    rtn_err = float(np.linalg.norm(rtn - ref)) / ref_norm
+    rtn_err = _frobenius(rtn - ref) / ref_norm
     plan, err, qx = search_alpha(x, w, codec, ALPHA_GRID if alpha is None else (alpha,), ref=ref)
     return ref, ref_norm, rtn_err, plan, err / ref_norm, qx
 
@@ -331,5 +335,5 @@ def svdquant_pipeline(x, w, fmt, rank=16, alpha=None):
     branch = svd_split(ws, rank)
     del ws  # the split holds what is left of it
     recon = (xs.data @ branch.l1) @ branch.l2 + qx @ codec.reconstruct(branch.residual, "weight")
-    svdq_err = float(np.linalg.norm(recon - ref)) / ref_norm
+    svdq_err = _frobenius(recon - ref) / ref_norm
     return PipelineReport(codec.selector, plan.alpha, int(rank), rtn_err, smooth_err, svdq_err)

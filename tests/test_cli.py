@@ -193,6 +193,23 @@ class TestQuantize:
         assert row["sqnr_db"] == want
         assert all(math.isfinite(row[k]) for k in ("max_abs_err", "mean_abs_err", "rel_fro_err"))
 
+    def test_underflowing_squares_report_the_scaled_figures(self, tmp_path):
+        # every square of a N(0, 1e-200) tensor underflows; its figures are
+        # those of the same tensor times 2**500, the errors scaled back
+        x = np.random.default_rng(0).normal(0.0, 1e-200, (4, 4))
+        rows = []
+        for i, data in enumerate((x, np.ldexp(x, 500))):
+            src, rep = tmp_path / f"in{i}.lqt", tmp_path / f"r{i}.json"
+            save_tensors([tensor(data, name="t")], src)
+            assert run("quantize", src, "-f", "int8", "-o", tmp_path / "o.lqt",
+                       "--report", rep) == 0
+            (row,) = json.loads(rep.read_text())
+            rows.append(row)
+        small, big = rows
+        assert (small["sqnr_db"], small["rel_fro_err"]) == (big["sqnr_db"], big["rel_fro_err"])
+        for key in ("max_abs_err", "mean_abs_err"):
+            assert small[key] * 2.0**500 == big[key]
+
     @pytest.mark.parametrize("fill,K", [(1e300, "1e-300"), (1e15, "1e-300"), (0.0, "1e300")])
     def test_scale_out_of_range_is_one_error_line(self, tmp_path, fill, K):
         # a hif8-scaled scale of 0, of inf, or one too small to divide the
@@ -328,6 +345,21 @@ class TestPtqCommands:
             assert proc.stderr.startswith("error: ")
             assert "Traceback" not in proc.stderr
 
+
+    @pytest.mark.parametrize("cmd", ["smooth", "svdq"])
+    def test_squares_beyond_float64_write_valid_json(self, tmp_path, cmd):
+        rng = np.random.default_rng(0)
+        xp, wp, rep = tmp_path / "x.lqt", tmp_path / "w.lqt", tmp_path / "rep.json"
+        save_tensors([tensor(rng.normal(0.0, 1e160, (16, 24)), name="x")], xp)
+        save_tensors([tensor(rng.normal(size=(24, 20)), name="w")], wp)
+        proc = run_subprocess(cmd, "--x", xp, "--w", wp, "-f", "int8", "-o", rep)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(rep.read_text(), parse_constant=refuse)
+        assert all(0.0 < v < 0.1 for k, v in payload.items() if k.endswith("_rel_err"))
 
     @pytest.mark.parametrize("cmd,extra", [("svdq", ("--rank", "0")), ("svdq", ("--alpha", "1.5")),
                                            ("smooth", ("--alpha", "1.5"))])

@@ -25,7 +25,7 @@ from lofiq.tensor import tensor
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
-CB = hif8_enumerate()
+VALUES = hif8_enumerate()
 
 
 class TestWorkedValues:
@@ -75,21 +75,21 @@ class TestWorkedValues:
 
 class TestEnumerate:
     def test_extremes(self):
-        assert CB.values[-1] == 2.0**15
-        assert CB.values[CB.values > 0][0] == 2.0**-22
+        assert VALUES[-1] == 2.0**15
+        assert VALUES[VALUES > 0][0] == 2.0**-22
 
     def test_count(self):
-        assert len(CB) == 253
+        assert len(VALUES) == 253
 
     def test_subnormals_are_pure_powers(self):
-        pos = CB.values[CB.values > 0]
+        pos = VALUES[VALUES > 0]
         subs = pos[pos < 2.0**-15]
         assert subs.tolist() == [2.0**e for e in range(-22, -15)]
 
     def test_membership(self):
-        assert 0.3125 in CB.values
-        assert 96.0 in CB.values
-        assert 0.3 not in CB.values
+        assert 0.3125 in VALUES
+        assert 96.0 in VALUES
+        assert 0.3 not in VALUES
 
     def test_mantissa_width_by_binade(self):
         # widths at representative decompositions follow the |exponent| table:
@@ -104,14 +104,22 @@ class TestAlgorithmProperties:
         rng = np.random.default_rng(31)
         x = rng.normal(size=100_000) * np.exp(rng.uniform(-25, 15, 100_000))
         out = hif8_quantize(tensor(x)).data
-        idx = np.searchsorted(CB.values, out)
-        assert np.all(CB.values[np.clip(idx, 0, len(CB) - 1)] == out)
+        idx = np.searchsorted(VALUES, out)
+        assert np.all(VALUES[np.clip(idx, 0, len(VALUES) - 1)] == out)
 
     def test_idempotent_on_members(self):
         rng = np.random.default_rng(32)
-        sample = rng.choice(CB.values, size=200, replace=False)
+        sample = rng.choice(VALUES, size=200, replace=False)
         out = hif8_quantize(tensor(sample)).data
         assert np.array_equal(out, sample)
+
+    def test_ties_go_away_from_zero(self):
+        lo, hi = VALUES[:-1], VALUES[1:]
+        mids = (lo + hi) * 0.5
+        assert mids.size == 252 and np.array_equal(mids - lo, hi - mids)  # exact midpoints
+        out = hif8_quantize(tensor(mids)).data
+        assert np.array_equal(out, np.where(np.abs(lo) > np.abs(hi), lo, hi))
+        assert [hif8_quantize_value(m) for m in mids] == out.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(finite)
@@ -141,7 +149,7 @@ class TestAlgorithmProperties:
         rng = np.random.default_rng(33)
         x = rng.normal(size=20_000) * np.exp(rng.uniform(-18, 12, 20_000))
         out = hif8_quantize(tensor(x)).data
-        v = CB.values
+        v = VALUES
         # exhaustive nearest member, then require the chosen member to be it
         # or its immediate neighbour
         i = np.clip(np.searchsorted(v, x), 1, len(v) - 1)

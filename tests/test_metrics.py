@@ -124,6 +124,42 @@ class TestOverflow:
             fidelity_from_reconstruction(tensor([1e-150]), np.array([1e160]), codec, "weight")
 
 
+class TestUnderflow:
+    """Figures whose plain squares underflow float64 are those of the plain formula."""
+
+    C = 2.0**500
+
+    def _same_figures_scaled(self, x, xh):
+        codec = parse_format("int8")
+        small = fidelity_from_reconstruction(tensor(x), xh, codec, "weight")
+        big = fidelity_from_reconstruction(tensor(x * self.C), xh * self.C, codec, "weight")
+        assert (small.sqnr_db, small.rel_fro_err) == (big.sqnr_db, big.rel_fro_err)
+        assert (small.max_abs_err * self.C, small.mean_abs_err * self.C) == (big.max_abs_err,
+                                                                             big.mean_abs_err)
+        assert sqnr(x, xh) == sqnr(x * self.C, xh * self.C) == small.sqnr_db
+        return small
+
+    def test_every_square_underflows(self):
+        x = np.random.default_rng(7).normal(scale=1e-200, size=(4, 4))
+        codec = parse_format("int8")
+        xh = codec.reconstruct(tensor(x), "weight")
+        # int8 rounding commutes with power-of-two scaling
+        assert np.array_equal(codec.reconstruct(tensor(x * self.C), "weight"), xh * self.C)
+        r = self._same_figures_scaled(x, xh)
+        assert 0 < r.sqnr_db < math.inf
+        assert compare_formats(tensor(x), [codec], "weight") == [r]
+
+    def test_only_the_noise_underflows(self):
+        x = np.random.default_rng(8).normal(scale=1e-150, size=(4, 4))
+        xh = x.copy()
+        xh[1, 2] += 1e-164
+        r = self._same_figures_scaled(x, xh)
+        signal = sum(Fraction(v) ** 2 for v in x.ravel())
+        ratio = (Fraction(xh[1, 2]) - Fraction(x[1, 2])) ** 2 / signal
+        assert r.sqnr_db == pytest.approx(-10 * math.log10(ratio), rel=1e-12)
+        assert r.rel_fro_err == pytest.approx(math.sqrt(ratio), rel=1e-12)
+
+
 class TestFidelity:
     def test_fields_match_direct_formulas(self):
         rng = np.random.default_rng(2)

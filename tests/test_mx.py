@@ -118,16 +118,11 @@ class TestConfig:
         assert np.array_equal(mx_dequantize(q).data, x.data)
 
     @pytest.mark.parametrize("element", ["e8m0", "E6M2U", builtin_spec("e8m0"),
-                                         builtin_spec("e6m2u")])
+                                         builtin_spec("e6m2u"), enumerate_codebook("e8m0"),
+                                         enumerate_codebook("e6m2u")])
     def test_unsigned_scale_format_is_not_an_element(self, element):
         # e8m0 has no sign: -1 used to come back as 2**-253 * 2**-1
         with pytest.raises(UnknownFormat, match="unsigned"):
             mx_quantize(tensor([[-1.0, 0.5, 0.0, 3.0]]), 1, element, 4)
         with pytest.raises(UnknownFormat):
             resolve_element(element)
-
-    def test_unsigned_codebook_passed_directly_is_taken_as_given(self):
-        cb = enumerate_codebook("e8m0")
-        assert resolve_element(cb) is cb
-        q = mx_quantize(tensor([[0.5, 1.0, 2.0, 4.0]]), 1, cb, 4)
-        assert q.element is cb

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from lofiq.errors import (
     LengthMismatch,
     LofiqError,
     NonConvergence,
+    NonFiniteValue,
     RankOutOfRange,
     ShapeMismatch,
 )
@@ -550,3 +553,24 @@ class TestPipelines:
     def test_shape_mismatch(self, pipeline, x_shape, w_shape):
         with pytest.raises(ShapeMismatch):
             pipeline(tensor(np.ones(x_shape)), tensor(np.ones(w_shape)), "int8")
+
+    @pytest.mark.parametrize("pipeline", [smoothquant_pipeline, svdquant_pipeline])
+    def test_squares_beyond_float64(self, pipeline):
+        # |x @ w|_F is near 1e162, but its square is not a float64
+        rng = np.random.default_rng(17)
+        x = rng.normal(0.0, 1e160, (16, 24))
+        w = tensor(rng.normal(size=(24, 20)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning
+            big = pipeline(tensor(x), w, "int8").to_dict()
+        # int8 rounding commutes with power-of-two scaling; smoothing's clamps do not
+        small = pipeline(tensor(np.ldexp(x, -600)), w, "int8").to_dict()
+        assert big["rtn_rel_err"] == small["rtn_rel_err"]
+        errors = [v for k, v in big.items() if k.endswith("_rel_err")]
+        assert all(0.0 < v < 0.1 for v in errors)
+
+    def test_product_beyond_float64_raises(self):
+        # each entry of x @ w is 8e307, and |x @ w|_F is 3.2e308
+        x, w = tensor(np.full((4, 4), 1e300)), tensor(np.full((4, 4), 2e7))
+        with pytest.raises(NonFiniteValue, match="overflows"):
+            smoothquant_pipeline(x, w, "int8")

@@ -1,9 +1,28 @@
 import numpy as np
 import pytest
 
+from lofiq import registry
+from lofiq.codebook import enumerate_codebook
 from lofiq.errors import AxisOutOfRange, NonFiniteValue, NotDivisible, UnknownFormat
+from lofiq.mx import resolve_element
 from lofiq.registry import block_axis_for, group_axis_for, parse_format
 from lofiq.tensor import tensor
+
+# One selector per head (one per element for mx) and every alias.
+EVERY_SELECTOR = ([head for head in registry._SYNTAX if head != "mx"]
+                  + [f"mx:{element}" for element in registry._MX_ELEMENTS]
+                  + list(registry._MX_ALIASES))
+
+
+def _grids(codec):
+    """The element grids a codec rounds onto; int, hif8 and hif4 round by their own formulas."""
+    if isinstance(codec, registry.CastCodec):
+        return [codec.cb]
+    if isinstance(codec, registry.MxCodec):
+        return [resolve_element(codec.element)]
+    if isinstance(codec, registry.Nvfp4Codec):
+        return [enumerate_codebook("e4m3"), enumerate_codebook("e2m1")]
+    return []
 
 
 class TestParse:
@@ -80,6 +99,15 @@ class TestParse:
         # no sign and no zero: mx:e8m0 would reconstruct -1 and 0 as 3.4e-77
         with pytest.raises(UnknownFormat, match="element"):
             parse_format(sel)
+
+    @pytest.mark.parametrize("sel", EVERY_SELECTOR)
+    def test_every_reachable_grid_has_a_rounding_rule(self, sel):
+        codec = parse_format(sel)
+        for cb in _grids(codec):
+            assert cb._exmy is not None, cb.spec.name
+        x = tensor(np.random.default_rng(5).normal(size=(64, 64)))
+        for role in registry.ROLES:
+            assert codec.reconstruct(x, role).shape == (64, 64)
 
 
 class TestRoleConventions:
