@@ -130,32 +130,27 @@ def _first_tensor(path):
     return tensors[0]
 
 
-def _write_json(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+def _pipeline_report(args, run):
+    """Run ``run(x, w)`` on the first tensors of --x and --w; write and print its JSON report."""
+    payload = run(_first_tensor(args.x), _first_tensor(args.w)).to_dict()
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+    print(json.dumps(payload))
+    return 0
 
 
 def cmd_smooth(args):
-    x = _first_tensor(args.x)
-    w = _first_tensor(args.w)
-    report = ptq.smoothquant_pipeline(x, w, args.format, alpha=args.alpha)
-    payload = report.to_dict()
-    if args.output:
-        _write_json(payload, args.output)
-    print(json.dumps(payload))
-    return 0
+    # the pipeline is looked up on ptq at call time, so a wrapper set there is used
+    return _pipeline_report(
+        args, lambda x, w: ptq.smoothquant_pipeline(x, w, args.format, alpha=args.alpha))
 
 
 def cmd_svdq(args):
-    x = _first_tensor(args.x)
-    w = _first_tensor(args.w)
-    report = ptq.svdquant_pipeline(x, w, args.format, rank=args.rank, alpha=args.alpha)
-    payload = report.to_dict()
-    if args.output:
-        _write_json(payload, args.output)
-    print(json.dumps(payload))
-    return 0
+    return _pipeline_report(
+        args, lambda x, w: ptq.svdquant_pipeline(x, w, args.format, rank=args.rank,
+                                                 alpha=args.alpha))
 
 
 def build_parser():

@@ -1,13 +1,12 @@
 """Fidelity metrics, synthetic tensors, and the multi-format comparison harness.
 
 The signal-to-quantization-noise ratio in dB is
-10 * log10(|X|_F^2 / |X - Xhat|_F^2); a perfect reconstruction reports the
+20 * log10(|X|_F / |X - Xhat|_F); a perfect reconstruction reports the
 +inf sentinel, which serializes as the string "inf".
 
 Every figure is that of the plain formula without overflow or underflow.
 Data whose squares could leave float64's normal range is scaled by 2**-k,
-which is exact, and the sum kept as a pair (value, k) for value * 2**k, or
-value * 4**k for a sum of squares.
+which is exact, and its norm kept as a pair (value, k) for value * 2**k.
 """
 
 import csv
@@ -66,7 +65,7 @@ class SyntheticSpec:
             raise ValueError("outlier_fraction must be in [0, 1]")
 
 
-# Below this, a sum of squares or its root may come from data that _shift scales
+# Below this, a norm may come from data that _shift scales
 _SMALL = 2.0**-452
 
 
@@ -79,61 +78,58 @@ def _shift(top, size):
     return top if 2 * top + size.bit_length() > 1023 or 2 * top < -967 else 0
 
 
-def _exact(fn, a):
-    """(fn(a), 0), or (fn(a * 2**-k), k) with k = _shift(top, a.size) for max|a| < 2**top.
+def _norm(a):
+    """(|a|_F, 0), or (|a * 2**-k|_F, k) with k = _shift(top, a.size) for max|a| < 2**top.
 
-    ``fn`` is a sum of squares or its root; max|a| is read only when fn(a)
-    overflowed or is small, the only cases that can need a shift.
+    max|a| is read only when |a|_F overflowed or is small, the only cases
+    that can need a shift.
     """
     with np.errstate(over="ignore"):
-        v = float(fn(a))
+        v = float(np.linalg.norm(a))
     if _SMALL <= v < math.inf:
         return v, 0
     k = _shift(math.frexp(float(np.max(np.abs(a), initial=0.0)))[1], a.size)
-    return (float(fn(np.ldexp(a, -k))), k) if k else (v, 0)
+    return (float(np.linalg.norm(np.ldexp(a, -k))), k) if k else (v, 0)
 
 
 def _frobenius(a):
     """|a|_F with no square lost to overflow or underflow; inf if beyond float64."""
     with np.errstate(over="ignore"):
-        return float(np.ldexp(*_exact(np.linalg.norm, a)))
-
-
-def _sum_squares(a):
-    return np.sum(a * a)
+        return float(np.ldexp(*_norm(a)))
 
 
 def _pair(v):
     return v if isinstance(v, tuple) else (float(v), 0)
 
 
-def sqnr(x, x_hat, *, signal=None, noise=None):
-    """Signal-to-quantization-noise ratio in dB.
+def sqnr(x, x_hat, *, ref_norm=None, err_norm=None):
+    """Signal-to-quantization-noise ratio in dB, 20 * log10(|x|_F / |x_hat - x|_F).
 
-    A caller that holds signal = sum(x*x) or noise = sum((x_hat - x)**2)
-    passes it in, as a float or as a (value, k) pair for value * 4**k; with
-    both, x and x_hat are not read.
+    A caller that holds ref_norm = |x|_F or err_norm = |x_hat - x|_F passes
+    it in, as a float or as a (value, k) pair for value * 2**k; with both,
+    x and x_hat are not read.
     """
-    if signal is None or noise is None:
+    if ref_norm is None or err_norm is None:
         xa, ha = as_array(x), as_array(x_hat)
         if xa.shape != ha.shape:
             raise ShapeMismatch(f"shape {xa.shape} vs {ha.shape}")
-        signal = _exact(_sum_squares, xa) if signal is None else signal
+        ref_norm = _norm(xa) if ref_norm is None else ref_norm
         with np.errstate(over="ignore"):
-            noise = _exact(_sum_squares, ha - xa) if noise is None else noise
-    (s, ks), (n, kn) = _pair(signal), _pair(noise)
+            err_norm = _norm(ha - xa) if err_norm is None else err_norm
+    (s, ks), (n, kn) = _pair(ref_norm), _pair(err_norm)
     if s == 0.0:
         raise ZeroSignal("signal energy is zero")
     if n == 0.0:
         return math.inf
     if n == math.inf:
         raise NonFiniteValue("x_hat - x overflows float64")
-    # signal / noise = (ms / mn) * 2**e, exact while that is a normal float
+    # signal over noise, so a unit ratio gives +0.0 dB; the ratio is
+    # (ms / mn) * 2**e, exact while that is a normal float
     (ms, es), (mn, en) = math.frexp(s), math.frexp(n)
-    e = es - en + 2 * (ks - kn)
+    e = es - en + ks - kn
     if -1021 <= e <= 1023:
-        return 10.0 * math.log10(math.ldexp(ms / mn, e))
-    return 10.0 * (math.log10(ms / mn) + e * math.log10(2.0))
+        return 20.0 * math.log10(math.ldexp(ms / mn, e))
+    return 20.0 * (math.log10(ms / mn) + e * math.log10(2.0))
 
 
 def synth(spec):
@@ -152,20 +148,20 @@ def synth(spec):
     return Tensor(arr, name)
 
 
-def fidelity_from_reconstruction(t, recon, codec, role, *, signal=None, ref_norm=None):
+def fidelity_from_reconstruction(t, recon, codec, role, *, ref_norm=None):
     """Report comparing one tensor against a reconstruction produced elsewhere.
 
     ``recon`` is checked for finiteness once, here, unless it is a Tensor
-    (checked when built). ``signal`` (sum of x*x) and ``ref_norm`` (|x|_F)
-    may be passed by a caller that scores many reconstructions of ``t``, as
-    floats or pairs. An error beyond float64 raises NonFiniteValue.
+    (checked when built). ``ref_norm`` (|x|_F, a float or a pair) may be
+    passed by a caller that scores many reconstructions of ``t``. sqnr_db
+    and rel_fro_err both come from it and |recon - x|_F. An error beyond
+    float64 raises NonFiniteValue.
     """
     arr = as_array(t)
     rec = as_array(recon)
     if arr.shape != rec.shape:
         raise ShapeMismatch(f"shape {arr.shape} vs {rec.shape}")
-    signal = _exact(_sum_squares, arr) if signal is None else signal
-    rn, rk = _exact(np.linalg.norm, arr) if ref_norm is None else _pair(ref_norm)
+    rn, rk = _norm(arr) if ref_norm is None else _pair(ref_norm)
     a, r = (arr, rec) if arr.ndim else (arr.reshape(1), rec.reshape(1))
     err = np.empty(a.shape)  # |recon - arr|, formed and maximized in chunks
     shown = getattr(t, "name", None) or "<unnamed>"
@@ -180,16 +176,16 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, signal=None, ref_norm
     k = _shift(math.frexp(max_abs)[1], err.size)
     if k:
         for_chunks(lambda s: np.ldexp(err[s], -k, out=err[s]), a)
-    # sums, the mean and the norm run over the whole array, in the order a
-    # single pass adds, so every reported digit is that pass's
+    # the mean and the norm run over the whole array, in the order a single
+    # pass adds, so every reported digit is that pass's
     mean_abs = math.ldexp(float(err.mean()), k) if err.size else 0.0
+    en = float(np.linalg.norm(err))
     with np.errstate(over="ignore"):
-        rel = float(np.ldexp(float(np.linalg.norm(err)) / rn, k - rk)) if rn else 0.0
+        rel = float(np.ldexp(en / rn, k - rk)) if rn else 0.0
     if rel == math.inf:  # also when |recon - arr| overflowed: then |err|_F is inf
         raise NonFiniteValue(f"tensor {shown!r}: the error of {codec.selector} overflows float64",
                              tensor=shown)
-    for_chunks(lambda s: np.multiply(err[s], err[s], out=err[s]), a)
-    db = sqnr(arr, rec, signal=signal, noise=(float(np.sum(err)), k))
+    db = sqnr(arr, rec, ref_norm=(rn, rk), err_norm=(en, k))
     return FidelityReport(
         tensor_name=shown,
         format_name=codec.selector,
@@ -205,14 +201,14 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, signal=None, ref_norm
 def compare_formats(t, formats, role):
     """One FidelityReport per format, all against the same input tensor."""
     arr = as_array(t)
-    signal, ref_norm = _exact(_sum_squares, arr), _exact(np.linalg.norm, arr)
+    ref_norm = _norm(arr)
     reports = []
     for fmt in formats:
         codec = as_codec(fmt)
         # no name holds the reconstruction, so it is freed before the next one is made
         reports.append(fidelity_from_reconstruction(
             t, Tensor.of_checked(codec.reconstruct(t, role)), codec, role,
-            signal=signal, ref_norm=ref_norm))
+            ref_norm=ref_norm))
     return reports
 
 

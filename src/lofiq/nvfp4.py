@@ -25,6 +25,7 @@ E2M1_MAX = 6.0
 E4M3_MAX = 448.0
 V_MAX = E4M3_MAX * E2M1_MAX  # 2688
 _E4M3_MIN_POS = 2.0**-9
+_MIN_SUBNORMAL = 2.0**-1074
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,10 @@ def nvfp4_quantize(t, axis):
     vmax = np.empty(view.shape[:1] + view.shape[2:])
     for_chunks(lambda s: np.max(np.abs(view[s]), axis=1, out=vmax[s]), view)
 
-    amax = float(np.max(vmax)) if vmax.size else 0.0
-    if amax == 0.0:
-        return Nvfp4Quantized(1.0, np.zeros(vmax.shape), np.zeros(arr.shape), axis, arr.shape,
-                              0.0, getattr(t, "name", None))
-
-    s2 = amax / V_MAX
+    amax = float(np.max(vmax, initial=0.0))
+    # amax / V_MAX rounds to 0 for amax below 1344 * 2**-1074; the least
+    # subnormal then keeps max|x / s2| below V_MAX, so it is the scale
+    s2 = max(amax / V_MAX, _MIN_SUBNORMAL) if amax else 1.0
     # division rounding can push max|x/s2| one ulp past V_MAX; nudge s2 up
     # until the tensor-level no-clip guarantee holds exactly
     while amax / s2 > V_MAX:
@@ -82,9 +81,9 @@ def nvfp4_quantize(t, axis):
         np.divide(y, div[:, None], out=y)
         _round(e2m1, y, y)
         np.divide(bmax, div, out=bmax)
-        return np.max(bmax)
+        return np.max(bmax, initial=0.0)
 
-    overshoot = max(for_chunks(chunk, view))
+    overshoot = max(for_chunks(chunk, view), default=0.0)
     return Nvfp4Quantized(float(s2), s1, codes, axis, arr.shape, float(overshoot),
                           getattr(t, "name", None))
 

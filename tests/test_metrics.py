@@ -32,7 +32,8 @@ class TestSqnr:
 
     def test_zero_reconstruction_is_zero_db(self):
         t = tensor([1.0, -2.0])
-        assert sqnr(t, tensor([0.0, 0.0])) == 0.0
+        db = sqnr(t, tensor([0.0, 0.0]))
+        assert db == 0.0 and math.copysign(1.0, db) == 1.0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
@@ -60,17 +61,23 @@ class TestSqnr:
         with pytest.raises(NonFiniteValue):
             sqnr(ok, x)
 
-    def test_precomputed_energies(self):
+    def test_precomputed_norms(self):
         rng = np.random.default_rng(1)
         x, xh = rng.normal(size=(8, 16)), rng.normal(size=(8, 16))
         want = sqnr(x, xh)
-        err = xh - x
-        signal, noise = float(np.sum(x * x)), float(np.sum(err * err))
-        assert sqnr(x, xh, signal=signal) == want
-        assert sqnr(x, xh, noise=noise) == want
-        assert sqnr(None, None, signal=signal, noise=noise) == want
-        with pytest.raises(ZeroSignal):
-            sqnr(None, None, signal=0.0, noise=noise)
+        ref, err = float(np.linalg.norm(x)), float(np.linalg.norm(xh - x))
+        assert sqnr(x, xh, ref_norm=ref) == want
+        assert sqnr(x, xh, err_norm=err) == want
+        assert sqnr(None, None, ref_norm=ref, err_norm=err) == want
+        # a (value, k) pair stands for value * 2**k
+        assert sqnr(x, xh, ref_norm=(ref / 8, 3)) == want
+        assert sqnr(None, None, ref_norm=(ref, 0), err_norm=(err * 2.0**600, -600)) == want
+        # a ratio beyond float64 still gives finite dB
+        assert sqnr(None, None, ref_norm=(ref, 2000), err_norm=err) == pytest.approx(
+            want + 20 * 2000 * math.log10(2), rel=1e-12)
+        for zero in (0.0, (0.0, 0), (0.0, 7)):
+            with pytest.raises(ZeroSignal):
+                sqnr(None, None, ref_norm=zero, err_norm=err)
 
 
 class TestOverflow:
@@ -168,15 +175,52 @@ class TestFidelity:
         recon = codec.reconstruct(t, "weight")
         x = t.data
         r = fidelity_from_reconstruction(t, recon, codec, "weight")
-        assert r.sqnr_db == 10.0 * math.log10(float(np.sum(x * x))
-                                              / float(np.sum((x - recon) ** 2)))
+        assert r.sqnr_db == 20.0 * math.log10(float(np.linalg.norm(x))
+                                              / float(np.linalg.norm(recon - x)))
+        assert r.sqnr_db == pytest.approx(10.0 * math.log10(float(np.sum(x * x))
+                                                            / float(np.sum((x - recon) ** 2))),
+                                          rel=1e-12)
         assert r.max_abs_err == float(np.abs(recon - x).max())
         assert r.mean_abs_err == float(np.abs(recon - x).mean())
         assert r.rel_fro_err == float(np.linalg.norm(np.abs(recon - x))) / float(np.linalg.norm(x))
-        # energies computed once per tensor by compare_formats give the same report
+        # |x|_F computed once per tensor by compare_formats gives the same report
         assert compare_formats(t, [codec], "weight") == [r]
         # a Tensor reconstruction reports the same as its array
         assert fidelity_from_reconstruction(t, tensor(recon), codec, "weight") == r
+
+    def test_zero_reconstruction_is_plus_zero_db(self, tmp_path):
+        # e2m1's least positive value is 0.5, so data of sigma 0.02 rounds to all zeros
+        t = synth(SyntheticSpec("gaussian", (16, 16), sigma=0.02, seed=0))
+        codec = parse_format("e2m1")
+        recon = codec.reconstruct(t, "weight")
+        assert not np.any(recon)
+        r = fidelity_from_reconstruction(t, recon, codec, "weight")
+        assert r.sqnr_db == 0.0 and math.copysign(1.0, r.sqnr_db) == 1.0
+        path = tmp_path / "r.json"
+        emit_report([r], "json", path)
+        assert '"sqnr_db": 0.0,' in path.read_text()
+
+    # the formats perfbench compares
+    @pytest.mark.parametrize("fmt", ["int8", "int4", "e4m3", "e5m2", "hif8", "hif8-scaled",
+                                     "mxfp8-e4m3", "mxfp4", "mxint8", "nvfp4", "hif4"])
+    def test_sqnr_is_the_relative_error_in_db(self, fmt):
+        t = synth(SyntheticSpec("gaussian_outlier", (64, 64), sigma=0.02, outlier_fraction=0.01,
+                                outlier_scale=50.0, seed=6))
+        (r,) = compare_formats(t, [fmt], "weight")
+        assert r.sqnr_db == pytest.approx(-20 * math.log10(r.rel_fro_err), rel=1e-12)
+
+    @pytest.mark.parametrize("data,scale", [("overflow", 2.0**500), ("overflow", 2.0**-500),
+                                            ("underflow", 1.0), ("underflow", 2.0**500)])
+    def test_sqnr_is_the_relative_error_in_db_when_scaled(self, data, scale):
+        # the data of TestOverflow and TestUnderflow (of scale 1e-200)
+        codec = parse_format("int8")
+        if data == "overflow":
+            x, xh = TestOverflow()._pair()
+        else:
+            x = np.random.default_rng(7).normal(scale=1e-200, size=(4, 4))
+            xh = codec.reconstruct(tensor(x), "weight")
+        r = fidelity_from_reconstruction(tensor(x * scale), xh * scale, codec, "weight")
+        assert r.sqnr_db == pytest.approx(-20 * math.log10(r.rel_fro_err), rel=1e-12)
 
     def test_reconstruction_checked(self):
         t = tensor([1.0, 2.0])

@@ -108,6 +108,19 @@ class TestInvariants:
         assert q.block_scales[1] == 2.0**-9
         assert np.all(np.isfinite(q.codes))
 
+    @pytest.mark.parametrize("m", [5e-324, 1e-321])
+    def test_maximum_whose_scale_underflows(self, m):
+        # max|x| / 2688 rounds to 0; s2 is the least subnormal instead
+        x = np.zeros((2, 16))
+        x[1, 3] = m
+        q = nvfp4_quantize(tensor(x), 1)
+        assert q.per_tensor_scale == 5e-324
+        assert q.max_overshoot <= 6.0 * (1 + 2.0**-4)
+        assert np.all(np.isfinite(q.codes))
+        got = nvfp4_dequantize(q).data
+        assert got[1, 3] == pytest.approx(m, rel=0.25)
+        assert np.count_nonzero(got) == 1
+
     def test_block_divisibility(self):
         with pytest.raises(NotDivisible):
             nvfp4_quantize(tensor(np.zeros((2, 17))), 1)
