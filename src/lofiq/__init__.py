@@ -4,7 +4,6 @@ from .codebook import (
     Codebook,
     FpFormatSpec,
     builtin_spec,
-    density_in_interval,
     enumerate_codebook,
     project,
 )
@@ -13,7 +12,6 @@ from .hif8 import (
     ScaledHif8Quantized,
     hif8_enumerate,
     hif8_quantize,
-    hif8_quantize_value,
     hif8_scaled_dequantize,
     hif8_scaled_quantize,
 )

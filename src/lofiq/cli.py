@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import ptq
-from .codebook import builtin_names, density_in_interval, enumerate_codebook
+from .codebook import builtin_names, enumerate_codebook
 from .errors import LofiqError, UnknownFormat
 from .hif8 import hif8_enumerate
 from .metrics import (
@@ -41,6 +41,10 @@ def _fmt_value(v):
 
 
 def cmd_enumerate(args):
+    if args.interval is not None and not args.interval[0] <= args.interval[1]:  # NaN fails too
+        lo, hi = map(_fmt_value, args.interval)
+        print(f"error: --interval needs LO <= HI, got [{lo}, {hi}]", file=sys.stderr)
+        return 2
     values = _enumerable(args.format)
     out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
     try:
@@ -52,10 +56,9 @@ def cmd_enumerate(args):
             print(f"min_positive: {_fmt_value(positives[0])}", file=out)
         if args.interval is not None:
             lo, hi = args.interval
-            n = density_in_interval(values, lo, hi)
-            print(f"interval: [{_fmt_value(lo)}, {_fmt_value(hi)}]", file=out)
-            print(f"count_in_interval: {n}", file=out)
             values = values[(values >= lo) & (values <= hi)]
+            print(f"interval: [{_fmt_value(lo)}, {_fmt_value(hi)}]", file=out)
+            print(f"count_in_interval: {len(values)}", file=out)
         print("values:", file=out)
         for v in values:
             print(_fmt_value(v), file=out)

@@ -36,7 +36,6 @@ __all__ = [
     "builtin_names",
     "enumerate_codebook",
     "project",
-    "density_in_interval",
 ]
 
 
@@ -228,11 +227,3 @@ def project(cb, x):
     return made_in_chunks(arr.shape, lambda s, o: _round(cb, flat[s], o),
                           getattr(x, "name", None), np.ravel)
 
-
-def density_in_interval(values, lo, hi):
-    """Count the sorted ``values`` v with lo <= v <= hi."""
-    if lo > hi:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    left = np.searchsorted(values, lo, side="left")
-    right = np.searchsorted(values, hi, side="right")
-    return int(right - left)

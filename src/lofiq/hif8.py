@@ -24,9 +24,6 @@ __all__ = [
     "MAX_SUBNORMAL",
     "MIN_SUBNORMAL",
     "DEFAULT_K",
-    "Hif8Value",
-    "hif8_decompose",
-    "hif8_quantize_value",
     "hif8_quantize",
     "hif8_enumerate",
     "hif8_scaled_quantize",
@@ -43,8 +40,6 @@ MIN_SUBNORMAL = 2.0**-22
 DEFAULT_K = {"weight": 16.0, "activation": 4.0, "kv": 1.0}
 # Added to each group's max|x| before the scaled variant divides by it.
 _SCALE_EPS = 1e-12
-# Exponent field hif8_decompose reports for a zero input.
-_ZERO_EXP = -45
 
 
 def _mantissa_bits(abs_e):
@@ -55,48 +50,6 @@ def _mantissa_bits(abs_e):
     if abs_e <= 15:
         return 1
     return 0
-
-
-@dataclass(frozen=True)
-class Hif8Value:
-    """Decomposed quantization of one real: sign * code * 2**(exponent - mantissa_bits)."""
-
-    sign: int  # +1 or -1
-    exponent: int
-    mantissa_bits: int
-    code: int  # grid index in [0, 2**(mantissa_bits + 1)]
-
-    @property
-    def value(self):
-        return self.sign * math.ldexp(self.code, self.exponent - self.mantissa_bits)
-
-
-def hif8_decompose(x):
-    """Sign/exponent/width/code fields of the quantization of ``x``.
-
-    Saturated and underflowed inputs report the fields of the clamp target
-    (2**15 and 2**-22); .value is the quantized real.
-    """
-    sign = -1 if x < 0 else 1
-    ax = abs(x)
-    if ax == 0.0:
-        return Hif8Value(sign, _ZERO_EXP, _mantissa_bits(-_ZERO_EXP), 0)
-    _, be = math.frexp(ax)
-    e = be - 1
-    if e > 15:
-        return Hif8Value(sign, 15, 1, 2)
-    if e < -22:
-        return Hif8Value(sign, -22, 0, 1)
-    nm = _mantissa_bits(abs(e))
-    code = int(math.floor(math.ldexp(ax, nm - e) + 0.5))
-    if math.ldexp(code, e - nm) > MAX_NORMAL:
-        return Hif8Value(sign, 15, 1, 2)
-    return Hif8Value(sign, e, nm, code)
-
-
-def hif8_quantize_value(x):
-    """Quantize one finite real; scalar reference of the array kernel."""
-    return hif8_decompose(x).value
 
 
 # Grid exponent e - n_m for each frexp exponent be = e + 1 of a float64
@@ -119,7 +72,7 @@ def _quantize_into(x, out):
     val[underflow] = MIN_SUBNORMAL
     np.minimum(val, MAX_NORMAL, out=val)
     np.copysign(val, x, out=val)
-    val += 0.0  # -0.0 -> +0.0, as hif8_quantize_value returns
+    val += 0.0  # -0.0 -> +0.0: zero quantizes to +0.0
     return val
 
 

@@ -105,9 +105,10 @@ def _pair(v):
 def sqnr(x, x_hat, *, ref_norm=None, err_norm=None):
     """Signal-to-quantization-noise ratio in dB, 20 * log10(|x|_F / |x_hat - x|_F).
 
-    A caller that holds ref_norm = |x|_F or err_norm = |x_hat - x|_F passes
-    it in, as a float or as a (value, k) pair for value * 2**k; with both,
-    x and x_hat are not read.
+    A zero error gives +inf, even on a zero signal; a nonzero error on a
+    zero signal raises ZeroSignal. A caller that holds ref_norm = |x|_F or
+    err_norm = |x_hat - x|_F passes it in, as a float or as a (value, k)
+    pair for value * 2**k; with both, x and x_hat are not read.
     """
     if ref_norm is None or err_norm is None:
         xa, ha = as_array(x), as_array(x_hat)
@@ -117,10 +118,10 @@ def sqnr(x, x_hat, *, ref_norm=None, err_norm=None):
         with np.errstate(over="ignore"):
             err_norm = _norm(ha - xa) if err_norm is None else err_norm
     (s, ks), (n, kn) = _pair(ref_norm), _pair(err_norm)
+    if n == 0.0:  # exact, whatever the signal
+        return math.inf
     if s == 0.0:
         raise ZeroSignal("signal energy is zero")
-    if n == 0.0:
-        return math.inf
     if n == math.inf:
         raise NonFiniteValue("x_hat - x overflows float64")
     # signal over noise, so a unit ratio gives +0.0 dB; the ratio is
@@ -154,38 +155,45 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, ref_norm=None):
     ``recon`` is checked for finiteness once, here, unless it is a Tensor
     (checked when built). ``ref_norm`` (|x|_F, a float or a pair) may be
     passed by a caller that scores many reconstructions of ``t``. sqnr_db
-    and rel_fro_err both come from it and |recon - x|_F. An error beyond
-    float64 raises NonFiniteValue.
+    and rel_fro_err both come from it and |recon - x|_F. An error or
+    relative error beyond float64 raises NonFiniteValue; a zero-size tensor,
+    or a nonzero error on an all-zero one, ZeroSignal. Each names the tensor.
     """
     arr = as_array(t)
     rec = as_array(recon)
     if arr.shape != rec.shape:
         raise ShapeMismatch(f"shape {arr.shape} vs {rec.shape}")
+    shown = getattr(t, "name", None) or "<unnamed>"
+    if not arr.size:  # nothing was reconstructed, exactly or not
+        raise ZeroSignal(f"tensor {shown!r} has no elements, so no SQNR", tensor=shown)
     rn, rk = _norm(arr) if ref_norm is None else _pair(ref_norm)
     a, r = (arr, rec) if arr.ndim else (arr.reshape(1), rec.reshape(1))
     err = np.empty(a.shape)  # |recon - arr|, formed and maximized in chunks
-    shown = getattr(t, "name", None) or "<unnamed>"
 
     @np.errstate(over="ignore")  # an overflowing difference makes rel_fro_err inf below
     def chunk(s):
         e = np.subtract(r[s], a[s], out=err[s])
-        return np.abs(e, out=e).max(initial=0.0)
+        return np.abs(e, out=e).max()
 
-    max_abs = max(for_chunks(chunk, a), default=0.0)
+    max_abs = max(for_chunks(chunk, a))
     # with |err| < 2**top its squares sum below 2**(2 * top + bits of size)
     k = _shift(math.frexp(max_abs)[1], err.size)
     if k:
         for_chunks(lambda s: np.ldexp(err[s], -k, out=err[s]), a)
     # the mean and the norm run over the whole array, in the order a single
     # pass adds, so every reported digit is that pass's
-    mean_abs = math.ldexp(float(err.mean()), k) if err.size else 0.0
+    mean_abs = math.ldexp(float(err.mean()), k)
     en = float(np.linalg.norm(err))
     with np.errstate(over="ignore"):
         rel = float(np.ldexp(en / rn, k - rk)) if rn else 0.0
-    if rel == math.inf:  # also when |recon - arr| overflowed: then |err|_F is inf
-        raise NonFiniteValue(f"tensor {shown!r}: the error of {codec.selector} overflows float64",
+    if rel == math.inf:
+        what = "error" if en == math.inf else "relative error"  # |recon - arr| overflowed, or not
+        raise NonFiniteValue(f"tensor {shown!r}: the {what} of {codec.selector} overflows float64",
                              tensor=shown)
-    db = sqnr(arr, rec, ref_norm=(rn, rk), err_norm=(en, k))
+    try:
+        db = sqnr(arr, rec, ref_norm=(rn, rk), err_norm=(en, k))
+    except ZeroSignal as exc:
+        raise ZeroSignal(f"tensor {shown!r}: {exc}", tensor=shown) from None
     return FidelityReport(
         tensor_name=shown,
         format_name=codec.selector,

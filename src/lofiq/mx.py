@@ -78,8 +78,7 @@ def mx_quantize(t, axis, element_spec, k=DEFAULT_BLOCK):
         es[...] = E_MIN
         es[nonzero] = np.clip(_ceil_log2_ratio(amax[nonzero], q_max), E_MIN, E_MAX)
         y = np.divide(view[s], np.ldexp(1.0, es)[:, None], out=code_view[s])
-        np.clip(y, -q_max, q_max, out=y)
-        _round(cb, y, y)  # an all-zero block codes +0.0, like every zero
+        _round(cb, y, y)  # clips to +-q_max; an all-zero block codes +0.0, like every zero
 
     for_chunks(chunk, view)
     return MxQuantized(cb, k, axis, arr.shape, e, codes, getattr(t, "name", None))

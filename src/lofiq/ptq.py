@@ -42,16 +42,12 @@ __all__ = [
 ]
 
 ALPHA_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))  # 0.1 .. 0.9
-_MAX_FLOOR = 1e-8
-_S_LO, _S_HI = 1e-5, 1e5
 
 
 @dataclass(frozen=True)
 class SmoothingPlan:
     scales: np.ndarray  # one positive scale per inner-dimension channel
     alpha: float
-    activation_max: np.ndarray
-    weight_max: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -60,10 +56,6 @@ class LowRankBranch:
     l2: np.ndarray  # (r, n)
     rank: int
     residual: np.ndarray  # (d, n); l1 @ l2 + residual == input matrix
-
-    @property
-    def product(self):
-        return self.l1 @ self.l2
 
 
 def _check_alpha(alpha):
@@ -76,21 +68,26 @@ def _check_rank(rank, shape):
         raise RankOutOfRange(f"rank {rank} not in [1, {min(shape)}] for shape {shape}")
 
 
+def _floored(m):
+    """Maxima floored at 2**-40 times their largest, or at 1 when all are zero."""
+    top = m.max(initial=0.0)
+    return np.maximum(m, np.ldexp(top, -40) if top else 1.0)
+
+
 def smooth_scales(x_colmax, w_rowmax, alpha):
     """Per-channel scales from column maxima of X and row maxima of W.
 
-    Maxima are floored at 1e-8 and scales clamped to [1e-5, 1e5] so
-    degenerate (all-zero) channels cannot produce zero or infinite scales.
+    Each side's maxima are floored at 2**-40 times that side's largest (at 1
+    when all are zero), so a degenerate (all-zero) channel cannot produce a
+    zero or infinite scale, and no floor depends on the units of X or W.
     """
     xm = np.asarray(x_colmax, dtype=np.float64).ravel()
     wm = np.asarray(w_rowmax, dtype=np.float64).ravel()
     if xm.shape != wm.shape:
         raise LengthMismatch(f"activation maxima ({xm.size}) vs weight maxima ({wm.size})")
     _check_alpha(alpha)
-    xm = np.maximum(xm, _MAX_FLOOR)
-    wm = np.maximum(wm, _MAX_FLOOR)
-    s = np.clip(xm**alpha / wm ** (1.0 - alpha), _S_LO, _S_HI)
-    return SmoothingPlan(s, float(alpha), xm, wm)
+    xm, wm = _floored(xm), _floored(wm)
+    return SmoothingPlan(xm**alpha / wm ** (1.0 - alpha), float(alpha))
 
 
 def _matrices(x, w):
@@ -105,11 +102,6 @@ def _matrices(x, w):
 def _maxima(xa, wa):
     """max|X| per column and max|W| per row, with no |X| or |W| array."""
     return group_absmax(xa, 1).ravel(), group_absmax(wa, 0).ravel()
-
-
-def plan_for(x, w, alpha):
-    """Build a SmoothingPlan from the tensors themselves."""
-    return smooth_scales(*_maxima(*_matrices(x, w)), alpha)
 
 
 def apply_smoothing(x, w, plan):

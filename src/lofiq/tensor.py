@@ -29,6 +29,8 @@ MAGIC = b"LQT1"
 VERSION = 1
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+# The f32 midpoint between the largest finite value and 2**128: from here up, f32 rounds to Inf
+_F32_INF = 2.0**128 - 2.0**103
 
 
 class Tensor:
@@ -269,7 +271,7 @@ def save_tensors(tensors, path, dtype="f64"):
     """Write tensors to an LQT1 container.
 
     f32 narrowing uses the hardware round-to-nearest-even conversion; a
-    value that overflows f32 becomes Inf on disk and is rejected on load.
+    tensor with a value that would round to Inf there raises NonFiniteValue.
     Every tensor is checked before the file is opened, and each array is
     written as is, without staging the payload in memory.
     """
@@ -286,6 +288,9 @@ def save_tensors(tensors, path, dtype="f64"):
         if not isinstance(name, str) or name in names:
             raise ValueError(f"tensor name {name!r} is not a unique string")
         names.add(name)
+        if dtype == "f32" and max(arr.max(initial=0.0), -arr.min(initial=0.0)) >= _F32_INF:
+            raise NonFiniteValue(f"tensor {name!r} holds values beyond the range of f32",
+                                 tensor=name)
         entries.append({"name": name, "dtype": dtype, "shape": list(arr.shape), "offset": offset})
         arrays.append(arr)
         offset += arr.size * np_dtype.itemsize

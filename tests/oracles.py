@@ -1,11 +1,13 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately decoupled from the library internals:
-bit-level float decoders, brute-force nearest search, and a one-sided
-Jacobi SVD, so that library results are checked against a second route.
+bit-level float decoders, brute-force nearest search, HiF8 rounding in
+exact rationals, and a one-sided Jacobi SVD, so that library results are
+checked against a second route. Nothing here imports lofiq.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,6 +57,32 @@ def brute_force_nearest(values, codes, x):
             even = [j for j in achievers if codes[j] % 2 == 0]
             out[i] = values[even[0] if even else achievers[0]]
     return out
+
+
+# HiF8 mantissa width by |exponent|: 3 bits up to |e| = 3, 2 up to 7, 1 up to 15, 0 beyond
+_HIF8_WIDTHS = ((3, 3), (7, 2), (15, 1))
+
+
+def hif8_round(x):
+    """HiF8 quantization of one finite real, in exact rational arithmetic.
+
+    With e = floor(log2|x|) and width n_m from the table above, |x| goes to
+    floor(|x| / 2**(e - n_m) + 1/2) steps of 2**(e - n_m) (ties away from
+    zero). Magnitudes beyond 2**15 saturate there, nonzero ones below
+    2**-22 land on 2**-22, and zero of either sign gives +0.0.
+    """
+    ax = Fraction(abs(x))
+    if ax == 0:
+        return 0.0
+    e = ax.numerator.bit_length() - ax.denominator.bit_length()
+    if ax < Fraction(2) ** e:
+        e -= 1
+    if e < -22:
+        return math.copysign(2.0**-22, x)
+    width = next((w for bound, w in _HIF8_WIDTHS if abs(e) <= bound), 0)
+    step = Fraction(2) ** (e - width)
+    v = min(math.floor(ax / step + Fraction(1, 2)) * step, Fraction(2**15))
+    return math.copysign(float(v), x)
 
 
 def min_distances(values, x, chunk=4096):

@@ -12,12 +12,12 @@ import pytest
 from lofiq.cli import main as cli_main
 from lofiq.codebook import builtin_spec, enumerate_codebook, project
 from lofiq.hif4 import hif4_dequantize, hif4_quantize
-from lofiq.hif8 import hif8_enumerate, hif8_quantize, hif8_quantize_value, hif8_scaled_quantize
+from lofiq.hif8 import hif8_enumerate, hif8_quantize, hif8_scaled_quantize
 from lofiq.intquant import int_quantize_symmetric
 from lofiq.metrics import SyntheticSpec, compare_formats, synth
 from lofiq.mx import mx_quantize, resolve_element
 from lofiq.nvfp4 import V_MAX, nvfp4_quantize
-from lofiq.ptq import apply_smoothing, plan_for, search_alpha, svd_split, svdquant_pipeline
+from lofiq.ptq import apply_smoothing, search_alpha, smooth_scales, svd_split, svdquant_pipeline
 from lofiq.tensor import load_tensors, save_tensors, tensor
 
 from oracles import jacobi_singular_values, min_distances
@@ -97,9 +97,10 @@ def test_c02_rtn_optimality_exhaustive():
 
 def test_c03_hif8_worked_values_and_closure():
     with _Budget(3, 5.0, "adaptive 8-bit worked values exact; 1e6 outputs all in the codebook"):
-        assert hif8_quantize_value(0.3) == 0.3125
-        assert hif8_quantize_value(100.0) == 96.0
-        assert hif8_quantize_value(1.0) == 1.0
+        worked = hif8_quantize(tensor([0.3, 100.0, 1.0])).data
+        assert worked[0] == 0.3125
+        assert worked[1] == 96.0
+        assert worked[2] == 1.0
         values = hif8_enumerate()
         rng = np.random.default_rng(203)
         x = rng.normal(size=1_000_000) * np.exp(rng.uniform(-25, 15, 1_000_000))
@@ -158,7 +159,7 @@ def test_c07_smoothing_equivalence_and_argmin_invariance():
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(64, 64))
             w = rng.normal(size=(64, 64))
-            plan = plan_for(x, w, 0.5)
+            plan = smooth_scales(np.abs(x).max(axis=0), np.abs(w).max(axis=1), 0.5)
             xs, ws = apply_smoothing(tensor(x), tensor(w), plan)
             ref = x @ w
             rel = np.linalg.norm(xs.data @ ws.data - ref) / np.linalg.norm(ref)

@@ -61,6 +61,20 @@ class TestEnumerate:
         assert len(values) == 129
         assert all(-1 <= v <= 1 for v in values)
 
+    def test_infinite_bounds(self, capsys):
+        assert run("enumerate", "e2m1", "--interval", "0", "inf") == 0
+        fields, values = _parse_listing(capsys.readouterr().out)
+        assert fields["count_in_interval"] == "8"
+        assert values == [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]
+
+    @pytest.mark.parametrize("lo,hi", [("1", "-1"), ("nan", "1"), ("0", "nan")])
+    def test_bad_interval_is_a_usage_error(self, capsys, tmp_path, lo, hi):
+        out = tmp_path / "listing.txt"
+        assert run("enumerate", "e2m1", "--interval", lo, hi, "-o", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: --interval ") and captured.err.count("\n") == 1
+
     def test_unknown_format_exits_2(self, capsys):
         assert run("enumerate", "e9m9") == 2
         assert "error" in capsys.readouterr().err
@@ -124,6 +138,28 @@ class TestQuantize:
         # every element twice: on load, and in the kernel's chunks of its
         # reconstruction, which becomes the output Tensor unscanned
         assert checked == {"a": 2 * 32, "b": 2 * 8}
+
+    def test_all_zero_tensor_is_exact(self, tmp_path):
+        # each codec reconstructs zeros exactly, and an exact result reports "inf"
+        src, out, rep = tmp_path / "in.lqt", tmp_path / "out.lqt", tmp_path / "r.json"
+        save_tensors([tensor(np.ones((32, 32)), "w"), tensor(np.zeros(32), "bias")], src)
+        for fmt in ("int8", "hif8", "nvfp4", "mxfp4", "hif8-scaled"):
+            assert run("quantize", src, "-f", fmt, "-o", out, "--report", rep) == 0
+            rows = {r["tensor"]: r for r in json.loads(rep.read_text())}
+            assert (rows["bias"]["sqnr_db"], rows["bias"]["rel_fro_err"]) == ("inf", 0.0), fmt
+            assert not load_tensors(out)[1].data.any()
+        assert run("compare", "--input", src, "--formats", "int8,hif8,nvfp4", "-o", rep) == 0
+        rows = [r for r in json.loads(rep.read_text()) if r["tensor"] == "bias"]
+        assert [r["sqnr_db"] for r in rows] == ["inf"] * 3
+
+    def test_f32_overflow_exits_1_without_output(self, tmp_path):
+        # int8 reconstructs 1e300, which f64 holds and f32 does not
+        src, out = tmp_path / "in.lqt", tmp_path / "out.lqt"
+        save_tensors([tensor(np.full((2, 2), 1e300), "big")], src)
+        assert run("quantize", src, "-f", "int8", "-o", tmp_path / "f64.lqt") == 0
+        proc = run_subprocess("quantize", src, "-f", "int8", "--dtype", "f32", "-o", out)
+        assert proc.returncode == 1 and not out.exists()
+        assert proc.stderr == "error: tensor 'big' holds values beyond the range of f32\n"
 
     def test_unknown_format_exits_2(self, tmp_path):
         src = tmp_path / "in.lqt"

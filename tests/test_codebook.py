@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lofiq.cli import main as cli_main
 from lofiq.codebook import (
     Codebook,
     FpFormatSpec,
     builtin_names,
     builtin_spec,
-    density_in_interval,
     enumerate_codebook,
     project,
 )
@@ -260,12 +260,20 @@ class TestProject:
 
 
 class TestDensity:
-    def test_e2m1_unit_interval(self):
-        assert density_in_interval(enumerate_codebook("e2m1").values, -1, 1) == 5
+    """The count_in_interval line of ``lofiq enumerate --interval``."""
 
-    def test_zero_always_counted(self):
+    @staticmethod
+    def count(capsys, name, lo, hi):
+        assert cli_main(["enumerate", name, "--interval", str(lo), str(hi)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return int(next(ln for ln in lines if ln.startswith("count_in_interval: ")).split()[1])
+
+    def test_e2m1_unit_interval(self, capsys):
+        assert self.count(capsys, "e2m1", -1, 1) == 5
+
+    def test_zero_always_counted(self, capsys):
         for name in ("e2m1", "e4m3", "e5m2"):
-            assert density_in_interval(enumerate_codebook(name).values, 0, 0) == 1
+            assert self.count(capsys, name, 0, 0) == 1
 
-    def test_e4m3_unit_interval(self):
-        assert density_in_interval(enumerate_codebook("e4m3").values, -1, 1) == 113
+    def test_e4m3_unit_interval(self, capsys):
+        assert self.count(capsys, "e4m3", -1, 1) == 113

@@ -30,3 +30,16 @@ def test_package_imports_name_what_exists():
             assert hasattr(lofiq, alias.asname or alias.name), alias.name
     for name in getattr(lofiq, "__all__", ()):
         assert hasattr(lofiq, name), name
+
+
+def test_oracles_import_nothing_from_lofiq():
+    # the oracles are a second route to each result, so none may reuse library code
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert "numpy" in imported
+    assert [m for m in imported if m.startswith(".") or m.split(".")[0] == "lofiq"] == []

@@ -12,10 +12,8 @@ from lofiq.hif8 import (
     MAX_NORMAL,
     MIN_SUBNORMAL,
     ScaledHif8Quantized,
-    hif8_decompose,
     hif8_enumerate,
     hif8_quantize,
-    hif8_quantize_value,
     hif8_scaled_dequantize,
     hif8_scaled_quantize,
 )
@@ -23,25 +21,32 @@ from lofiq.errors import NonFiniteValue
 from lofiq.registry import parse_format
 from lofiq.tensor import tensor
 
+from oracles import hif8_round
+
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 VALUES = hif8_enumerate()
 
 
+def kernel_value(x):
+    """The array kernel's quantization of one real."""
+    return float(hif8_quantize(tensor(x)).data)
+
+
 class TestWorkedValues:
     def test_representable(self):
-        assert hif8_quantize_value(1.0) == 1.0
+        assert kernel_value(1.0) == hif8_round(1.0) == 1.0
 
     def test_point_three(self):
         # exponent -2, three mantissa bits, grid index 10 on the 2**-5 grid
-        assert hif8_quantize_value(0.3) == 0.3125
+        assert kernel_value(0.3) == hif8_round(0.3) == 0.3125
 
     def test_hundred(self):
         # exponent 6, two mantissa bits, step 16
-        assert hif8_quantize_value(100.0) == 96.0
+        assert kernel_value(100.0) == hif8_round(100.0) == 96.0
 
     def test_zero(self):
-        assert hif8_quantize_value(0.0) == 0.0
+        assert kernel_value(0.0) == hif8_round(0.0) == 0.0
 
     def test_array_matches_scalar(self):
         arr = np.array([1.0, 0.3, 100.0, 0.0, -0.3])
@@ -59,18 +64,11 @@ class TestWorkedValues:
                             switches * 1.0625])
         x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, 0.0)])
         x = np.concatenate([x, -x])
-        want = np.array([hif8_quantize_value(v) for v in x])
+        want = np.array([hif8_round(v) for v in x])
         got = hif8_quantize(tensor(x)).data
         assert np.array_equal(got, want)
         # array_equal treats -0.0 == +0.0; the -0.0 input (from -x) must give +0.0
         assert np.array_equal(np.signbit(got), np.signbit(want))
-
-    def test_decompose_fields(self):
-        v = hif8_decompose(0.3)
-        assert (v.sign, v.exponent, v.mantissa_bits, v.code) == (1, -2, 3, 10)
-        assert v.value == 0.3125
-        v = hif8_decompose(100.0)
-        assert (v.exponent, v.mantissa_bits, v.code) == (6, 2, 6)
 
 
 class TestEnumerate:
@@ -92,11 +90,14 @@ class TestEnumerate:
         assert 0.3 not in VALUES
 
     def test_mantissa_width_by_binade(self):
-        # widths at representative decompositions follow the |exponent| table:
-        # 3 bits for |e| <= 3, then 2, 1, 0 as the magnitude leaves [2**-3, 2**4)
+        # the kernel maps the binade [2**e, 2**(e+1)) of each x onto 2**nm points, with
+        # nm from the |exponent| table: 3 bits for |e| <= 3, then 2, 1, 0 as the
+        # magnitude leaves [2**-3, 2**4)
         for x, nm in [(1.0, 3), (10.0, 3), (20.0, 2), (300.0, 1), (2.0**14, 1),
                       (2.0**-20, 0)]:
-            assert hif8_decompose(x).mantissa_bits == nm, x
+            e = math.frexp(x)[1] - 1
+            out = hif8_quantize(tensor(np.ldexp(1.0 + np.arange(1024) / 1024, e))).data
+            assert np.unique(out[out < 2.0 ** (e + 1)]).size == 2**nm, x
 
 
 class TestAlgorithmProperties:
@@ -119,12 +120,13 @@ class TestAlgorithmProperties:
         assert mids.size == 252 and np.array_equal(mids - lo, hi - mids)  # exact midpoints
         out = hif8_quantize(tensor(mids)).data
         assert np.array_equal(out, np.where(np.abs(lo) > np.abs(hi), lo, hi))
-        assert [hif8_quantize_value(m) for m in mids] == out.tolist()
+        assert [hif8_round(m) for m in mids] == out.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(finite)
     def test_odd_symmetry(self, x):
-        assert hif8_quantize_value(-x) == -hif8_quantize_value(x)
+        pos, neg = hif8_quantize(tensor([x, -x])).data
+        assert neg == -pos and pos == hif8_round(x)
 
     def test_step_coarsens_with_exponent(self):
         def step(e):
@@ -135,15 +137,14 @@ class TestAlgorithmProperties:
         assert steps == sorted(steps)
 
     def test_saturation(self):
-        assert hif8_quantize_value(1e30) == MAX_NORMAL
-        assert hif8_quantize_value(-1e30) == -MAX_NORMAL
-        assert hif8_quantize_value(1.4 * 2.0**15) == MAX_NORMAL
+        for x, want in [(1e30, MAX_NORMAL), (-1e30, -MAX_NORMAL), (1.4 * 2.0**15, MAX_NORMAL)]:
+            assert kernel_value(x) == hif8_round(x) == want, x
 
     def test_underflow_to_min_subnormal(self):
         # nonzero magnitudes below the format floor land on the floor
-        assert hif8_quantize_value(1e-30) == MIN_SUBNORMAL
-        assert hif8_quantize_value(-1e-30) == -MIN_SUBNORMAL
-        assert hif8_quantize_value(2.0**-22) == MIN_SUBNORMAL
+        for x, want in [(1e-30, MIN_SUBNORMAL), (-1e-30, -MIN_SUBNORMAL),
+                        (2.0**-22, MIN_SUBNORMAL)]:
+            assert kernel_value(x) == hif8_round(x) == want, x
 
     def test_near_rtn(self):
         rng = np.random.default_rng(33)

@@ -50,6 +50,8 @@ class TestSqnr:
     def test_zero_signal(self):
         with pytest.raises(ZeroSignal):
             sqnr(tensor([0.0]), tensor([1.0]))
+        # a zero error is exact, whatever the signal
+        assert sqnr(tensor([0.0]), tensor([0.0])) == math.inf
 
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -78,6 +80,7 @@ class TestSqnr:
         for zero in (0.0, (0.0, 0), (0.0, 7)):
             with pytest.raises(ZeroSignal):
                 sqnr(None, None, ref_norm=zero, err_norm=err)
+            assert sqnr(None, None, ref_norm=zero, err_norm=zero) == math.inf
 
 
 class TestOverflow:
@@ -125,10 +128,14 @@ class TestOverflow:
 
     def test_figures_beyond_float64_raise(self):
         codec = parse_format("e4m3")
-        with pytest.raises(NonFiniteValue, match="overflows"):  # |recon - x| itself
+        with pytest.raises(NonFiniteValue, match="the error of e4m3 overflows"):  # |recon - x|
             fidelity_from_reconstruction(tensor([1.7e308]), np.array([-1.7e308]), codec, "weight")
-        with pytest.raises(NonFiniteValue, match="overflows"):  # rel_fro_err: 1e160 / 1e-150
+        # rel_fro_err alone: 1e160 / 1e-150, and hif8's 2**-22 over 5e-324
+        with pytest.raises(NonFiniteValue, match="the relative error of e4m3 overflows"):
             fidelity_from_reconstruction(tensor([1e-150]), np.array([1e160]), codec, "weight")
+        tiny, hif8 = tensor(np.full((4, 4), 5e-324), "tiny"), parse_format("hif8")
+        with pytest.raises(NonFiniteValue, match="^tensor 'tiny': the relative error of hif8 "):
+            fidelity_from_reconstruction(tiny, hif8.reconstruct(tiny, "weight"), hif8, "weight")
 
 
 class TestUnderflow:
@@ -221,6 +228,15 @@ class TestFidelity:
             xh = codec.reconstruct(tensor(x), "weight")
         r = fidelity_from_reconstruction(tensor(x * scale), xh * scale, codec, "weight")
         assert r.sqnr_db == pytest.approx(-20 * math.log10(r.rel_fro_err), rel=1e-12)
+
+    def test_zero_signal_names_the_tensor(self):
+        codec = parse_format("int8")
+        zeros = tensor(np.zeros(4), "bias")
+        r = fidelity_from_reconstruction(zeros, np.zeros(4), codec, "weight")
+        assert (r.sqnr_db, r.rel_fro_err) == (math.inf, 0.0)
+        with pytest.raises(ZeroSignal, match="^tensor 'bias': signal energy is zero$") as exc:
+            fidelity_from_reconstruction(zeros, np.ones(4), codec, "weight")
+        assert exc.value.tensor == "bias"
 
     def test_reconstruction_checked(self):
         t = tensor([1.0, 2.0])

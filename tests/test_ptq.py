@@ -16,7 +16,6 @@ from lofiq.errors import (
 from lofiq.ptq import (
     ALPHA_GRID,
     apply_smoothing,
-    plan_for,
     search_alpha,
     smooth_scales,
     smoothquant_pipeline,
@@ -27,6 +26,11 @@ from lofiq.registry import parse_format
 from lofiq.tensor import tensor
 
 from oracles import jacobi_singular_values
+
+
+def plan_at(x, w, alpha):
+    """The smoothing plan of arrays x and w: smooth_scales on max|x| per column, max|w| per row."""
+    return smooth_scales(np.abs(x).max(axis=0), np.abs(w).max(axis=1), alpha)
 
 
 class TestSmoothScales:
@@ -56,10 +60,11 @@ class TestSmoothScales:
         assert isinstance(info.value, ValueError)
 
     def test_degenerate_channel_clamps(self):
-        plan = smooth_scales([0.0], [1e9], 0.9)
-        assert plan.scales[0] >= 1e-5
-        plan = smooth_scales([1e30], [1e-30], 0.9)
-        assert plan.scales[0] <= 1e5
+        # a zero maximum is floored at 2**-40 times its side's largest, an all-zero side at 1
+        assert smooth_scales([0.0, 4.0], [1.0, 0.0], 0.5).scales.tolist() == [2.0**-19, 2.0**21]
+        for xm, wm in [([0.0], [1e9]), ([1e30], [1e-30]), ([0.0, 0.0], [0.0, 3.0]), ([0.0], [0.0])]:
+            s = smooth_scales(xm, wm, 0.9).scales
+            assert np.all(s > 0) and np.all(np.isfinite(s)), (xm, wm)
 
 
 class TestApplySmoothing:
@@ -87,7 +92,7 @@ class TestApplySmoothing:
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(64, 64))
             w = rng.normal(size=(64, 64))
-            plan = plan_for(x, w, 0.5)
+            plan = plan_at(x, w, 0.5)
             xs, ws = apply_smoothing(tensor(x), tensor(w), plan)
             ref = x @ w
             err = np.linalg.norm(xs.data @ ws.data - ref) / np.linalg.norm(ref)
@@ -96,7 +101,7 @@ class TestApplySmoothing:
     def test_invert_recovers(self):
         rng = np.random.default_rng(2)
         x, w = rng.normal(size=(8, 6)), rng.normal(size=(6, 4))
-        plan = plan_for(x, w, 0.7)
+        plan = plan_at(x, w, 0.7)
         xs, ws = apply_smoothing(tensor(x), tensor(w), plan)
         s = plan.scales  # the inverse: x' s columnwise, w' / s rowwise
         assert np.allclose(xs.data * s, x, rtol=1e-14)
@@ -111,8 +116,8 @@ class TestApplySmoothing:
         # scaling x by 4 with alpha 0.5 exactly doubles every channel scale
         rng = np.random.default_rng(3)
         x, w = rng.normal(size=(16, 8)), rng.normal(size=(8, 16))
-        p1 = plan_for(x, w, 0.5)
-        p4 = plan_for(4.0 * x, w, 0.5)
+        p1 = plan_at(x, w, 0.5)
+        p4 = plan_at(4.0 * x, w, 0.5)
         assert np.array_equal(p4.scales, 2.0 * p1.scales)
 
 
@@ -133,7 +138,7 @@ class TestSearchAlpha:
         # independent evaluation of the nine-point grid
         best = None
         for a in ALPHA_GRID:
-            plan = plan_for(x, w, a)
+            plan = plan_at(x, w, a)
             xs, ws = apply_smoothing(tensor(x), tensor(w), plan)
             qx = codec.reconstruct(xs.data, "activation")
             qw = codec.reconstruct(ws.data, "weight")
@@ -175,7 +180,7 @@ class TestSearchAlpha:
         w = rng.normal(size=(16, 8)) * 0.02
         codec = parse_format("int8")
         plan, err, qx = search_alpha(tensor(x), tensor(w), codec)
-        ref_plan = plan_for(x, w, plan.alpha)
+        ref_plan = plan_at(x, w, plan.alpha)
         assert np.array_equal(plan.scales, ref_plan.scales)
         xs, ws = apply_smoothing(tensor(x), tensor(w), ref_plan)
         want_qx = codec.reconstruct(xs.data, "activation")
@@ -183,7 +188,7 @@ class TestSearchAlpha:
         assert np.array_equal(qx, want_qx)
         assert err == want
         for a in ALPHA_GRID:
-            p = plan_for(x, w, a)
+            p = plan_at(x, w, a)
             xs, ws = apply_smoothing(tensor(x), tensor(w), p)
             qa = codec.reconstruct(xs.data, "activation") @ codec.reconstruct(ws.data, "weight")
             assert err <= np.linalg.norm(qa - x @ w)
@@ -198,7 +203,7 @@ class TestSearchAlpha:
         assert np.array_equal(given[2], qx)
         # the product passed in is the one measured against
         _, err0, qx0 = search_alpha(x, w, codec, grid=(0.5,), ref=np.zeros((12, 6)))
-        ws = apply_smoothing(x, w, plan_for(x, w, 0.5))[1]
+        ws = apply_smoothing(x, w, plan_at(x.data, w.data, 0.5))[1]
         assert err0 == np.linalg.norm(qx0 @ codec.reconstruct(ws, "weight"))
 
     @pytest.mark.parametrize("x_shape,w_shape", [((4,), (4, 4)), ((4, 4), (4,)), ((), (4, 4)),
@@ -207,8 +212,6 @@ class TestSearchAlpha:
         x, w = tensor(np.ones(x_shape)), tensor(np.ones(w_shape))
         with pytest.raises(ShapeMismatch):
             search_alpha(x, w, "int8")
-        with pytest.raises(ShapeMismatch):
-            plan_for(x, w, 0.5)
 
     @pytest.mark.parametrize("x_shape,w_shape", [((0, 4), (4, 3)), ((2, 4), (4, 0)),
                                                  ((2, 0), (0, 3))])
@@ -218,8 +221,6 @@ class TestSearchAlpha:
         x, w = tensor(np.ones(x_shape)), tensor(np.ones(w_shape))
         with pytest.raises(ShapeMismatch):
             search_alpha(x, w, "int8")
-        with pytest.raises(ShapeMismatch):
-            plan_for(x, w, 0.5)
         plan = smooth_scales(np.ones(x_shape[1]), np.ones(x_shape[1]), 0.5)
         with pytest.raises(ShapeMismatch):
             apply_smoothing(x, w, plan)
@@ -278,7 +279,7 @@ class TestSvdSplit:
 
     def test_diagonal(self):
         b = svd_split(tensor(np.diag([5.0, 3.0, 1.0])), 1)
-        assert np.allclose(b.product, np.diag([5.0, 0.0, 0.0]), atol=1e-12)
+        assert np.allclose(b.l1 @ b.l2, np.diag([5.0, 0.0, 0.0]), atol=1e-12)
         assert np.allclose(b.residual, np.diag([0.0, 3.0, 1.0]), atol=1e-12)
 
     def test_full_rank_zero_residual(self):
@@ -298,8 +299,8 @@ class TestSvdSplit:
         rng = np.random.default_rng(7)
         w = rng.normal(size=(12, 9))
         b = svd_split(tensor(w), 4)
-        assert np.allclose(b.product + b.residual, w, atol=1e-12)
-        assert np.linalg.matrix_rank(b.product, tol=1e-10) <= 4
+        assert np.allclose(b.l1 @ b.l2 + b.residual, w, atol=1e-12)
+        assert np.linalg.matrix_rank(b.l1 @ b.l2, tol=1e-10) <= 4
 
     def test_tail_energy_matches_jacobi_oracle(self):
         rng = np.random.default_rng(8)
@@ -320,7 +321,7 @@ class TestSvdSplit:
         for r in (1, 5, min(shape)):
             b = svd_split(tensor(w), r)
             assert b.l1.shape == (shape[0], r) and b.l2.shape == (r, shape[1])
-            err = np.linalg.norm(b.product - _svd_product(w, r))
+            err = np.linalg.norm(b.l1 @ b.l2 - _svd_product(w, r))
             assert err <= 1e-12 * np.linalg.norm(w), (shape, r)
             assert np.array_equal(b.residual, w - b.l1 @ b.l2)
 
@@ -334,14 +335,15 @@ class TestSvdSplit:
         v, _ = np.linalg.qr(rng.normal(size=(shape[1], k)))
         w = (u * 2.0 ** -np.arange(k)) @ v.T
         for r in (1, 4, 8, k):
-            err = np.linalg.norm(svd_split(tensor(w), r).product - _svd_product(w, r))
+            b = svd_split(tensor(w), r)
+            err = np.linalg.norm(b.l1 @ b.l2 - _svd_product(w, r))
             assert err <= 1e-12 * np.linalg.norm(w), (shape, r)
 
     @pytest.mark.parametrize("shape", [(6, 4), (4, 6)])
     def test_zero_matrix(self, shape):
         b = svd_split(tensor(np.zeros(shape)), 2)
         assert not np.any(b.residual)
-        assert not np.any(b.product)
+        assert not np.any(b.l1 @ b.l2)
 
     def test_eckart_young_dominance(self):
         rng = np.random.default_rng(9)
@@ -376,10 +378,10 @@ class TestKrylovSplit:
         assert (ptq._krylov_top(_gram(w), rank) is not None) == krylov
         b = svd_split(tensor(w), rank)
         if krylov:
-            err = np.linalg.norm(b.product - _svd_product(w, rank))
+            err = np.linalg.norm(b.l1 @ b.l2 - _svd_product(w, rank))
             assert err <= 1e-12 * np.linalg.norm(w)
         else:
-            assert np.array_equal(b.product, _eigh_product(w, rank))
+            assert np.array_equal(b.l1 @ b.l2, _eigh_product(w, rank))
 
     @pytest.mark.parametrize("shape", [(768, 256), (256, 768)])
     def test_tall_and_wide(self, shape, eigh_calls):
@@ -387,7 +389,7 @@ class TestKrylovSplit:
         b = svd_split(tensor(w), 2)
         assert max(c[0] for c in eigh_calls) < 256  # Ritz steps only, no full eigh
         assert b.l1.shape == (shape[0], 2) and b.l2.shape == (2, shape[1])
-        assert np.linalg.norm(b.product - _svd_product(w, 2)) <= 1e-12 * np.linalg.norm(w)
+        assert np.linalg.norm(b.l1 @ b.l2 - _svd_product(w, 2)) <= 1e-12 * np.linalg.norm(w)
         assert np.array_equal(b.residual, w - b.l1 @ b.l2)
 
     def test_reruns_are_bit_identical(self, eigh_calls):
@@ -405,7 +407,7 @@ class TestKrylovSplit:
         w = _low_rank((512, 512), 5, 4)
         b = svd_split(tensor(w), 16)
         assert eigh_calls == [(512, 512)]
-        assert np.linalg.norm(b.product - _svd_product(w, 16)) <= 1e-12 * np.linalg.norm(w)
+        assert np.linalg.norm(b.l1 @ b.l2 - _svd_product(w, 16)) <= 1e-12 * np.linalg.norm(w)
         assert np.linalg.norm(b.residual) <= 1e-12 * np.linalg.norm(w)
 
     @pytest.mark.parametrize("shape", [(300, 300), (512, 256), (256, 512)])
@@ -415,14 +417,14 @@ class TestKrylovSplit:
         w = _low_rank(shape, 4, 4)
         b = svd_split(tensor(w), 2)
         assert eigh_calls == [(6, 6)]
-        assert np.linalg.norm(b.product - _svd_product(w, 2)) <= 1e-12 * np.linalg.norm(w)
+        assert np.linalg.norm(b.l1 @ b.l2 - _svd_product(w, 2)) <= 1e-12 * np.linalg.norm(w)
 
     @pytest.mark.parametrize("shape", [(300, 300), (512, 256), (256, 512)])
     def test_zero_matrix(self, shape, eigh_calls):
         # G B_1 = 0: the first projected block is at roundoff level
         b = svd_split(tensor(np.zeros(shape)), 2)
         assert eigh_calls == [(256, 256) if shape != (300, 300) else (300, 300)]
-        assert not np.any(b.product) and not np.any(b.residual)
+        assert not np.any(b.l1 @ b.l2) and not np.any(b.residual)
 
     @pytest.mark.parametrize("shape", [(20, 12), (12, 20), (16, 16), (9, 9)])
     def test_every_rank_with_small_constants(self, monkeypatch, shape):
@@ -435,7 +437,7 @@ class TestKrylovSplit:
         for r in range(1, min(shape) + 1):
             krylov += ptq._krylov_top(_gram(w), r) is not None
             b = svd_split(tensor(w), r)
-            err = np.linalg.norm(b.product - _svd_product(w, r))
+            err = np.linalg.norm(b.l1 @ b.l2 - _svd_product(w, r))
             assert err <= 1e-12 * np.linalg.norm(w), (shape, r)
             assert np.array_equal(b.residual, w - b.l1 @ b.l2)
         assert krylov >= 2
@@ -496,10 +498,10 @@ class TestPipelines:
         x, w = tensor(rng.normal(size=(24, 32))), tensor(rng.normal(size=(32, 20)))
         rep = svdquant_pipeline(x, w, "int8", rank=4, alpha=0.5)
         codec = parse_format("int8")
-        xs, ws = apply_smoothing(x, w, plan_for(x, w, 0.5))
+        xs, ws = apply_smoothing(x, w, plan_at(x.data, w.data, 0.5))
         b = svd_split(ws, 4)
         ref = x.data @ w.data
-        recon = xs.data @ b.product + (codec.reconstruct(xs, "activation")
+        recon = xs.data @ (b.l1 @ b.l2) + (codec.reconstruct(xs, "activation")
                                        @ codec.reconstruct(b.residual, "weight"))
         err = float(np.linalg.norm(recon - ref)) / float(np.linalg.norm(ref))
         assert rep.svdq_rel_err == pytest.approx(err, rel=1e-12)
@@ -563,11 +565,27 @@ class TestPipelines:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy overflow warning
             big = pipeline(tensor(x), w, "int8").to_dict()
-        # int8 rounding commutes with power-of-two scaling; smoothing's clamps do not
+        # int8 rounding commutes with power-of-two scaling, and so does smoothing's floor
         small = pipeline(tensor(np.ldexp(x, -600)), w, "int8").to_dict()
         assert big["rtn_rel_err"] == small["rtn_rel_err"]
-        errors = [v for k, v in big.items() if k.endswith("_rel_err")]
-        assert all(0.0 < v < 0.1 for v in errors)
+        assert big["alpha"] == small["alpha"]
+        errors = [k for k in big if k.endswith("_rel_err")]
+        assert len(errors) >= 2 and all(0.0 < big[k] < 0.1 for k in errors)
+        assert all(small[k] == pytest.approx(big[k], rel=1e-9) for k in errors)
+
+    @pytest.mark.parametrize("k", [300, -300])
+    def test_alpha_search_does_not_depend_on_units(self, k):
+        # one channel x50: alpha 0.4 and error 0.00219 at unit scale, and under
+        # an absolute floor on the maxima X 2**300 picked 0.1 with no gain
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(16, 24))
+        x[:, 3] *= 50
+        w = tensor(rng.normal(size=(24, 20)))
+        unit = smoothquant_pipeline(tensor(x), w, "int8")
+        scaled = smoothquant_pipeline(tensor(np.ldexp(x, k)), w, "int8")
+        assert (unit.alpha, scaled.alpha) == (0.4, 0.4)
+        assert unit.smooth_rel_err == pytest.approx(0.00219, abs=1e-5)
+        assert scaled.smooth_rel_err == pytest.approx(unit.smooth_rel_err, rel=1e-9)
 
     def test_product_beyond_float64_raises(self):
         # each entry of x @ w is 8e307, and |x @ w|_F is 3.2e308

@@ -54,6 +54,25 @@ def test_f32_narrowing_one_third(tmp_path):
     assert out.data[0] == 0.3333333432674408
 
 
+@pytest.mark.parametrize("v", [1e300, -1e300, 2.0**128 - 2.0**103])
+def test_f32_overflow_rejected_before_the_file_is_opened(tmp_path, v):
+    # 2**128 - 2**103 is the midpoint above float32's maximum: it rounds to Inf
+    path = tmp_path / "t.lqt"
+    with pytest.raises(NonFiniteValue, match="^tensor 'w' ") as exc:
+        save_tensors([tensor([1.0], "a"), tensor([0.0, v], "w")], path, dtype="f32")
+    assert exc.value.tensor == "w" and not path.exists()
+    save_tensors([tensor([0.0, v], "w")], path)  # f64 holds it
+    assert load_tensors(path)[0].data[1] == v
+
+
+def test_f32_maximum_saves(tmp_path):
+    m = float(np.finfo(np.float32).max)
+    below = np.nextafter(2.0**128 - 2.0**103, 0.0)  # rounds down to the maximum
+    path = tmp_path / "t.lqt"
+    save_tensors([tensor([m, -m, below], "w")], path, dtype="f32")
+    assert load_tensors(path)[0].data.tolist() == [m, -m, m]
+
+
 def _raw_bytes(header_obj, payload):
     header = json.dumps(header_obj).encode()
     return b"LQT1" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header + payload
