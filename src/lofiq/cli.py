@@ -73,13 +73,7 @@ def cmd_quantize(args):
     tensors = load_tensors(args.input)
     outputs, reports = [], []
     for t in tensors:
-        try:
-            recon = codec.reconstruct(t, args.role, pad=args.pad)
-        except LofiqError as exc:
-            if exc.tensor is not None:  # the message names the tensor already
-                raise
-            raise LofiqError(f"tensor {t.name!r}: {exc}") from exc
-        outputs.append(Tensor.of_checked(recon, t.name))
+        outputs.append(Tensor.of_checked(codec.reconstruct(t, args.role, pad=args.pad), t.name))
         reports.append(fidelity_from_reconstruction(t, outputs[-1], codec, args.role))
     save_tensors(outputs, args.output, dtype=args.dtype)
     if args.report:
@@ -133,9 +127,11 @@ def _first_tensor(path):
     return tensors[0]
 
 
-def _pipeline_report(args, run):
-    """Run ``run(x, w)`` on the first tensors of --x and --w; write and print its JSON report."""
-    payload = run(_first_tensor(args.x), _first_tensor(args.w)).to_dict()
+def _pipeline_report(args, pipeline, **options):
+    """Run ``pipeline(x, w, codec, **options)`` on the first tensors of --x and --w; write and
+    print its JSON report. The --format selector is parsed before any file is read."""
+    codec = parse_format(args.format)
+    payload = pipeline(_first_tensor(args.x), _first_tensor(args.w), codec, **options).to_dict()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -146,14 +142,11 @@ def _pipeline_report(args, run):
 
 def cmd_smooth(args):
     # the pipeline is looked up on ptq at call time, so a wrapper set there is used
-    return _pipeline_report(
-        args, lambda x, w: ptq.smoothquant_pipeline(x, w, args.format, alpha=args.alpha))
+    return _pipeline_report(args, ptq.smoothquant_pipeline, alpha=args.alpha)
 
 
 def cmd_svdq(args):
-    return _pipeline_report(
-        args, lambda x, w: ptq.svdquant_pipeline(x, w, args.format, rank=args.rank,
-                                                 alpha=args.alpha))
+    return _pipeline_report(args, ptq.svdquant_pipeline, rank=args.rank, alpha=args.alpha)
 
 
 def build_parser():
@@ -196,27 +189,40 @@ def build_parser():
     p.add_argument("--report-format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("smooth", help="difficulty-migration report for an (X, W) pair")
-    p.add_argument("--x", required=True, help="activation .lqt file (first tensor used)")
-    p.add_argument("--w", required=True, help="weight .lqt file (first tensor used)")
-    p.add_argument("--format", "-f", required=True)
-    p.add_argument("--alpha", type=float, help="fixed migration strength; omit to grid-search")
-    p.add_argument("--output", "-o", help="write the JSON report here")
+    pair = argparse.ArgumentParser(add_help=False)  # the arguments of smooth and svdq
+    pair.add_argument("--x", required=True, help="activation .lqt file (first tensor used)")
+    pair.add_argument("--w", required=True, help="weight .lqt file (first tensor used)")
+    pair.add_argument("--format", "-f", required=True, help="format selector, e.g. int8")
+    pair.add_argument("--alpha", type=float, help="fixed migration strength; omit to grid-search")
+    pair.add_argument("--output", "-o", help="write the JSON report here")
+
+    p = sub.add_parser("smooth", parents=[pair],
+                       help="difficulty-migration report for an (X, W) pair")
     p.set_defaults(func=cmd_smooth)
 
-    p = sub.add_parser("svdq", help="low-rank split + quantization report for (X, W)")
-    p.add_argument("--x", required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--format", "-f", required=True)
-    p.add_argument("--alpha", type=float, help="fixed migration strength; omit to grid-search")
-    p.add_argument("--rank", type=int, default=16)
-    p.add_argument("--output", "-o", help="write the JSON report here")
+    p = sub.add_parser("svdq", parents=[pair],
+                       help="low-rank split + quantization report for (X, W)")
+    p.add_argument("--rank", type=int, default=16, help="rank of the low-rank branch (default 16)")
     p.set_defaults(func=cmd_svdq)
 
     return parser
 
 
+def _bound(token):
+    """``token`` with a leading space when it is a negative number, so that argparse
+    takes '-inf' or '-1e9' as a value rather than an option; float() skips the space."""
+    try:
+        float(token)
+    except ValueError:
+        return token
+    return " " + token if token.startswith("-") else token
+
+
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i, token in enumerate(argv[:-1]):
+        if token == "--interval":
+            argv[i + 1:i + 3] = map(_bound, argv[i + 1:i + 3])
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -218,12 +218,12 @@ def project(cb, x):
     Values beyond the extremes clip to them; exact midpoints resolve to the
     neighbour with the even mantissa code. A zero result is +0.0. NaN or
     Inf input raises NonFiniteValue, and a grid without a rounding rule
-    UnknownFormat, before anything is rounded. The output is rounded and
-    checked in chunks, so a cast's reconstruction needs no second scan.
+    UnknownFormat, before anything is rounded. The ndarray output is rounded
+    and checked in chunks, so a cast's reconstruction needs no second scan.
     """
     arr = as_array(x)
     _rule(cb)
     flat = arr.reshape(-1)
     return made_in_chunks(arr.shape, lambda s, o: _round(cb, flat[s], o),
-                          getattr(x, "name", None), np.ravel)
+                          getattr(x, "name", None), np.ravel).data
 

@@ -2,7 +2,7 @@
 
 
 class LofiqError(Exception):
-    """Base class for all lofiq errors.
+    """Base class for all lofiq errors; every one is built as ``(message, tensor=...)``.
 
     ``tensor`` is the name of the tensor the message already names
     (``'<unnamed>'`` for a tensor without one), or None when it names none.
@@ -42,12 +42,7 @@ class AxisOutOfRange(LofiqError):
 
 
 class NotDivisible(LofiqError):
-    def __init__(self, extent, block_size, axis=None):
-        self.extent = extent
-        self.block_size = block_size
-        self.axis = axis
-        where = f" on axis {axis}" if axis is not None else ""
-        super().__init__(f"extent {extent}{where} is not divisible by block size {block_size}")
+    pass
 
 
 class ShapeMismatch(LofiqError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, as_array, block_view, for_chunks, made_in_chunks
+from .tensor import as_array, block_view, for_chunks, made_in_chunks
 
 __all__ = ["BLOCK", "MODES", "Q_MIN", "Q_MAX", "Hif4Quantized", "hif4_quantize", "hif4_dequantize"]
 
@@ -112,6 +112,5 @@ def hif4_dequantize(q):
         np.multiply(q.xhat[s], scale[:, :, :, None], out=o)
         o *= q.signs[s]  # after the product, so a zero code under sign -1 stays -0.0
 
-    out = made_in_chunks(q.shape, fill, q.name,
-                         lambda o: block_view(o, q.axis, BLOCK).reshape(q.xhat.shape))
-    return Tensor.of_checked(out, q.name)
+    return made_in_chunks(q.shape, fill, q.name,
+                          lambda o: block_view(o, q.axis, BLOCK).reshape(q.xhat.shape))

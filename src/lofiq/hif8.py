@@ -16,12 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteValue
-from .tensor import Tensor, as_array, for_chunks, group_absmax, group_axes, made_in_chunks, rows
+from .tensor import as_array, for_chunks, group_absmax, group_axes, made_in_chunks, rows
 
 __all__ = [
     "MAX_NORMAL",
-    "MIN_NORMAL",
-    "MAX_SUBNORMAL",
     "MIN_SUBNORMAL",
     "DEFAULT_K",
     "hif8_quantize",
@@ -32,8 +30,6 @@ __all__ = [
 ]
 
 MAX_NORMAL = 2.0**15
-MIN_NORMAL = 2.0**-15
-MAX_SUBNORMAL = 2.0**-16
 MIN_SUBNORMAL = 2.0**-22
 
 # Target maximum magnitude for the scaled variant, by tensor role.
@@ -79,10 +75,9 @@ def _quantize_into(x, out):
 def hif8_quantize(t):
     """Elementwise quantize-dequantize of a whole tensor."""
     arr = as_array(t)
-    name = getattr(t, "name", None)
     flat = arr.reshape(-1)  # ufuncs turn 0-d arrays into scalars, which out= rejects
-    out = made_in_chunks(arr.shape, lambda s, o: _quantize_into(flat[s], o), name, np.ravel)
-    return Tensor.of_checked(out, name)
+    return made_in_chunks(arr.shape, lambda s, o: _quantize_into(flat[s], o),
+                          getattr(t, "name", None), np.ravel)
 
 
 def hif8_enumerate():
@@ -145,6 +140,5 @@ def hif8_scaled_quantize(t, axis, K):
 
 def hif8_scaled_dequantize(q):
     scales = np.expand_dims(q.scales, group_axes(q.values.ndim, q.axis))
-    out = made_in_chunks(q.values.shape,
-                         lambda s, o: np.divide(q.values[s], rows(scales, s), out=o), q.name)
-    return Tensor.of_checked(out, q.name)
+    return made_in_chunks(q.values.shape,
+                          lambda s, o: np.divide(q.values[s], rows(scales, s), out=o), q.name)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, as_array, for_chunks, group_absmax, group_axes, made_in_chunks, rows
+from .tensor import as_array, for_chunks, group_absmax, group_axes, made_in_chunks, rows
 
 __all__ = ["IntQuantized", "int_quantize_symmetric", "int_quantize_asymmetric", "int_dequantize"]
 
@@ -125,4 +125,4 @@ def int_dequantize(q):
             np.subtract(q.codes[s], rows(zps, s), dtype=np.float64, out=o)
             o *= rows(scales, s)
 
-    return Tensor.of_checked(made_in_chunks(q.codes.shape, fill, q.name), q.name)
+    return made_in_chunks(q.codes.shape, fill, q.name)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .codebook import Codebook, FpFormatSpec, _round, _rule, builtin_spec, enumerate_codebook
 from .errors import UnknownFormat
-from .tensor import Tensor, as_array, block_view, for_chunks, made_in_chunks
+from .tensor import as_array, block_view, for_chunks, made_in_chunks
 
 __all__ = ["DEFAULT_BLOCK", "MxQuantized", "mx_quantize", "mx_dequantize", "resolve_element"]
 
@@ -92,5 +92,4 @@ def mx_dequantize(q):
         # a code times 2**e is a normal float, so the product equals ldexp(code, e)
         np.multiply(codes[s], np.ldexp(1.0, q.shared_exponents[s])[:, None], out=o)
 
-    out = made_in_chunks(q.shape, fill, q.name, lambda o: block_view(o, q.axis, q.block_size))
-    return Tensor.of_checked(out, q.name)
+    return made_in_chunks(q.shape, fill, q.name, lambda o: block_view(o, q.axis, q.block_size))

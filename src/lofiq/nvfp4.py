@@ -16,7 +16,7 @@ import numpy as np
 
 from .codebook import _round
 from .mx import resolve_element
-from .tensor import Tensor, as_array, block_view, for_chunks, made_in_chunks
+from .tensor import as_array, block_view, for_chunks, made_in_chunks
 
 __all__ = ["BLOCK", "V_MAX", "Nvfp4Quantized", "nvfp4_quantize", "nvfp4_dequantize"]
 
@@ -96,5 +96,4 @@ def nvfp4_dequantize(q):
         np.multiply(codes[s], q.block_scales[s][:, None], out=o)
         o *= q.per_tensor_scale
 
-    out = made_in_chunks(q.shape, fill, q.name, lambda o: block_view(o, q.axis, BLOCK))
-    return Tensor.of_checked(out, q.name)
+    return made_in_chunks(q.shape, fill, q.name, lambda o: block_view(o, q.axis, BLOCK))

@@ -25,7 +25,7 @@ from .errors import (AlphaOutOfRange, LengthMismatch, NonConvergence, NonFiniteV
                      RankOutOfRange, ShapeMismatch)
 from .metrics import _frobenius
 from .registry import as_codec
-from .tensor import Tensor, as_array, group_absmax, made_in_chunks
+from .tensor import as_array, group_absmax, made_in_chunks
 
 __all__ = [
     "ALPHA_GRID",
@@ -107,8 +107,8 @@ def _maxima(xa, wa):
 def apply_smoothing(x, w, plan):
     """Return (x / s columnwise, s * w rowwise); the product is unchanged.
 
-    Both are formed in chunks and each chunk is checked for finiteness as
-    it is made.
+    Both are Tensors named after x and w, formed in chunks and each chunk
+    checked for finiteness as it is made.
     """
     xa, wa = _matrices(x, w)
     s = plan.scales
@@ -116,9 +116,8 @@ def apply_smoothing(x, w, plan):
         raise ShapeMismatch(
             f"plan length {s.size} does not match x {xa.shape} / w {wa.shape}")
     xname, wname = getattr(x, "name", None), getattr(w, "name", None)
-    xs = made_in_chunks(xa.shape, lambda rs, o: np.divide(xa[rs], s, out=o), xname)
-    ws = made_in_chunks(wa.shape, lambda rs, o: np.multiply(s[rs, None], wa[rs], out=o), wname)
-    return Tensor.of_checked(xs, xname), Tensor.of_checked(ws, wname)
+    return (made_in_chunks(xa.shape, lambda rs, o: np.divide(xa[rs], s, out=o), xname),
+            made_in_chunks(wa.shape, lambda rs, o: np.multiply(s[rs, None], wa[rs], out=o), wname))
 
 
 def search_alpha(x, w, fmt, grid=ALPHA_GRID, ref=None):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import hif4, hif8, intquant, mx, nvfp4
 from .codebook import enumerate_codebook, project
-from .errors import UnknownFormat
+from .errors import LofiqError, UnknownFormat
 from .tensor import as_array
 
 __all__ = ["ROLES", "parse_format", "as_codec", "group_axis_for", "block_axis_for"]
@@ -115,23 +115,29 @@ class _Codec:
         block is zero-padded up to one and the reconstruction cropped back,
         so padded elements never reach the output or statistics built on it.
 
-        The result has passed one finiteness check, made slice by slice
-        by ``tensor.made_in_chunks`` as the kernel wrote it; a caller wraps
-        it with ``Tensor.of_checked`` rather than scanning it again.
+        The result is an ndarray, checked for finiteness as the kernel made
+        it. A LofiqError that names no tensor is raised again, as the same
+        class, naming ``t`` when ``t`` has a name.
         """
-        if self.role_axis is None:
-            return self._reconstruct(t, role, None)
-        ndim = np.ndim(t)
-        axis = self.axis_for(role, ndim)
-        if pad and self.block and -ndim <= axis < ndim and np.shape(t)[axis] % self.block:
-            arr = as_array(t)
-            extent = arr.shape[axis]
-            widths = [(0, 0)] * ndim
-            widths[axis] = (0, -extent % self.block)
-            index = [slice(None)] * ndim
-            index[axis] = slice(0, extent)
-            return self._reconstruct(np.pad(arr, widths), role, axis)[tuple(index)]
-        return self._reconstruct(t, role, axis)
+        try:
+            if self.role_axis is None:
+                return self._reconstruct(t, role, None)
+            ndim = np.ndim(t)
+            axis = self.axis_for(role, ndim)
+            if pad and self.block and -ndim <= axis < ndim and np.shape(t)[axis] % self.block:
+                arr = as_array(t)
+                extent = arr.shape[axis]
+                widths = [(0, 0)] * ndim
+                widths[axis] = (0, -extent % self.block)
+                index = [slice(None)] * ndim
+                index[axis] = slice(0, extent)
+                return self._reconstruct(np.pad(arr, widths), role, axis)[tuple(index)]
+            return self._reconstruct(t, role, axis)
+        except LofiqError as exc:
+            name = getattr(t, "name", None)
+            if exc.tensor is not None or name is None:
+                raise
+            raise type(exc)(f"tensor {name!r}: {exc}", tensor=name) from exc
 
     def __repr__(self):
         return f"<codec {self.selector}>"

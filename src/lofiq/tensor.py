@@ -4,7 +4,7 @@ All codecs in this package consume and produce 64-bit tensors; narrower
 on-disk dtypes are widened losslessly on load. Non-finite values are
 rejected at ingest since no codec defines them: a Tensor is checked once
 when built, and ``as_array`` checks any other array-like it is handed. A
-kernel's output is made and checked slice by slice by ``made_in_chunks``.
+kernel's output is made, checked slice by slice and named by ``made_in_chunks``.
 """
 
 import json
@@ -47,8 +47,8 @@ class Tensor:
     def of_checked(cls, values, name=None):
         """A Tensor of values that already passed the finiteness check, without a second scan.
 
-        For a codec's reconstruction, whose kernel checked it when it was
-        made; a strided view of one is copied to C order.
+        For an array ``made_in_chunks`` checked when it was made, or a view
+        of one; a strided view is copied to C order.
         """
         t = cls.__new__(cls)
         _hold(t, np.asarray(values, dtype=np.float64, order="C"), name)
@@ -183,13 +183,13 @@ def for_chunks(fn, arr):
 
 
 def made_in_chunks(shape, fill, name, view=None):
-    """A float64 array of ``shape`` made slice by slice, each slice checked while it is in cache.
+    """A Tensor ``name`` of ``shape`` made slice by slice, each slice checked while it is in cache.
 
     ``fill(s, part)`` writes slice ``s`` of the output's first axis into
     ``part``; with ``view``, the slices are those of ``view(out)`` (np.ravel
     for an elementwise kernel, a block view for a block one). Each part is
     then checked for finiteness under the label of tensor ``name``, so the
-    caller wraps the result with ``Tensor.of_checked`` without a second scan.
+    Tensor is built without a second scan.
     """
     out = np.empty(shape)
     parts = out if view is None else view(out)
@@ -202,7 +202,7 @@ def made_in_chunks(shape, fill, name, view=None):
         _check_finite(part, shown)
 
     for_chunks(chunk, parts)
-    return out
+    return Tensor.of_checked(out, name)
 
 
 def as_array(t):
@@ -231,7 +231,7 @@ def block_view(arr, axis, k):
         raise AxisOutOfRange(f"axis {axis} out of range for rank {arr.ndim}")
     extent = arr.shape[axis]
     if k <= 0 or extent % k != 0:
-        raise NotDivisible(extent, k, axis)
+        raise NotDivisible(f"extent {extent} on axis {axis} is not divisible by block size {k}")
     pos = axis % arr.ndim
     return arr.reshape((math.prod(arr.shape[:pos]) * (extent // k), k) + arr.shape[pos + 1:])
 
@@ -272,8 +272,9 @@ def save_tensors(tensors, path, dtype="f64"):
 
     f32 narrowing uses the hardware round-to-nearest-even conversion; a
     tensor with a value that would round to Inf there raises NonFiniteValue.
-    Every tensor is checked before the file is opened, and each array is
-    written as is, without staging the payload in memory.
+    Every tensor is checked before the file is opened. An f64 array is
+    written as is, without staging the payload in memory; for f32, each
+    tensor is first converted into a full float32 copy, one tensor at a time.
     """
     if dtype not in _DTYPES:
         raise ValueError(f"dtype must be f32 or f64, got {dtype!r}")

@@ -137,6 +137,15 @@ def test_small_chunks_split_and_leave_a_partial_last_slice(monkeypatch):
     assert seen == [slice(i, i + 1) for i in range(5)]
 
 
+@pytest.mark.parametrize("name", ["w", None])
+def test_made_in_chunks_returns_the_named_tensor(monkeypatch, name):
+    monkeypatch.setattr(CHUNKS, "CHUNK", 48)  # rows of 9: slices of 5 rows and then 2
+    out = CHUNKS.made_in_chunks((7, 9), lambda s, o: o.fill(s.start), name)
+    assert type(out) is Tensor and out.name == name
+    assert not out.data.flags.writeable
+    assert np.array_equal(out.data, np.repeat([0.0] * 5 + [5.0] * 2, 9).reshape(7, 9))
+
+
 def _compare_reports(tmp_path, tag):
     paths = []
     for role in registry.ROLES:

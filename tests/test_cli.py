@@ -67,7 +67,19 @@ class TestEnumerate:
         assert fields["count_in_interval"] == "8"
         assert values == [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]
 
-    @pytest.mark.parametrize("lo,hi", [("1", "-1"), ("nan", "1"), ("0", "nan")])
+    def test_negative_bounds_in_exponent_form(self, capsys):
+        # argparse would take '-inf' and '-1e9' for options
+        assert run("enumerate", "e2m1", "--interval", "-inf", "0") == 0
+        fields, values = _parse_listing(capsys.readouterr().out)
+        assert fields["interval"] == "[-inf, 0.0]"
+        assert values == [-6.0, -4.0, -3.0, -2.0, -1.5, -1.0, -0.5, 0.0]
+        assert run("enumerate", "e2m1", "--interval", "-1e9", "1e9") == 0
+        fields, values = _parse_listing(capsys.readouterr().out)
+        assert fields["interval"] == "[-1000000000.0, 1000000000.0]"
+        assert fields["count_in_interval"] == "15" and len(values) == 15
+
+    @pytest.mark.parametrize("lo,hi", [("1", "-1"), ("nan", "1"), ("0", "nan"), ("0", "-inf"),
+                                       ("-1e9", "-nan")])
     def test_bad_interval_is_a_usage_error(self, capsys, tmp_path, lo, hi):
         out = tmp_path / "listing.txt"
         assert run("enumerate", "e2m1", "--interval", lo, hi, "-o", out) == 2
@@ -324,6 +336,17 @@ class TestCompare:
         # scanned, so no check carries the "array" label of a raw input
         assert checked == {"w": (1 + len(formats)) * 64 * 32}
 
+    @pytest.mark.parametrize("cmd", ["compare", "quantize"])
+    def test_codec_failure_names_the_tensor(self, tmp_path, capsys, cmd):
+        src, out = tmp_path / "in.lqt", tmp_path / "out"
+        save_tensors([tensor(np.ones((30, 8)), name="w")], src)
+        args = ("--input", src, "--formats") if cmd == "compare" else (src, "-f")
+        assert run(cmd, *args, "mxfp4", "-o", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == ("error: tensor 'w': extent 30 on axis 0 "
+                                "is not divisible by block size 32\n")
+
     def test_bad_synth_exits_1(self, tmp_path):
         assert run("compare", "--synth", "cauchy:8x8", "--formats", "int8",
                    "-o", tmp_path / "r.json") == 1
@@ -405,6 +428,23 @@ class TestPtqCommands:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("cmd,fmt,k", [("smooth", "mxfp4", 32), ("svdq", "hif4", 64)])
+    def test_codec_failure_names_the_tensor(self, tmp_path, capsys, cmd, fmt, k):
+        xp, wp = tmp_path / "x.lqt", tmp_path / "w.lqt"
+        save_tensors([tensor(np.ones((30, 48)), name="act")], xp)
+        save_tensors([tensor(np.ones((48, 16)), name="w")], wp)
+        assert run(cmd, "--x", xp, "--w", wp, "-f", fmt, "-o", tmp_path / "r.json") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "r.json").exists()
+        assert captured.err == ("error: tensor 'act': extent 48 on axis 1 "
+                                f"is not divisible by block size {k}\n")
+
+    @pytest.mark.parametrize("cmd", ["smooth", "svdq"])
+    def test_selector_is_parsed_before_any_file_is_read(self, tmp_path, capsys, cmd):
+        missing = tmp_path / "missing.lqt"
+        assert run(cmd, "--x", missing, "--w", missing, "-f", "bogus") == 2
+        assert capsys.readouterr().err == "error: unknown format 'bogus'\n"
 
 
 class TestExitCodes:

@@ -17,6 +17,7 @@ from lofiq.codebook import (
 from lofiq.errors import NonFiniteValue, UnknownFormat
 from lofiq.mx import resolve_element
 from lofiq.registry import parse_format
+from lofiq.tensor import tensor
 
 from oracles import brute_force_nearest, enumerate_by_codepoints, min_distances, walk_codepoints
 
@@ -161,6 +162,10 @@ class TestProject:
         cb = enumerate_codebook("e2m1")
         assert project(cb, 7.0) == 6.0
         assert project(cb, -123.0) == -6.0
+
+    def test_returns_an_ndarray(self):
+        out = project(enumerate_codebook("e2m1"), tensor([0.3, -7.0], "t"))
+        assert type(out) is np.ndarray and out.tolist() == [0.5, -6.0]
 
     def test_tie_resolves_to_even_code(self):
         cb = enumerate_codebook("e2m1")

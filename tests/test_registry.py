@@ -233,3 +233,35 @@ class TestIngest:
         x = [[0.5, -1.25], [2.0, 3.0]]
         assert np.array_equal(parse_format("int8").reconstruct(x, "weight"),
                               parse_format("int8").reconstruct(np.array(x), "weight"))
+
+
+class TestFailuresNameTheTensor:
+    MESSAGE = "extent 30 on axis 0 is not divisible by block size 32"
+
+    def test_named_input(self):
+        with pytest.raises(NotDivisible) as exc:
+            parse_format("mxfp4").reconstruct(tensor(np.ones((30, 8)), "w"), "weight")
+        assert exc.value.tensor == "w"
+        assert str(exc.value) == f"tensor 'w': {self.MESSAGE}"
+
+    @pytest.mark.parametrize("x", [np.ones((30, 8)), tensor(np.ones((30, 8)))],
+                             ids=["array", "unnamed"])
+    def test_input_without_a_name_keeps_the_message(self, x):
+        with pytest.raises(NotDivisible) as exc:
+            parse_format("mxfp4").reconstruct(x, "weight")
+        assert exc.value.tensor is None
+        assert str(exc.value) == self.MESSAGE
+
+    def test_class_is_kept(self):
+        with pytest.raises(AxisOutOfRange) as exc:
+            parse_format("nvfp4").reconstruct(tensor(2.5, "s"), "weight", pad=True)
+        assert exc.value.tensor == "s"
+        assert str(exc.value) == "tensor 's': axis 0 out of range for rank 0"
+
+    def test_a_message_naming_the_tensor_is_left_alone(self):
+        # the hif8-scaled scale check names the tensor itself
+        with pytest.raises(NonFiniteValue) as exc:
+            parse_format("hif8-scaled:K=1e-300").reconstruct(
+                tensor(np.full((4, 4), 1e300), "big"), "weight")
+        assert exc.value.tensor == "big"
+        assert str(exc.value).startswith("tensor 'big': ") and str(exc.value).count("big") == 1
