@@ -4,6 +4,13 @@ The signal-to-quantization-noise ratio in dB is
 20 * log10(|X|_F / |X - Xhat|_F); a perfect reconstruction reports the
 +inf sentinel, which serializes as the string "inf".
 
+Every sum is numpy's pairwise sum (``np.add.reduce``) over the flat C order:
+a mean is that sum over the count, and a Frobenius norm is the square root
+of the pairwise sum of squares, never BLAS. The sums run slice by slice on
+every core without an array of the input's size, and follow numpy's tree,
+so each figure depends on the data alone, not on the core count,
+``tensor.CHUNK`` or the BLAS thread count.
+
 Every figure is that of the plain formula without overflow or underflow.
 Data whose squares could leave float64's normal range is scaled by 2**-k,
 which is exact, and its norm kept as a pair (value, k) for value * 2**k.
@@ -18,7 +25,7 @@ import numpy as np
 
 from .errors import NonFiniteValue, ShapeMismatch, ZeroSignal
 from .registry import as_codec
-from .tensor import Tensor, as_array, for_chunks
+from .tensor import Tensor, as_array, pairwise_reduce
 
 __all__ = [
     "FidelityReport",
@@ -65,10 +72,6 @@ class SyntheticSpec:
             raise ValueError("outlier_fraction must be in [0, 1]")
 
 
-# Below this, a norm may come from data that _shift scales
-_SMALL = 2.0**-452
-
-
 def _shift(top, size):
     """k such that ``size`` values below 2**top are scaled by 2**-k before squaring.
 
@@ -78,24 +81,54 @@ def _shift(top, size):
     return top if 2 * top + size.bit_length() > 1023 or 2 * top < -967 else 0
 
 
-def _norm(a):
-    """(|a|_F, 0), or (|a * 2**-k|_F, k) with k = _shift(top, a.size) for max|a| < 2**top.
+def _abs_sums(a, b=None):
+    """(max|d|, sum|d * 2**-k|, sum (d * 2**-k)**2, k) of d = b - a, or of d = a without b.
 
-    max|a| is read only when |a|_F overflowed or is small, the only cases
-    that can need a shift.
+    a and b have one shape, and d runs over it in C order. k = _shift(top,
+    size) for max|d| < 2**top. Each slice of d is formed in a scratch array
+    that fits in cache, and the sums are numpy's pairwise sums over all of
+    d (``pairwise_reduce``), so no array of a's size is made and no figure
+    depends on the core count, CHUNK or BLAS. When k is not 0 the slices
+    run again on d * 2**-k.
     """
-    with np.errstate(over="ignore"):
-        v = float(np.linalg.norm(a))
-    if _SMALL <= v < math.inf:
-        return v, 0
-    k = _shift(math.frexp(float(np.max(np.abs(a), initial=0.0)))[1], a.size)
-    return (float(np.linalg.norm(np.ldexp(a, -k))), k) if k else (v, 0)
+    x = a.reshape(-1)  # a view of a C-contiguous array such as a Tensor's
+    y = None if b is None else b.reshape(-1)
+
+    def sums(k):
+        @np.errstate(over="ignore")  # an overflow gives inf, which the callers check
+        def leaf(s):
+            if y is None:
+                d = np.abs(x[s])
+            else:
+                d = np.subtract(y[s], x[s])
+                np.abs(d, out=d)
+            if k:
+                np.ldexp(d, -k, out=d)
+            top, total = d.max(initial=0.0), np.add.reduce(d)
+            return float(top), float(total), float(np.add.reduce(np.multiply(d, d, out=d)))
+
+        return pairwise_reduce(leaf, lambda p, q: (max(p[0], q[0]), p[1] + q[1], p[2] + q[2]),
+                               x.size)
+
+    top, total, squares = sums(0)
+    # with |d| < 2**e its squares sum below 2**(2 * e + bits of size)
+    k = _shift(math.frexp(top)[1], x.size)
+    if k:
+        _, total, squares = sums(k)
+    return top, total, squares, k
 
 
-def _frobenius(a):
-    """|a|_F with no square lost to overflow or underflow; inf if beyond float64."""
+def _norm(a, b=None):
+    """(|d * 2**-k|_F, k) of d = b - a, or of d = a without b, with k as in ``_abs_sums``."""
+    _, _, squares, k = _abs_sums(a, b)
+    return math.sqrt(squares), k
+
+
+def _frobenius(a, b=None):
+    """|b - a|_F, or |a|_F without b, with no square lost to overflow or underflow; inf if
+    beyond float64."""
     with np.errstate(over="ignore"):
-        return float(np.ldexp(*_norm(a)))
+        return float(np.ldexp(*_norm(a, b)))
 
 
 def _pair(v):
@@ -115,8 +148,7 @@ def sqnr(x, x_hat, *, ref_norm=None, err_norm=None):
         if xa.shape != ha.shape:
             raise ShapeMismatch(f"shape {xa.shape} vs {ha.shape}")
         ref_norm = _norm(xa) if ref_norm is None else ref_norm
-        with np.errstate(over="ignore"):
-            err_norm = _norm(ha - xa) if err_norm is None else err_norm
+        err_norm = _norm(xa, ha) if err_norm is None else err_norm
     (s, ks), (n, kn) = _pair(ref_norm), _pair(err_norm)
     if n == 0.0:  # exact, whatever the signal
         return math.inf
@@ -155,7 +187,12 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, ref_norm=None):
     ``recon`` is checked for finiteness once, here, unless it is a Tensor
     (checked when built). ``ref_norm`` (|x|_F, a float or a pair) may be
     passed by a caller that scores many reconstructions of ``t``. sqnr_db
-    and rel_fro_err both come from it and |recon - x|_F. An error or
+    and rel_fro_err both come from it and |recon - x|_F.
+
+    max|e|, sum|e| and sum e**2 of e = recon - x come from one pass on every
+    core that forms e slice by slice in cache, with no error array; they
+    equal np.abs(e).max(), np.abs(e).mean() * size and np.add.reduce of e*e
+    over the whole array bit for bit. An error or
     relative error beyond float64 raises NonFiniteValue; a zero-size tensor,
     or a nonzero error on an all-zero one, ZeroSignal. Each names the tensor.
     """
@@ -167,23 +204,9 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, ref_norm=None):
     if not arr.size:  # nothing was reconstructed, exactly or not
         raise ZeroSignal(f"tensor {shown!r} has no elements, so no SQNR", tensor=shown)
     rn, rk = _norm(arr) if ref_norm is None else _pair(ref_norm)
-    a, r = (arr, rec) if arr.ndim else (arr.reshape(1), rec.reshape(1))
-    err = np.empty(a.shape)  # |recon - arr|, formed and maximized in chunks
-
-    @np.errstate(over="ignore")  # an overflowing difference makes rel_fro_err inf below
-    def chunk(s):
-        e = np.subtract(r[s], a[s], out=err[s])
-        return np.abs(e, out=e).max()
-
-    max_abs = max(for_chunks(chunk, a))
-    # with |err| < 2**top its squares sum below 2**(2 * top + bits of size)
-    k = _shift(math.frexp(max_abs)[1], err.size)
-    if k:
-        for_chunks(lambda s: np.ldexp(err[s], -k, out=err[s]), a)
-    # the mean and the norm run over the whole array, in the order a single
-    # pass adds, so every reported digit is that pass's
-    mean_abs = math.ldexp(float(err.mean()), k)
-    en = float(np.linalg.norm(err))
+    max_abs, total, squares, k = _abs_sums(arr, rec)
+    mean_abs = math.ldexp(total / arr.size, k)
+    en = math.sqrt(squares)
     with np.errstate(over="ignore"):
         rel = float(np.ldexp(en / rn, k - rk)) if rn else 0.0
     if rel == math.inf:
@@ -199,7 +222,7 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, ref_norm=None):
         format_name=codec.selector,
         granularity=codec.granularity(role, arr.ndim),
         sqnr_db=db,
-        max_abs_err=float(max_abs),
+        max_abs_err=max_abs,
         mean_abs_err=mean_abs,
         rel_fro_err=rel,
         config=codec.config(role),

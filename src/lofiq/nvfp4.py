@@ -8,13 +8,18 @@ s1, clipped to +-6 and rounded onto the E2M1 grid. Because s1 is
 nearest-rounded it can sit below max|x~| / 6, letting elements overshoot 6
 by up to the E4M3 relative half-ulp before the clip catches them; the
 largest observed pre-clip ratio is recorded as a diagnostic.
+
+A reconstruction is at most 2688 * s2. When that overflows float64 (max|x|
+at float64's maximum), quantizing raises NonFiniteValue naming the tensor.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codebook import _round
+from .errors import NonFiniteValue
 from .mx import resolve_element
 from .tensor import as_array, block_view, for_chunks, made_in_chunks
 
@@ -56,6 +61,10 @@ def nvfp4_quantize(t, axis):
     # until the tensor-level no-clip guarantee holds exactly
     while amax / s2 > V_MAX:
         s2 = np.nextafter(s2, np.inf)
+    if V_MAX * float(s2) == math.inf:  # the largest code times the largest block scale
+        shown = getattr(t, "name", None) or "<unnamed>"
+        raise NonFiniteValue(f"tensor {shown!r}: the NVFP4 top level, {V_MAX:g} times the "
+                             f"per-tensor scale {float(s2)!r}, overflows float64", tensor=shown)
 
     s1 = np.zeros_like(vmax)
     codes = np.empty(arr.shape)

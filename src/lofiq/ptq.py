@@ -140,7 +140,7 @@ def search_alpha(x, w, fmt, grid=ALPHA_GRID, ref=None):
         plan = smooth_scales(*maxima, alpha)
         xs, ws = apply_smoothing(x, w, plan)
         qx = codec.reconstruct(xs, "activation")
-        err = _frobenius(qx @ codec.reconstruct(ws, "weight") - ref)
+        err = _frobenius(ref, qx @ codec.reconstruct(ws, "weight"))
         if best is None or err < best[1]:
             best = (plan, err, qx)
     return best
@@ -299,7 +299,7 @@ def _smoothing_stage(x, w, codec, alpha, rank=None):
     if ref_norm == np.inf:
         raise NonFiniteValue("|x @ w|_F overflows float64")
     rtn = codec.reconstruct(x, "activation") @ codec.reconstruct(w, "weight")
-    rtn_err = _frobenius(rtn - ref) / ref_norm
+    rtn_err = _frobenius(ref, rtn) / ref_norm
     plan, err, qx = search_alpha(x, w, codec, ALPHA_GRID if alpha is None else (alpha,), ref=ref)
     return ref, ref_norm, rtn_err, plan, err / ref_norm, qx
 
@@ -326,5 +326,5 @@ def svdquant_pipeline(x, w, fmt, rank=16, alpha=None):
     branch = svd_split(ws, rank)
     del ws  # the split holds what is left of it
     recon = (xs.data @ branch.l1) @ branch.l2 + qx @ codec.reconstruct(branch.residual, "weight")
-    svdq_err = _frobenius(recon - ref) / ref_norm
+    svdq_err = _frobenius(ref, recon) / ref_norm
     return PipelineReport(codec.selector, plan.alpha, int(rank), rtn_err, smooth_err, svdq_err)

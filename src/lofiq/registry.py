@@ -32,7 +32,7 @@ import numpy as np
 from . import hif4, hif8, intquant, mx, nvfp4
 from .codebook import enumerate_codebook, project
 from .errors import LofiqError, UnknownFormat
-from .tensor import as_array
+from .tensor import Tensor, as_array
 
 __all__ = ["ROLES", "parse_format", "as_codec", "group_axis_for", "block_axis_for"]
 
@@ -114,6 +114,7 @@ class _Codec:
         With ``pad``, a block axis whose extent is not a multiple of the
         block is zero-padded up to one and the reconstruction cropped back,
         so padded elements never reach the output or statistics built on it.
+        The padded copy carries ``t``'s name, so a kernel error names ``t``.
 
         The result is an ndarray, checked for finiteness as the kernel made
         it. A LofiqError that names no tensor is raised again, as the same
@@ -131,7 +132,9 @@ class _Codec:
                 widths[axis] = (0, -extent % self.block)
                 index = [slice(None)] * ndim
                 index[axis] = slice(0, extent)
-                return self._reconstruct(np.pad(arr, widths), role, axis)[tuple(index)]
+                # the zeros are finite and arr was checked, so no second scan
+                padded = Tensor.of_checked(np.pad(arr, widths), getattr(t, "name", None))
+                return self._reconstruct(padded, role, axis)[tuple(index)]
             return self._reconstruct(t, role, axis)
         except LofiqError as exc:
             name = getattr(t, "name", None)

@@ -101,8 +101,9 @@ def _check_finite(arr, shown):
 # per other core take slices from one shared list until it is empty. numpy
 # releases the GIL inside its loops. Every chunk writes its own part of
 # preallocated outputs and each element is computed by the same operations as
-# in one whole-array pass, so results are bit-identical for any chunk size and
-# core count.
+# in one whole-array pass, and sums are taken along numpy's own pairwise tree
+# (pairwise_reduce), so results are bit-identical for any chunk size and core
+# count.
 
 CHUNK = 1 << 16  # elements per slice: 512 KiB of float64
 
@@ -140,20 +141,27 @@ def for_chunks(fn, arr):
     """Call ``fn(s)`` for each slice ``s`` of ``arr``'s first axis; the results in slice order.
 
     Only ``arr``'s shape is read; it has at least one axis. Each slice holds
-    about CHUNK elements (at least one index). With one slice, one usable
-    core, or when called from inside ``fn``, the calls run inline on the
-    calling thread. Otherwise every slice runs, and then the first error in
-    slice order is raised.
+    about CHUNK elements (at least one index). The slices run as ``for_each``
+    runs its items.
     """
     step = max(1, CHUNK // max(1, math.prod(arr.shape[1:])))
-    slices = [slice(i, i + step) for i in range(0, arr.shape[0], step)]
-    inline = len(slices) <= 1 or getattr(_in_chunk, "flag", False)
+    return for_each(fn, [slice(i, i + step) for i in range(0, arr.shape[0], step)])
+
+
+def for_each(fn, items):
+    """Call ``fn(item)`` for each of ``items`` on every usable core; the results in item order.
+
+    With one item, one usable core, or when called from inside ``fn``, the
+    calls run inline on the calling thread. Otherwise every item runs, and
+    then the first error in item order is raised.
+    """
+    inline = len(items) <= 1 or getattr(_in_chunk, "flag", False)
     pool = False if inline else _get_pool()
     if not pool:
-        return [fn(s) for s in slices]
-    results = [None] * len(slices)
-    errors = [None] * len(slices)
-    todo = iter(range(len(slices)))
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    errors = [None] * len(items)
+    todo = iter(range(len(items)))
     take = threading.Lock()
 
     def drain():
@@ -165,8 +173,8 @@ def for_chunks(fn, arr):
                 if i is None:
                     return
                 try:
-                    results[i] = fn(slices[i])
-                except Exception as exc:  # raised below, once every slice is done
+                    results[i] = fn(items[i])
+                except Exception as exc:  # raised below, once every item is done
                     errors[i] = exc
         finally:
             _in_chunk.flag = False
@@ -180,6 +188,46 @@ def for_chunks(fn, arr):
         if exc is not None:
             raise exc
     return results
+
+
+# numpy's pairwise sum adds a range of at most this many elements in one loop
+_PAIRWISE_BLOCK = 128
+
+
+def pairwise_reduce(fn, join, n):
+    """Reduce the flat range [0, n) along numpy's pairwise-summation tree, on every core.
+
+    numpy's ``np.add.reduce`` of a contiguous array splits a range of m
+    elements at m // 2 rounded down to a multiple of 8, and adds the two
+    halves' sums, until a range holds at most 128 elements. Here the split
+    stops at ranges of at most max(CHUNK, 128) elements: ``fn(s)`` is called
+    on each such leaf slice ``s`` through ``for_each``, and the results are
+    joined as ``join(left, right)`` up the same tree. A leaf that sums with
+    ``np.add.reduce`` of a contiguous array follows numpy's tree below it, so
+    a join that adds gives, bit for bit, numpy's sum over the whole range,
+    for any CHUNK and core count.
+    """
+    top = max(CHUNK, _PAIRWISE_BLOCK)
+    leaves = []
+
+    def split(lo, m):
+        if m <= top:
+            leaves.append(slice(lo, lo + m))
+            return
+        half = m // 2 - m // 2 % 8
+        split(lo, half)
+        split(lo + half, m - half)
+
+    split(0, n)
+    parts = iter(for_each(fn, leaves))
+
+    def joined(m):
+        if m <= top:
+            return next(parts)
+        half = m // 2 - m // 2 % 8
+        return join(joined(half), joined(m - half))
+
+    return joined(n)
 
 
 def made_in_chunks(shape, fill, name, view=None):

@@ -137,6 +137,17 @@ def test_small_chunks_split_and_leave_a_partial_last_slice(monkeypatch):
     assert seen == [slice(i, i + 1) for i in range(5)]
 
 
+@pytest.mark.parametrize("size", [1, 200, 1 << 16])
+def test_pairwise_reduce_adds_as_numpy_does(monkeypatch, size):
+    # sizes below numpy's 128-element block, between it and CHUNK, and past CHUNK
+    monkeypatch.setattr(CHUNKS, "CHUNK", size)
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=70001) * rng.choice([1.0, 1e8], 70001)  # the order of the sum shows
+    for n in (0, 1, 7, 127, 128, 129, 1000, 65536, 65537, 70001):
+        got = CHUNKS.pairwise_reduce(lambda s: float(np.add.reduce(a[s])), float.__add__, n)
+        assert got == np.add.reduce(a[:n]), n
+
+
 @pytest.mark.parametrize("name", ["w", None])
 def test_made_in_chunks_returns_the_named_tensor(monkeypatch, name):
     monkeypatch.setattr(CHUNKS, "CHUNK", 48)  # rows of 9: slices of 5 rows and then 2

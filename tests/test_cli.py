@@ -223,6 +223,18 @@ class TestQuantize:
         assert proc.stderr == "error: tensor 'big' contains NaN or Inf\n"
         assert not (tmp_path / "o.lqt").exists()
 
+    @pytest.mark.parametrize("shape,pad", [((32, 64), ()), ((30, 60), ("--pad",))])
+    def test_nvfp4_top_level_overflow_exits_1_naming_the_tensor(self, tmp_path, shape, pad):
+        # a finite tensor at float64's maximum: NVFP4's 2688 * s2 overflows, and the
+        # error says so, naming the tensor also when the kernel ran on a padded copy
+        src = tmp_path / "big.lqt"
+        save_tensors([tensor(np.full(shape, np.finfo(np.float64).max), name="big")], src)
+        proc = run_subprocess("quantize", src, "-f", "nvfp4", *pad, "-o", tmp_path / "o.lqt")
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: tensor 'big': the NVFP4 top level, 2688 times the "
+                               "per-tensor scale 6.687846483862782e+304, overflows float64\n")
+        assert not (tmp_path / "o.lqt").exists()
+
     @pytest.mark.parametrize("fmt,fill,want", [
         # 2**-22 over scales near 2e-299 gives finite values near 1e292, whose squares overflow
         ("hif8-scaled:K=1e-300", None, -5872.9009),

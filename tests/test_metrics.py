@@ -1,12 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lofiq import metrics
 from lofiq.errors import NonFiniteValue, ShapeMismatch, ZeroSignal
 from lofiq.metrics import (
     FidelityReport,
@@ -19,7 +25,9 @@ from lofiq.metrics import (
     synth,
 )
 from lofiq.registry import parse_format
-from lofiq.tensor import tensor
+from lofiq.tensor import save_tensors, tensor
+
+CHUNKS = sys.modules["lofiq.tensor"]  # the name lofiq.tensor is the function
 
 
 class TestSqnr:
@@ -182,14 +190,16 @@ class TestFidelity:
         recon = codec.reconstruct(t, "weight")
         x = t.data
         r = fidelity_from_reconstruction(t, recon, codec, "weight")
-        assert r.sqnr_db == 20.0 * math.log10(float(np.linalg.norm(x))
-                                              / float(np.linalg.norm(recon - x)))
+        e = recon - x
+        x_norm = math.sqrt(np.add.reduce((x * x).ravel()))
+        e_norm = math.sqrt(np.add.reduce((e * e).ravel()))
+        assert r.sqnr_db == 20.0 * math.log10(x_norm / e_norm)
         assert r.sqnr_db == pytest.approx(10.0 * math.log10(float(np.sum(x * x))
                                                             / float(np.sum((x - recon) ** 2))),
                                           rel=1e-12)
         assert r.max_abs_err == float(np.abs(recon - x).max())
         assert r.mean_abs_err == float(np.abs(recon - x).mean())
-        assert r.rel_fro_err == float(np.linalg.norm(np.abs(recon - x))) / float(np.linalg.norm(x))
+        assert r.rel_fro_err == e_norm / x_norm
         # |x|_F computed once per tensor by compare_formats gives the same report
         assert compare_formats(t, [codec], "weight") == [r]
         # a Tensor reconstruction reports the same as its array
@@ -245,6 +255,102 @@ class TestFidelity:
             fidelity_from_reconstruction(t, np.array([1.0, np.nan]), codec, "weight")
         with pytest.raises(ShapeMismatch):
             fidelity_from_reconstruction(t, np.array([1.0]), codec, "weight")
+
+
+def _whole(a):
+    """numpy's own sum of a whole array, in C order."""
+    return np.add.reduce(a.ravel())
+
+
+class TestOnePass:
+    """max|e|, sum|e| and sum e**2 come from one slice pass; the figures are whole-array numpy's."""
+
+    # 0-d up to a (heads, tokens, dim) key cache with groups along tokens
+    CASES = [((), "weight", "e4m3"), ((1,), "weight", "hif8"), ((7,), "weight", "e4m3"),
+             ((129,), "activation", "int8"), ((1000, 999), "weight", "int8"),
+             ((3, 5, 7000), "activation", "hif8"), ((4, 512, 64), "kv", "int8")]
+
+    @staticmethod
+    def _id(v):
+        return ("x".join(map(str, v)) or "0d") if isinstance(v, tuple) else v
+
+    def _pair(self, shape, role, fmt):
+        x = np.random.default_rng(math.prod(shape)).normal(0.0, 0.02, shape)
+        codec = parse_format(fmt)
+        return tensor(x, "t"), codec.reconstruct(x, role), codec
+
+    def _figures(self, shape, role, fmt):
+        t, recon, codec = self._pair(shape, role, fmt)
+        return (metrics._abs_sums(t.data, recon), metrics._norm(t.data),
+                fidelity_from_reconstruction(t, recon, codec, role),
+                compare_formats(t, [codec], role))
+
+    @pytest.mark.parametrize("shape,role,fmt", CASES, ids=_id.__func__)
+    def test_figures_are_those_of_whole_array_numpy(self, shape, role, fmt):
+        t, recon, codec = self._pair(shape, role, fmt)
+        x, e = t.data, recon - t.data
+        top, total, squares, k = metrics._abs_sums(x, recon)
+        assert k == 0
+        assert top == np.abs(e).max()
+        assert total == _whole(np.abs(e))
+        assert squares == _whole(e * e)
+        assert metrics._norm(x) == (math.sqrt(_whole(x * x)), 0)
+        r = fidelity_from_reconstruction(t, recon, codec, role)
+        assert r.max_abs_err == float(np.abs(e).max())
+        assert r.mean_abs_err == float(np.abs(e).mean())
+        assert r.rel_fro_err == math.sqrt(_whole(e * e)) / math.sqrt(_whole(x * x))
+
+    @pytest.mark.parametrize("shape,role,fmt", CASES[3:], ids=_id.__func__)
+    def test_figures_do_not_depend_on_chunk_or_pool(self, monkeypatch, shape, role, fmt):
+        want = self._figures(shape, role, fmt)
+        # 16 is below numpy's 128-element pairwise block, 200 above it
+        for chunk in (200, 16):
+            monkeypatch.setattr(CHUNKS, "CHUNK", chunk)
+            assert self._figures(shape, role, fmt) == want, chunk
+        monkeypatch.undo()
+        monkeypatch.setattr(CHUNKS, "_pool", False)  # every slice on the calling thread
+        assert self._figures(shape, role, fmt) == want
+
+    @pytest.mark.parametrize("scale", [2.0**1000, 2.0**-1000])
+    def test_shifted_figures_do_not_depend_on_chunk(self, monkeypatch, scale):
+        # squares that overflow or underflow: the slices run again on e * 2**-k
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(300, 500))
+        xh = x + rng.normal(scale=1e-3, size=x.shape)
+        want = metrics._abs_sums(x * scale, xh * scale)
+        assert want[3] != 0
+        monkeypatch.setattr(CHUNKS, "CHUNK", 200)
+        assert metrics._abs_sums(x * scale, xh * scale) == want
+
+    def test_no_array_of_the_input_size(self, monkeypatch):
+        monkeypatch.setattr(CHUNKS, "CHUNK", 4096)  # 32 KiB slices, so the bound holds on 32 cores
+        t, recon, codec = self._pair((1024, 512), "weight", "int8")  # 4 MiB each
+        recon = tensor(recon)
+        tracemalloc.start()
+        try:
+            fidelity_from_reconstruction(t, recon, codec, "weight")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t.data.nbytes // 4
+
+    def test_reports_do_not_depend_on_blas_threads(self, tmp_path):
+        # |e|_F once came from BLAS ddot, whose sum order follows its thread count
+        src = tmp_path / "w.lqt"
+        x = np.random.default_rng(9).normal(0.0, 0.02, (512, 256))  # 2**17 elements
+        save_tensors([tensor(x, "w")], src)
+        env = dict(os.environ, PYTHONPATH=str(Path(metrics.__file__).parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        reports = []
+        for threads in (None, "1"):
+            out = tmp_path / f"r{threads}.json"
+            run_env = env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "lofiq.cli", "compare", "--input",
+                                   str(src), "--formats", "int8,hif8,nvfp4,hif4", "-o", str(out)],
+                                  capture_output=True, text=True, env=run_env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestSynth:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lofiq.errors import NotDivisible
+from lofiq.errors import NonFiniteValue, NotDivisible
 from lofiq.mx import resolve_element
 from lofiq.nvfp4 import V_MAX, nvfp4_dequantize, nvfp4_quantize
 from lofiq.tensor import tensor
@@ -120,6 +120,20 @@ class TestInvariants:
         got = nvfp4_dequantize(q).data
         assert got[1, 3] == pytest.approx(m, rel=0.25)
         assert np.count_nonzero(got) == 1
+
+    def test_top_level_past_float64_is_a_typed_error(self):
+        # max|x| at float64's maximum: the nudged s2 makes 6 * 448 * s2 overflow,
+        # although the input is finite
+        top = np.finfo(np.float64).max
+        with pytest.raises(NonFiniteValue, match=r"^tensor 'big': the NVFP4 top level, 2688 "
+                                                 r"times the per-tensor scale \S+, overflows "
+                                                 r"float64$") as exc:
+            nvfp4_quantize(tensor(np.full((32, 64), top), "big"), 1)
+        assert exc.value.tensor == "big"
+        # one ulp below it, 2688 * s2 is finite and so is every reconstruction
+        below = np.nextafter(top, 0.0)
+        got = nvfp4_dequantize(nvfp4_quantize(tensor(np.full((2, 16), below)), 1)).data
+        assert np.all(got == below)
 
     def test_block_divisibility(self):
         with pytest.raises(NotDivisible):

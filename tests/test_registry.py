@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lofiq import registry
+from lofiq import nvfp4, registry
 from lofiq.codebook import enumerate_codebook
 from lofiq.errors import AxisOutOfRange, NonFiniteValue, NotDivisible, UnknownFormat
 from lofiq.mx import resolve_element
@@ -177,6 +177,17 @@ class TestRoleConventions:
         even = x[:k] if axis == 0 else x[:, :k]
         assert np.array_equal(codec.reconstruct(even, role, pad=True),
                               codec.reconstruct(even, role))
+
+    @pytest.mark.parametrize("name", ["w", None])
+    def test_pad_hands_the_kernel_the_tensor_name(self, monkeypatch, name):
+        # so a failure inside the kernel names the input, not '<unnamed>'
+        seen = []
+        inner = nvfp4.nvfp4_quantize
+        monkeypatch.setattr(nvfp4, "nvfp4_quantize",
+                            lambda t, axis: seen.append((t.name, t.shape)) or inner(t, axis))
+        x = tensor(np.random.default_rng(5).normal(size=(30, 60)), name)
+        parse_format("nvfp4").reconstruct(x, "weight", pad=True)
+        assert seen == [(name, (32, 60))]  # weight blocks run along axis 0
 
     @pytest.mark.parametrize("sel", ["int8", "hif8", "hif8-scaled", "e4m3"])
     def test_pad_leaves_unblocked_codecs_alone(self, sel):
