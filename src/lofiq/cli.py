@@ -83,20 +83,39 @@ def cmd_quantize(args):
     return 0
 
 
+# The fields after kind:AxB that each synthetic kind reads, in order
+_SYNTH_FIELDS = {"gaussian": ("sigma",), "uniform": (),
+                 "gaussian_outlier": ("sigma", "fraction", "scale")}
+
+
 def parse_synth(spec_str, seed):
-    """kind:AxB[:sigma[:fraction:scale]] -> SyntheticSpec."""
+    """kind:AxB[:sigma[:fraction:scale]] -> SyntheticSpec.
+
+    gaussian reads kind:AxB[:sigma], uniform kind:AxB, and gaussian_outlier
+    kind:AxB:sigma:fraction[:scale]. A field the kind does not read, or a
+    non-finite number, raises ValueError.
+    """
     parts = spec_str.split(":")
     if len(parts) < 2:
         raise ValueError(f"bad synth spec {spec_str!r}")
     kind = parts[0]
-    shape = tuple(int(s) for s in parts[1].lower().split("x"))
-    sigma = float(parts[2]) if len(parts) > 2 else 1.0
-    fraction = float(parts[3]) if len(parts) > 3 else 0.0
-    scale = float(parts[4]) if len(parts) > 4 else 1.0
+    fields = _SYNTH_FIELDS.get(kind)
+    if fields is None:
+        raise ValueError(f"{spec_str!r}: unknown synthetic kind {kind!r}")
+    if len(parts) > 2 + len(fields):
+        grammar = "".join(f":{f}" for f in fields)
+        raise ValueError(f"{spec_str!r}: {kind} reads no field past kind:AxB{grammar}")
     if kind == "gaussian_outlier" and len(parts) <= 3:
         raise ValueError(f"{spec_str!r}: gaussian_outlier needs kind:shape:sigma:fraction:scale")
-    return SyntheticSpec(kind, shape, sigma=sigma, outlier_fraction=fraction,
-                         outlier_scale=scale, seed=seed)
+    try:
+        shape = tuple(int(s) for s in parts[1].lower().split("x"))
+        sigma = float(parts[2]) if len(parts) > 2 else 1.0
+        fraction = float(parts[3]) if len(parts) > 3 else 0.0
+        scale = float(parts[4]) if len(parts) > 4 else 1.0
+        return SyntheticSpec(kind, shape, sigma=sigma, outlier_fraction=fraction,
+                             outlier_scale=scale, seed=seed)
+    except ValueError as exc:
+        raise ValueError(f"{spec_str!r}: {exc}") from None
 
 
 def cmd_compare(args):
@@ -106,9 +125,13 @@ def cmd_compare(args):
     codecs = [parse_format(f) for f in formats]
     if args.synth:
         try:
-            tensors = [synth(parse_synth(args.synth, args.seed))]
+            spec = parse_synth(args.synth, args.seed)
         except ValueError as exc:
-            raise LofiqError(str(exc)) from exc
+            raise LofiqError(str(exc)) from None
+        try:
+            tensors = [synth(spec)]
+        except (ValueError, MemoryError) as exc:  # a negative extent, or too large to allocate
+            raise LofiqError(f"{args.synth!r}: {exc}") from None
     else:
         tensors = load_tensors(args.input)
     reports = []

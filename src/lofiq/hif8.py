@@ -8,10 +8,16 @@ floor(|x| / 2**(e - n_m) + 0.5). Results saturate at the format maximum
 
 The exponent is extracted from the binary representation of |x| itself
 (never a floating log). Zero quantizes to +0.0.
+
+The scaled variant's quantize fits one scale per group. Its values are
+rounded from the source tensor when they are used: by
+``hif8_scaled_dequantize`` slice by slice, straight into its output, or by
+the record's ``values`` on first access.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,9 +103,14 @@ def hif8_enumerate():
 
 @dataclass(frozen=True)
 class ScaledHif8Quantized:
-    """Per-group scaled quantization record; dequantization divides by scales."""
+    """Per-group scales fitted to ``source``; the values are derived, and dequantization
+    divides them by the scales.
 
-    values: np.ndarray  # quantized values of the scaled tensor in the input's shape, C-contiguous
+    ``source`` is read again whenever values are rounded, so it must not be
+    written to while the record is in use (a Tensor's data cannot be).
+    """
+
+    source: np.ndarray  # the input, float64
     scales: np.ndarray  # one positive scale per index along axis, flat
     K: float
     axis: int
@@ -107,11 +118,26 @@ class ScaledHif8Quantized:
 
     @property
     def shape(self):
-        return self.values.shape
+        return self.source.shape
+
+    @cached_property
+    def values(self):
+        """Quantized values of the scaled tensor in the input's shape, C-contiguous."""
+        values = np.empty(self.shape)
+        for_chunks(lambda s: _round_scaled(self, s, values[s]), values)
+        return values
+
+    def _scales(self):
+        return np.expand_dims(self.scales, group_axes(len(self.shape), self.axis))
+
+
+def _round_scaled(q, s, out):
+    """The HiF8 values of slice ``s`` of ``q.source``'s first axis times its scales, in ``out``."""
+    return _quantize_into(q.source[s] * rows(q._scales(), s), out)
 
 
 def hif8_scaled_quantize(t, axis, K):
-    """Scale each group along ``axis`` to target max magnitude K, then quantize.
+    """Fit one scale per group along ``axis`` that brings its max magnitude to K.
 
     The per-group scale is K / (max|x| + 1e-12); a group of zeros (or an
     empty one) gets a huge scale but every element still quantizes to zero,
@@ -133,12 +159,15 @@ def hif8_scaled_quantize(t, axis, K):
         shown = name or "<unnamed>"
         raise NonFiniteValue(f"tensor {shown!r}: hif8-scaled scale K / (max|x| + {_SCALE_EPS}) "
                              f"of group {i} is {flat[i]} for K={K}, out of range", tensor=shown)
-    values = np.empty(arr.shape)
-    for_chunks(lambda s: _quantize_into(arr[s] * rows(scales, s), values[s]), arr)
-    return ScaledHif8Quantized(values, flat, float(K), axis, name)
+    return ScaledHif8Quantized(arr, flat, float(K), axis, name)
 
 
 def hif8_scaled_dequantize(q):
-    scales = np.expand_dims(q.scales, group_axes(q.values.ndim, q.axis))
-    return made_in_chunks(q.values.shape,
-                          lambda s, o: np.divide(q.values[s], rows(scales, s), out=o), q.name)
+    """Round each slice of the scaled source and divide it by its scales, in cache."""
+    scales = q._scales()
+
+    def fill(s, o):
+        _round_scaled(q, s, o)
+        np.divide(o, rows(scales, s), out=o)
+
+    return made_in_chunks(q.shape, fill, q.name)

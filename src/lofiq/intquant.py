@@ -4,9 +4,14 @@ Groups are the slices along one axis; each group gets its own scale (and
 zero-point in asymmetric mode). The symmetric grid is +-(2**(b-1) - 1),
 keeping the most-negative code unused so the grid stays symmetric around
 zero. Code rounding is half-away-from-zero throughout.
+
+Quantizing fits the scales and zero-points only. The codes are rounded from
+the source tensor when they are used: by ``int_dequantize`` slice by slice,
+straight into its output, or by the record's ``codes`` on first access.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,9 +25,15 @@ _TINY = np.nextafter(0.0, 1.0)  # smallest positive float64
 
 @dataclass(frozen=True)
 class IntQuantized:
-    codes: np.ndarray  # int16 grid values in the input's shape, C-contiguous
+    """Fitted scales (and zero-points) of ``source``; the codes are derived from both.
+
+    ``source`` is read again whenever codes are rounded, so it must not be
+    written to while the record is in use (a Tensor's data cannot be).
+    """
+
+    source: np.ndarray  # the input, float64
     scales: np.ndarray  # one positive scale per index along axis, flat
-    zero_points: np.ndarray  # one integer per index along axis, asymmetric only (else None)
+    zero_points: np.ndarray  # int16, one per index along axis, asymmetric only (else None)
     axis: int
     bits: int
     mode: str  # "symmetric" | "asymmetric"
@@ -30,7 +41,25 @@ class IntQuantized:
 
     @property
     def shape(self):
-        return self.codes.shape
+        return self.source.shape
+
+    @cached_property
+    def codes(self):
+        """int16 grid values in the input's shape, C-contiguous."""
+        codes = np.empty(self.shape, np.int16)
+
+        def chunk(s):
+            codes[s] = _round(self, s, np.empty(codes[s].shape))
+
+        for_chunks(chunk, codes)
+        return codes
+
+    def _fields(self):
+        """Scales and zero-points (or None) shaped to broadcast against the source."""
+        others = group_axes(len(self.shape), self.axis)
+        zps = self.zero_points
+        return (np.expand_dims(self.scales, others),
+                None if zps is None else np.expand_dims(zps, others))
 
 
 def _round_half_away(mag, sign):
@@ -51,42 +80,41 @@ def _positive_scales(step):
     return np.maximum(step, _TINY)
 
 
-def _codes(v):
-    return v.astype(np.int16, order="C")
+def _round(q, s, out):
+    """The codes of slice ``s`` of ``q.source``'s first axis, as float64 in ``out``.
 
-
-def _quantize_codes(arr, scales, finish):
-    """int16 codes of ``arr``: |x| / scale rounded half away from zero, then ``finish``ed in place.
-
-    Runs in chunks along the first axis, each one rounded in its own buffer.
+    |x| / scale rounded half away from zero, then shifted by the zero-point
+    and clipped to the grid. An integer code has no -0, so neither has
+    ``out``: every code is the float64 of its int16.
     """
-    codes = np.empty(arr.shape, np.int16)
-
-    def chunk(s):
-        x = arr[s]
-        v = np.abs(x)
-        v /= rows(scales, s)
-        codes[s] = finish(_round_half_away(v, x), s)
-
-    for_chunks(chunk, arr)
-    return codes
+    scales, zps = q._fields()
+    x = q.source[s]
+    v = np.abs(x, out=out)
+    v /= rows(scales, s)
+    _round_half_away(v, x)
+    if zps is None:
+        qmax = 2 ** (q.bits - 1) - 1
+        np.clip(v, -qmax, qmax, out=v)
+    else:
+        v += rows(zps, s)
+        np.clip(v, 0, 2**q.bits - 1, out=v)
+    v += 0.0  # -0.0 -> +0.0
+    return v
 
 
 def int_quantize_symmetric(t, axis, bits):
-    """Per-group symmetric quantization: scale = max|x| / (2**(b-1) - 1)."""
+    """Per-group symmetric fit: scale = max|x| / (2**(b-1) - 1)."""
     if bits not in _BITS:
         raise ValueError(f"bits must be one of {_BITS}")
     arr = as_array(t)
-    qmax = 2 ** (bits - 1) - 1
     amax = group_absmax(arr, axis)
-    scales = np.where(amax > 0, _positive_scales(amax / qmax), 1.0)
-    codes = _quantize_codes(arr, scales, lambda v, s: np.clip(v, -qmax, qmax, out=v))
-    return IntQuantized(codes, scales.reshape(-1), None, axis, bits, "symmetric",
+    scales = np.where(amax > 0, _positive_scales(amax / (2 ** (bits - 1) - 1)), 1.0)
+    return IntQuantized(arr, scales.reshape(-1), None, axis, bits, "symmetric",
                         getattr(t, "name", None))
 
 
 def int_quantize_asymmetric(t, axis, bits):
-    """Per-group zero-point quantization: scale = (max - min) / (2**b - 1).
+    """Per-group zero-point fit: scale = (max - min) / (2**b - 1).
 
     A constant group keeps scale 1 with the zero-point absorbing the
     constant, so integer-valued constants in range reconstruct exactly.
@@ -101,28 +129,22 @@ def int_quantize_asymmetric(t, axis, bits):
     hi = arr.max(axis=others, keepdims=True, initial=-np.inf)
     scales = np.where(hi > lo, _positive_scales((hi - lo) / levels), 1.0)
     zps = np.clip(_round_half_away(np.abs(lo) / scales, -lo), 0, levels)
-
-    def finish(v, s):
-        v += rows(zps, s)
-        return np.clip(v, 0, levels, out=v)
-
-    codes = _quantize_codes(arr, scales, finish)
-    return IntQuantized(codes, scales.reshape(-1), _codes(zps).reshape(-1), axis, bits,
+    return IntQuantized(arr, scales.reshape(-1), zps.reshape(-1).astype(np.int16), axis, bits,
                         "asymmetric", getattr(t, "name", None))
 
 
 def int_dequantize(q):
-    """scale * code (symmetric) or scale * (code - zero_point) (asymmetric)."""
-    others = group_axes(q.codes.ndim, q.axis)
-    scales = np.expand_dims(q.scales, others)
-    zps = None if q.mode == "symmetric" else np.expand_dims(q.zero_points, others)
+    """scale * code (symmetric) or scale * (code - zero_point) (asymmetric).
+
+    Each slice is rounded from the source and decoded in the output's own
+    memory, so no array of codes is made.
+    """
+    scales, zps = q._fields()
 
     def fill(s, o):
-        if zps is None:
-            np.multiply(q.codes[s], rows(scales, s), out=o)
-        else:
-            # integer differences are exact in float64, so this is (codes - zps) * scales
-            np.subtract(q.codes[s], rows(zps, s), dtype=np.float64, out=o)
-            o *= rows(scales, s)
+        _round(q, s, o)
+        if zps is not None:
+            o -= rows(zps, s)  # integer differences are exact in float64
+        o *= rows(scales, s)
 
-    return made_in_chunks(q.codes.shape, fill, q.name)
+    return made_in_chunks(q.shape, fill, q.name)

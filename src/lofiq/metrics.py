@@ -68,8 +68,13 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "gaussian_outlier", "uniform"):
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
+        for name in ("sigma", "outlier_fraction", "outlier_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 <= self.outlier_fraction <= 1.0:
             raise ValueError("outlier_fraction must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
 
 def _shift(top, size):
@@ -166,7 +171,11 @@ def sqnr(x, x_hat, *, ref_norm=None, err_norm=None):
 
 
 def synth(spec):
-    """Generate a tensor from a SyntheticSpec; identical seeds give identical data."""
+    """Generate a tensor from a SyntheticSpec; identical seeds give identical data.
+
+    A sigma (times the outlier scale) so large that a value overflows
+    float64 raises ValueError.
+    """
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "uniform":
         arr = rng.random(spec.shape)
@@ -176,9 +185,14 @@ def synth(spec):
             n_out = math.ceil(spec.outlier_fraction * arr.size)
             idx = rng.choice(arr.size, size=n_out, replace=False)
             flat = arr.reshape(-1)
-            flat[idx] *= spec.outlier_scale
+            with np.errstate(over="ignore"):  # an overflow is refused below
+                flat[idx] *= spec.outlier_scale
     name = f"{spec.kind}-{'x'.join(map(str, spec.shape))}-seed{spec.seed}"
-    return Tensor(arr, name)
+    try:
+        return Tensor(arr, name)
+    except NonFiniteValue:
+        scaled = f" times outlier scale {spec.outlier_scale!r}" if spec.kind != "gaussian" else ""
+        raise ValueError(f"sigma {spec.sigma!r}{scaled} overflows float64") from None
 
 
 def fidelity_from_reconstruction(t, recon, codec, role, *, ref_norm=None):

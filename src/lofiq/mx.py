@@ -9,9 +9,14 @@ inactive, so in-range blocks never lose mass to clipping.
 The exponent is computed from binary exponent extraction plus one exact
 power-of-two comparison; a floating log would misround exactly at powers of
 two, which are the boundary cases that matter here.
+
+Quantizing fits the exponents only. The element codes are rounded from the
+source tensor when they are used: by ``mx_dequantize`` slice by slice,
+straight into its output, or by the record's ``codes`` on first access.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,13 +47,39 @@ def resolve_element(element):
 
 @dataclass(frozen=True)
 class MxQuantized:
+    """Fitted block exponents of ``source``; the element codes are derived from both.
+
+    ``source`` is read again whenever codes are rounded, so it must not be
+    written to while the record is in use (a Tensor's data cannot be).
+    """
+
     element: Codebook
     block_size: int
     axis: int
     shape: tuple
     shared_exponents: np.ndarray  # one int per block, block_view's (blocks, *trailing)
-    codes: np.ndarray  # projected element values, original shape
+    source: np.ndarray  # the input, float64
     name: str = None
+
+    @cached_property
+    def codes(self):
+        """Projected element values, in the input's shape."""
+        codes = np.empty(self.shape)
+        view = block_view(codes, self.axis, self.block_size)
+        for_chunks(lambda s: _round_blocks(self, s, view[s]), view)
+        return codes
+
+
+def _round_blocks(q, s, out):
+    """The element codes of blocks ``s`` of ``q.source``'s block view, in ``out``.
+
+    Each block is divided by 2**e and rounded onto the element codebook,
+    which also clips it to +-q_max; an all-zero block codes +0.0, like every
+    zero.
+    """
+    y = np.divide(block_view(q.source, q.axis, q.block_size)[s],
+                  np.ldexp(1.0, q.shared_exponents[s])[:, None], out=out)
+    return _round(q.element, y, y)
 
 
 def _ceil_log2_ratio(amax, q_max):
@@ -62,14 +93,12 @@ def _ceil_log2_ratio(amax, q_max):
 
 
 def mx_quantize(t, axis, element_spec, k=DEFAULT_BLOCK):
-    """Quantize ``t`` in blocks of ``k`` along ``axis`` with element format ``element_spec``."""
+    """Fit the shared exponent of each block of ``k`` along ``axis`` for ``element_spec``."""
     cb = resolve_element(element_spec)
     arr = as_array(t)
     view = block_view(arr, axis, k)
     q_max = cb.max_finite
     e = np.empty(view.shape[:1] + view.shape[2:], dtype=np.int64)
-    codes = np.empty(arr.shape)
-    code_view = block_view(codes, axis, k)
 
     def chunk(s):
         amax = np.max(np.abs(view[s]), axis=1)
@@ -77,19 +106,17 @@ def mx_quantize(t, axis, element_spec, k=DEFAULT_BLOCK):
         es = e[s]
         es[...] = E_MIN
         es[nonzero] = np.clip(_ceil_log2_ratio(amax[nonzero], q_max), E_MIN, E_MAX)
-        y = np.divide(view[s], np.ldexp(1.0, es)[:, None], out=code_view[s])
-        _round(cb, y, y)  # clips to +-q_max; an all-zero block codes +0.0, like every zero
 
     for_chunks(chunk, view)
-    return MxQuantized(cb, k, axis, arr.shape, e, codes, getattr(t, "name", None))
+    return MxQuantized(cb, k, axis, arr.shape, e, arr, getattr(t, "name", None))
 
 
 def mx_dequantize(q):
-    """Reconstruct 2**e * code elementwise."""
-    codes = block_view(q.codes, q.axis, q.block_size)
+    """Round each block of the source and reconstruct 2**e * code, slice by slice in cache."""
 
     def fill(s, o):
+        _round_blocks(q, s, o)
         # a code times 2**e is a normal float, so the product equals ldexp(code, e)
-        np.multiply(codes[s], np.ldexp(1.0, q.shared_exponents[s])[:, None], out=o)
+        o *= np.ldexp(1.0, q.shared_exponents[s])[:, None]
 
     return made_in_chunks(q.shape, fill, q.name, lambda o: block_view(o, q.axis, q.block_size))

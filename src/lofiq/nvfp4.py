@@ -11,10 +11,16 @@ largest observed pre-clip ratio is recorded as a diagnostic.
 
 A reconstruction is at most 2688 * s2. When that overflows float64 (max|x|
 at float64's maximum), quantizing raises NonFiniteValue naming the tensor.
+
+Quantizing fits s2, the block scales and the overshoot, all from the block
+maxima. The E2M1 codes are rounded from the source tensor when they are
+used: by ``nvfp4_dequantize`` slice by slice, straight into its output, or
+by the record's ``codes`` on first access.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,19 +41,47 @@ _MIN_SUBNORMAL = 2.0**-1074
 
 @dataclass(frozen=True)
 class Nvfp4Quantized:
+    """Fitted scales of ``source``; the E2M1 codes are derived from both.
+
+    ``source`` is read again whenever codes are rounded, so it must not be
+    written to while the record is in use (a Tensor's data cannot be).
+    """
+
     per_tensor_scale: float
     block_scales: np.ndarray  # E4M3 per block, 0 if all-zero; block_view's (blocks, *trailing)
-    codes: np.ndarray  # E2M1 members, original shape
+    source: np.ndarray  # the input, float64
     axis: int
     shape: tuple
     max_overshoot: float  # largest |x~/s1| seen before the element clip
     name: str = None
 
+    @cached_property
+    def codes(self):
+        """E2M1 members, in the input's shape."""
+        codes = np.empty(self.shape)
+        view = block_view(codes, self.axis, BLOCK)
+        for_chunks(lambda s: _round_blocks(self, s, view[s]), view)
+        return codes
+
+
+def _round_blocks(q, s, out):
+    """The E2M1 codes of blocks ``s`` of ``q.source``'s block view, in ``out``.
+
+    An all-zero block divides by 1 and stays +-0, which rounds to +0; the
+    rounding also applies the +-6 element clip.
+    """
+    s1 = q.block_scales[s]
+    y = np.divide(block_view(q.source, q.axis, BLOCK)[s], q.per_tensor_scale, out=out)
+    np.divide(y, np.where(s1 > 0, s1, 1.0)[:, None], out=y)
+    return _round(resolve_element("e2m1"), y, y)
+
 
 def nvfp4_quantize(t, axis):
-    """Quantize in 16-element blocks along ``axis``; all-zero tensor keeps s2 = 1."""
+    """Fit s2, the block scales and the overshoot for 16-element blocks along ``axis``.
+
+    All of it comes from the block maxima; an all-zero tensor keeps s2 = 1.
+    """
     e4m3 = resolve_element("e4m3")
-    e2m1 = resolve_element("e2m1")
     arr = as_array(t)
     view = block_view(arr, axis, BLOCK)
     vmax = np.empty(view.shape[:1] + view.shape[2:])
@@ -67,8 +101,6 @@ def nvfp4_quantize(t, axis):
                              f"per-tensor scale {float(s2)!r}, overflows float64", tensor=shown)
 
     s1 = np.zeros_like(vmax)
-    codes = np.empty(arr.shape)
-    code_view = block_view(codes, axis, BLOCK)
 
     def chunk(s):
         # x / s2 rounds monotonically, so the block maximum of |x / s2| is
@@ -82,27 +114,20 @@ def nvfp4_quantize(t, axis):
         # block maximum is tiny relative to the tensor maximum) gets the
         # smallest positive E4M3 value instead of a divide-by-zero
         s1s[nonzero & (s1s == 0)] = _E4M3_MIN_POS
-
-        # an all-zero block divides by 1 and stays +-0, which rounds to +0;
-        # the rounding also applies the +-6 element clip
-        div = np.where(nonzero, s1s, 1.0)
-        y = np.divide(view[s], s2, out=code_view[s])
-        np.divide(y, div[:, None], out=y)
-        _round(e2m1, y, y)
-        np.divide(bmax, div, out=bmax)
+        np.divide(bmax, np.where(nonzero, s1s, 1.0), out=bmax)
         return np.max(bmax, initial=0.0)
 
-    overshoot = max(for_chunks(chunk, view), default=0.0)
-    return Nvfp4Quantized(float(s2), s1, codes, axis, arr.shape, float(overshoot),
+    overshoot = max(for_chunks(chunk, vmax), default=0.0)
+    return Nvfp4Quantized(float(s2), s1, arr, axis, arr.shape, float(overshoot),
                           getattr(t, "name", None))
 
 
 def nvfp4_dequantize(q):
-    """Reconstruct s1 * s2 * code elementwise."""
-    codes = block_view(q.codes, q.axis, BLOCK)
+    """Round each block of the source and reconstruct s1 * s2 * code, slice by slice in cache."""
 
     def fill(s, o):
-        np.multiply(codes[s], q.block_scales[s][:, None], out=o)
+        _round_blocks(q, s, o)
+        o *= q.block_scales[s][:, None]
         o *= q.per_tensor_scale
 
     return made_in_chunks(q.shape, fill, q.name, lambda o: block_view(o, q.axis, BLOCK))

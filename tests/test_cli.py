@@ -363,6 +363,42 @@ class TestCompare:
         assert run("compare", "--synth", "cauchy:8x8", "--formats", "int8",
                    "-o", tmp_path / "r.json") == 1
 
+    _BAD_SYNTH = [
+        # 71.1 PiB: the allocation fails at once, so nothing is allocated
+        ("gaussian:99999999x99999999", 0, "'gaussian:99999999x99999999': Unable to allocate"),
+        ("gaussian:4x4:1:0.5", 0, "gaussian reads no field past kind:AxB:sigma"),
+        ("uniform:8x8:0.3", 0, "uniform reads no field past kind:AxB"),
+        ("gaussian_outlier:8x8:1:0.1:10:7", 0,
+         "gaussian_outlier reads no field past kind:AxB:sigma:fraction:scale"),
+        ("gaussian:4x4:nan", 0, "'gaussian:4x4:nan': sigma must be finite, got nan"),
+        ("gaussian:4x4:inf", 0, "sigma must be finite, got inf"),
+        ("gaussian_outlier:8x8:1:nan:10", 0, "outlier_fraction must be finite, got nan"),
+        ("gaussian_outlier:8x8:1:0.1:-inf", 0, "outlier_scale must be finite, got -inf"),
+        # finite numbers whose values overflow, a bad extent and a negative seed
+        ("gaussian:4x4:1e308", 0, "'gaussian:4x4:1e308': sigma 1e+308 overflows float64"),
+        ("gaussian_outlier:64x64:1:0.1:1e308", 0,
+         "sigma 1.0 times outlier scale 1e+308 overflows float64"),
+        ("gaussian:4xq", 0, "'gaussian:4xq': invalid literal for int()"),
+        ("gaussian:4x4", -1, "'gaussian:4x4': seed must be non-negative, got -1"),
+    ]
+
+    @pytest.mark.parametrize("spec,seed,message", _BAD_SYNTH,
+                             ids=[f"{spec}-seed{seed}" for spec, seed, _ in _BAD_SYNTH])
+    def test_bad_synth_spec_is_one_error_line(self, tmp_path, capsys, spec, seed, message):
+        out = tmp_path / "r.json"
+        assert run("compare", "--synth", spec, "--seed", seed, "--formats", "int8",
+                   "-o", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert message in captured.err
+
+    @pytest.mark.parametrize("spec", ["gaussian:4x4:1:0.5", "uniform:8x8:0.3",
+                                      "gaussian_outlier:8x8:1:0.1:10:7", "gaussian:4x4:nan"])
+    def test_parse_synth_refuses_unread_fields_and_non_finite_numbers(self, spec):
+        with pytest.raises(ValueError, match=f"^'{spec}': "):
+            parse_synth(spec, 0)
+
 
 class TestPtqCommands:
     def _pair(self, tmp_path, seed=0):

@@ -207,10 +207,12 @@ class TestScaled:
     @pytest.mark.parametrize("chunk", [None, 4], ids=["default-chunk", "chunk-4"])
     def test_nonfinite_reconstruction_names_the_tensor(self, monkeypatch, chunk):
         # a record with zero scales, which quantize never makes: dequantization
-        # divides 1 by 0, and the output check of every chunk names the tensor
+        # rounds 1 * 0 to 0 and divides it by 0, and the output check of every
+        # chunk names the tensor
         if chunk is not None:
             monkeypatch.setattr(sys.modules["lofiq.tensor"], "CHUNK", chunk)
-        q = ScaledHif8Quantized(np.ones((4, 4)), np.zeros(4), 1.0, 0, "big")
+        q = ScaledHif8Quantized(source=np.ones((4, 4)), scales=np.zeros(4), K=1.0, axis=0,
+                                name="big")
         with pytest.raises(NonFiniteValue, match="^tensor 'big' contains NaN or Inf$") as exc:
             hif8_scaled_dequantize(q)
         assert exc.value.tensor == "big"
