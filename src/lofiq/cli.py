@@ -22,7 +22,7 @@ from .metrics import (
     synth,
 )
 from .registry import ROLES, parse_format
-from .tensor import Tensor, load_tensors, save_tensors
+from .tensor import Tensor, load_tensors, save_tensors, write_in_place
 
 _ENUMERABLE = ", ".join(sorted(builtin_names() + ["hif8"]))
 
@@ -46,25 +46,23 @@ def cmd_enumerate(args):
         print(f"error: --interval needs LO <= HI, got [{lo}, {hi}]", file=sys.stderr)
         return 2
     values = _enumerable(args.format)
-    out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
-    try:
-        print(f"format: {args.format.strip().lower()}", file=out)
-        print(f"count: {len(values)}", file=out)
-        positives = values[values > 0]
-        print(f"max_finite: {_fmt_value(values[-1])}", file=out)
-        if positives.size:
-            print(f"min_positive: {_fmt_value(positives[0])}", file=out)
-        if args.interval is not None:
-            lo, hi = args.interval
-            values = values[(values >= lo) & (values <= hi)]
-            print(f"interval: [{_fmt_value(lo)}, {_fmt_value(hi)}]", file=out)
-            print(f"count_in_interval: {len(values)}", file=out)
-        print("values:", file=out)
-        for v in values:
-            print(_fmt_value(v), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    lines = [f"format: {args.format.strip().lower()}", f"count: {len(values)}",
+             f"max_finite: {_fmt_value(values[-1])}"]
+    positives = values[values > 0]
+    if positives.size:
+        lines.append(f"min_positive: {_fmt_value(positives[0])}")
+    if args.interval is not None:
+        lo, hi = args.interval
+        values = values[(values >= lo) & (values <= hi)]
+        lines += [f"interval: [{_fmt_value(lo)}, {_fmt_value(hi)}]",
+                  f"count_in_interval: {len(values)}"]
+    lines.append("values:")
+    lines += map(_fmt_value, values)
+    text = "".join(line + "\n" for line in lines)
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        write_in_place(args.output, [text.encode("utf-8")])
     return 0
 
 
@@ -156,9 +154,7 @@ def _pipeline_report(args, pipeline, **options):
     codec = parse_format(args.format)
     payload = pipeline(_first_tensor(args.x), _first_tensor(args.w), codec, **options).to_dict()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_in_place(args.output, [(json.dumps(payload, indent=2) + "\n").encode("utf-8")])
     print(json.dumps(payload))
     return 0
 

@@ -34,6 +34,7 @@ BLOCK = 64
 Q_MIN = 2.0**-48
 Q_MAX = 1.5 * 2.0**15
 MODES = ("literal", "halfrange")
+_SIGN = np.uint64(1 << 63)  # the sign bit of a float64
 
 
 @dataclass(frozen=True)
@@ -85,14 +86,16 @@ def _blocks(arr, axis):
 def _fit_blocks(X, halfrange):
     """E1, M1, E2 and E3 of the blocks ``X`` (b, 8, 2, 4, *trailing)."""
     A = np.abs(X)
-    # max is exact, so these running maxima equal A.max(axis=3) and
-    # A3.max(axis=2); those reductions pay per-row overhead on rows of four
-    # or two and are ten times slower
+    # max is exact, so these running and pairwise maxima equal A.max(axis=3),
+    # A3.max(axis=2) and A2.max(axis=1); those reductions pay per-row
+    # overhead on rows of four, two or eight and are up to ten times slower
     A3 = np.maximum(A[:, :, :, 0], A[:, :, :, 1])
     np.maximum(A3, A[:, :, :, 2], out=A3)
     np.maximum(A3, A[:, :, :, 3], out=A3)
     A2 = np.maximum(A3[:, :, 0], A3[:, :, 1])
-    A1 = A2.max(axis=1)
+    A1 = np.maximum(A2[:, 0::2], A2[:, 1::2])
+    A1 = np.maximum(A1[:, 0::2], A1[:, 1::2])
+    A1 = np.maximum(A1[:, 0], A1[:, 1])
 
     At1 = np.clip(A1 / 7.0, Q_MIN, Q_MAX)
     _, ex = np.frexp(At1)
@@ -165,7 +168,11 @@ def hif4_dequantize(q):
         # M1 * 2**exp is a normal float and M1 * Xhat < 2**6, so the product is exact
         np.multiply(_round_blocks(Xs, step, o), step, out=o)
         # the sign of x + 0.0 is negative exactly where x < 0, so a zero code
-        # under a negative input is -0.0, and under -0.0 it is +0.0
-        np.copysign(o, Xs + 0.0, out=o)
+        # under a negative input is -0.0, and under -0.0 it is +0.0; o >= +0
+        # here, so OR-ing that sign bit in is copysign
+        sign = np.add(Xs, 0.0).view(np.uint64)
+        sign &= _SIGN
+        bits = o.view(np.uint64)
+        bits |= sign
 
     return made_in_chunks(q.shape, fill, q.name, lambda o: _blocks(o, q.axis))

@@ -17,6 +17,7 @@ which is exact, and its norm kept as a pair (value, k) for value * 2**k.
 """
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import NonFiniteValue, ShapeMismatch, ZeroSignal
 from .registry import as_codec
-from .tensor import Tensor, as_array, pairwise_reduce
+from .tensor import Tensor, as_array, pairwise_reduce, write_in_place
 
 __all__ = [
     "FidelityReport",
@@ -86,7 +87,7 @@ def _shift(top, size):
     return top if 2 * top + size.bit_length() > 1023 or 2 * top < -967 else 0
 
 
-def _abs_sums(a, b=None):
+def _abs_sums(a, b=None, with_norm=False):
     """(max|d|, sum|d * 2**-k|, sum (d * 2**-k)**2, k) of d = b - a, or of d = a without b.
 
     a and b have one shape, and d runs over it in C order. k = _shift(top,
@@ -95,32 +96,54 @@ def _abs_sums(a, b=None):
     d (``pairwise_reduce``), so no array of a's size is made and no figure
     depends on the core count, CHUNK or BLAS. When k is not 0 the slices
     run again on d * 2**-k.
+
+    With ``with_norm`` (and b), ``_norm(a)`` follows as a fifth item: max|a|
+    and sum a**2 are taken in the same pass, from each slice of |a| before d
+    is formed in its place, so a is read in one pass, not two.
     """
     x = a.reshape(-1)  # a view of a C-contiguous array such as a Tensor's
     y = None if b is None else b.reshape(-1)
 
-    def sums(k):
+    def sums(k, y, with_norm=False):
         @np.errstate(over="ignore")  # an overflow gives inf, which the callers check
         def leaf(s):
+            norm = ()
             if y is None:
                 d = np.abs(x[s])
             else:
-                d = np.subtract(y[s], x[s])
+                if with_norm:
+                    d = np.abs(x[s])
+                    norm = (float(d.max(initial=0.0)),
+                            float(np.add.reduce(np.multiply(d, d, out=d))))
+                    np.subtract(y[s], x[s], out=d)
+                else:
+                    d = np.subtract(y[s], x[s])
                 np.abs(d, out=d)
             if k:
                 np.ldexp(d, -k, out=d)
             top, total = d.max(initial=0.0), np.add.reduce(d)
-            return float(top), float(total), float(np.add.reduce(np.multiply(d, d, out=d)))
+            return (float(top), float(total),
+                    float(np.add.reduce(np.multiply(d, d, out=d)))) + norm
 
-        return pairwise_reduce(leaf, lambda p, q: (max(p[0], q[0]), p[1] + q[1], p[2] + q[2]),
-                               x.size)
+        return pairwise_reduce(leaf, _join, x.size)
 
-    top, total, squares = sums(0)
+    top, total, squares, *norm = sums(0, y, with_norm and y is not None)
     # with |d| < 2**e its squares sum below 2**(2 * e + bits of size)
     k = _shift(math.frexp(top)[1], x.size)
     if k:
-        _, total, squares = sums(k)
-    return top, total, squares, k
+        _, total, squares = sums(k, y)
+    if not norm:
+        return top, total, squares, k
+    a_top, a_squares = norm
+    j = _shift(math.frexp(a_top)[1], x.size)
+    if j:
+        _, _, a_squares = sums(j, None)
+    return top, total, squares, k, (math.sqrt(a_squares), j)
+
+
+def _join(p, q):
+    """The figures of two adjacent ranges joined: maxima (items 0 and 3) by max, sums by +."""
+    return tuple(max(u, v) if i % 3 == 0 else u + v for i, (u, v) in enumerate(zip(p, q)))
 
 
 def _norm(a, b=None):
@@ -206,7 +229,8 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, ref_norm=None):
     max|e|, sum|e| and sum e**2 of e = recon - x come from one pass on every
     core that forms e slice by slice in cache, with no error array; they
     equal np.abs(e).max(), np.abs(e).mean() * size and np.add.reduce of e*e
-    over the whole array bit for bit. An error or
+    over the whole array bit for bit. Without ``ref_norm``, |x|_F is taken in
+    that same pass, bit-identical to ``_norm(x)``. An error or
     relative error beyond float64 raises NonFiniteValue; a zero-size tensor,
     or a nonzero error on an all-zero one, ZeroSignal. Each names the tensor.
     """
@@ -217,8 +241,10 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, ref_norm=None):
     shown = getattr(t, "name", None) or "<unnamed>"
     if not arr.size:  # nothing was reconstructed, exactly or not
         raise ZeroSignal(f"tensor {shown!r} has no elements, so no SQNR", tensor=shown)
-    rn, rk = _norm(arr) if ref_norm is None else _pair(ref_norm)
-    max_abs, total, squares, k = _abs_sums(arr, rec)
+    if ref_norm is None:  # |x|_F from the same pass as the error figures
+        max_abs, total, squares, k, (rn, rk) = _abs_sums(arr, rec, with_norm=True)
+    else:
+        (rn, rk), (max_abs, total, squares, k) = _pair(ref_norm), _abs_sums(arr, rec)
     mean_abs = math.ldexp(total / arr.size, k)
     en = math.sqrt(squares)
     with np.errstate(over="ignore"):
@@ -288,17 +314,18 @@ def emit_report(reports, fmt, path):
 
     JSON is a list of objects keyed exactly by the CSV header fields;
     CSV starts with the header line tensor,format,granularity,sqnr_db,
-    max_abs_err,mean_abs_err,rel_fro_err,config.
+    max_abs_err,mean_abs_err,rel_fro_err,config. The report is formatted in
+    memory and written in place in one write (``write_in_place``).
     """
     rows = report_rows(reports)
     if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        text = json.dumps(rows, indent=2) + "\n"
     elif fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_FIELDS)
-            writer.writeheader()
-            writer.writerows(rows)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=_FIELDS)
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue()
     else:
         raise ValueError(f"report format must be json or csv, got {fmt!r}")
+    write_in_place(path, [text.encode("utf-8")])

@@ -5,11 +5,13 @@ on-disk dtypes are widened losslessly on load. Non-finite values are
 rejected at ingest since no codec defines them: a Tensor is checked once
 when built, and ``as_array`` checks any other array-like it is handed. A
 kernel's output is made, checked slice by slice and named by ``made_in_chunks``.
+Every file lofiq writes is written in place by ``write_in_place``.
 """
 
 import json
 import math
 import os
+import stat
 import struct
 import threading
 
@@ -315,14 +317,44 @@ def rows(field, s):
     return field if field.shape[0] == 1 else field[s]
 
 
+def write_in_place(path, parts, first=b""):
+    """Write the bytes ``first`` and then each buffer of ``parts`` to ``path``, over what it held.
+
+    Every file lofiq writes goes through here. A regular file is opened
+    without truncation, written from its start and then cut at the end of
+    the new bytes: it keeps its inode, so a hard link sees the new bytes, a
+    symlink is written through and the file's mode is kept, as with
+    ``open(path, "wb")``. Truncating a file that holds data to zero bytes
+    makes some file systems (ext4's auto_da_alloc) start writing it back
+    when it is closed, which is what this avoids. ``first`` goes in last:
+    zero bytes stand in its place until the rest is written and the file is
+    cut, so a write that stops partway leaves no valid ``first`` in front of
+    the new bytes. Any other target (/dev/null, a pipe, a FIFO, a terminal)
+    is written straight through, in order, with no seek or truncation.
+    Nothing is synced to disk.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        fh.write(bytes(len(first)) if regular else first)
+        for part in parts:
+            fh.write(part)
+        if regular:
+            fh.flush()
+            os.ftruncate(fh.fileno(), fh.tell())
+            fh.seek(0)
+            fh.write(first)
+
+
 def save_tensors(tensors, path, dtype="f64"):
-    """Write tensors to an LQT1 container.
+    """Write tensors to an LQT1 container, in place (``write_in_place``).
 
     f32 narrowing uses the hardware round-to-nearest-even conversion; a
     tensor with a value that would round to Inf there raises NonFiniteValue.
     Every tensor is checked before the file is opened. An f64 array is
     written as is, without staging the payload in memory; for f32, each
     tensor is first converted into a full float32 copy, one tensor at a time.
+    The magic goes in last, so a save that stops partway leaves a file that
+    ``load_tensors`` refuses with BadMagic.
     """
     if dtype not in _DTYPES:
         raise ValueError(f"dtype must be f32 or f64, got {dtype!r}")
@@ -344,13 +376,13 @@ def save_tensors(tensors, path, dtype="f64"):
         arrays.append(arr)
         offset += arr.size * np_dtype.itemsize
     header = json.dumps({"tensors": entries}, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
+
+    def parts():  # one f32 copy at a time
+        yield struct.pack("<IQ", VERSION, len(header)) + header
         for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype=np_dtype))
+            yield np.ascontiguousarray(arr, dtype=np_dtype)
+
+    write_in_place(path, parts(), MAGIC)
 
 
 def _is_count(v):

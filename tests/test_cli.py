@@ -1,9 +1,13 @@
+import contextlib
 import json
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
+import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -493,6 +497,128 @@ class TestPtqCommands:
         missing = tmp_path / "missing.lqt"
         assert run(cmd, "--x", missing, "--w", missing, "-f", "bogus") == 2
         assert capsys.readouterr().err == "error: unknown format 'bogus'\n"
+
+
+@contextlib.contextmanager
+def _bound_by_file_modes():
+    """Run the block as a user whom file modes bind.
+
+    Root may write to a read-only file, so a root process takes nobody's
+    effective uid while the block runs.
+    """
+    if os.geteuid() != 0:
+        yield
+        return
+    os.seteuid(65534)
+    try:
+        yield
+    finally:
+        os.seteuid(0)
+
+
+@pytest.fixture
+def open_dir():
+    """A directory any user may enter (only its owner may enter pytest's tmp_path)."""
+    d = tempfile.mkdtemp()
+    os.chmod(d, 0o755)
+    yield d
+    shutil.rmtree(d)
+
+
+class TestOutputFiles:
+    """Every file is written in place by one helper; a non-regular target is written straight."""
+
+    def _src(self, tmp_path, n=2):
+        rng = np.random.default_rng(3)
+        src = tmp_path / f"in{n}.lqt"
+        save_tensors([tensor(rng.normal(0.0, 0.02, (8, 64)), f"t{i}") for i in range(n)], src)
+        return src
+
+    def _quantize(self, src, out, *extra):
+        return run("quantize", src, "-f", "hif4", "--role", "activation", "-o", out, *extra)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_shorter_report_over_longer_gives_exactly_the_new_bytes(self, tmp_path, fmt):
+        rep, fresh = tmp_path / "r", tmp_path / "fresh"
+        assert self._quantize(self._src(tmp_path, 3), tmp_path / "o.lqt", "--report", rep,
+                              "--report-format", fmt) == 0
+        for path in (rep, fresh):
+            assert self._quantize(self._src(tmp_path, 1), tmp_path / "o.lqt", "--report", path,
+                                  "--report-format", fmt) == 0
+        assert rep.read_bytes() == fresh.read_bytes()
+
+    def test_shorter_listing_and_pipeline_report_over_longer(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run("enumerate", "e4m3", "-o", out) == 0
+        assert run("enumerate", "e2m1", "-o", out) == 0
+        assert run("enumerate", "e2m1", "-o", fresh) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        x, w = self._src(tmp_path, 1), tmp_path / "w.lqt"
+        save_tensors([tensor(np.random.default_rng(4).normal(0.0, 0.02, (64, 16)), "w")], w)
+        out.write_bytes(b"x" * 100_000)
+        assert run("smooth", "--x", x, "--w", w, "-f", "int8", "-o", out) == 0
+        assert run("smooth", "--x", x, "--w", w, "-f", "int8", "-o", fresh) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_dev_null(self, tmp_path, capsys):
+        src = self._src(tmp_path)
+        assert self._quantize(src, tmp_path / "o.lqt", "--report", tmp_path / "r.json") == 0
+        want = capsys.readouterr()
+        assert self._quantize(src, os.devnull, "--report", os.devnull) == 0
+        assert capsys.readouterr() == want
+        assert run("enumerate", "hif8", "-o", os.devnull) == 0
+        assert run("compare", "--input", src, "--formats", "int8", "-o", os.devnull) == 0
+
+    @pytest.mark.parametrize("target", ["lqt", "report"])
+    def test_fifo(self, tmp_path, target):
+        src, fifo = self._src(tmp_path), tmp_path / "fifo"
+        os.mkfifo(fifo)
+        out, rep = tmp_path / "o.lqt", tmp_path / "r.json"
+        assert self._quantize(src, out, "--report", rep) == 0
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        if target == "lqt":
+            code, want = self._quantize(src, fifo, "--report", rep), out.read_bytes()
+        else:
+            code, want = self._quantize(src, out, "--report", fifo), rep.read_bytes()
+        reader.join(60)
+        if reader.is_alive():  # nothing opened the FIFO: let the reader see an end of file
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(60)
+        assert code == 0 and got == [want]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_to_stdout_through_a_pipe(self, tmp_path, fmt):
+        src, rep = self._src(tmp_path), tmp_path / "r"
+        args = ("quantize", src, "-f", "nvfp4", "--role", "activation", "-o", tmp_path / "o.lqt",
+                "--report-format", fmt)
+        regular = run_subprocess(*args, "--report", rep)
+        piped = run_subprocess(*args, "--report", "/dev/stdout")
+        assert (regular.returncode, regular.stderr, piped.returncode, piped.stderr) == (0, "", 0, "")
+        assert piped.stdout == rep.read_text(encoding="utf-8") + regular.stdout
+        listing = run_subprocess("enumerate", "e2m1", "-o", "/dev/stdout")
+        assert listing.returncode == 0 and listing.stdout == run_subprocess("enumerate", "e2m1").stdout
+
+    def test_read_only_target_exits_1_and_is_left_unchanged(self, open_dir, capsys):
+        src, out, listing = (os.path.join(open_dir, n) for n in ("in.lqt", "out.lqt", "list.txt"))
+        save_tensors([tensor(np.ones((4, 64)), "t")], src)
+        save_tensors([tensor(np.zeros(3), "old")], out)
+        with open(listing, "w", encoding="utf-8") as fh:
+            fh.write("old\n")
+        before = []
+        for path in (out, listing):
+            os.chmod(path, 0o444)
+            with open(path, "rb") as fh:
+                before.append(fh.read())
+        with _bound_by_file_modes():
+            assert self._quantize(src, out) == 1
+            assert run("enumerate", "e2m1", "-o", listing) == 1
+        for path, old in zip((out, listing), before):
+            with open(path, "rb") as fh:
+                assert fh.read() == old
+        assert capsys.readouterr().err == (f"error: [Errno 13] Permission denied: '{out}'\n"
+                                           f"error: [Errno 13] Permission denied: '{listing}'\n")
 
 
 class TestExitCodes:

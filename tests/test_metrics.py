@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from lofiq import metrics
+from lofiq.cli import main
 from lofiq.errors import NonFiniteValue, ShapeMismatch, ZeroSignal
 from lofiq.metrics import (
     FidelityReport,
@@ -351,6 +353,88 @@ class TestOnePass:
             assert proc.returncode == 0, proc.stderr
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+
+def _bits(report):
+    """Every field of a FidelityReport, with each float as its hex string, so -0.0 != 0.0."""
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)]
+
+
+class TestNormInTheSamePass:
+    """Without ref_norm, |x|_F comes from the error figures' pass, bit for bit _norm(x)."""
+
+    SETTINGS = [("CHUNK", None), ("CHUNK", 16), ("_pool", False)]
+
+    def _both(self, x, recon, codec=None, role="weight"):
+        codec = codec or parse_format("int8")
+        t = tensor(x, "t")
+        alone = fidelity_from_reconstruction(t, recon, codec, role)
+        given = fidelity_from_reconstruction(t, recon, codec, role, ref_norm=metrics._norm(t.data))
+        return _bits(alone), _bits(given), metrics._abs_sums(x, recon, with_norm=True)[4]
+
+    def _check(self, monkeypatch, x, recon, *args):
+        want = None
+        for attr, value in self.SETTINGS:
+            if value is not None:
+                monkeypatch.setattr(CHUNKS, attr, value)
+            alone, given, norm = self._both(x, recon, *args)
+            assert alone == given, (attr, value)
+            assert norm == metrics._norm(x)
+            want = want or alone
+            assert alone == want, (attr, value)  # nor on the CHUNK or the pool
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("shape,role,fmt", TestOnePass.CASES, ids=TestOnePass._id)
+    def test_ordinary_data(self, monkeypatch, shape, role, fmt):
+        x = np.random.default_rng(math.prod(shape)).normal(0.0, 0.02, shape)
+        codec = parse_format(fmt)
+        self._check(monkeypatch, x, codec.reconstruct(x, role), codec, role)
+
+    # (k, j): the shifts of the error and of x, each of which reruns its slices
+    @pytest.mark.parametrize("case,shifts", [
+        ("both huge", (True, True)), ("both tiny", (True, True)),
+        ("x huge", (False, True)), ("x tiny, exact", (False, True)),
+        ("error huge", (True, False)), ("error tiny", (True, False)),
+    ])
+    def test_each_shift_rerun(self, monkeypatch, case, shifts):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(300, 500))
+        e = rng.normal(scale=1e-3, size=x.shape)
+        if case.startswith("both"):
+            scale = 2.0**512 if "huge" in case else 2.0**-500
+            x, recon = x * scale, (x + e) * scale
+        elif case == "x huge":
+            x = x * 2.0**512
+            recon = x * (1 + 2.0**-40)
+        elif case == "x tiny, exact":
+            x = recon = x * 2.0**-500
+        elif case == "error huge":
+            recon = x.copy()
+            recon[::7] += e[::7] * 2.0**515
+        else:  # the error only where x is tiny too
+            x[::7] *= 2.0**-500
+            recon = x.copy()
+            recon[::7] += e[::7] * 2.0**-500
+        *_, k, (_, j) = metrics._abs_sums(x, recon, with_norm=True)
+        assert (k != 0, j != 0) == shifts
+        self._check(monkeypatch, x, recon)
+
+    def test_one_pairwise_pass_per_tensor(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(12)
+        src = tmp_path / "a.lqt"
+        save_tensors([tensor(rng.normal(0.0, 0.02, (64, 256)), "a"),
+                      tensor(rng.normal(0.0, 0.02, (32, 64)), "b")], src)
+        passes = []
+        inner = metrics.pairwise_reduce
+
+        def spy(fn, join, n):
+            passes.append(n)
+            return inner(fn, join, n)
+
+        monkeypatch.setattr(metrics, "pairwise_reduce", spy)
+        assert main(["quantize", str(src), "-f", "hif4", "--role", "activation",
+                     "-o", str(tmp_path / "o.lqt"), "--report", str(tmp_path / "r.json")]) == 0
+        assert passes == [64 * 256, 32 * 64]
 
 
 class TestSynth:

@@ -1,6 +1,10 @@
 import json
 import os
+import signal
+import stat
 import struct
+import subprocess
+import sys
 import tracemalloc
 import types
 
@@ -19,6 +23,7 @@ from lofiq.errors import (
     NotDivisible,
     OffsetOutOfBounds,
 )
+import lofiq
 from lofiq.tensor import block_view, group_axes, load_tensors, save_tensors, tensor
 
 from oracles import f32_roundtrip_oracle
@@ -345,6 +350,90 @@ def test_load_and_save_copy_each_payload_byte_once(tmp_path):
     assert save_peak <= 0.1 * payload
     assert load_peak - before_load <= 1.1 * payload + 64 * 1024
     assert all(np.array_equal(a.data, b.data) for a, b in zip(ts, loaded))
+
+
+class TestWriteInPlace:
+    """save_tensors writes over an existing file in place, as open(path, "wb") did."""
+
+    @staticmethod
+    def _tensors(n, seed=0):
+        return [tensor(np.random.default_rng(seed).normal(size=(n, 8)), "t")]
+
+    def test_shorter_over_longer_gives_exactly_the_new_bytes(self, tmp_path):
+        path, fresh = tmp_path / "t.lqt", tmp_path / "fresh.lqt"
+        save_tensors(self._tensors(500) + [tensor(np.ones(9), "u")], path)
+        save_tensors(self._tensors(3, seed=1), path)
+        save_tensors(self._tensors(3, seed=1), fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert np.array_equal(load_tensors(path)[0].data, self._tensors(3, seed=1)[0].data)
+
+    def test_symlink_is_written_through_and_kept(self, tmp_path):
+        target, link, fresh = tmp_path / "target.lqt", tmp_path / "link.lqt", tmp_path / "f.lqt"
+        save_tensors(self._tensors(50), target)
+        link.symlink_to(target)
+        save_tensors(self._tensors(20, seed=1), link)
+        save_tensors(self._tensors(20, seed=1), fresh)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_hard_link_sees_the_new_bytes(self, tmp_path):
+        path, other, fresh = tmp_path / "t.lqt", tmp_path / "other.lqt", tmp_path / "f.lqt"
+        save_tensors(self._tensors(50), path)
+        os.link(path, other)
+        inode = path.stat().st_ino
+        save_tensors(self._tensors(20, seed=1), path)
+        save_tensors(self._tensors(20, seed=1), fresh)
+        assert path.stat().st_ino == inode == other.stat().st_ino
+        assert other.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o604])
+    def test_mode_is_kept(self, tmp_path, mode):
+        path = tmp_path / "t.lqt"
+        save_tensors(self._tensors(50), path)
+        path.chmod(mode)
+        save_tensors(self._tensors(20, seed=1), path)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+
+    def test_a_new_file_gets_the_mode_open_gives(self, tmp_path):
+        path, opened = tmp_path / "t.lqt", tmp_path / "o.lqt"
+        save_tensors(self._tensors(2), path)
+        with open(opened, "wb"):
+            pass
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(opened.stat().st_mode)
+
+    def test_dev_null(self):
+        save_tensors(self._tensors(20), os.devnull)  # no seek, no truncation
+
+    # the child saves over a same-size file and stops partway: os._exit where
+    # the payload is in and the magic not yet, or killed by the kernel at
+    # half the file (RLIMIT_FSIZE, with SIGXFSZ's default action restored)
+    _INTERRUPTED = r"""
+import os, resource, signal, sys
+import numpy as np
+import lofiq
+path, how = sys.argv[1], sys.argv[2]
+ts = [lofiq.tensor(np.random.default_rng(1).normal(size=(512, 64)), "t")]
+if how == "exit":
+    os.ftruncate = lambda fd, length: os._exit(3)
+else:
+    signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
+    half = os.path.getsize(path) // 2
+    resource.setrlimit(resource.RLIMIT_FSIZE, (half, half))
+lofiq.save_tensors(ts, path)
+"""
+
+    @pytest.mark.parametrize("how", ["exit", "killed"])
+    def test_interrupted_save_leaves_bad_magic(self, tmp_path, how):
+        path = tmp_path / "t.lqt"
+        save_tensors([tensor(np.random.default_rng(0).normal(size=(512, 64)), "t")], path)
+        size = path.stat().st_size
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lofiq.__file__)))
+        proc = subprocess.run([sys.executable, "-c", self._INTERRUPTED, str(path), how],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == (3 if how == "exit" else -signal.SIGXFSZ), proc.stderr
+        assert path.stat().st_size == size
+        with pytest.raises(BadMagic):
+            load_tensors(path)
 
 
 def test_tensor_rejects_nonfinite():
