@@ -15,10 +15,10 @@ The literal sub-scale rule sets E2 = 1 only when A2/S1 clips at exactly 4
 (and E3 likewise at 2); ``subscale_mode="halfrange"`` switches both
 thresholds to half the range for sensitivity studies.
 
-Quantizing fits E1, M1, E2 and E3 (the last two as int8 bits). Signs and
-element codes are rounded from the source tensor when they are used: by
-``hif4_dequantize`` slice by slice, straight into its output, or by the
-record's ``signs`` and ``xhat`` on first access.
+Quantizing fits E1, M1, E2 and E3 (the last two as int8 bits). The record's
+``round`` and ``decode`` (the protocol of ``tensor.dequantized``) make the
+element codes of some blocks of the source, then scale and sign them;
+``hif4_dequantize`` and ``xhat`` go through ``round``.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor import as_array, block_view, for_chunks, made_in_chunks
+from .tensor import as_array, block_view, dequantized, for_chunks, made_in_chunks
 
 __all__ = ["BLOCK", "MODES", "Q_MIN", "Q_MAX", "Hif4Quantized", "hif4_quantize", "hif4_dequantize"]
 
@@ -60,21 +60,54 @@ class Hif4Quantized:
     @cached_property
     def signs(self):
         """(B, 8, 2, 4) in {-1, +1}, int8: -1 where the input is below 0, else +1 (-0.0 too)."""
-        signs = (_blocks(self.source, self.axis) < 0).view(np.int8) * np.int8(-2)
+        signs = (self.view(self.source) < 0).view(np.int8) * np.int8(-2)
         signs += np.int8(1)
         return signs
 
     @cached_property
     def xhat(self):
         """(B, 8, 2, 4) element codes 0..7, uint8."""
-        X = _blocks(self.source, self.axis)
-        xhat = np.empty(X.shape, np.uint8)
+        codes = made_in_chunks(self.shape, self.round, self.name, self.view).data
+        return self.view(codes).astype(np.uint8)
 
-        def chunk(s):
-            xhat[s] = _round_blocks(X[s], _step(self, s), np.empty(X[s].shape))
+    def view(self, arr):
+        """``arr`` as (B, 8, 2, 4, *trailing): 64-blocks split into sub- and micro-blocks."""
+        return _blocks(arr, self.axis)
 
-        for_chunks(chunk, X)
-        return xhat
+    def round(self, s, out):
+        """Element codes floor(min(|X| / step, 7) + 0.5) of blocks ``s``, as float64 in ``out``.
+
+        ``X`` is the source's ``view``. As step = S1*S2*S3 / 4 is that product
+        scaled by a power of two, this is floor(4 * min(|X| / (S1*S2*S3), 1.75)
+        + 0.5), the code 0..7, bit for bit.
+        """
+        v = np.divide(np.abs(self.view(self.source)[s], out=out), self._step(s), out=out)
+        np.minimum(v, 7.0, out=v)
+        v += 0.5
+        return np.floor(v, out=v)
+
+    def decode(self, s, out):
+        """sign * Xhat * step, in place."""
+        # M1 * 2**exp is a normal float and M1 * Xhat < 2**6, so the product is exact
+        out *= self._step(s)
+        # the sign of x + 0.0 is negative exactly where x < 0, so a zero code
+        # under a negative input is -0.0, and under -0.0 it is +0.0; out >= +0
+        # here, so OR-ing that sign bit in is copysign
+        sign = np.add(self.view(self.source)[s], 0.0).view(np.uint64)
+        sign &= _SIGN
+        bits = out.view(np.uint64)
+        bits |= sign
+
+    def _step(self, s):
+        """The element step S1*S2*S3 / 4 = M1 * 2**(E1+E2+E3-4) of blocks ``s``, per micro-block.
+
+        Shaped (b, 8, 2, 1, *trailing) to broadcast against the elements. Each
+        factor is a power of two times a normal float, so the steps are exact.
+        """
+        s1 = np.ldexp(self.m1[s].astype(np.float64), self.e1[s] - 4)
+        # repeated, not broadcast: a broadcast add runs 2 elements per inner loop, at half speed
+        e = np.repeat(self.e2[s][:, :, None], 2, axis=2) + self.e3[s]
+        return np.ldexp(s1[:, None, None], e)[:, :, :, None]
 
 
 def _blocks(arr, axis):
@@ -111,30 +144,6 @@ def _fit_blocks(X, halfrange):
     return E1, M1, E2, E3
 
 
-def _step(q, s):
-    """The element step S1*S2*S3 / 4 = M1 * 2**(E1+E2+E3-4) of blocks ``s``, per micro-block.
-
-    Shaped (b, 8, 2, 1, *trailing) to broadcast against the elements. Each
-    factor is a power of two times a normal float, so the steps are exact.
-    """
-    s1 = np.ldexp(q.m1[s].astype(np.float64), q.e1[s] - 4)
-    return np.ldexp(s1[:, None, None], q.e2[s][:, :, None] + q.e3[s])[:, :, :, None]
-
-
-def _round_blocks(X, step, out):
-    """Element codes floor(min(|X| / step, 7) + 0.5) of the blocks ``X``, as float64 in ``out``.
-
-    ``X`` holds blocks of the source as (b, 8, 2, 4, *trailing) and ``step``
-    is their ``_step``. As step = S1*S2*S3 / 4 is that product scaled by a
-    power of two, this is floor(4 * min(|X| / (S1*S2*S3), 1.75) + 0.5), the
-    code 0..7, bit for bit.
-    """
-    v = np.divide(np.abs(X, out=out), step, out=out)
-    np.minimum(v, 7.0, out=v)
-    v += 0.5
-    return np.floor(v, out=v)
-
-
 def hif4_quantize(t, axis, subscale_mode="literal"):
     """Fit the scales of ``t``'s 64-element blocks along ``axis``."""
     if subscale_mode not in MODES:
@@ -160,19 +169,4 @@ def hif4_dequantize(q):
     The codes are rounded slice by slice in the output's own memory, in the
     input's layout.
     """
-    X = _blocks(q.source, q.axis)
-
-    def fill(s, o):
-        Xs = X[s]
-        step = _step(q, s)
-        # M1 * 2**exp is a normal float and M1 * Xhat < 2**6, so the product is exact
-        np.multiply(_round_blocks(Xs, step, o), step, out=o)
-        # the sign of x + 0.0 is negative exactly where x < 0, so a zero code
-        # under a negative input is -0.0, and under -0.0 it is +0.0; o >= +0
-        # here, so OR-ing that sign bit in is copysign
-        sign = np.add(Xs, 0.0).view(np.uint64)
-        sign &= _SIGN
-        bits = o.view(np.uint64)
-        bits |= sign
-
-    return made_in_chunks(q.shape, fill, q.name, lambda o: _blocks(o, q.axis))
+    return dequantized(q)

@@ -9,10 +9,10 @@ floor(|x| / 2**(e - n_m) + 0.5). Results saturate at the format maximum
 The exponent is extracted from the binary representation of |x| itself
 (never a floating log). Zero quantizes to +0.0.
 
-The scaled variant's quantize fits one scale per group. Its values are
-rounded from the source tensor when they are used: by
-``hif8_scaled_dequantize`` slice by slice, straight into its output, or by
-the record's ``values`` on first access.
+The scaled variant's quantize fits one scale per group. Its record's
+``round`` and ``decode`` (the protocol of ``tensor.dequantized``) make the
+values of a slice of the scaled source and divide them by the scales;
+``hif8_scaled_dequantize`` and ``values`` go through ``round``.
 """
 
 import math
@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonFiniteValue
-from .tensor import as_array, for_chunks, group_absmax, group_axes, made_in_chunks, rows
+from .tensor import as_array, dequantized, group_absmax, group_axes, made_in_chunks, rows
 
 __all__ = [
     "MAX_NORMAL",
@@ -123,17 +123,22 @@ class ScaledHif8Quantized:
     @cached_property
     def values(self):
         """Quantized values of the scaled tensor in the input's shape, C-contiguous."""
-        values = np.empty(self.shape)
-        for_chunks(lambda s: _round_scaled(self, s, values[s]), values)
-        return values
+        return made_in_chunks(self.shape, self.round, self.name, self.view).data
+
+    def view(self, arr):
+        """``arr`` itself: groups are sliced along its first axis."""
+        return arr
+
+    def round(self, s, out):
+        """The HiF8 values of slice ``s`` of the source times its scales, in ``out``."""
+        return _quantize_into(self.source[s] * rows(self._scales(), s), out)
+
+    def decode(self, s, out):
+        """value / scale, in place."""
+        np.divide(out, rows(self._scales(), s), out=out)
 
     def _scales(self):
         return np.expand_dims(self.scales, group_axes(len(self.shape), self.axis))
-
-
-def _round_scaled(q, s, out):
-    """The HiF8 values of slice ``s`` of ``q.source``'s first axis times its scales, in ``out``."""
-    return _quantize_into(q.source[s] * rows(q._scales(), s), out)
 
 
 def hif8_scaled_quantize(t, axis, K):
@@ -164,10 +169,4 @@ def hif8_scaled_quantize(t, axis, K):
 
 def hif8_scaled_dequantize(q):
     """Round each slice of the scaled source and divide it by its scales, in cache."""
-    scales = q._scales()
-
-    def fill(s, o):
-        _round_scaled(q, s, o)
-        np.divide(o, rows(scales, s), out=o)
-
-    return made_in_chunks(q.shape, fill, q.name)
+    return dequantized(q)

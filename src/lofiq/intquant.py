@@ -5,9 +5,9 @@ zero-point in asymmetric mode). The symmetric grid is +-(2**(b-1) - 1),
 keeping the most-negative code unused so the grid stays symmetric around
 zero. Code rounding is half-away-from-zero throughout.
 
-Quantizing fits the scales and zero-points only. The codes are rounded from
-the source tensor when they are used: by ``int_dequantize`` slice by slice,
-straight into its output, or by the record's ``codes`` on first access.
+Quantizing fits the scales and zero-points only. The record's ``round``
+and ``decode`` (the protocol of ``tensor.dequantized``) make the codes of a
+slice of the source and its values; ``int_dequantize`` and ``codes`` go through ``round``.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor import as_array, for_chunks, group_absmax, group_axes, made_in_chunks, rows
+from .tensor import as_array, dequantized, group_absmax, group_axes, made_in_chunks, rows
 
 __all__ = ["IntQuantized", "int_quantize_symmetric", "int_quantize_asymmetric", "int_dequantize"]
 
@@ -46,13 +46,39 @@ class IntQuantized:
     @cached_property
     def codes(self):
         """int16 grid values in the input's shape, C-contiguous."""
-        codes = np.empty(self.shape, np.int16)
+        return made_in_chunks(self.shape, self.round, self.name, self.view).data.astype(np.int16)
 
-        def chunk(s):
-            codes[s] = _round(self, s, np.empty(codes[s].shape))
+    def view(self, arr):
+        """``arr`` itself: groups are sliced along its first axis."""
+        return arr
 
-        for_chunks(chunk, codes)
-        return codes
+    def round(self, s, out):
+        """The codes of slice ``s`` of ``source``'s first axis, as float64 in ``out``.
+
+        |x| / scale rounded half away from zero, then shifted by the zero-point
+        and clipped to the grid. An integer code has no -0, so neither has
+        ``out``: every code is the float64 of its int16.
+        """
+        scales, zps = self._fields()
+        x = self.source[s]
+        v = np.abs(x, out=out)
+        v /= rows(scales, s)
+        _round_half_away(v, x)
+        if zps is None:
+            qmax = 2 ** (self.bits - 1) - 1
+            np.clip(v, -qmax, qmax, out=v)
+        else:
+            v += rows(zps, s)
+            np.clip(v, 0, 2**self.bits - 1, out=v)
+        v += 0.0  # -0.0 -> +0.0
+        return v
+
+    def decode(self, s, out):
+        """scale * code (symmetric) or scale * (code - zero_point), in place."""
+        scales, zps = self._fields()
+        if zps is not None:
+            out -= rows(zps, s)  # integer differences are exact in float64
+        out *= rows(scales, s)
 
     def _fields(self):
         """Scales and zero-points (or None) shaped to broadcast against the source."""
@@ -78,28 +104,6 @@ def _positive_scales(step):
     # a step below the smallest subnormal rounds to 0; keep it the smallest
     # positive scale so the division stays finite
     return np.maximum(step, _TINY)
-
-
-def _round(q, s, out):
-    """The codes of slice ``s`` of ``q.source``'s first axis, as float64 in ``out``.
-
-    |x| / scale rounded half away from zero, then shifted by the zero-point
-    and clipped to the grid. An integer code has no -0, so neither has
-    ``out``: every code is the float64 of its int16.
-    """
-    scales, zps = q._fields()
-    x = q.source[s]
-    v = np.abs(x, out=out)
-    v /= rows(scales, s)
-    _round_half_away(v, x)
-    if zps is None:
-        qmax = 2 ** (q.bits - 1) - 1
-        np.clip(v, -qmax, qmax, out=v)
-    else:
-        v += rows(zps, s)
-        np.clip(v, 0, 2**q.bits - 1, out=v)
-    v += 0.0  # -0.0 -> +0.0
-    return v
 
 
 def int_quantize_symmetric(t, axis, bits):
@@ -139,12 +143,4 @@ def int_dequantize(q):
     Each slice is rounded from the source and decoded in the output's own
     memory, so no array of codes is made.
     """
-    scales, zps = q._fields()
-
-    def fill(s, o):
-        _round(q, s, o)
-        if zps is not None:
-            o -= rows(zps, s)  # integer differences are exact in float64
-        o *= rows(scales, s)
-
-    return made_in_chunks(q.shape, fill, q.name)
+    return dequantized(q)

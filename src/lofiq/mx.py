@@ -10,9 +10,10 @@ The exponent is computed from binary exponent extraction plus one exact
 power-of-two comparison; a floating log would misround exactly at powers of
 two, which are the boundary cases that matter here.
 
-Quantizing fits the exponents only. The element codes are rounded from the
-source tensor when they are used: by ``mx_dequantize`` slice by slice,
-straight into its output, or by the record's ``codes`` on first access.
+Quantizing fits the exponents only. The record's ``round`` and ``decode``
+(the protocol of ``tensor.dequantized``) make the element codes of some
+blocks of the source and scale them; ``mx_dequantize`` and ``codes`` go
+through ``round``.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 
 from .codebook import Codebook, FpFormatSpec, _round, _rule, builtin_spec, enumerate_codebook
 from .errors import UnknownFormat
-from .tensor import as_array, block_view, for_chunks, made_in_chunks
+from .tensor import as_array, block_view, dequantized, for_chunks, made_in_chunks
 
 __all__ = ["DEFAULT_BLOCK", "MxQuantized", "mx_quantize", "mx_dequantize", "resolve_element"]
 
@@ -64,22 +65,27 @@ class MxQuantized:
     @cached_property
     def codes(self):
         """Projected element values, in the input's shape."""
-        codes = np.empty(self.shape)
-        view = block_view(codes, self.axis, self.block_size)
-        for_chunks(lambda s: _round_blocks(self, s, view[s]), view)
-        return codes
+        return made_in_chunks(self.shape, self.round, self.name, self.view).data
 
+    def view(self, arr):
+        """``arr`` as block_view's (blocks, k, *trailing)."""
+        return block_view(arr, self.axis, self.block_size)
 
-def _round_blocks(q, s, out):
-    """The element codes of blocks ``s`` of ``q.source``'s block view, in ``out``.
+    def round(self, s, out):
+        """The element codes of blocks ``s`` of the source's block view, in ``out``.
 
-    Each block is divided by 2**e and rounded onto the element codebook,
-    which also clips it to +-q_max; an all-zero block codes +0.0, like every
-    zero.
-    """
-    y = np.divide(block_view(q.source, q.axis, q.block_size)[s],
-                  np.ldexp(1.0, q.shared_exponents[s])[:, None], out=out)
-    return _round(q.element, y, y)
+        Each block is divided by 2**e and rounded onto the element codebook,
+        which also clips it to +-q_max; an all-zero block codes +0.0, like
+        every zero.
+        """
+        e = self.shared_exponents[s]
+        y = np.divide(self.view(self.source)[s], np.ldexp(1.0, e)[:, None], out=out)
+        return _round(self.element, y, y)
+
+    def decode(self, s, out):
+        """2**e * code, in place."""
+        # a code times 2**e is a normal float, so the product equals ldexp(code, e)
+        out *= np.ldexp(1.0, self.shared_exponents[s])[:, None]
 
 
 def _ceil_log2_ratio(amax, q_max):
@@ -113,10 +119,4 @@ def mx_quantize(t, axis, element_spec, k=DEFAULT_BLOCK):
 
 def mx_dequantize(q):
     """Round each block of the source and reconstruct 2**e * code, slice by slice in cache."""
-
-    def fill(s, o):
-        _round_blocks(q, s, o)
-        # a code times 2**e is a normal float, so the product equals ldexp(code, e)
-        o *= np.ldexp(1.0, q.shared_exponents[s])[:, None]
-
-    return made_in_chunks(q.shape, fill, q.name, lambda o: block_view(o, q.axis, q.block_size))
+    return dequantized(q)

@@ -13,9 +13,9 @@ A reconstruction is at most 2688 * s2. When that overflows float64 (max|x|
 at float64's maximum), quantizing raises NonFiniteValue naming the tensor.
 
 Quantizing fits s2, the block scales and the overshoot, all from the block
-maxima. The E2M1 codes are rounded from the source tensor when they are
-used: by ``nvfp4_dequantize`` slice by slice, straight into its output, or
-by the record's ``codes`` on first access.
+maxima. The record's ``round`` and ``decode`` (the protocol of
+``tensor.dequantized``) make the E2M1 codes of some blocks of the source
+and scale them; ``nvfp4_dequantize`` and ``codes`` go through ``round``.
 """
 
 import math
@@ -27,7 +27,7 @@ import numpy as np
 from .codebook import _round
 from .errors import NonFiniteValue
 from .mx import resolve_element
-from .tensor import as_array, block_view, for_chunks, made_in_chunks
+from .tensor import as_array, block_view, dequantized, for_chunks, made_in_chunks
 
 __all__ = ["BLOCK", "V_MAX", "Nvfp4Quantized", "nvfp4_quantize", "nvfp4_dequantize"]
 
@@ -58,22 +58,27 @@ class Nvfp4Quantized:
     @cached_property
     def codes(self):
         """E2M1 members, in the input's shape."""
-        codes = np.empty(self.shape)
-        view = block_view(codes, self.axis, BLOCK)
-        for_chunks(lambda s: _round_blocks(self, s, view[s]), view)
-        return codes
+        return made_in_chunks(self.shape, self.round, self.name, self.view).data
 
+    def view(self, arr):
+        """``arr`` as block_view's (blocks, 16, *trailing)."""
+        return block_view(arr, self.axis, BLOCK)
 
-def _round_blocks(q, s, out):
-    """The E2M1 codes of blocks ``s`` of ``q.source``'s block view, in ``out``.
+    def round(self, s, out):
+        """The E2M1 codes of blocks ``s`` of the source's block view, in ``out``.
 
-    An all-zero block divides by 1 and stays +-0, which rounds to +0; the
-    rounding also applies the +-6 element clip.
-    """
-    s1 = q.block_scales[s]
-    y = np.divide(block_view(q.source, q.axis, BLOCK)[s], q.per_tensor_scale, out=out)
-    np.divide(y, np.where(s1 > 0, s1, 1.0)[:, None], out=y)
-    return _round(resolve_element("e2m1"), y, y)
+        An all-zero block divides by 1 and stays +-0, which rounds to +0; the
+        rounding also applies the +-6 element clip.
+        """
+        s1 = self.block_scales[s]
+        y = np.divide(self.view(self.source)[s], self.per_tensor_scale, out=out)
+        np.divide(y, np.where(s1 > 0, s1, 1.0)[:, None], out=y)
+        return _round(resolve_element("e2m1"), y, y)
+
+    def decode(self, s, out):
+        """s1 * s2 * code, in place."""
+        out *= self.block_scales[s][:, None]
+        out *= self.per_tensor_scale
 
 
 def nvfp4_quantize(t, axis):
@@ -124,10 +129,4 @@ def nvfp4_quantize(t, axis):
 
 def nvfp4_dequantize(q):
     """Round each block of the source and reconstruct s1 * s2 * code, slice by slice in cache."""
-
-    def fill(s, o):
-        _round_blocks(q, s, o)
-        o *= q.block_scales[s][:, None]
-        o *= q.per_tensor_scale
-
-    return made_in_chunks(q.shape, fill, q.name, lambda o: block_view(o, q.axis, BLOCK))
+    return dequantized(q)

@@ -4,7 +4,8 @@ All codecs in this package consume and produce 64-bit tensors; narrower
 on-disk dtypes are widened losslessly on load. Non-finite values are
 rejected at ingest since no codec defines them: a Tensor is checked once
 when built, and ``as_array`` checks any other array-like it is handed. A
-kernel's output is made, checked slice by slice and named by ``made_in_chunks``.
+kernel's output is made, checked slice by slice and named by ``made_in_chunks``;
+``dequantized`` builds it so for every record codec.
 Every file lofiq writes is written in place by ``write_in_place``.
 """
 
@@ -255,6 +256,16 @@ def made_in_chunks(shape, fill, name, view=None):
     return Tensor.of_checked(out, name)
 
 
+def dequantized(q):
+    """The reconstruction of a record codec's record ``q``, rounded and decoded slice by slice.
+
+    The record protocol: ``q.view(arr)`` is the layout sliced (``arr`` or a
+    block view), ``q.round(s, out)`` writes the float64 codes of slice ``s``
+    of it into ``out`` and returns ``out``, and ``q.decode(s, out)`` turns
+    them into values in place."""
+    return made_in_chunks(q.shape, lambda s, o: q.decode(s, q.round(s, o)), q.name, q.view)
+
+
 def as_array(t):
     """The float64 array behind ``t``, the one ingest of every library entry point.
 
@@ -366,8 +377,8 @@ def save_tensors(tensors, path, dtype="f64"):
     for i, t in enumerate(tensors):
         arr = as_array(t)
         name = getattr(t, "name", None) or f"tensor_{i}"
-        if not isinstance(name, str) or name in names:
-            raise ValueError(f"tensor name {name!r} is not a unique string")
+        if not _is_name(name) or name in names:
+            raise ValueError(f"tensor name {name!r} is not a unique string UTF-8 can encode")
         names.add(name)
         if dtype == "f32" and max(arr.max(initial=0.0), -arr.min(initial=0.0)) >= _F32_INF:
             raise NonFiniteValue(f"tensor {name!r} holds values beyond the range of f32",
@@ -383,6 +394,17 @@ def save_tensors(tensors, path, dtype="f64"):
             yield np.ascontiguousarray(arr, dtype=np_dtype)
 
     write_in_place(path, parts(), MAGIC)
+
+
+def _is_name(v):
+    # JSON's \u escapes can spell a lone surrogate, which no UTF-8 output can hold
+    if not isinstance(v, str):
+        return False
+    try:
+        v.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _is_count(v):
@@ -407,8 +429,9 @@ def _read_plan(path, entries, payload_len):
             offset = entry["offset"]
         except KeyError as exc:
             raise HeaderParse(f"{path}: tensor entry lacks {exc}") from exc
-        if not isinstance(name, str) or name in names:
-            raise HeaderParse(f"{path}: tensor name {name!r} is not a unique string")
+        if not _is_name(name) or name in names:
+            raise HeaderParse(f"{path}: tensor name {name!r} is not a unique string "
+                              "UTF-8 can encode")
         names.add(name)
         if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise HeaderParse(f"{path}: unknown dtype {dtype!r} for tensor {name!r}")

@@ -191,6 +191,18 @@ class TestQuantize:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    def test_lone_surrogate_name_exits_1_with_one_error_line(self, tmp_path):
+        # json.dumps writes the name as the ASCII escape \ud800, which loads as a lone surrogate
+        header = json.dumps({"tensors": [{"name": "\ud800", "dtype": "f64", "shape": [2],
+                                          "offset": 0}]}).encode()
+        src, out = tmp_path / "bad.lqt", tmp_path / "o.lqt"
+        src.write_bytes(b"LQT1" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header
+                        + struct.pack("<2d", 1.0, -2.0))
+        proc = run_subprocess("quantize", src, "--format", "int8", "-o", out)
+        assert proc.returncode == 1 and not out.exists()
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("fmt", ["int8", "int4", "hif8-scaled"])
     def test_zero_size_exits_1_without_traceback(self, tmp_path, fmt):
         src = tmp_path / "z.lqt"

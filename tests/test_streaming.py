@@ -150,6 +150,20 @@ def test_reading_a_derived_field_first_changes_nothing(monkeypatch, name):
             assert getattr(q, field) is derived  # cached, not rounded again
 
 
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_round_over_the_whole_view_gives_the_derived_field(name, ndim):
+    quantize, _, _, fields, block = CODECS[name]
+    t = Tensor(_data(_shape(ndim, block), seed=2), "t")
+    for axis in range(ndim):
+        q = quantize(t, axis)
+        full = np.empty(q.shape)
+        view = q.view(full)
+        assert q.round(slice(None), view) is view
+        derived = getattr(q, fields[0])  # codes, values, or HiF4's xhat in the view's layout
+        _same(view if name.startswith("hif4") else full, derived.astype(np.float64))
+
+
 def test_hif4_exponent_bits_are_int8():
     q = hif4.hif4_quantize(Tensor(_data((64, 128))), 1)
     assert q.e2.dtype == q.e3.dtype == np.int8

@@ -178,6 +178,21 @@ class TestHeaderRules:
         with pytest.raises(ValueError, match="unique string"):
             save_tensors([tensor([1.0], name=5)], tmp_path / "x.lqt")
 
+    @pytest.mark.parametrize("name", ["\ud800", "a\udfff", "\udc80b"])
+    def test_lone_surrogate_name_is_refused_on_load(self, tmp_path, name):
+        # json.dumps escapes the surrogate, so the header itself is valid ASCII
+        path = tmp_path / "x.lqt"
+        _raw_file(path, {"tensors": [{"name": name, "dtype": "f64", "shape": [1],
+                                      "offset": 0}]}, b"\x00" * 8)
+        with pytest.raises(HeaderParse, match="UTF-8"):
+            load_tensors(path)
+
+    def test_save_refuses_a_lone_surrogate_name_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "x.lqt"
+        with pytest.raises(ValueError, match="UTF-8"):
+            save_tensors([tensor([1.0], name="ok"), tensor([2.0], name="\ud800")], path)
+        assert not path.exists()
+
     def test_save_rejects_nonfinite_arrays(self, tmp_path):
         with pytest.raises(NonFiniteValue):
             save_tensors([np.array([1.0, np.nan])], tmp_path / "x.lqt")
