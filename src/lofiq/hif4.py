@@ -15,10 +15,10 @@ The literal sub-scale rule sets E2 = 1 only when A2/S1 clips at exactly 4
 (and E3 likewise at 2); ``subscale_mode="halfrange"`` switches both
 thresholds to half the range for sensitivity studies.
 
-Quantizing fits E1, M1, E2 and E3 (the last two as int8 bits). The record's
-``round`` and ``decode`` (the protocol of ``tensor.dequantized``) make the
-element codes of some blocks of the source, then scale and sign them;
-``hif4_dequantize`` and ``xhat`` go through ``round``.
+Quantizing fits E1, M1, E2 and E3 (the last two as int8 bits). The record, a
+``tensor.Record``, makes the element codes of some blocks of the source in
+``round`` and scales and signs them in ``decode``; ``hif4_dequantize`` and
+``xhat`` go through ``round``.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor import as_array, block_view, dequantized, for_chunks, made_in_chunks
+from .tensor import Record, as_array, block_view, for_chunks
 
 __all__ = ["BLOCK", "MODES", "Q_MIN", "Q_MAX", "Hif4Quantized", "hif4_quantize", "hif4_dequantize"]
 
@@ -37,25 +37,17 @@ MODES = ("literal", "halfrange")
 _SIGN = np.uint64(1 << 63)  # the sign bit of a float64
 
 
-@dataclass(frozen=True)
-class Hif4Quantized:
-    """Fitted block, sub-block and micro-block scales of ``source``; signs and codes are derived.
-
-    ``source`` is read again whenever codes are rounded, so it must not be
-    written to while the record is in use (a Tensor's data cannot be).
-    """
+@dataclass(frozen=True, kw_only=True)
+class Hif4Quantized(Record):
+    """Fitted block, sub-block and micro-block scales of ``source``; signs and codes are derived."""
 
     # B blocks along the last axis give the shapes below; blocks along another
     # axis keep block_view's layout, with the trailing axes after these
-    axis: int
-    shape: tuple
     e1: np.ndarray  # (B,) block exponents, int64
     m1: np.ndarray  # (B,) block mantissae, 4..8, int64
     e2: np.ndarray  # (B, 8) sub-block exponent bits, int8
     e3: np.ndarray  # (B, 8, 2) micro-block exponent bits, int8
-    source: np.ndarray  # the input, float64
     subscale_mode: str = "literal"
-    name: str = None
 
     @cached_property
     def signs(self):
@@ -67,8 +59,7 @@ class Hif4Quantized:
     @cached_property
     def xhat(self):
         """(B, 8, 2, 4) element codes 0..7, uint8."""
-        codes = made_in_chunks(self.shape, self.round, self.name, self.view).data
-        return self.view(codes).astype(np.uint8)
+        return self.view(self.rounded()).astype(np.uint8)
 
     def view(self, arr):
         """``arr`` as (B, 8, 2, 4, *trailing): 64-blocks split into sub- and micro-blocks."""
@@ -160,7 +151,9 @@ def hif4_quantize(t, axis, subscale_mode="literal"):
             field[s] = part
 
     for_chunks(chunk, X)
-    return Hif4Quantized(axis, arr.shape, *fields, arr, subscale_mode, getattr(t, "name", None))
+    e1, m1, e2, e3 = fields
+    return Hif4Quantized(source=arr, axis=axis, name=getattr(t, "name", None), e1=e1, m1=m1,
+                         e2=e2, e3=e3, subscale_mode=subscale_mode)
 
 
 def hif4_dequantize(q):
@@ -169,4 +162,4 @@ def hif4_dequantize(q):
     The codes are rounded slice by slice in the output's own memory, in the
     input's layout.
     """
-    return dequantized(q)
+    return q.dequantized()

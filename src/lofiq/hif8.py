@@ -9,9 +9,9 @@ floor(|x| / 2**(e - n_m) + 0.5). Results saturate at the format maximum
 The exponent is extracted from the binary representation of |x| itself
 (never a floating log). Zero quantizes to +0.0.
 
-The scaled variant's quantize fits one scale per group. Its record's
-``round`` and ``decode`` (the protocol of ``tensor.dequantized``) make the
-values of a slice of the scaled source and divide them by the scales;
+The scaled variant's quantize fits one scale per group. Its record, a
+``tensor.Record``, makes the values of a slice of the scaled source in
+``round`` and divides them by the scales in ``decode``;
 ``hif8_scaled_dequantize`` and ``values`` go through ``round``.
 """
 
@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonFiniteValue
-from .tensor import as_array, dequantized, group_absmax, group_axes, made_in_chunks, rows
+from .tensor import Record, as_array, group_absmax, group_axes, made_in_chunks, rows
 
 __all__ = [
     "MAX_NORMAL",
@@ -101,33 +101,18 @@ def hif8_enumerate():
     return np.concatenate([-pos[:0:-1], pos])
 
 
-@dataclass(frozen=True)
-class ScaledHif8Quantized:
+@dataclass(frozen=True, kw_only=True)
+class ScaledHif8Quantized(Record):
     """Per-group scales fitted to ``source``; the values are derived, and dequantization
-    divides them by the scales.
+    divides them by the scales."""
 
-    ``source`` is read again whenever values are rounded, so it must not be
-    written to while the record is in use (a Tensor's data cannot be).
-    """
-
-    source: np.ndarray  # the input, float64
     scales: np.ndarray  # one positive scale per index along axis, flat
     K: float
-    axis: int
-    name: str = None
-
-    @property
-    def shape(self):
-        return self.source.shape
 
     @cached_property
     def values(self):
         """Quantized values of the scaled tensor in the input's shape, C-contiguous."""
-        return made_in_chunks(self.shape, self.round, self.name, self.view).data
-
-    def view(self, arr):
-        """``arr`` itself: groups are sliced along its first axis."""
-        return arr
+        return self.rounded()
 
     def round(self, s, out):
         """The HiF8 values of slice ``s`` of the source times its scales, in ``out``."""
@@ -164,9 +149,9 @@ def hif8_scaled_quantize(t, axis, K):
         shown = name or "<unnamed>"
         raise NonFiniteValue(f"tensor {shown!r}: hif8-scaled scale K / (max|x| + {_SCALE_EPS}) "
                              f"of group {i} is {flat[i]} for K={K}, out of range", tensor=shown)
-    return ScaledHif8Quantized(arr, flat, float(K), axis, name)
+    return ScaledHif8Quantized(source=arr, axis=axis, name=name, scales=flat, K=float(K))
 
 
 def hif8_scaled_dequantize(q):
     """Round each slice of the scaled source and divide it by its scales, in cache."""
-    return dequantized(q)
+    return q.dequantized()

@@ -5,9 +5,9 @@ zero-point in asymmetric mode). The symmetric grid is +-(2**(b-1) - 1),
 keeping the most-negative code unused so the grid stays symmetric around
 zero. Code rounding is half-away-from-zero throughout.
 
-Quantizing fits the scales and zero-points only. The record's ``round``
-and ``decode`` (the protocol of ``tensor.dequantized``) make the codes of a
-slice of the source and its values; ``int_dequantize`` and ``codes`` go through ``round``.
+Quantizing fits the scales and zero-points only. The record, a
+``tensor.Record``, makes the codes of a slice of the source in ``round`` and
+their values in ``decode``; ``int_dequantize`` and ``codes`` go through ``round``.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor import as_array, dequantized, group_absmax, group_axes, made_in_chunks, rows
+from .tensor import Record, as_array, group_absmax, group_axes, rows
 
 __all__ = ["IntQuantized", "int_quantize_symmetric", "int_quantize_asymmetric", "int_dequantize"]
 
@@ -23,34 +23,19 @@ _BITS = (4, 8)
 _TINY = np.nextafter(0.0, 1.0)  # smallest positive float64
 
 
-@dataclass(frozen=True)
-class IntQuantized:
-    """Fitted scales (and zero-points) of ``source``; the codes are derived from both.
+@dataclass(frozen=True, kw_only=True)
+class IntQuantized(Record):
+    """Fitted scales (and zero-points) of ``source``; the codes are derived from both."""
 
-    ``source`` is read again whenever codes are rounded, so it must not be
-    written to while the record is in use (a Tensor's data cannot be).
-    """
-
-    source: np.ndarray  # the input, float64
     scales: np.ndarray  # one positive scale per index along axis, flat
     zero_points: np.ndarray  # int16, one per index along axis, asymmetric only (else None)
-    axis: int
     bits: int
     mode: str  # "symmetric" | "asymmetric"
-    name: str = None
-
-    @property
-    def shape(self):
-        return self.source.shape
 
     @cached_property
     def codes(self):
         """int16 grid values in the input's shape, C-contiguous."""
-        return made_in_chunks(self.shape, self.round, self.name, self.view).data.astype(np.int16)
-
-    def view(self, arr):
-        """``arr`` itself: groups are sliced along its first axis."""
-        return arr
+        return self.rounded().astype(np.int16)
 
     def round(self, s, out):
         """The codes of slice ``s`` of ``source``'s first axis, as float64 in ``out``.
@@ -113,8 +98,8 @@ def int_quantize_symmetric(t, axis, bits):
     arr = as_array(t)
     amax = group_absmax(arr, axis)
     scales = np.where(amax > 0, _positive_scales(amax / (2 ** (bits - 1) - 1)), 1.0)
-    return IntQuantized(arr, scales.reshape(-1), None, axis, bits, "symmetric",
-                        getattr(t, "name", None))
+    return IntQuantized(source=arr, scales=scales.reshape(-1), zero_points=None, axis=axis,
+                        bits=bits, mode="symmetric", name=getattr(t, "name", None))
 
 
 def int_quantize_asymmetric(t, axis, bits):
@@ -133,8 +118,9 @@ def int_quantize_asymmetric(t, axis, bits):
     hi = arr.max(axis=others, keepdims=True, initial=-np.inf)
     scales = np.where(hi > lo, _positive_scales((hi - lo) / levels), 1.0)
     zps = np.clip(_round_half_away(np.abs(lo) / scales, -lo), 0, levels)
-    return IntQuantized(arr, scales.reshape(-1), zps.reshape(-1).astype(np.int16), axis, bits,
-                        "asymmetric", getattr(t, "name", None))
+    return IntQuantized(source=arr, scales=scales.reshape(-1),
+                        zero_points=zps.reshape(-1).astype(np.int16), axis=axis, bits=bits,
+                        mode="asymmetric", name=getattr(t, "name", None))
 
 
 def int_dequantize(q):
@@ -143,4 +129,4 @@ def int_dequantize(q):
     Each slice is rounded from the source and decoded in the output's own
     memory, so no array of codes is made.
     """
-    return dequantized(q)
+    return q.dequantized()

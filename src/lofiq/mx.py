@@ -10,10 +10,9 @@ The exponent is computed from binary exponent extraction plus one exact
 power-of-two comparison; a floating log would misround exactly at powers of
 two, which are the boundary cases that matter here.
 
-Quantizing fits the exponents only. The record's ``round`` and ``decode``
-(the protocol of ``tensor.dequantized``) make the element codes of some
-blocks of the source and scale them; ``mx_dequantize`` and ``codes`` go
-through ``round``.
+Quantizing fits the exponents only. The record, a ``tensor.Record``, makes
+the element codes of some blocks of the source in ``round`` and scales them
+in ``decode``; ``mx_dequantize`` and ``codes`` go through ``round``.
 """
 
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ import numpy as np
 
 from .codebook import Codebook, FpFormatSpec, _round, _rule, builtin_spec, enumerate_codebook
 from .errors import UnknownFormat
-from .tensor import as_array, block_view, dequantized, for_chunks, made_in_chunks
+from .tensor import Record, as_array, block_view, for_chunks
 
 __all__ = ["DEFAULT_BLOCK", "MxQuantized", "mx_quantize", "mx_dequantize", "resolve_element"]
 
@@ -46,26 +45,18 @@ def resolve_element(element):
     return _rule(enumerate_codebook(spec))
 
 
-@dataclass(frozen=True)
-class MxQuantized:
-    """Fitted block exponents of ``source``; the element codes are derived from both.
-
-    ``source`` is read again whenever codes are rounded, so it must not be
-    written to while the record is in use (a Tensor's data cannot be).
-    """
+@dataclass(frozen=True, kw_only=True)
+class MxQuantized(Record):
+    """Fitted block exponents of ``source``; the element codes are derived from both."""
 
     element: Codebook
     block_size: int
-    axis: int
-    shape: tuple
     shared_exponents: np.ndarray  # one int per block, block_view's (blocks, *trailing)
-    source: np.ndarray  # the input, float64
-    name: str = None
 
     @cached_property
     def codes(self):
         """Projected element values, in the input's shape."""
-        return made_in_chunks(self.shape, self.round, self.name, self.view).data
+        return self.rounded()
 
     def view(self, arr):
         """``arr`` as block_view's (blocks, k, *trailing)."""
@@ -114,9 +105,10 @@ def mx_quantize(t, axis, element_spec, k=DEFAULT_BLOCK):
         es[nonzero] = np.clip(_ceil_log2_ratio(amax[nonzero], q_max), E_MIN, E_MAX)
 
     for_chunks(chunk, view)
-    return MxQuantized(cb, k, axis, arr.shape, e, arr, getattr(t, "name", None))
+    return MxQuantized(source=arr, axis=axis, name=getattr(t, "name", None), element=cb,
+                       block_size=k, shared_exponents=e)
 
 
 def mx_dequantize(q):
     """Round each block of the source and reconstruct 2**e * code, slice by slice in cache."""
-    return dequantized(q)
+    return q.dequantized()

@@ -13,9 +13,9 @@ A reconstruction is at most 2688 * s2. When that overflows float64 (max|x|
 at float64's maximum), quantizing raises NonFiniteValue naming the tensor.
 
 Quantizing fits s2, the block scales and the overshoot, all from the block
-maxima. The record's ``round`` and ``decode`` (the protocol of
-``tensor.dequantized``) make the E2M1 codes of some blocks of the source
-and scale them; ``nvfp4_dequantize`` and ``codes`` go through ``round``.
+maxima. The record, a ``tensor.Record``, makes the E2M1 codes of some blocks
+of the source in ``round`` and scales them in ``decode``;
+``nvfp4_dequantize`` and ``codes`` go through ``round``.
 """
 
 import math
@@ -27,7 +27,7 @@ import numpy as np
 from .codebook import _round
 from .errors import NonFiniteValue
 from .mx import resolve_element
-from .tensor import as_array, block_view, dequantized, for_chunks, made_in_chunks
+from .tensor import Record, as_array, block_view, for_chunks
 
 __all__ = ["BLOCK", "V_MAX", "Nvfp4Quantized", "nvfp4_quantize", "nvfp4_dequantize"]
 
@@ -39,26 +39,18 @@ _E4M3_MIN_POS = 2.0**-9
 _MIN_SUBNORMAL = 2.0**-1074
 
 
-@dataclass(frozen=True)
-class Nvfp4Quantized:
-    """Fitted scales of ``source``; the E2M1 codes are derived from both.
-
-    ``source`` is read again whenever codes are rounded, so it must not be
-    written to while the record is in use (a Tensor's data cannot be).
-    """
+@dataclass(frozen=True, kw_only=True)
+class Nvfp4Quantized(Record):
+    """Fitted scales of ``source``; the E2M1 codes are derived from both."""
 
     per_tensor_scale: float
     block_scales: np.ndarray  # E4M3 per block, 0 if all-zero; block_view's (blocks, *trailing)
-    source: np.ndarray  # the input, float64
-    axis: int
-    shape: tuple
     max_overshoot: float  # largest |x~/s1| seen before the element clip
-    name: str = None
 
     @cached_property
     def codes(self):
         """E2M1 members, in the input's shape."""
-        return made_in_chunks(self.shape, self.round, self.name, self.view).data
+        return self.rounded()
 
     def view(self, arr):
         """``arr`` as block_view's (blocks, 16, *trailing)."""
@@ -123,10 +115,11 @@ def nvfp4_quantize(t, axis):
         return np.max(bmax, initial=0.0)
 
     overshoot = max(for_chunks(chunk, vmax), default=0.0)
-    return Nvfp4Quantized(float(s2), s1, arr, axis, arr.shape, float(overshoot),
-                          getattr(t, "name", None))
+    return Nvfp4Quantized(source=arr, axis=axis, name=getattr(t, "name", None),
+                          per_tensor_scale=float(s2), block_scales=s1,
+                          max_overshoot=float(overshoot))
 
 
 def nvfp4_dequantize(q):
     """Round each block of the source and reconstruct s1 * s2 * code, slice by slice in cache."""
-    return dequantized(q)
+    return q.dequantized()

@@ -79,10 +79,10 @@ def smooth_scales(x_colmax, w_rowmax, alpha):
 
     Each side's maxima are floored at 2**-40 times that side's largest (at 1
     when all are zero), so a degenerate (all-zero) channel cannot produce a
-    zero or infinite scale, and no floor depends on the units of X or W.
+    zero or infinite scale, and no floor depends on the units of X or W. A
+    NaN or infinite maximum raises NonFiniteValue.
     """
-    xm = np.asarray(x_colmax, dtype=np.float64).ravel()
-    wm = np.asarray(w_rowmax, dtype=np.float64).ravel()
+    xm, wm = as_array(x_colmax).ravel(), as_array(w_rowmax).ravel()
     if xm.shape != wm.shape:
         raise LengthMismatch(f"activation maxima ({xm.size}) vs weight maxima ({wm.size})")
     _check_alpha(alpha)

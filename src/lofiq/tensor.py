@@ -5,7 +5,8 @@ on-disk dtypes are widened losslessly on load. Non-finite values are
 rejected at ingest since no codec defines them: a Tensor is checked once
 when built, and ``as_array`` checks any other array-like it is handed. A
 kernel's output is made, checked slice by slice and named by ``made_in_chunks``;
-``dequantized`` builds it so for every record codec.
+``Record``, the type of every record codec's record, builds its codes and its
+reconstruction so.
 Every file lofiq writes is written in place by ``write_in_place``.
 """
 
@@ -14,7 +15,9 @@ import math
 import os
 import stat
 import struct
+import sys
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,14 +259,40 @@ def made_in_chunks(shape, fill, name, view=None):
     return Tensor.of_checked(out, name)
 
 
-def dequantized(q):
-    """The reconstruction of a record codec's record ``q``, rounded and decoded slice by slice.
+@dataclass(frozen=True, kw_only=True)
+class Record:
+    """What a codec's quantize fitted to ``source``, built with keyword arguments only.
 
-    The record protocol: ``q.view(arr)`` is the layout sliced (``arr`` or a
-    block view), ``q.round(s, out)`` writes the float64 codes of slice ``s``
-    of it into ``out`` and returns ``out``, and ``q.decode(s, out)`` turns
-    them into values in place."""
-    return made_in_chunks(q.shape, lambda s, o: q.decode(s, q.round(s, o)), q.name, q.view)
+    The record protocol: ``view(arr)`` is the layout sliced along its first
+    axis (``arr`` itself, or a codec's block view), ``round(s, out)`` writes
+    the float64 codes of slice ``s`` of ``view(source)`` into ``out`` and
+    returns ``out``, and ``decode(s, out)`` turns them into values in place.
+    Each record codec subclasses Record with its fitted fields, ``round`` and
+    ``decode``. ``source`` is read again whenever codes are rounded, so it
+    must not be written to while the record is in use (a Tensor's data
+    cannot be).
+    """
+
+    source: np.ndarray  # the input, float64
+    axis: int
+    name: str = None
+
+    @property
+    def shape(self):
+        return self.source.shape
+
+    def view(self, arr):
+        """``arr`` itself: groups are sliced along its first axis."""
+        return arr
+
+    def rounded(self):
+        """The float64 codes of the whole source, in its shape, made by ``round`` slice by slice."""
+        return made_in_chunks(self.shape, self.round, self.name, self.view).data
+
+    def dequantized(self):
+        """The reconstruction, a Tensor: each slice rounded and decoded in cache."""
+        return made_in_chunks(self.shape, lambda s, o: self.decode(s, self.round(s, o)),
+                              self.name, self.view)
 
 
 def as_array(t):
@@ -341,11 +370,19 @@ def write_in_place(path, parts, first=b""):
     zero bytes stand in its place until the rest is written and the file is
     cut, so a write that stops partway leaves no valid ``first`` in front of
     the new bytes. Any other target (/dev/null, a pipe, a FIFO, a terminal)
-    is written straight through, in order, with no seek or truncation.
-    Nothing is synced to disk.
+    is written straight through, in order, with no seek or truncation. So is
+    the file fd 1 writes to (``/dev/stdout``, or the file stdout is
+    redirected to): through fd 1, after what ``sys.stdout`` holds, so what
+    is printed next follows it. Nothing is synced to disk.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    stdout = _is_stdout(fd)
+    if stdout:  # fd 1 has its own offset, where what is printed next goes
+        os.close(fd)
+        fd = os.dup(1)
+        sys.stdout.flush()
+    with open(fd, "wb") as fh:
+        regular = not stdout and stat.S_ISREG(os.fstat(fd).st_mode)
         fh.write(bytes(len(first)) if regular else first)
         for part in parts:
             fh.write(part)
@@ -354,6 +391,14 @@ def write_in_place(path, parts, first=b""):
             os.ftruncate(fh.fileno(), fh.tell())
             fh.seek(0)
             fh.write(first)
+
+
+def _is_stdout(fd):
+    """Whether ``fd`` is not fd 1 but opens the same file (same device and inode)."""
+    try:
+        return fd != 1 and os.path.samestat(os.fstat(fd), os.fstat(1))
+    except OSError:  # fd 1 is closed
+        return False
 
 
 def save_tensors(tensors, path, dtype="f64"):

@@ -1,12 +1,19 @@
-"""Property tests of the block codecs MX, NVFP4 and HiF4, on 1-D and 3-D inputs along every axis.
+"""Property tests of MX, NVFP4, HiF4, HiF8 and hif8-scaled, on 1-D and 3-D inputs along every axis.
 
 * Power-of-two equivariance, bit for bit: recon(ldexp(x, k)) == ldexp(recon(x), k)
   whenever every scale of x and of ldexp(x, k) stays inside its range (MX
   exponents inside [-127, 127], HiF4's A1/7 inside [2**-48, 1.5 * 2**15],
   NVFP4's s2 normal). Every scale then moves by exactly 2**k, and so does
   every reconstruction.
-* Sign symmetry by value for MX and NVFP4: recon(-x) == -recon(x). (HiF4's
-  is pinned by ``test_odd_symmetry_and_zero_preservation``.)
+* Sign symmetry by value for MX, NVFP4, HiF8 and hif8-scaled:
+  recon(-x) == -recon(x). (HiF4's is pinned by
+  ``test_odd_symmetry_and_zero_preservation``.)
+* Every HiF8 output, and every value of a hif8-scaled record, is a member of
+  ``hif8_enumerate()``.
+
+There is no power-of-two property for HiF8: its mantissa width tapers with
+the exponent, and hif8-scaled's scale K / (max|x| + 1e-12) does not move by
+exactly 2**k when x does.
 
 Each runs with ``tensor.CHUNK`` patched to 16 and with the pool off.
 """
@@ -19,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lofiq import hif4, mx, nvfp4
+from lofiq import hif4, hif8, mx, nvfp4
 from lofiq.tensor import Tensor
 
 CHUNKS = sys.modules["lofiq.tensor"]  # the name lofiq.tensor is the function
@@ -64,6 +71,13 @@ CODECS = {
                        _hif4_ok, 64, False),
 }
 MODES = ("chunk-16", "pool-off")
+HIF8_SPAN = (-30, 20)  # past the flush below 2**-22 and the saturation at 2**15
+# name: reconstruct(x, axis, K); plain HiF8 takes neither axis nor K
+HIF8_CODECS = {
+    "hif8": lambda x, a, K: hif8.hif8_quantize(x),
+    "hif8-scaled": lambda x, a, K: hif8.hif8_scaled_dequantize(hif8.hif8_scaled_quantize(x, a, K)),
+}
+_K = st.floats(2.0**-8, 2.0**17)  # hif8-scaled's target maximum, DEFAULT_K's 1..16 and beyond
 
 
 def _mode(mode):
@@ -73,18 +87,18 @@ def _mode(mode):
 
 
 @st.composite
-def _inputs(draw, block):
-    """(x, axis): 1-D or 3-D, blocks along ``axis``, nonzero magnitudes in 2**[-24, 12].
+def _inputs(draw, block, span=(-24, 12)):
+    """(x, axis): 1-D or 3-D, blocks along ``axis``, nonzero magnitudes in 2**span.
 
-    Zeros of both signs are mixed in; no element is subnormal, so ldexp by
-    |k| <= K_SPAN is exact on every one.
+    Zeros of both signs are mixed in. With the default span no element is
+    subnormal, so ldexp by |k| <= K_SPAN is exact on every one.
     """
     ndim = draw(st.sampled_from([1, 3]))
     axis = draw(st.integers(0, ndim - 1))
     shape = [draw(st.integers(1, 3)) for _ in range(ndim)]
     shape[axis] = block * draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = rng.choice([-1.0, 1.0], shape) * np.exp2(rng.uniform(-24, 12, shape))
+    x = rng.choice([-1.0, 1.0], shape) * np.exp2(rng.uniform(*span, shape))
     x[rng.random(shape) < 0.1] = 0.0
     x[rng.random(shape) < 0.1] = -0.0
     return x, axis
@@ -119,3 +133,29 @@ def test_sign_symmetry_by_value(name, mode, data):
     x, axis = data.draw(_inputs(block))
     with _mode(mode):
         assert np.array_equal(_recon(reconstruct, -x, axis), -_recon(reconstruct, x, axis))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(HIF8_CODECS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_hif8_sign_symmetry_by_value(name, mode, data):
+    x, axis = data.draw(_inputs(32, HIF8_SPAN))
+    codec, K = HIF8_CODECS[name], data.draw(_K)
+    with _mode(mode):
+        got = codec(Tensor(-x, "x"), axis, K).data
+        want = -codec(Tensor(x, "x"), axis, K).data
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_hif8_outputs_lie_on_the_grid(mode, data):
+    x, axis = data.draw(_inputs(32, HIF8_SPAN))
+    grid = hif8.hif8_enumerate()
+    with _mode(mode):
+        plain = hif8.hif8_quantize(Tensor(x, "x")).data
+        values = hif8.hif8_scaled_quantize(Tensor(x, "x"), axis, data.draw(_K)).values
+    assert np.isin(plain, grid).all()
+    assert np.isin(values, grid).all()

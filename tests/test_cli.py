@@ -612,6 +612,30 @@ class TestOutputFiles:
         listing = run_subprocess("enumerate", "e2m1", "-o", "/dev/stdout")
         assert listing.returncode == 0 and listing.stdout == run_subprocess("enumerate", "e2m1").stdout
 
+    @pytest.mark.parametrize("command", ["quantize", "compare", "svdq"])
+    def test_report_to_stdout_redirected_to_a_file(self, tmp_path, command):
+        # the report goes through fd 1 in order, so the summary printed after it follows it
+        src, rep, out = self._src(tmp_path), tmp_path / "r", tmp_path / "stdout.txt"
+        if command == "quantize":
+            args = ("quantize", src, "-f", "nvfp4", "--role", "activation",
+                    "-o", tmp_path / "o.lqt", "--report")
+        elif command == "compare":
+            args = ("compare", "--input", src, "--formats", "int8,hif4", "--role", "activation",
+                    "-o")
+        else:
+            w = tmp_path / "w.lqt"
+            save_tensors([tensor(np.random.default_rng(4).normal(0.0, 0.02, (64, 16)), "w")], w)
+            args = ("svdq", "--x", src, "--w", w, "-f", "int8", "--rank", "4", "-o")
+        regular = run_subprocess(*args, rep)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lofiq.__file__)))
+        with open(out, "wb") as fh:
+            redirected = subprocess.run([sys.executable, "-m", "lofiq.cli", *map(str, args),
+                                         "/dev/stdout"], stdout=fh, stderr=subprocess.PIPE,
+                                        text=True, env=env, timeout=60)
+        assert (regular.returncode, regular.stderr) == (0, "")
+        assert (redirected.returncode, redirected.stderr) == (0, "")
+        assert out.read_text(encoding="utf-8") == rep.read_text(encoding="utf-8") + regular.stdout
+
     def test_read_only_target_exits_1_and_is_left_unchanged(self, open_dir, capsys):
         src, out, listing = (os.path.join(open_dir, n) for n in ("in.lqt", "out.lqt", "list.txt"))
         save_tensors([tensor(np.ones((4, 64)), "t")], src)

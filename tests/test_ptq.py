@@ -67,6 +67,14 @@ class TestSmoothScales:
             s = smooth_scales(xm, wm, 0.9).scales
             assert np.all(s > 0) and np.all(np.isfinite(s)), (xm, wm)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["x", "w"])
+    def test_non_finite_maxima_are_refused(self, side, bad):
+        maxima = {"x": [1.0, 2.0], "w": [1.0, 2.0]}
+        maxima[side][1] = bad
+        with pytest.raises(NonFiniteValue):
+            smooth_scales(maxima["x"], maxima["w"], 0.5)
+
 
 class TestApplySmoothing:
     def test_identity_plan(self):
