@@ -1,8 +1,8 @@
 """Command-line frontend: enumerate, quantize, compare, smooth, svdq.
 
-Exit codes: 0 success, 1 runtime/data error, 2 usage error (including an
-unknown format selector). Runs with identical flags and seeds produce
-byte-identical output files.
+Exit codes: 0 success, 1 runtime/data error (a failed allocation too), 2
+usage error (including an unknown format selector). Runs with identical
+flags and seeds produce byte-identical output files.
 """
 
 import argparse
@@ -14,6 +14,7 @@ from .codebook import builtin_names, enumerate_codebook
 from .errors import LofiqError, UnknownFormat
 from .hif8 import hif8_enumerate
 from .metrics import (
+    _SYNTH_FIELDS,
     SyntheticSpec,
     compare_formats,
     emit_report,
@@ -79,11 +80,6 @@ def cmd_quantize(args):
     for r in report_rows(reports):
         print(f"{r['tensor']}: {r['format']} sqnr_db={r['sqnr_db']}")
     return 0
-
-
-# The fields after kind:AxB that each synthetic kind reads, in order
-_SYNTH_FIELDS = {"gaussian": ("sigma",), "uniform": (),
-                 "gaussian_outlier": ("sigma", "fraction", "scale")}
 
 
 def parse_synth(spec_str, seed):
@@ -248,7 +244,7 @@ def main(argv=None):
     except UnknownFormat as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LofiqError, OSError) as exc:
+    except (LofiqError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -55,11 +55,16 @@ class FidelityReport:
     config: dict = field(default_factory=dict)
 
 
+# Each synthetic kind, and the fields after kind:AxB it reads in parse_synth, in order
+_SYNTH_FIELDS = {"gaussian": ("sigma",), "uniform": (),
+                 "gaussian_outlier": ("sigma", "fraction", "scale")}
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Deterministic synthetic tensor recipe; all randomness flows from seed."""
 
-    kind: str  # gaussian | gaussian_outlier | uniform
+    kind: str  # a key of _SYNTH_FIELDS
     shape: tuple
     sigma: float = 1.0
     outlier_fraction: float = 0.0
@@ -67,7 +72,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "gaussian_outlier", "uniform"):
+        if self.kind not in _SYNTH_FIELDS:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
         for name in ("sigma", "outlier_fraction", "outlier_scale"):
             if not math.isfinite(getattr(self, name)):

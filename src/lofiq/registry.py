@@ -13,9 +13,17 @@ Selector grammar (one canonical string per codec, parameters as suffixes):
     hif4[:axis=N][:mode=literal|halfrange]
 
 Any other parameter or flag, a repeated key or a second int mode flag is an
-UnknownFormat error (CLI exit 2). ``hif8-scaled`` also takes ``k=X`` for
-``K=X``. The MX elements are the five casts and int8; the unsigned scale
-formats e8m0 and e6m2u are not elements.
+UnknownFormat error (CLI exit 2), and so is a block size k that numpy cannot
+index (above 2**63 - 1). ``hif8-scaled`` also takes ``k=X`` for ``K=X``. The
+MX elements are the five casts and int8; the unsigned scale formats e8m0 and
+e6m2u are not elements.
+
+parse_format is the one reader and writer of selectors. A codec's
+``selector`` is the canonical form of what it parsed: the head (``mx:<elem>``
+for an alias), the flag, then each parameter not at its default (``k=32``,
+``mode=literal``), in the order above, K written with ``:g`` or as many more
+digits as reading it back exactly takes: ``MXFP4:axis=0:k=32`` is
+``mx:e2m1:axis=0``, ``hif8-scaled:k=16.0`` is ``hif8-scaled:K=16``.
 
 Role conventions (defaults, overridable with axis=):
   per-channel/per-axis grouping: weights group along the last axis (output
@@ -51,7 +59,8 @@ _CAST_NAMES = ("e4m3", "e5m2", "e3m2", "e2m3", "e2m1")
 # encode no sign (and e8m0 no zero), so they are not elements.
 _MX_ELEMENTS = _CAST_NAMES + ("int8",)
 # The parameter keys and bare flags each selector head takes after its name
-# (after the element, for mx); anything else is an error.
+# (after the element, for mx); anything else is an error. The keys are in the
+# order the canonical selector writes them.
 _SYNTAX = {
     "int8": (("axis",), ("sym", "asym")),
     "int4": (("axis",), ("sym", "asym")),
@@ -59,9 +68,12 @@ _SYNTAX = {
     "mx": (("k", "axis"), ()),
     "nvfp4": (("axis",), ()),
     "hif8": ((), ()),
-    "hif8-scaled": (("K", "k", "axis"), ()),
+    "hif8-scaled": (("K", "axis"), ()),
     "hif4": (("axis", "mode"), ()),
 }
+# The value of each parameter a selector leaves out, if not None
+_DEFAULTS = {"k": mx.DEFAULT_BLOCK, "mode": "literal"}
+_MAX_INDEX = np.iinfo(np.intp).max
 
 
 def _check_role(role):
@@ -92,12 +104,19 @@ class _Codec:
     None for elementwise codecs), ``axis`` the selector's axis= override, and
     ``block`` the multiple a block codec needs along that axis. Subclasses
     supply ``_reconstruct(t, role, axis)`` on top of their kernels.
+
+    parse_format builds each codec from the canonical ``selector`` it wrote
+    and ``params`` (``bits``, ``mode``, ``cb``, ``element``, ``block``,
+    ``axis``, ``K``), each of which becomes an attribute of that name.
     """
 
-    selector = ""
     axis = None
     role_axis = None
     block = None
+
+    def __init__(self, selector, **params):
+        self.selector = selector
+        vars(self).update(params)
 
     def axis_for(self, role, ndim):
         return self.axis if self.axis is not None else self.role_axis(role, ndim)
@@ -132,8 +151,10 @@ class _Codec:
                 widths[axis] = (0, -extent % self.block)
                 index = [slice(None)] * ndim
                 index[axis] = slice(0, extent)
-                # the zeros are finite and arr was checked, so no second scan
-                padded = Tensor.of_checked(np.pad(arr, widths), getattr(t, "name", None))
+                try:  # the zeros are finite and arr was checked, so no second scan
+                    padded = Tensor.of_checked(np.pad(arr, widths), getattr(t, "name", None))
+                except ValueError as exc:  # more bytes than np.intp counts: too big to allocate
+                    raise MemoryError(str(exc)) from None
                 return self._reconstruct(padded, role, axis)[tuple(index)]
             return self._reconstruct(t, role, axis)
         except LofiqError as exc:
@@ -148,14 +169,6 @@ class _Codec:
 
 class IntCodec(_Codec):
     role_axis = staticmethod(group_axis_for)
-
-    def __init__(self, bits, mode=None, axis=None):
-        self.bits = bits
-        self.mode = mode
-        self.axis = axis
-        suffix = f":{mode}" if mode else ""
-        suffix += f":axis={axis}" if axis is not None else ""
-        self.selector = f"int{bits}{suffix}"
 
     def _mode(self, role):
         return self.mode or ("sym" if role == "weight" else "asym")
@@ -176,24 +189,12 @@ class IntCodec(_Codec):
 
 
 class CastCodec(_Codec):
-    def __init__(self, name):
-        self.selector = name
-        self.cb = enumerate_codebook(name)
-
     def _reconstruct(self, t, role, axis):
         return project(self.cb, t)
 
 
 class MxCodec(_Codec):
     role_axis = staticmethod(block_axis_for)
-
-    def __init__(self, element, k=mx.DEFAULT_BLOCK, axis=None):
-        self.element = element
-        self.block = k
-        self.axis = axis
-        suffix = f":k={k}" if k != mx.DEFAULT_BLOCK else ""
-        suffix += f":axis={axis}" if axis is not None else ""
-        self.selector = f"mx:{element}{suffix}"
 
     def granularity(self, role, ndim):
         return f"block(k={self.block},axis={self.axis_for(role, ndim)})"
@@ -210,10 +211,6 @@ class Nvfp4Codec(_Codec):
     role_axis = staticmethod(block_axis_for)
     block = nvfp4.BLOCK
 
-    def __init__(self, axis=None):
-        self.axis = axis
-        self.selector = "nvfp4" + (f":axis={axis}" if axis is not None else "")
-
     def granularity(self, role, ndim):
         return f"per-tensor+block(k=16,axis={self.axis_for(role, ndim)})"
 
@@ -225,21 +222,12 @@ class Nvfp4Codec(_Codec):
 
 
 class Hif8Codec(_Codec):
-    selector = "hif8"
-
     def _reconstruct(self, t, role, axis):
         return hif8.hif8_quantize(t).data
 
 
 class ScaledHif8Codec(_Codec):
     role_axis = staticmethod(group_axis_for)
-
-    def __init__(self, K=None, axis=None):
-        self.K = K
-        self.axis = axis
-        suffix = f":K={K:g}" if K is not None else ""
-        suffix += f":axis={axis}" if axis is not None else ""
-        self.selector = f"hif8-scaled{suffix}"
 
     def _K(self, role):
         return self.K if self.K is not None else hif8.DEFAULT_K[role]
@@ -259,13 +247,6 @@ class Hif4Codec(_Codec):
     role_axis = staticmethod(block_axis_for)
     block = hif4.BLOCK
 
-    def __init__(self, axis=None, mode="literal"):
-        self.axis = axis
-        self.mode = mode
-        suffix = f":axis={axis}" if axis is not None else ""
-        suffix += f":mode={mode}" if mode != "literal" else ""
-        self.selector = f"hif4{suffix}"
-
     def granularity(self, role, ndim):
         return f"hier(64/8/4,axis={self.axis_for(role, ndim)})"
 
@@ -276,16 +257,18 @@ class Hif4Codec(_Codec):
         return hif4.hif4_dequantize(hif4.hif4_quantize(t, axis, self.mode)).data
 
 
-def _params(sel, parts, keys, flags):
+def _params(sel, head, parts):
     """The 'key=value' parameters of ``parts`` and their one bare flag (or None).
 
-    Any key outside ``keys``, a repeated key, a flag outside ``flags`` or a
-    second flag raises UnknownFormat.
+    Any key or flag that ``_SYNTAX[head]`` does not list, a repeated key or a
+    second flag raises UnknownFormat. hif8-scaled reads ``k=`` as ``K=``.
     """
+    keys, flags = _SYNTAX[head]
     params = {}
     flag = None
     for part in parts:
         key, eq, val = part.partition("=")
+        key = "K" if (head, key) == ("hif8-scaled", "k") else key
         if not eq:
             if part not in flags:
                 raise UnknownFormat(f"{sel!r}: unknown flag {part!r}")
@@ -301,13 +284,34 @@ def _params(sel, parts, keys, flags):
     return params, flag
 
 
-def _as_int(params, key, selector, default=None):
-    if key not in params:
-        return default
+def _value(sel, key, text):
+    """The checked value of parameter ``key``, written as ``text`` in ``sel``."""
+    if key == "mode":
+        if text not in hif4.MODES:
+            raise UnknownFormat(f"{sel!r}: mode must be one of {hif4.MODES}")
+        return text
+    if key == "K":
+        try:
+            K = float(text)
+        except ValueError as exc:
+            raise UnknownFormat(f"{sel!r}: bad number for K") from exc
+        if not 0.0 < K < math.inf:
+            raise UnknownFormat(f"{sel!r}: K must be positive and finite")
+        return K
     try:
-        return int(params[key])
+        n = int(text)
     except ValueError as exc:
-        raise UnknownFormat(f"{selector!r}: bad integer for {key}") from exc
+        raise UnknownFormat(f"{sel!r}: bad integer for {key}") from exc
+    if key == "k" and n < 1:
+        raise UnknownFormat(f"{sel!r}: block size k must be positive")
+    if key == "k" and n > _MAX_INDEX:  # padding to a larger block cannot even be indexed
+        raise UnknownFormat(f"{sel!r}: block size k must be at most {_MAX_INDEX}")
+    return n
+
+
+def _g(x):
+    """``x`` written with ``:g``, or with the fewest more digits that read back as ``x``."""
+    return next(text for digits in range(6, 18) if float(text := f"{x:.{digits}g}") == x)
 
 
 def as_codec(fmt):
@@ -318,7 +322,9 @@ def as_codec(fmt):
 def parse_format(selector):
     """Parse one selector string into a codec; raises UnknownFormat.
 
-    A parameter or flag the selector's head does not take is an error.
+    A parameter or flag the selector's head does not take is an error. Each
+    parameter is checked once, and the codec gets the canonical selector
+    (module docstring) and the checked values.
     """
     sel = selector.strip()
     head, *rest = sel.split(":")
@@ -333,34 +339,24 @@ def parse_format(selector):
             raise UnknownFormat(f"{sel!r}: mx element must be one of {', '.join(_MX_ELEMENTS)}")
     if head not in _SYNTAX:
         raise UnknownFormat(f"unknown format {selector!r}")
-    params, flag = _params(sel, rest, *_SYNTAX[head])
-    axis = _as_int(params, "axis", sel)
+    params, flag = _params(sel, head, rest)
+    values = {key: _value(sel, key, params[key]) if key in params else _DEFAULTS.get(key)
+              for key in _SYNTAX[head][0]}
+    canonical = ":".join(filter(None, [
+        f"mx:{element}" if head == "mx" else head, flag,
+        *(f"{key}={_g(value)}" if key == "K" else f"{key}={value}"
+          for key, value in values.items() if value != _DEFAULTS.get(key))]))
 
     if head in ("int8", "int4"):
-        return IntCodec(int(head[3]), flag, axis)
+        return IntCodec(canonical, bits=int(head[3]), mode=flag, **values)
     if head in _CAST_NAMES:
-        return CastCodec(head)
+        return CastCodec(canonical, cb=enumerate_codebook(head))
     if head == "mx":
-        k = _as_int(params, "k", sel, mx.DEFAULT_BLOCK)
-        if k < 1:
-            raise UnknownFormat(f"{sel!r}: block size k must be positive")
-        return MxCodec(element, k, axis)
+        return MxCodec(canonical, element=element, block=values.pop("k"), **values)
     if head == "nvfp4":
-        return Nvfp4Codec(axis)
+        return Nvfp4Codec(canonical, **values)
     if head == "hif8":
-        return Hif8Codec()
+        return Hif8Codec(canonical)
     if head == "hif8-scaled":
-        if "K" in params and "k" in params:
-            raise UnknownFormat(f"{sel!r}: parameter 'K' given twice")
-        K = params.get("K", params.get("k"))
-        try:
-            K = None if K is None else float(K)
-        except ValueError as exc:
-            raise UnknownFormat(f"{sel!r}: bad number for K") from exc
-        if K is not None and not 0.0 < K < math.inf:
-            raise UnknownFormat(f"{sel!r}: K must be positive and finite")
-        return ScaledHif8Codec(K, axis)
-    mode = params.get("mode", "literal")  # hif4
-    if mode not in hif4.MODES:
-        raise UnknownFormat(f"{sel!r}: mode must be one of {hif4.MODES}")
-    return Hif4Codec(axis, mode)
+        return ScaledHif8Codec(canonical, **values)
+    return Hif4Codec(canonical, **values)

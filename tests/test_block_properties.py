@@ -10,6 +10,11 @@
   ``test_odd_symmetry_and_zero_preservation``.)
 * Every HiF8 output, and every value of a hif8-scaled record, is a member of
   ``hif8_enumerate()``.
+* Every field lies on its grid: each MX code in its element's codebook, each
+  NVFP4 code in E2M1 and each block scale in E4M3 (0 included), each HiF4
+  code in 0..7, M1 in 4..8 and E2, E3 in {0, 1}. The inputs span either the
+  normal range or 2**[-160, 160], which passes MX's exponent clip at
+  2**+-127, HiF4's block-scale clip and NVFP4's E4M3 floor.
 
 There is no power-of-two property for HiF8: its mantissa width tapers with
 the exponent, and hif8-scaled's scale K / (max|x| + 1e-12) does not move by
@@ -27,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lofiq import hif4, hif8, mx, nvfp4
+from lofiq.codebook import enumerate_codebook
 from lofiq.tensor import Tensor
 
 CHUNKS = sys.modules["lofiq.tensor"]  # the name lofiq.tensor is the function
@@ -159,3 +165,46 @@ def test_hif8_outputs_lie_on_the_grid(mode, data):
         values = hif8.hif8_scaled_quantize(Tensor(x, "x"), axis, data.draw(_K)).values
     assert np.isin(plain, grid).all()
     assert np.isin(values, grid).all()
+
+
+GRID_SPANS = [(-24, 12), (-160, 160)]
+MX_ELEMENTS = ("e4m3", "e5m2", "e3m2", "e2m3", "e2m1", "int8")
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("element", MX_ELEMENTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mx_codes_lie_on_the_element_grid(element, mode, data):
+    k = data.draw(st.sampled_from([16, 32]))
+    x, axis = data.draw(_inputs(k, data.draw(st.sampled_from(GRID_SPANS))))
+    with _mode(mode):
+        codes = mx.mx_quantize(Tensor(x, "x"), axis, element, k).codes
+    assert np.isin(codes, enumerate_codebook(element).values).all()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_nvfp4_codes_and_block_scales_lie_on_their_grids(mode, data):
+    x, axis = data.draw(_inputs(16, data.draw(st.sampled_from(GRID_SPANS))))
+    e4m3 = enumerate_codebook("e4m3").values
+    with _mode(mode):
+        q = nvfp4.nvfp4_quantize(Tensor(x, "x"), axis)
+        codes = q.codes
+    assert np.isin(codes, enumerate_codebook("e2m1").values).all()
+    assert np.isin(q.block_scales, e4m3[e4m3 >= 0]).all()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("subscale_mode", hif4.MODES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_hif4_fields_lie_in_their_ranges(subscale_mode, mode, data):
+    x, axis = data.draw(_inputs(64, data.draw(st.sampled_from(GRID_SPANS))))
+    with _mode(mode):
+        q = hif4.hif4_quantize(Tensor(x, "x"), axis, subscale_mode)
+        codes, xhat = q.rounded(), q.xhat
+    assert np.isin(codes, np.arange(8.0)).all() and np.isin(xhat, range(8)).all()
+    assert np.isin(q.m1, range(4, 9)).all()
+    assert np.isin(q.e2, (0, 1)).all() and np.isin(q.e3, (0, 1)).all()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import lofiq
+from lofiq import metrics
 from lofiq.cli import main, parse_synth
 from lofiq.metrics import SyntheticSpec
 from lofiq.tensor import load_tensors, save_tensors, tensor
@@ -305,6 +306,25 @@ class TestQuantize:
         save_tensors([tensor(np.ones((32, 32)))], src)
         assert run("quantize", src, "--format", fmt, "-o", tmp_path / "o.lqt") == 2
 
+    _HUGE_K = [
+        # 426 PiB of padding, past any address space: the allocation fails at once
+        (10**16, 1, "error: Unable to allocate"),
+        # a byte count past np.intp
+        (2**62, 1, "error: array is too big"),
+        # a block size numpy cannot index with
+        (10**20, 2, "block size k must be at most 9223372036854775807"),
+    ]
+
+    @pytest.mark.parametrize("k,code,message", _HUGE_K, ids=["alloc", "bytes", "index"])
+    def test_pad_to_a_huge_block_is_one_error_line(self, tmp_path, capsys, k, code, message):
+        src, out = tmp_path / "a.lqt", tmp_path / "o.lqt"
+        save_tensors([tensor(np.ones((6, 10)), name="a")], src)
+        assert run("quantize", src, "-f", f"mx:e2m1:k={k}", "--pad", "--role", "activation",
+                   "-o", out) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.count("\n") == 1 and message in captured.err
+
 
 class TestCompare:
     def test_synth_row_count(self, tmp_path):
@@ -414,6 +434,13 @@ class TestCompare:
     def test_parse_synth_refuses_unread_fields_and_non_finite_numbers(self, spec):
         with pytest.raises(ValueError, match=f"^'{spec}': "):
             parse_synth(spec, 0)
+
+    def test_one_table_of_synthetic_kinds(self, monkeypatch):
+        # a kind added to metrics._SYNTH_FIELDS is one the grammar and SyntheticSpec both take
+        monkeypatch.setitem(metrics._SYNTH_FIELDS, "new_kind", ("sigma",))
+        assert parse_synth("new_kind:4x4:0.5", 0) == SyntheticSpec("new_kind", (4, 4), sigma=0.5)
+        with pytest.raises(ValueError, match="new_kind reads no field past kind:AxB:sigma"):
+            parse_synth("new_kind:4x4:0.5:0.1", 0)
 
 
 class TestPtqCommands:

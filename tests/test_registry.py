@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lofiq import nvfp4, registry
+from lofiq import hif4, nvfp4, registry
 from lofiq.codebook import enumerate_codebook
 from lofiq.errors import AxisOutOfRange, NonFiniteValue, NotDivisible, UnknownFormat
 from lofiq.mx import resolve_element
@@ -108,6 +110,44 @@ class TestParse:
         x = tensor(np.random.default_rng(5).normal(size=(64, 64)))
         for role in registry.ROLES:
             assert codec.reconstruct(x, role).shape == (64, 64)
+
+
+# a value of each parameter key, as a selector writes it
+_VALUES = {
+    "axis": st.integers(-4, 4).map(str),
+    "k": st.one_of(st.just(32), st.integers(1, 2**63 - 1)).map(str),
+    "K": st.floats(0.0, exclude_min=True, allow_infinity=False).map(repr),
+    "mode": st.sampled_from(hif4.MODES),
+}
+
+
+@st.composite
+def _selectors(draw):
+    """A selector the grammar takes: any head or alias in either case, any of its
+    keys in any order (K spelled K= or k=), and any of its flags."""
+    head = draw(st.sampled_from(EVERY_SELECTOR))
+    keys, flags = registry._SYNTAX["mx" if head.startswith("mx") else head]
+    parts = []
+    for key in keys:
+        if draw(st.booleans()):
+            name = draw(st.sampled_from(["K", "k"])) if key == "K" else key
+            parts.append(f"{name}={draw(_VALUES[key])}")
+    if flags and draw(st.booleans()):
+        parts.append(draw(st.sampled_from(flags)))
+    return ":".join([draw(st.sampled_from([head, head.upper()])), *draw(st.permutations(parts))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sel=_selectors())
+def test_the_canonical_selector_parses_to_the_same_codec(sel):
+    codec = parse_format(sel)
+    again = parse_format(codec.selector)
+    assert again.selector == codec.selector
+    assert type(again) is type(codec)
+    for role in registry.ROLES:
+        assert again.config(role) == codec.config(role)
+        for ndim in (1, 2, 3):
+            assert again.granularity(role, ndim) == codec.granularity(role, ndim)
 
 
 class TestRoleConventions:
