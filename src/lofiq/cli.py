@@ -68,12 +68,24 @@ def cmd_enumerate(args):
 
 
 def cmd_quantize(args):
+    """Quantize every tensor of the input file, then write the outputs and the reports.
+
+    Each input tensor is dropped once its output and its report exist, so
+    the peak holds the tensors not yet quantized, the outputs made so far
+    and the one being made: the input file plus one output. A tensor that
+    fails raises before the output file is opened.
+    """
     codec = parse_format(args.format)
     tensors = load_tensors(args.input)
-    outputs, reports = [], []
-    for t in tensors:
-        outputs.append(Tensor.of_checked(codec.reconstruct(t, args.role, pad=args.pad), t.name))
-        reports.append(fidelity_from_reconstruction(t, outputs[-1], codec, args.role))
+    tensors.reverse()  # popped from the end, so in file order
+    reports = []
+
+    def quantized(t):
+        out = Tensor.of_checked(codec.reconstruct(t, args.role, pad=args.pad), t.name)
+        reports.append(fidelity_from_reconstruction(t, out, codec, args.role))
+        return out
+
+    outputs = [quantized(tensors.pop()) for _ in range(len(tensors))]
     save_tensors(outputs, args.output, dtype=args.dtype)
     if args.report:
         emit_report(reports, args.report_format, args.report)

@@ -233,7 +233,7 @@ class ScaledHif8Codec(_Codec):
         return self.K if self.K is not None else hif8.DEFAULT_K[role]
 
     def granularity(self, role, ndim):
-        return f"per-axis(K={self._K(role):g},axis={self.axis_for(role, ndim)})"
+        return f"per-axis(K={_g(self._K(role))},axis={self.axis_for(role, ndim)})"
 
     def config(self, role):
         return {"K": self._K(role)}

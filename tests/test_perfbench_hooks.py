@@ -5,8 +5,9 @@ attributes (each codec class's ``reconstruct``, ``registry.project``, the
 codec kernels' quantize/dequantize functions, the ptq stages). A boundary
 that moves or is renamed stops being recorded, and its per-layer metrics
 read zero without an error. This test runs the tracer over one small
-``compare`` and one small ``svdq`` in a fresh interpreter, so the wrapping
-cannot leak into other tests, and checks that every boundary was recorded.
+``compare``, one small ``svdq`` and one ``quantize`` of a 3-tensor file in
+a fresh interpreter, so the wrapping cannot leak into other tests, and
+checks that every boundary was recorded.
 """
 
 import json
@@ -38,7 +39,15 @@ codes = [cli.main(["compare", "--synth", "gaussian:64x64", "--formats",
 tracer.pass_id = 1
 codes.append(cli.main(["svdq", "--x", os.path.join(tmp, "x.lqt"),
                        "--w", os.path.join(tmp, "w.lqt"), "-f", "int8", "--rank", "4"]))
+a, q = os.path.join(tmp, "a.lqt"), os.path.join(tmp, "q.lqt")
+lofiq.save_tensors([lofiq.tensor(rng.normal(0, 0.02, (16, 64)), f"a{i}") for i in range(3)], a)
+tracer.pass_id = 2
+quantize_code = cli.main(["quantize", a, "-f", "mxfp4", "--role", "activation", "-o", q,
+                          "--dtype", "f32"])
 json.dump({"codes": codes,
+           "quantize_code": quantize_code,
+           "quantize_spans": [s[0] for s in tracer.spans if s[4] == 2],
+           "quantize_sizes": [os.path.getsize(a), os.path.getsize(q)],
            "spans": sorted({s[0] for s in tracer.spans}),
            "metrics": tracing.layer_metrics(tracer.spans),
            "codec_span": tracing.CODEC_SPAN,
@@ -71,3 +80,11 @@ def test_tracer_records_every_boundary(tmp_path):
                  "ptq.pipeline", "ptq.search_alpha", "ptq.svd_split", "ptq.apply_smoothing"):
         assert name in spans, name
     assert svdq["ptq.reconstruct_calls"] == 21
+
+    # quantize reads its file once and writes its output once, whatever the tensor count
+    quantize = out["metrics"]["2"]
+    assert out["quantize_code"] == 0
+    assert out["quantize_spans"].count("tensor.load") == 1
+    assert out["quantize_spans"].count("tensor.save") == 1
+    assert [quantize["tensor.bytes_read"], quantize["tensor.bytes_written"]] == \
+        out["quantize_sizes"]

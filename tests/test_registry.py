@@ -178,6 +178,13 @@ class TestRoleConventions:
         assert c.config("kv")["K"] == 1.0
         assert parse_format("hif8-scaled:K=2").config("weight")["K"] == 2.0
 
+    @pytest.mark.parametrize("K", ["1.2345678", "1000001"])
+    def test_scaled_granularity_writes_the_exact_k(self, K):
+        c = parse_format(f"hif8-scaled:K={K}")
+        assert c.selector == f"hif8-scaled:K={K}"
+        assert c.granularity("weight", 2) == f"per-axis(K={K},axis=1)"
+        assert c.granularity("activation", 2) == f"per-axis(K={K},axis=0)"
+
     def test_axis_override(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(32, 64))

@@ -11,18 +11,21 @@ check that
 * a reconstruction holds little beyond its output: between 2**20 and 2**22
   elements, the traced peak of ``codec.reconstruct`` less its output grows
   by at most a quarter of the added input bytes, for every format the
-  benchmark runs, in the weight and activation roles.
+  benchmark runs, in the weight and activation roles;
+* ``quantize`` holds the input file plus one output: its traced peak grows
+  by at most 1.25 tensors per extra tensor in the file.
 """
 
+import os
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lofiq import hif4, hif8, intquant, mx, nvfp4
+from lofiq import cli, hif4, hif8, intquant, mx, nvfp4
 from lofiq.registry import parse_format
-from lofiq.tensor import Tensor
+from lofiq.tensor import Tensor, save_tensors
 
 CHUNKS = sys.modules["lofiq.tensor"]  # the name lofiq.tensor is the function
 
@@ -191,3 +194,32 @@ def test_peak_grows_by_at_most_a_quarter_of_the_added_input(fmt, role):
     grown = _peak_besides_output(codec, large, role) - _peak_besides_output(codec, small, role)
     added = large.data.nbytes - small.data.nbytes
     assert grown <= added / 4, f"{fmt}: {grown / added:.3f} of the added input bytes"
+
+
+def _quantize_peak(path, fmt, role, out):
+    """Traced peak bytes of an in-process ``quantize`` of the file at ``path``."""
+    tracemalloc.start()
+    try:
+        code = cli.main(["quantize", path, "-f", fmt, "--role", role, "-o", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+@pytest.mark.parametrize("role", ["weight", "activation"])
+@pytest.mark.parametrize("fmt", ["int8", "mxfp4", "hif8-scaled"])
+def test_quantize_holds_the_file_plus_one_output(tmp_path, fmt, role):
+    rng = np.random.default_rng(5)
+    paths = {}
+    for n in (1, 6):
+        paths[n] = os.fspath(tmp_path / f"in{n}.lqt")
+        save_tensors([Tensor(rng.normal(0, 0.02, (64, 1024)), f"t{i}") for i in range(n)],
+                     paths[n])
+    out = os.fspath(tmp_path / "out.lqt")
+    # the pool's threads start outside the traced calls
+    assert cli.main(["quantize", paths[1], "-f", fmt, "--role", role, "-o", out]) == 0
+    one, six = (_quantize_peak(paths[n], fmt, role, out) for n in (1, 6))
+    per_tensor = (six - one) / 5 / (64 * 1024 * 8)
+    assert per_tensor <= 1.25, f"{fmt}: the peak grows by {per_tensor:.3f} tensors per tensor"
