@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonFiniteValue
-from .tensor import Record, as_array, group_absmax, group_axes, made_in_chunks, rows
+from .tensor import Record, as_array, group_absmax, made_in_chunks
 
 __all__ = [
     "MAX_NORMAL",
@@ -116,14 +116,11 @@ class ScaledHif8Quantized(Record):
 
     def round(self, s, out):
         """The HiF8 values of slice ``s`` of the source times its scales, in ``out``."""
-        return _quantize_into(self.source[s] * rows(self._scales(), s), out)
+        return _quantize_into(self.source[s] * self.groups(self.scales, s), out)
 
     def decode(self, s, out):
         """value / scale, in place."""
-        np.divide(out, rows(self._scales(), s), out=out)
-
-    def _scales(self):
-        return np.expand_dims(self.scales, group_axes(len(self.shape), self.axis))
+        np.divide(out, self.groups(self.scales, s), out=out)
 
 
 def hif8_scaled_quantize(t, axis, K):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor import Record, as_array, group_absmax, group_axes, rows
+from .tensor import Record, as_array, group_absmax, group_axes
 
 __all__ = ["IntQuantized", "int_quantize_symmetric", "int_quantize_asymmetric", "int_dequantize"]
 
@@ -44,33 +44,24 @@ class IntQuantized(Record):
         and clipped to the grid. An integer code has no -0, so neither has
         ``out``: every code is the float64 of its int16.
         """
-        scales, zps = self._fields()
         x = self.source[s]
         v = np.abs(x, out=out)
-        v /= rows(scales, s)
+        v /= self.groups(self.scales, s)
         _round_half_away(v, x)
-        if zps is None:
+        if self.zero_points is None:
             qmax = 2 ** (self.bits - 1) - 1
             np.clip(v, -qmax, qmax, out=v)
         else:
-            v += rows(zps, s)
+            v += self.groups(self.zero_points, s)
             np.clip(v, 0, 2**self.bits - 1, out=v)
         v += 0.0  # -0.0 -> +0.0
         return v
 
     def decode(self, s, out):
         """scale * code (symmetric) or scale * (code - zero_point), in place."""
-        scales, zps = self._fields()
-        if zps is not None:
-            out -= rows(zps, s)  # integer differences are exact in float64
-        out *= rows(scales, s)
-
-    def _fields(self):
-        """Scales and zero-points (or None) shaped to broadcast against the source."""
-        others = group_axes(len(self.shape), self.axis)
-        zps = self.zero_points
-        return (np.expand_dims(self.scales, others),
-                None if zps is None else np.expand_dims(zps, others))
+        if self.zero_points is not None:
+            out -= self.groups(self.zero_points, s)  # integer differences are exact in float64
+        out *= self.groups(self.scales, s)
 
 
 def _round_half_away(mag, sign):

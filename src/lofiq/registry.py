@@ -131,13 +131,10 @@ class _Codec:
         """Quantize then dequantize ``t`` under ``role``'s conventions.
 
         With ``pad``, a block axis whose extent is not a multiple of the
-        block is zero-padded up to one and the reconstruction cropped back,
-        so padded elements never reach the output or statistics built on it.
-        The padded copy carries ``t``'s name, so a kernel error names ``t``.
-
-        The result is an ndarray, checked for finiteness as the kernel made
-        it. A LofiqError that names no tensor is raised again, as the same
-        class, naming ``t`` when ``t`` has a name.
+        block is reconstructed by ``_padded``. The result is an ndarray,
+        checked for finiteness as the kernel made it. A LofiqError that
+        names no tensor is raised again, as the same class, naming ``t``
+        when ``t`` has a name.
         """
         try:
             if self.role_axis is None:
@@ -145,23 +142,24 @@ class _Codec:
             ndim = np.ndim(t)
             axis = self.axis_for(role, ndim)
             if pad and self.block and -ndim <= axis < ndim and np.shape(t)[axis] % self.block:
-                arr = as_array(t)
-                extent = arr.shape[axis]
-                widths = [(0, 0)] * ndim
-                widths[axis] = (0, -extent % self.block)
-                index = [slice(None)] * ndim
-                index[axis] = slice(0, extent)
-                try:  # the zeros are finite and arr was checked, so no second scan
-                    padded = Tensor.of_checked(np.pad(arr, widths), getattr(t, "name", None))
-                except ValueError as exc:  # more bytes than np.intp counts: too big to allocate
-                    raise MemoryError(str(exc)) from None
-                return self._reconstruct(padded, role, axis)[tuple(index)]
+                return self._padded(t, role, axis)
             return self._reconstruct(t, role, axis)
         except LofiqError as exc:
             name = getattr(t, "name", None)
             if exc.tensor is not None or name is None:
                 raise
             raise type(exc)(f"tensor {name!r}: {exc}", tensor=name) from exc
+
+    def _padded(self, t, role, axis):
+        """``t`` zero-padded along ``axis`` to a multiple of the block, reconstructed and cropped
+        back, so padded elements never reach the output or statistics built on it. The padded
+        copy carries ``t``'s name, so a kernel error names ``t``."""
+        arr = as_array(t)
+        widths = [(0, 0)] * arr.ndim
+        widths[axis] = (0, -arr.shape[axis] % self.block)
+        # the zeros are finite and arr was checked, so no second scan
+        padded = Tensor.of_checked(np.pad(arr, widths), getattr(t, "name", None))
+        return self._reconstruct(padded, role, axis).take(range(arr.shape[axis]), axis)
 
     def __repr__(self):
         return f"<codec {self.selector}>"
@@ -205,6 +203,14 @@ class MxCodec(_Codec):
     def _reconstruct(self, t, role, axis):
         q = mx.mx_quantize(t, axis, self.element, self.block)
         return mx.mx_dequantize(q).data
+
+    def _padded(self, t, role, axis):
+        """A block longer than the axis is one block of the whole axis: zeros raise no block
+        maximum, so it rounds as padding would, bit for bit, and padding at most doubles an axis."""
+        extent = np.shape(t)[axis]
+        if extent < self.block:
+            return mx.mx_dequantize(mx.mx_quantize(t, axis, self.element, extent)).data
+        return super()._padded(t, role, axis)
 
 
 class Nvfp4Codec(_Codec):

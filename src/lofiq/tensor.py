@@ -268,14 +268,18 @@ class Record:
     the float64 codes of slice ``s`` of ``view(source)`` into ``out`` and
     returns ``out``, and ``decode(s, out)`` turns them into values in place.
     Each record codec subclasses Record with its fitted fields, ``round`` and
-    ``decode``. ``source`` is read again whenever codes are rounded, so it
-    must not be written to while the record is in use (a Tensor's data
-    cannot be).
+    ``decode``. ``source`` is held C-ordered (a C-ordered input, such as a
+    Tensor's data, as it is; any other copied once), so ``view(source)`` and
+    its slices are views. It is read again whenever codes are rounded, so it
+    must not be written to while the record is in use (a Tensor's data cannot be).
     """
 
-    source: np.ndarray  # the input, float64
+    source: np.ndarray  # the input, float64, C-ordered
     axis: int
     name: str = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "source", np.asarray(self.source, order="C"))  # 0-d stays 0-d
 
     @property
     def shape(self):
@@ -284,6 +288,12 @@ class Record:
     def view(self, arr):
         """``arr`` itself: groups are sliced along its first axis."""
         return arr
+
+    def groups(self, field, s):
+        """The part of the flat per-group ``field`` that meets slice ``s`` of ``source``, shaped to
+        broadcast against it: sliced with the source if grouped along axis 0, else whole."""
+        shaped = np.expand_dims(field, group_axes(self.source.ndim, self.axis))
+        return shaped[s] if self.axis % self.source.ndim == 0 else shaped
 
     def rounded(self):
         """The float64 codes of the whole source, in its shape, made by ``round`` slice by slice."""
@@ -346,15 +356,6 @@ def group_absmax(arr, axis):
     others = group_axes(arr.ndim, axis)
     return np.maximum(arr.max(axis=others, keepdims=True, initial=0.0),
                       -arr.min(axis=others, keepdims=True, initial=0.0))
-
-
-def rows(field, s):
-    """The part of a keepdims per-group ``field`` that meets slice ``s`` of the array's first axis.
-
-    A field grouped along axis 0 is sliced with the array; any other has
-    extent 1 there and broadcasts whole.
-    """
-    return field if field.shape[0] == 1 else field[s]
 
 
 def write_in_place(path, parts, first=b""):

@@ -306,24 +306,32 @@ class TestQuantize:
         save_tensors([tensor(np.ones((32, 32)))], src)
         assert run("quantize", src, "--format", fmt, "-o", tmp_path / "o.lqt") == 2
 
-    _HUGE_K = [
-        # 426 PiB of padding, past any address space: the allocation fails at once
-        (10**16, 1, "error: Unable to allocate"),
-        # a byte count past np.intp
-        (2**62, 1, "error: array is too big"),
-        # a block size numpy cannot index with
-        (10**20, 2, "block size k must be at most 9223372036854775807"),
-    ]
+    @pytest.mark.parametrize("k", [10**16, 2**62], ids=["k=10**16", "k=2**62"])
+    def test_pad_to_a_block_past_the_axis_is_one_block_of_the_axis(self, tmp_path, capsys, k):
+        # zeros raise no block maximum, so an MX block longer than the axis
+        # rounds as one block of the whole axis (k=10 here), with no padding
+        src = tmp_path / "a.lqt"
+        save_tensors([tensor(np.random.default_rng(0).normal(size=(6, 10)), name="a")], src)
+        outs = []
+        for block in (k, 10):
+            out = tmp_path / f"o{block}.lqt"
+            assert run("quantize", src, "-f", f"mx:e2m1:k={block}", "--pad",
+                       "--role", "activation", "-o", out) == 0
+            assert capsys.readouterr().err == ""
+            outs.append(out.read_bytes())
+        assert outs[0][:4] == b"LQT1" and outs[0] == outs[1]
 
-    @pytest.mark.parametrize("k,code,message", _HUGE_K, ids=["alloc", "bytes", "index"])
-    def test_pad_to_a_huge_block_is_one_error_line(self, tmp_path, capsys, k, code, message):
+    # a block size numpy cannot index with
+    @pytest.mark.parametrize("k", [10**20], ids=["index"])
+    def test_pad_to_a_huge_block_is_one_error_line(self, tmp_path, capsys, k):
         src, out = tmp_path / "a.lqt", tmp_path / "o.lqt"
         save_tensors([tensor(np.ones((6, 10)), name="a")], src)
         assert run("quantize", src, "-f", f"mx:e2m1:k={k}", "--pad", "--role", "activation",
-                   "-o", out) == code
+                   "-o", out) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
-        assert captured.err.count("\n") == 1 and message in captured.err
+        assert captured.err.count("\n") == 1
+        assert "block size k must be at most 9223372036854775807" in captured.err
 
 
 class TestCompare:
@@ -354,6 +362,13 @@ class TestCompare:
         assert run("compare", "--synth", "uniform:8x8", "--formats", "int8,int4",
                    "-o", rep, "--report-format", "csv") == 0
         assert len(rep.read_text().strip().split("\n")) == 3
+
+    def test_no_format_selector_is_one_error_line(self, tmp_path, capsys):
+        assert run("compare", "--synth", "gaussian:8x8", "--formats", ",",
+                   "-o", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "at least one format selector is required" in err
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ("compare", "--synth", "gaussian_outlier:64x64:0.02:0.01:100",
@@ -495,6 +510,24 @@ class TestPtqCommands:
             assert proc.stderr.startswith("error: ")
             assert "Traceback" not in proc.stderr
 
+
+    @pytest.mark.parametrize("cmd", ["smooth", "svdq"])
+    def test_x_file_of_no_tensors_is_one_error_line(self, tmp_path, capsys, cmd):
+        xp, wp = tmp_path / "x.lqt", tmp_path / "w.lqt"
+        save_tensors([], xp)
+        save_tensors([tensor(np.ones((4, 8)), name="w")], wp)
+        assert run(cmd, "--x", xp, "--w", wp, "-f", "int8", "-o", tmp_path / "r.json") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "file contains no tensors" in err
+
+    def test_vanishing_product_is_one_error_line(self, tmp_path, capsys):
+        xp, wp = tmp_path / "x.lqt", tmp_path / "w.lqt"
+        save_tensors([tensor(np.zeros((3, 4)), name="x")], xp)
+        save_tensors([tensor(np.ones((4, 8)), name="w")], wp)
+        assert run("smooth", "--x", xp, "--w", wp, "-f", "int8", "-o", tmp_path / "r.json") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "x @ w vanishes" in err
 
     @pytest.mark.parametrize("cmd", ["smooth", "svdq"])
     def test_squares_beyond_float64_write_valid_json(self, tmp_path, cmd):

@@ -79,7 +79,7 @@ class TestParse:
         "mx:e2m1:k=x", "int8:axis=one",
         # parameters out of range: each used to pass parsing and crash in a kernel
         "mx:e2m1:k=0", "mx:e2m1:k=-32", "mxfp4:k=0", "hif4:mode=bogus",
-        "hif8-scaled:K=-1", "hif8-scaled:K=0", "hif8-scaled:K=inf",
+        "hif8-scaled:K=-1", "hif8-scaled:K=0", "hif8-scaled:K=inf", "hif8-scaled:K=abc",
     ])
     def test_unknown_rejected(self, sel):
         with pytest.raises(UnknownFormat):

@@ -8,6 +8,9 @@ check that
   record's derived fields and stored scales, for 1-D, 2-D and 3-D inputs,
   every axis, a small patched ``tensor.CHUNK`` and the pool off;
 * reading a derived field first does not change the output;
+* a record of a non-C input holds its source C-ordered, so its view is a
+  view of the source, and gives the output and derived field of the
+  input's C-order copy, bit for bit;
 * a reconstruction holds little beyond its output: between 2**20 and 2**22
   elements, the traced peak of ``codec.reconstruct`` less its output grows
   by at most a quarter of the added input bytes, for every format the
@@ -165,6 +168,19 @@ def test_round_over_the_whole_view_gives_the_derived_field(name, ndim):
         assert q.round(slice(None), view) is view
         derived = getattr(q, fields[0])  # codes, values, or HiF4's xhat in the view's layout
         _same(view if name.startswith("hif4") else full, derived.astype(np.float64))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_a_record_of_a_strided_input_slices_views_of_its_source(name, axis):
+    quantize, dequantize, _, fields, block = CODECS[name]
+    x = _data(_shape(3, block), seed=3).transpose(2, 0, 1)  # a non-C view
+    assert not x.flags.c_contiguous
+    q, want = quantize(x, axis), quantize(np.ascontiguousarray(x), axis)
+    assert q.source.flags.c_contiguous
+    assert np.shares_memory(q.view(q.source), q.source)
+    _same(dequantize(q).data, dequantize(want).data)
+    _same(getattr(q, fields[0]), getattr(want, fields[0]))
 
 
 def test_hif4_exponent_bits_are_int8():
