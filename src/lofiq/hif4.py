@@ -65,22 +65,24 @@ class Hif4Quantized(Record):
         """``arr`` as (B, 8, 2, 4, *trailing): 64-blocks split into sub- and micro-blocks."""
         return _blocks(arr, self.axis)
 
-    def round(self, s, out):
+    def round(self, s, out, step=None):
         """Element codes floor(min(|X| / step, 7) + 0.5) of blocks ``s``, as float64 in ``out``.
 
         ``X`` is the source's ``view``. As step = S1*S2*S3 / 4 is that product
         scaled by a power of two, this is floor(4 * min(|X| / (S1*S2*S3), 1.75)
-        + 0.5), the code 0..7, bit for bit.
+        + 0.5), the code 0..7, bit for bit. ``step`` is ``_step(s)``, formed
+        here unless the caller holds it.
         """
-        v = np.divide(np.abs(self.view(self.source)[s], out=out), self._step(s), out=out)
+        step = self._step(s) if step is None else step
+        v = np.divide(np.abs(self.view(self.source)[s], out=out), step, out=out)
         np.minimum(v, 7.0, out=v)
         v += 0.5
         return np.floor(v, out=v)
 
-    def decode(self, s, out):
-        """sign * Xhat * step, in place."""
+    def decode(self, s, out, step=None):
+        """sign * Xhat * step, in place; ``step`` as in ``round``."""
         # M1 * 2**exp is a normal float and M1 * Xhat < 2**6, so the product is exact
-        out *= self._step(s)
+        out *= self._step(s) if step is None else step
         # the sign of x + 0.0 is negative exactly where x < 0, so a zero code
         # under a negative input is -0.0, and under -0.0 it is +0.0; out >= +0
         # here, so OR-ing that sign bit in is copysign
@@ -88,6 +90,11 @@ class Hif4Quantized(Record):
         sign &= _SIGN
         bits = out.view(np.uint64)
         bits |= sign
+
+    def round_decode(self, s, out):
+        """``decode(s, round(s, out))`` with the step formed once."""
+        step = self._step(s)
+        self.decode(s, self.round(s, out, step), step)
 
     def _step(self, s):
         """The element step S1*S2*S3 / 4 = M1 * 2**(E1+E2+E3-4) of blocks ``s``, per micro-block.

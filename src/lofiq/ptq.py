@@ -11,10 +11,14 @@ controls how much outlier mass migrates from activations into weights.
 
 The low-rank split W = L1 @ L2 + residual keeps the top singular
 directions exact and quantizes only the residual. Those directions are the
-top eigenvectors of the smaller-side Gram matrix, found by a block Krylov
+top eigenvectors of the smaller-side Gram matrix G, found by a block Krylov
 solver with a Rayleigh-Ritz step that stops on its Ritz residuals scaled
-by the Ritz gap (a Davis-Kahan estimate of the product error, 1e-12 |W|_F),
-with a full ``np.linalg.eigh`` as the fallback; see ``svd_split``.
+by the Ritz gap (a Davis-Kahan estimate of the product error, 1e-12 |W|_F).
+The solver multiplies by G through W and never forms it; only its
+fallback, a full ``np.linalg.eigh``, does. See ``svd_split``.
+
+No stage of ``svdquant_pipeline`` holds more than three W-sized arrays: W
+itself, one array made from it and that array's output.
 """
 
 from dataclasses import asdict, dataclass
@@ -138,9 +142,16 @@ def search_alpha(x, w, fmt, grid=ALPHA_GRID, ref=None):
     best = None
     for alpha in grid:
         plan = smooth_scales(*maxima, alpha)
+        # each operand is dropped once it is quantized, and Q(w') once the
+        # error is taken: W, w' and Q(w') are the only W-sized arrays alive,
+        # and none is alive when the next alpha's are made
         xs, ws = apply_smoothing(x, w, plan)
         qx = codec.reconstruct(xs, "activation")
-        err = _frobenius(ref, qx @ codec.reconstruct(ws, "weight"))
+        del xs
+        qw = codec.reconstruct(ws, "weight")
+        del ws
+        err = _frobenius(ref, qx @ qw)
+        del qw
         if best is None or err < best[1]:
             best = (plan, err, qx)
     return best
@@ -159,10 +170,14 @@ _CHECK_EVERY = 4  # Ritz residuals are checked every 4 blocks
 _TOL = 1e-12  # stop when the estimated product error is below this times |W|_F
 
 
-def _krylov_top(g, rank):
-    """Top-``rank`` eigenvectors of the PSD Gram matrix ``g`` as (n, rank) columns,
-    strongest first, or None when ``np.linalg.eigh`` of ``g`` must decide.
+def _krylov_top(wa, rank):
+    """Top-``rank`` eigenvectors of the Gram matrix G of ``wa``'s smaller side as (n, rank)
+    columns, strongest first, or None when ``np.linalg.eigh`` of G must decide.
 
+    G is ``W^T W`` for a tall W and ``W W^T`` for a wide one, n x n with n
+    the smaller side, and is never formed: the solver only multiplies by it,
+    a block B at a time, as ``(B W^T) W`` or ``(B W) W^T`` (B's rows are
+    basis vectors), so it holds no array larger than its basis.
     Each new block ``G B_j`` is orthogonalized twice against the basis (CGS2)
     and then QR'd into it; ``B^T G B`` grows one block column at a time. Every
     ``_CHECK_EVERY`` blocks the Ritz pairs ``(theta, v)`` of ``B^T G B`` are
@@ -176,10 +191,12 @@ def _krylov_top(g, rank):
     only if they pass the same test. A block at roundoff level is never QR'd
     into the basis.
     """
-    n = g.shape[0]
+    a = wa if wa.shape[0] >= wa.shape[1] else wa.T  # G = a^T a
+    n = a.shape[1]
     b = rank
     cap = n // _CAP_DIV // b * b
-    fro2 = float(np.trace(g))  # |W|_F^2, an upper bound on |G|_2
+    fro = _frobenius(wa)
+    fro2 = fro * fro  # |W|_F^2 = trace(G), an upper bound on |G|_2
     if cap < _MIN_BLOCKS * b or not np.isfinite(fro2):
         return None
     roundoff = n * np.finfo(np.float64).eps * fro2
@@ -191,7 +208,7 @@ def _krylov_top(g, rank):
     k = 0
     while True:
         new = slice(k, k + b)
-        np.matmul(basis[new], g, out=gb[new])  # (G B_j)^T, as G is symmetric
+        np.matmul(basis[new] @ a.T, a, out=gb[new])  # (G B_j)^T, as G = a^T a is symmetric
         k += b
         h[:k, new] = basis[:k] @ gb[new].T
         h[new, :k - b] = h[:k - b, new].T
@@ -209,7 +226,7 @@ def _krylov_top(g, rank):
             v = s.T @ basis[:k]
             res = float(np.linalg.norm(s.T @ gb[:k] - theta[:rank, None] * v))
             gap = theta[rank - 1] - theta[rank]  # a zero gap passes only with a zero residual
-            if np.sqrt(2 * max(theta[0], 0.0)) * res <= _TOL * np.sqrt(fro2) * gap:
+            if np.sqrt(2 * max(theta[0], 0.0)) * res <= _TOL * fro * gap:
                 return v.T
         if done:
             return None
@@ -219,34 +236,34 @@ def svd_split(w, rank):
     """Split a matrix into its top-``rank`` singular part plus a residual.
 
     The top singular vectors of the smaller side are the top eigenvectors
-    of its Gram matrix, so no full SVD is needed. A tall W (d >= n) gives
+    of its Gram matrix G, so no full SVD is needed. A tall W (d >= n) gives
     ``l1 = W V, l2 = V^T`` from ``W^T W``; a wide one gives ``l1 = U,
     l2 = U^T W`` from ``W W^T``. l1 is not U Sigma, but ``l1 @ l2`` is the
     rank-``rank`` SVD part up to rounding.
 
     The eigenvectors come from a block Krylov solver (``_krylov_top``) that
-    stops on its Ritz residuals, scaled by the Ritz gap, once the Davis-Kahan
-    estimate of the product error is at most 1e-12 |W|_F (an estimate: the
-    Ritz gap stands in for the true one). It falls back to a
-    full ``np.linalg.eigh`` of the Gram matrix when its basis would pass n/4
-    columns, when fewer than 28 blocks of ``rank`` columns fit under that cap
-    (a small matrix or a large rank), and when the Krylov space turns
-    invariant before the test passes (an exactly low-rank or zero W). A
-    failed eigendecomposition raises NonConvergence.
+    only multiplies by G through W, so on its path no n x n array is made.
+    It stops on its Ritz residuals, scaled by the Ritz gap, once the
+    Davis-Kahan estimate of the product error is at most 1e-12 |W|_F (an
+    estimate: the Ritz gap stands in for the true one). It falls back to
+    forming G and a full ``np.linalg.eigh`` of it when its basis would pass
+    n/4 columns, when fewer than 28 blocks of ``rank`` columns fit under that
+    cap (a small matrix or a large rank), and when the Krylov space turns
+    invariant before the test passes (an exactly low-rank or zero W). G and
+    eigh's eigenvectors are freed before the residual is made. A failed
+    eigendecomposition raises NonConvergence.
     """
     wa = as_array(w)
     if wa.ndim != 2:
         raise ShapeMismatch(f"svd_split needs a matrix, got shape {wa.shape}")
     _check_rank(rank, wa.shape)
     tall = wa.shape[0] >= wa.shape[1]
-    g = wa.T @ wa if tall else wa @ wa.T
     try:
-        top = _krylov_top(g, rank)
-        if top is None:
-            top = np.linalg.eigh(g)[1][:, -rank:][:, ::-1]  # ascending; strongest first
+        top = _krylov_top(wa, rank)
+        if top is None:  # ascending eigenvalues; strongest first, copied out of the n x n result
+            top = np.linalg.eigh(wa.T @ wa if tall else wa @ wa.T)[1][:, -rank:][:, ::-1].copy()
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigendecomposition failed to converge: {exc}") from exc
-    del g  # the pipeline's peak memory is its live W-sized arrays, and g is one
     l1, l2 = (wa @ top, top.T) if tall else (top, top.T @ wa)
     residual = l1 @ l2
     return LowRankBranch(l1, l2, int(rank), np.subtract(wa, residual, out=residual))
@@ -298,8 +315,9 @@ def _smoothing_stage(x, w, codec, alpha, rank=None):
         raise ShapeMismatch("x @ w vanishes; relative errors are undefined")
     if ref_norm == np.inf:
         raise NonFiniteValue("|x @ w|_F overflows float64")
-    rtn = codec.reconstruct(x, "activation") @ codec.reconstruct(w, "weight")
-    rtn_err = _frobenius(ref, rtn) / ref_norm
+    # one expression, so no RTN product is held through the search
+    rtn_err = _frobenius(ref, codec.reconstruct(x, "activation")
+                         @ codec.reconstruct(w, "weight")) / ref_norm
     plan, err, qx = search_alpha(x, w, codec, ALPHA_GRID if alpha is None else (alpha,), ref=ref)
     return ref, ref_norm, rtn_err, plan, err / ref_norm, qx
 
@@ -319,12 +337,20 @@ def svdquant_pipeline(x, w, fmt, rank=16, alpha=None):
     Frobenius error is reported next to the smoothing-only and plain
     round-to-nearest figures. The migration strength comes from the
     smoothing objective, or is ``alpha`` when given.
+
+    No stage holds more than three W-sized arrays: W, one array made from
+    it and that array's output (w' and Q(w') in the search, w' and the
+    residual in the split, the residual and Q(residual) at the end). x' is
+    dropped once x' @ L1 exists.
     """
     codec = as_codec(fmt)
     ref, ref_norm, rtn_err, plan, smooth_err, qx = _smoothing_stage(x, w, codec, alpha, rank)
     xs, ws = apply_smoothing(x, w, plan)
     branch = svd_split(ws, rank)
     del ws  # the split holds what is left of it
-    recon = (xs.data @ branch.l1) @ branch.l2 + qx @ codec.reconstruct(branch.residual, "weight")
+    low = xs.data @ branch.l1
+    del xs
+    # IEEE addition commutes, so this is (x' @ L1) @ L2 + Q(x') @ Q(residual) bit for bit
+    recon = qx @ codec.reconstruct(branch.residual, "weight") + low @ branch.l2
     svdq_err = _frobenius(ref, recon) / ref_norm
     return PipelineReport(codec.selector, plan.alpha, int(rank), rtn_err, smooth_err, svdq_err)

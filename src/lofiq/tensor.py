@@ -266,7 +266,8 @@ class Record:
     The record protocol: ``view(arr)`` is the layout sliced along its first
     axis (``arr`` itself, or a codec's block view), ``round(s, out)`` writes
     the float64 codes of slice ``s`` of ``view(source)`` into ``out`` and
-    returns ``out``, and ``decode(s, out)`` turns them into values in place.
+    returns ``out``, ``decode(s, out)`` turns them into values in place, and
+    ``round_decode(s, out)`` does both.
     Each record codec subclasses Record with its fitted fields, ``round`` and
     ``decode``. ``source`` is held C-ordered (a C-ordered input, such as a
     Tensor's data, as it is; any other copied once), so ``view(source)`` and
@@ -299,21 +300,27 @@ class Record:
         """The float64 codes of the whole source, in its shape, made by ``round`` slice by slice."""
         return made_in_chunks(self.shape, self.round, self.name, self.view).data
 
+    def round_decode(self, s, out):
+        """``decode(s, round(s, out))``: the values of slice ``s``, in ``out``. A codec whose
+        ``round`` and ``decode`` share a per-slice term overrides it to form that term once."""
+        self.decode(s, self.round(s, out))
+
     def dequantized(self):
         """The reconstruction, a Tensor: each slice rounded and decoded in cache."""
-        return made_in_chunks(self.shape, lambda s, o: self.decode(s, self.round(s, o)),
-                              self.name, self.view)
+        return made_in_chunks(self.shape, self.round_decode, self.name, self.view)
 
 
 def as_array(t):
-    """The float64 array behind ``t``, the one ingest of every library entry point.
+    """The C-ordered float64 array behind ``t``, the one ingest of every library entry point.
 
     A Tensor gives its (already checked) data; any other array-like is
-    converted and must be finite, else NonFiniteValue.
+    converted, copied once if it is not C-ordered, and must be finite, else
+    NonFiniteValue. So a kernel's block view of it, and a record built on
+    it, are views of that one array.
     """
     if isinstance(t, Tensor):
         return t.data
-    arr = np.asarray(t, dtype=np.float64)
+    arr = np.asarray(t, dtype=np.float64, order="C")  # 0-d stays 0-d
     _check_finite(arr, None)
     return arr
 

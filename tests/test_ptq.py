@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -385,13 +387,46 @@ class TestKrylovSplit:
         sv = decay ** np.arange(min(shape), dtype=float)
         sv[rank:] *= sv[rank - 1] / sv[rank] / np.sqrt(1.001)
         w = _with_spectrum(shape, sv, 3)
-        assert (ptq._krylov_top(_gram(w), rank) is not None) == krylov
+        assert (ptq._krylov_top(w, rank) is not None) == krylov
         b = svd_split(tensor(w), rank)
         if krylov:
             err = np.linalg.norm(b.l1 @ b.l2 - _svd_product(w, rank))
             assert err <= 1e-12 * np.linalg.norm(w)
         else:
             assert np.array_equal(b.l1 @ b.l2, _eigh_product(w, rank))
+
+    @pytest.mark.parametrize("shape,rank", [((1024, 512), 4), ((512, 1024), 2), ((768, 256), 2)])
+    def test_spans_the_subspace_of_the_explicit_gram_matrix(self, shape, rank):
+        sv = 0.97 ** np.arange(min(shape), dtype=float)
+        w = _with_spectrum(shape, sv, 7)
+        top = ptq._krylov_top(w, rank)
+        want = np.linalg.eigh(_gram(w))[1][:, -rank:]
+        assert top.shape == want.shape
+        assert np.linalg.norm(top @ top.T - want @ want.T) <= 1e-10
+
+    @pytest.mark.parametrize("shape", [(768, 256), (256, 768)])
+    def test_the_krylov_path_forms_no_gram_matrix(self, monkeypatch, shape, eigh_calls):
+        # the traced peak from svd_split's start until the solver returns, with
+        # |W|_F taken in slices of 4 Ki elements
+        monkeypatch.setattr(sys.modules["lofiq.tensor"], "CHUNK", 1 << 12)
+        w = tensor(_with_spectrum(shape, 0.95 ** np.arange(256.0), 5))
+        svd_split(w, 2)  # the pool starts untraced
+        eigh_calls.clear()
+        real, peaks = ptq._krylov_top, []
+
+        def spy(*args):
+            top = real(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return top
+
+        monkeypatch.setattr(ptq, "_krylov_top", spy)
+        tracemalloc.start()
+        try:
+            svd_split(w, 2)
+        finally:
+            tracemalloc.stop()
+        assert max(c[0] for c in eigh_calls) < 256  # the Krylov path, no full eigh
+        assert peaks[0] < 256 * 256 * 8, f"{peaks[0] / (256 * 256 * 8):.3f} n x n arrays"
 
     @pytest.mark.parametrize("shape", [(768, 256), (256, 768)])
     def test_tall_and_wide(self, shape, eigh_calls):
@@ -445,7 +480,7 @@ class TestKrylovSplit:
         w = np.random.default_rng(12).normal(size=shape)
         krylov = 0
         for r in range(1, min(shape) + 1):
-            krylov += ptq._krylov_top(_gram(w), r) is not None
+            krylov += ptq._krylov_top(w, r) is not None
             b = svd_split(tensor(w), r)
             err = np.linalg.norm(b.l1 @ b.l2 - _svd_product(w, r))
             assert err <= 1e-12 * np.linalg.norm(w), (shape, r)
@@ -544,6 +579,27 @@ class TestPipelines:
             w = tensor(rng.normal(size=(128, 128)) * 0.02)
             rep = svdquant_pipeline(x, w, "hif4", rank=16)
             assert rep.svdq_rel_err <= rep.rtn_rel_err
+
+    @pytest.mark.parametrize("alpha", [None, 0.5])
+    def test_svdq_holds_three_w_sized_arrays(self, monkeypatch, eigh_calls, alpha):
+        # W itself, one array made from it and that array's output: w' and
+        # Q(w'), w' and the residual, the residual and Q(residual)
+        monkeypatch.setattr(sys.modules["lofiq.tensor"], "CHUNK", 1 << 12)
+        rng = np.random.default_rng(18)
+        x = tensor(rng.normal(size=(32, 512)))
+        w = tensor(_with_spectrum((512, 512), 0.97 ** np.arange(512.0), 8))
+        svdquant_pipeline(x, w, "int8", rank=4, alpha=alpha)  # the pool starts untraced
+        eigh_calls.clear()
+        tracemalloc.start()
+        try:
+            svdquant_pipeline(x, w, "int8", rank=4, alpha=alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(c[0] for c in eigh_calls) < 512  # the Krylov path, no full eigh
+        # W was made before tracing: two more W-sized arrays and a few X-sized ones
+        extra = (peak - 2 * w.data.nbytes) / x.data.nbytes
+        assert extra <= 6, f"{extra:.2f} X-sized arrays past two W-sized ones"
 
     @pytest.mark.parametrize("pipeline,alpha,calls", [
         (svdquant_pipeline, None, 21), (svdquant_pipeline, 0.3, 5),

@@ -10,7 +10,9 @@ check that
 * reading a derived field first does not change the output;
 * a record of a non-C input holds its source C-ordered, so its view is a
   view of the source, and gives the output and derived field of the
-  input's C-order copy, bit for bit;
+  input's C-order copy, bit for bit; a block codec's quantize copies such
+  an input once, for its fit and its record alike;
+* HiF4's dequantize forms each slice's element step once;
 * a reconstruction holds little beyond its output: between 2**20 and 2**22
   elements, the traced peak of ``codec.reconstruct`` less its output grows
   by at most a quarter of the added input bytes, for every format the
@@ -181,6 +183,35 @@ def test_a_record_of_a_strided_input_slices_views_of_its_source(name, axis):
     assert np.shares_memory(q.view(q.source), q.source)
     _same(dequantize(q).data, dequantize(want).data)
     _same(getattr(q, fields[0]), getattr(want, fields[0]))
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CODECS) if CODECS[n][4] > 1])
+def test_quantizing_a_strided_input_copies_it_once(monkeypatch, name):
+    monkeypatch.setattr(CHUNKS, "CHUNK", 1 << 12)  # a slice's fit temporaries are 32 KiB
+    quantize = CODECS[name][0]
+    x = _data((1024, 512), seed=4).T  # a non-C view; blocks along its last axis
+    quantize(np.ascontiguousarray(x), 1)  # the pool's threads start outside the traced call
+    tracemalloc.start()
+    try:
+        q = quantize(x, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(q.view(q.source), q.source)
+    assert peak <= 1.25 * x.nbytes, f"{name}: {peak / x.nbytes:.3f} input sizes"
+
+
+@pytest.mark.parametrize("name", ["hif4", "hif4-halfrange"])
+def test_hif4_forms_each_slice_step_once(monkeypatch, name):
+    # one 64-element block per slice: dequantize decodes each slice right after rounding it
+    monkeypatch.setattr(CHUNKS, "CHUNK", 16)
+    quantize, dequantize = CODECS[name][:2]
+    q = quantize(Tensor(_data((64, 256), seed=5), "t"), 1)
+    calls, real = [], hif4.Hif4Quantized._step
+    monkeypatch.setattr(hif4.Hif4Quantized, "_step",
+                        lambda self, s: calls.append(s) or real(self, s))
+    dequantize(q)
+    assert len(calls) == q.view(q.source).shape[0]
 
 
 def test_hif4_exponent_bits_are_int8():
