@@ -29,7 +29,7 @@ from .errors import (AlphaOutOfRange, LengthMismatch, NonConvergence, NonFiniteV
                      RankOutOfRange, ShapeMismatch)
 from .metrics import _frobenius
 from .registry import as_codec
-from .tensor import as_array, group_absmax, made_in_chunks
+from .tensor import Tensor, as_array, group_absmax, made_in_chunks
 
 __all__ = [
     "ALPHA_GRID",
@@ -95,12 +95,18 @@ def smooth_scales(x_colmax, w_rowmax, alpha):
 
 
 def _matrices(x, w):
-    """X and W as arrays: non-empty, 2-D, matching inner dimensions; else ShapeMismatch."""
+    """X and W as Tensors: non-empty, 2-D, matching inner dimensions; else ShapeMismatch.
+
+    A Tensor is taken as it is. Any other input is converted (to C order) and
+    checked here, once, so the steps it is handed on to make no copy of it.
+    """
     xa, wa = as_array(x), as_array(w)
     if xa.ndim != 2 or wa.ndim != 2 or xa.shape[1] != wa.shape[0] or not xa.size or not wa.size:
         raise ShapeMismatch(f"need non-empty x (m, d) and w (d, n), "
                             f"got x {xa.shape} and w {wa.shape}")
-    return xa, wa
+    # a view, so that a caller's own array is not made read-only
+    return tuple(t if isinstance(t, Tensor) else Tensor.of_checked(a.view())
+                 for t, a in ((x, xa), (w, wa)))
 
 
 def _maxima(xa, wa):
@@ -114,14 +120,13 @@ def apply_smoothing(x, w, plan):
     Both are Tensors named after x and w, formed in chunks and each chunk
     checked for finiteness as it is made.
     """
-    xa, wa = _matrices(x, w)
-    s = plan.scales
+    x, w = _matrices(x, w)
+    xa, wa, s = x.data, w.data, plan.scales
     if s.shape != (xa.shape[1],):
         raise ShapeMismatch(
             f"plan length {s.size} does not match x {xa.shape} / w {wa.shape}")
-    xname, wname = getattr(x, "name", None), getattr(w, "name", None)
-    return (made_in_chunks(xa.shape, lambda rs, o: np.divide(xa[rs], s, out=o), xname),
-            made_in_chunks(wa.shape, lambda rs, o: np.multiply(s[rs, None], wa[rs], out=o), wname))
+    return (made_in_chunks(xa.shape, lambda rs, o: np.divide(xa[rs], s, out=o), x.name),
+            made_in_chunks(wa.shape, lambda rs, o: np.multiply(s[rs, None], wa[rs], out=o), w.name))
 
 
 def search_alpha(x, w, fmt, grid=ALPHA_GRID, ref=None):
@@ -135,10 +140,10 @@ def search_alpha(x, w, fmt, grid=ALPHA_GRID, ref=None):
     codec = as_codec(fmt)
     if len(grid) == 0:
         raise ValueError("alpha grid is empty")
-    xa, wa = _matrices(x, w)
+    x, w = _matrices(x, w)
     if ref is None:
-        ref = xa @ wa
-    maxima = _maxima(xa, wa)
+        ref = x.data @ w.data
+    maxima = _maxima(x.data, w.data)
     best = None
     for alpha in grid:
         plan = smooth_scales(*maxima, alpha)
@@ -304,12 +309,12 @@ def _smoothing_stage(x, w, codec, alpha, rank=None):
     ``alpha`` and the low-rank split's ``rank`` are checked before any
     quantization runs.
     """
-    xa, wa = _matrices(x, w)
+    x, w = _matrices(x, w)
     if alpha is not None:
         _check_alpha(alpha)
     if rank is not None:
-        _check_rank(rank, wa.shape)
-    ref = xa @ wa
+        _check_rank(rank, w.shape)
+    ref = x.data @ w.data
     ref_norm = _frobenius(ref)
     if ref_norm == 0.0:
         raise ShapeMismatch("x @ w vanishes; relative errors are undefined")
@@ -344,6 +349,7 @@ def svdquant_pipeline(x, w, fmt, rank=16, alpha=None):
     dropped once x' @ L1 exists.
     """
     codec = as_codec(fmt)
+    x, w = _matrices(x, w)  # converted once, for the smoothing below as well
     ref, ref_norm, rtn_err, plan, smooth_err, qx = _smoothing_stage(x, w, codec, alpha, rank)
     xs, ws = apply_smoothing(x, w, plan)
     branch = svd_split(ws, rank)

@@ -601,6 +601,25 @@ class TestPipelines:
         extra = (peak - 2 * w.data.nbytes) / x.data.nbytes
         assert extra <= 6, f"{extra:.2f} X-sized arrays past two W-sized ones"
 
+    def test_a_strided_w_is_copied_once_per_call(self, monkeypatch):
+        # converted to C order once, not by every step the pipeline hands it to
+        monkeypatch.setattr(sys.modules["lofiq.tensor"], "CHUNK", 1 << 12)
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(16, 512))
+        w = rng.normal(size=(128, 512)).T  # tall, so the split's arrays are small beside W
+        peaks, reports = {}, {}
+        for name, arr in (("C", np.ascontiguousarray(w)), ("T", w)):
+            svdquant_pipeline(x, arr, "int8", rank=4)  # the pool starts untraced
+            tracemalloc.start()
+            try:
+                reports[name] = svdquant_pipeline(x, arr, "int8", rank=4).to_dict()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert reports["T"] == reports["C"]
+        copies = (peaks["T"] - peaks["C"]) / w.nbytes
+        assert copies <= 1.25, f"{copies:.2f} more W-sized arrays for the strided W"
+
     @pytest.mark.parametrize("pipeline,alpha,calls", [
         (svdquant_pipeline, None, 21), (svdquant_pipeline, 0.3, 5),
         (smoothquant_pipeline, None, 20), (smoothquant_pipeline, 0.3, 4)])
