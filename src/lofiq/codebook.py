@@ -184,7 +184,9 @@ def _codebook(spec):
 # rint(x / 2**q) * 2**q is the nearest value, and rint's ties-to-even on that
 # integer is the even code (for y >= 1 the integer's parity is the
 # codepoint's). A grid without subnormals starts at 2**emin, where the clip
-# puts every smaller x. Both scalings by 2**q are exact.
+# puts every smaller x. Both scalings by 2**q are exact. The rounding runs in
+# its output: frexp leaves x = m * 2**e there as m and e, and x / 2**q is
+# m * 2**(e - q), so the only other arrays of a slice are two int32 ones.
 
 def _rule(cb):
     """``cb`` itself, or UnknownFormat when its grid has no rounding rule."""
@@ -202,12 +204,15 @@ def _round(cb, x, out):
     """
     emin, y = cb._exmy
     out = np.clip(x, cb.values[0], cb.values[-1], out=out)
-    _, q = np.frexp(out)
-    q -= 1 + y
-    np.maximum(q, emin - y, out=q)
-    np.ldexp(out, -q, out=out)
+    e = np.empty(out.shape, np.int32)
+    np.frexp(out, out=(out, e))
+    # e - q = min(1 + y, e - emin + y), the shift that makes m * 2**(e - q) = x / 2**q
+    shift = np.subtract(e, emin - y)
+    np.minimum(shift, 1 + y, out=shift)
+    np.ldexp(out, shift, out=out)
     np.rint(out, out=out)
-    np.ldexp(out, q, out=out)
+    e -= shift
+    np.ldexp(out, e, out=out)
     out += 0.0  # -0.0 -> +0.0: the codebook holds only +0.0
     return out
 

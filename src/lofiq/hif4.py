@@ -15,12 +15,13 @@ The literal sub-scale rule sets E2 = 1 only when A2/S1 clips at exactly 4
 (and E3 likewise at 2); ``subscale_mode="halfrange"`` switches both
 thresholds to half the range for sensitivity studies.
 
-Quantizing fits E1, M1, E2 and E3 (the last two as int8 bits). The record, a
+Quantizing fits E1, M1, E2 and E3, all four as int8. The record, a
 ``tensor.Record``, makes the element codes of some blocks of the source in
 ``round`` and scales and signs them in ``decode``; ``hif4_dequantize`` and
 ``xhat`` go through ``round``.
 """
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,7 +35,7 @@ BLOCK = 64
 Q_MIN = 2.0**-48
 Q_MAX = 1.5 * 2.0**15
 MODES = ("literal", "halfrange")
-_SIGN = np.uint64(1 << 63)  # the sign bit of a float64
+_TOP_BYTE = 7 if sys.byteorder == "little" else 0  # the byte of a float64 with its sign bit
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -43,8 +44,8 @@ class Hif4Quantized(Record):
 
     # B blocks along the last axis give the shapes below; blocks along another
     # axis keep block_view's layout, with the trailing axes after these
-    e1: np.ndarray  # (B,) block exponents, int64
-    m1: np.ndarray  # (B,) block mantissae, 4..8, int64
+    e1: np.ndarray  # (B,) block exponents, -48..15, int8
+    m1: np.ndarray  # (B,) block mantissae, 4..8, int8
     e2: np.ndarray  # (B, 8) sub-block exponent bits, int8
     e3: np.ndarray  # (B, 8, 2) micro-block exponent bits, int8
     subscale_mode: str = "literal"
@@ -83,13 +84,13 @@ class Hif4Quantized(Record):
         """sign * Xhat * step, in place; ``step`` as in ``round``."""
         # M1 * 2**exp is a normal float and M1 * Xhat < 2**6, so the product is exact
         out *= self._step(s) if step is None else step
-        # the sign of x + 0.0 is negative exactly where x < 0, so a zero code
-        # under a negative input is -0.0, and under -0.0 it is +0.0; out >= +0
-        # here, so OR-ing that sign bit in is copysign
-        sign = np.add(self.view(self.source)[s], 0.0).view(np.uint64)
-        sign &= _SIGN
-        bits = out.view(np.uint64)
-        bits |= sign
+        # a zero code under a negative input is -0.0, and under -0.0 it is +0.0;
+        # out >= +0 here, so setting the sign bit negates: each x < 0 (a bool,
+        # 1) shifted up 7 bits is the sign bit in its element's top byte
+        sign = (self.view(self.source)[s] < 0).view(np.uint8)
+        sign <<= 7
+        top = out.view(np.uint8)[..., _TOP_BYTE::8]
+        top |= sign
 
     def round_decode(self, s, out):
         """``decode(s, round(s, out))`` with the step formed once."""
@@ -149,7 +150,7 @@ def hif4_quantize(t, axis, subscale_mode="literal"):
     arr = as_array(t)
     X = _blocks(arr, axis)
     B, T = X.shape[:1], X.shape[4:]
-    fields = (np.empty(B + T, np.int64), np.empty(B + T, np.int64),
+    fields = (np.empty(B + T, np.int8), np.empty(B + T, np.int8),
               np.empty(B + (8,) + T, np.int8), np.empty(B + (8, 2) + T, np.int8))
     halfrange = subscale_mode == "halfrange"
 

@@ -54,28 +54,42 @@ def _mantissa_bits(abs_e):
     return 0
 
 
-# Grid exponent e - n_m for each frexp exponent be = e + 1 of a float64
-# (be spans -1073 for the smallest subnormal up to 1024; zero has be = 0).
-_FREXP_MIN = -1073
-_GRID_EXP = np.array([be - 1 - _mantissa_bits(abs(be - 1)) for be in range(_FREXP_MIN, 1025)],
-                     dtype=np.int32)
+# |x| = m * 2**be with m in [0.5, 1) (frexp; zero has m = 0 and be = 0), so
+# e = be - 1, the grid step is 2**q with q = e - n_m, and |x| / 2**q is
+# m * 2**(1 + n_m). _WIDTHS packs n_m for |e| = 0..15 two bits each; a shift
+# by 2 * 16 = 32 bits leaves 0, the width of every |e| >= 16.
+_WIDTHS = np.int32(sum(_mantissa_bits(a) << 2 * a for a in range(16)))
 
 
-def _quantize_into(x, out):
-    """Quantize the array ``x`` (at least 1-D) into ``out`` of its shape."""
-    ax = np.abs(x)
-    _, be = np.frexp(ax)
-    underflow = be < -21  # e < -22; zero has be = 0
-    q = _GRID_EXP[be - _FREXP_MIN]
-    val = np.ldexp(ax, -q, out=out)
-    val += 0.5
-    np.floor(val, out=val)
-    np.ldexp(val, q, out=val)
-    val[underflow] = MIN_SUBNORMAL
-    np.minimum(val, MAX_NORMAL, out=val)
-    np.copysign(val, x, out=val)
-    val += 0.0  # -0.0 -> +0.0: zero quantizes to +0.0
-    return val
+def _quantize_into(x, out, signs=None):
+    """Quantize the array ``x`` (at least 1-D) into ``out`` of its shape, which may be ``x``.
+
+    The signs are those of ``signs`` (default ``x``), which must not be
+    ``out``. The rounding runs in ``out``: besides it, a slice holds two int32
+    arrays, and then one int32 array and a mask.
+    """
+    np.abs(x, out=out)
+    be = np.empty(out.shape, np.int32)
+    np.frexp(out, out=(out, be))
+    shift = np.subtract(be, 1)
+    np.abs(shift, out=shift)
+    np.minimum(shift, 16, out=shift)
+    shift <<= 1
+    np.right_shift(_WIDTHS, shift, out=shift)
+    shift &= 3
+    shift += 1  # 1 + n_m
+    np.ldexp(out, shift, out=out)
+    out += 0.5
+    np.floor(out, out=out)
+    be -= shift  # q
+    del shift
+    underflow = be < -22  # e < -22, where n_m = 0 and q = e
+    np.ldexp(out, be, out=out)
+    np.copyto(out, MIN_SUBNORMAL, where=underflow)
+    np.minimum(out, MAX_NORMAL, out=out)
+    np.copysign(out, x if signs is None else signs, out=out)
+    out += 0.0  # -0.0 -> +0.0: zero quantizes to +0.0
+    return out
 
 
 def hif8_quantize(t):
@@ -116,7 +130,9 @@ class ScaledHif8Quantized(Record):
 
     def round(self, s, out):
         """The HiF8 values of slice ``s`` of the source times its scales, in ``out``."""
-        return _quantize_into(self.source[s] * self.groups(self.scales, s), out)
+        x = self.source[s]
+        np.multiply(x, self.groups(self.scales, s), out=out)
+        return _quantize_into(out, out, x)  # a scale is positive, so x has the product's signs
 
     def decode(self, s, out):
         """value / scale, in place."""

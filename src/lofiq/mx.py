@@ -51,7 +51,7 @@ class MxQuantized(Record):
 
     element: Codebook
     block_size: int
-    shared_exponents: np.ndarray  # one int per block, block_view's (blocks, *trailing)
+    shared_exponents: np.ndarray  # one int16 per block, block_view's (blocks, *trailing)
 
     @cached_property
     def codes(self):
@@ -95,7 +95,7 @@ def mx_quantize(t, axis, element_spec, k=DEFAULT_BLOCK):
     arr = as_array(t)
     view = block_view(arr, axis, k)
     q_max = cb.max_finite
-    e = np.empty(view.shape[:1] + view.shape[2:], dtype=np.int64)
+    e = np.empty(view.shape[:1] + view.shape[2:], dtype=np.int16)  # e - 1 fits too
 
     def chunk(s):
         amax = np.max(np.abs(view[s]), axis=1)

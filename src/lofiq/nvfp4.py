@@ -44,7 +44,7 @@ class Nvfp4Quantized(Record):
     """Fitted scales of ``source``; the E2M1 codes are derived from both."""
 
     per_tensor_scale: float
-    block_scales: np.ndarray  # E4M3 per block, 0 if all-zero; block_view's (blocks, *trailing)
+    block_scales: np.ndarray  # E4M3 per block as float32, 0 if all-zero; (blocks, *trailing)
     max_overshoot: float  # largest |x~/s1| seen before the element clip
 
     @cached_property
@@ -97,7 +97,7 @@ def nvfp4_quantize(t, axis):
         raise NonFiniteValue(f"tensor {shown!r}: the NVFP4 top level, {V_MAX:g} times the "
                              f"per-tensor scale {float(s2)!r}, overflows float64", tensor=shown)
 
-    s1 = np.zeros_like(vmax)
+    s1 = np.zeros(vmax.shape, np.float32)  # every E4M3 value is a float32
 
     def chunk(s):
         # x / s2 rounds monotonically, so the block maximum of |x / s2| is

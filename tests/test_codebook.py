@@ -9,6 +9,7 @@ from lofiq.cli import main as cli_main
 from lofiq.codebook import (
     Codebook,
     FpFormatSpec,
+    _round,
     builtin_names,
     builtin_spec,
     enumerate_codebook,
@@ -220,6 +221,25 @@ class TestProject:
         want = brute_force_nearest(cb.values, cb.codes, np.clip(x, cb.values[0], cb.values[-1]))
         assert np.array_equal(got, want)
         assert not np.any(np.signbit(got[got == 0.0]))
+
+    @pytest.mark.parametrize("name", ("e2m1", "e2m3", "e3m2", "e4m3", "e5m2", "int8"))
+    def test_in_place_rounding_matches_the_oracle_bit_for_bit(self, name):
+        values, codes = independent_grid(name)
+        top = values[-1]
+        mids = (values[:-1] + values[1:]) * 0.5  # exact: adjacent values share a binade or meet
+        subnormals = [5e-324, 1e-320, 2.0**-1060, np.nextafter(2.0**-1022, 0.0)]
+        x = np.concatenate([[0.0], subnormals, mids, np.nextafter(mids, np.inf),
+                            np.nextafter(mids, -np.inf),
+                            [np.nextafter(top, np.inf), 1.5 * top, 2.0**600, 1.79e308]])
+        x = np.concatenate([x, -x])
+        # past the extremes rounding clips, and the oracle's distances lose all
+        # precision, so it sees the clipped input
+        want = brute_force_nearest(values, codes, np.clip(x, values[0], top))
+        assert project(enumerate_codebook(name), x).tobytes() == want.tobytes()
+        # MX and NVFP4 round their scaled elements in the output slice itself
+        out = x.copy()
+        assert _round(enumerate_codebook(name), out, out) is out
+        assert out.tobytes() == want.tobytes()
 
     def test_closed_form_only_on_true_grids(self):
         for name in ("e2m1", "e2m3", "e3m2", "e4m3", "e5m2"):

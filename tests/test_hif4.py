@@ -51,6 +51,16 @@ class TestWorkedExamples:
         assert q.xhat.max() == 7  # the 1.75 clip caps floor(4x + 0.5) at 7
 
 
+    def test_zero_codes_take_the_sign_of_a_negative_input(self):
+        # under a block maximum of 7 the step is 0.25, so |x| < 0.125 codes 0
+        x = np.zeros(64)
+        x[:5] = [7.0, -0.01, -0.0, 0.01, -5e-324]
+        out = hif4_dequantize(hif4_quantize(tensor(x), 0)).data
+        assert out[:5].tolist() == [7.0, 0.0, 0.0, 0.0, 0.0]
+        assert np.signbit(out[:5]).tolist() == [False, True, False, False, True]
+        assert not np.signbit(out[5:]).any()
+
+
 class TestInvariants:
     def test_exponent_addition_identity(self):
         rng = np.random.default_rng(42)

@@ -12,6 +12,7 @@ from lofiq.hif8 import (
     MAX_NORMAL,
     MIN_SUBNORMAL,
     ScaledHif8Quantized,
+    _quantize_into,
     hif8_enumerate,
     hif8_quantize,
     hif8_scaled_dequantize,
@@ -69,6 +70,23 @@ class TestWorkedValues:
         assert np.array_equal(got, want)
         # array_equal treats -0.0 == +0.0; the -0.0 input (from -x) must give +0.0
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+    def test_in_place_rounding_matches_the_oracle_bit_for_bit(self):
+        mids = (VALUES[:-1] + VALUES[1:]) * 0.5
+        subnormals = [5e-324, 1e-320, 2.0**-1060, np.nextafter(2.0**-1022, 0.0)]
+        x = np.concatenate([[0.0], subnormals, mids, np.nextafter(mids, np.inf),
+                            np.nextafter(mids, -np.inf),
+                            [np.nextafter(MAX_NORMAL, np.inf), 1.5 * MAX_NORMAL, 2.0**600,
+                             1.79e308]])
+        x = np.concatenate([x, -x])
+        want = np.array([hif8_round(v) for v in x]).tobytes()
+        assert hif8_quantize(tensor(x)).data.tobytes() == want
+        # the scaled variant rounds its products in the output, signed by the source
+        out = x.copy()
+        with np.errstate(over="ignore"):  # 2**1023 steps of the top binade overflow, then clip
+            assert _quantize_into(out, out, x) is out
+        assert out.tobytes() == want
 
 
 class TestEnumerate:

@@ -13,6 +13,9 @@ check that
   input's C-order copy, bit for bit; a block codec's quantize copies such
   an input once, for its fit and its record alike;
 * HiF4's dequantize forms each slice's element step once;
+* a float-grid kernel rounds inside its output slice: with the pool off,
+  its traced peak beyond its output is at most one and a half float64
+  slices, room for two int32 exponent arrays and a mask;
 * a reconstruction holds little beyond its output: between 2**20 and 2**22
   elements, the traced peak of ``codec.reconstruct`` less its output grows
   by at most a quarter of the added input bytes, for every format the
@@ -28,7 +31,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lofiq import cli, hif4, hif8, intquant, mx, nvfp4
+from lofiq import cli, codebook, hif4, hif8, intquant, mx, nvfp4
 from lofiq.registry import parse_format
 from lofiq.tensor import Tensor, save_tensors
 
@@ -217,7 +220,43 @@ def test_hif4_forms_each_slice_step_once(monkeypatch, name):
 def test_hif4_exponent_bits_are_int8():
     q = hif4.hif4_quantize(Tensor(_data((64, 128))), 1)
     assert q.e2.dtype == q.e3.dtype == np.int8
-    assert q.e1.dtype == q.m1.dtype == np.int64
+    assert q.e1.dtype == q.m1.dtype == np.int8  # E1 is -48..15 and M1 is 4..8
+
+
+def test_block_fields_are_stored_at_their_format_width():
+    t = Tensor(_data((64, 128)))
+    # E8M0 exponents are -127..127, and every E4M3 value is a float32
+    assert mx.mx_quantize(t, 1, "e4m3").shared_exponents.dtype == np.int16
+    assert nvfp4.nvfp4_quantize(t, 1).block_scales.dtype == np.float32
+
+
+# (fit, make): make's output is made from fit's record of the input, or from the input
+SLICE_KERNELS = {
+    "project-e4m3": (None, lambda t: codebook.project(codebook.enumerate_codebook("e4m3"), t)),
+    "hif8": (None, hif8.hif8_quantize),
+    "hif8-scaled": (lambda t: hif8.hif8_scaled_quantize(t, 0, 4.0), hif8.hif8_scaled_dequantize),
+    "mxfp4": (lambda t: mx.mx_quantize(t, 1, "e2m1"), mx.mx_dequantize),
+    "nvfp4": (lambda t: nvfp4.nvfp4_quantize(t, 1), nvfp4.nvfp4_dequantize),
+    "hif4": (lambda t: hif4.hif4_quantize(t, 1), hif4.hif4_dequantize),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLICE_KERNELS))
+def test_a_float_grid_kernel_rounds_inside_its_output_slice(monkeypatch, name):
+    monkeypatch.setattr(CHUNKS, "CHUNK", 1 << 12)  # a float64 slice is 32 KiB
+    monkeypatch.setattr(CHUNKS, "_pool", False)  # one slice at a time
+    fit, make = SLICE_KERNELS[name]
+    t = Tensor(_data((64, 1024), seed=6), "t")  # 16 slices
+    arg = t if fit is None else fit(t)  # a record and its fields are made outside the trace
+    make(arg)
+    tracemalloc.start()
+    try:
+        out = make(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slices = (peak - getattr(out, "data", out).nbytes) / (CHUNKS.CHUNK * 8)
+    assert slices <= 1.5, f"{name}: {slices:.3f} float64 slices beyond the output"
 
 
 def _peak_besides_output(codec, x, role):
