@@ -115,32 +115,44 @@ def _blocks(arr, axis):
     return view.reshape(view.shape[:1] + (8, 2, 4) + view.shape[2:])
 
 
-def _fit_blocks(X, halfrange):
-    """E1, M1, E2 and E3 of the blocks ``X`` (b, 8, 2, 4, *trailing)."""
-    A = np.abs(X)
-    # max is exact, so these running and pairwise maxima equal A.max(axis=3),
+def _fit_blocks(X, halfrange, e1, m1, e2, e3):
+    """Fit E1, M1, E2 and E3 of the blocks ``X`` (b, 8, 2, 4, *trailing) into ``e1`` ... ``e3``."""
+    # max is exact, so these running and pairwise maxima equal |X|.max(axis=3),
     # A3.max(axis=2) and A2.max(axis=1); those reductions pay per-row
-    # overhead on rows of four, two or eight and are up to ten times slower
-    A3 = np.maximum(A[:, :, :, 0], A[:, :, :, 1])
-    np.maximum(A3, A[:, :, :, 2], out=A3)
-    np.maximum(A3, A[:, :, :, 3], out=A3)
+    # overhead on rows of four, two or eight and are up to ten times slower.
+    # A3 is built from the four quarter views through one scratch of a
+    # quarter's size, with no |X| array
+    A3 = np.abs(X[:, :, :, 0])
+    scratch = np.empty_like(A3)
+    for j in (1, 2, 3):
+        np.maximum(A3, np.abs(X[:, :, :, j], out=scratch), out=A3)
+    del scratch
     A2 = np.maximum(A3[:, :, 0], A3[:, :, 1])
     A1 = np.maximum(A2[:, 0::2], A2[:, 1::2])
     A1 = np.maximum(A1[:, 0::2], A1[:, 1::2])
-    A1 = np.maximum(A1[:, 0], A1[:, 1])
+    At1 = np.maximum(A1[:, 0], A1[:, 1])
+    At1 /= 7.0
+    np.minimum(np.maximum(At1, Q_MIN, out=At1), Q_MAX, out=At1)  # np.clip, at less cost per call
 
-    At1 = np.clip(A1 / 7.0, Q_MIN, Q_MAX)
-    _, ex = np.frexp(At1)
-    E1 = ex.astype(np.int64) - 1
-    M1 = np.floor(np.ldexp(At1, 2 - E1) + 0.5).astype(np.int64)  # 4..8
-    S1 = np.ldexp(M1.astype(np.float64), E1 - 2)
+    # At1 = f * 2**ex with f in [0.5, 1): E1 = ex - 1 and M1 = floor(8 f + 0.5), 4..8
+    M1, ex = np.frexp(At1, out=(At1, None))
+    M1 *= 8.0
+    M1 += 0.5
+    np.floor(M1, out=M1)
+    m1[...] = M1
+    np.subtract(ex, 1, out=e1)
+    ex -= 3
+    S1 = np.ldexp(M1, ex, out=M1)  # M1 * 2**(E1 - 2)
 
-    At2 = A2 / S1[:, None]
-    E2 = (At2 >= (2.0 if halfrange else 4.0)).view(np.int8)
-
-    At3 = A3 / np.ldexp(S1[:, None, None], E2[:, :, None])
-    E3 = (At3 >= (1.0 if halfrange else 2.0)).view(np.int8)
-    return E1, M1, E2, E3
+    # the ratios A2 / S1 and A3 / (S1 * 2**E2) are formed in place, A3's one
+    # micro-block of each pair at a time: a divisor broadcast over the pair
+    # would run 2 elements per inner loop
+    np.greater_equal(np.divide(A2, S1[:, None], out=A2), 2.0 if halfrange else 4.0,
+                     out=e2.view(np.bool_))
+    S2 = np.ldexp(S1[:, None], e2)
+    for j in (0, 1):
+        np.divide(A3[:, :, j], S2, out=A3[:, :, j])
+    np.greater_equal(A3, 1.0 if halfrange else 2.0, out=e3.view(np.bool_))
 
 
 def hif4_quantize(t, axis, subscale_mode="literal"):
@@ -153,12 +165,7 @@ def hif4_quantize(t, axis, subscale_mode="literal"):
     fields = (np.empty(B + T, np.int8), np.empty(B + T, np.int8),
               np.empty(B + (8,) + T, np.int8), np.empty(B + (8, 2) + T, np.int8))
     halfrange = subscale_mode == "halfrange"
-
-    def chunk(s):
-        for field, part in zip(fields, _fit_blocks(X[s], halfrange)):
-            field[s] = part
-
-    for_chunks(chunk, X)
+    for_chunks(lambda s: _fit_blocks(X[s], halfrange, *(field[s] for field in fields)), X)
     e1, m1, e2, e3 = fields
     return Hif4Quantized(source=arr, axis=axis, name=getattr(t, "name", None), e1=e1, m1=m1,
                          e2=e2, e3=e3, subscale_mode=subscale_mode)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NonFiniteValue, ShapeMismatch, ZeroSignal
 from .registry import as_codec
-from .tensor import Tensor, as_array, pairwise_reduce, write_in_place
+from .tensor import Tensor, as_array, as_tensor, pairwise_reduce, write_in_place
 
 __all__ = [
     "FidelityReport",
@@ -227,7 +227,8 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, ref_norm=None):
     """Report comparing one tensor against a reconstruction produced elsewhere.
 
     ``recon`` is checked for finiteness once, here, unless it is a Tensor
-    (checked when built). ``ref_norm`` (|x|_F, a float or a pair) may be
+    (checked when built); NaN or Inf in it raises NonFiniteValue naming the
+    tensor. ``ref_norm`` (|x|_F, a float or a pair) may be
     passed by a caller that scores many reconstructions of ``t``. sqnr_db
     and rel_fro_err both come from it and |recon - x|_F.
 
@@ -240,10 +241,14 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, ref_norm=None):
     or a nonzero error on an all-zero one, ZeroSignal. Each names the tensor.
     """
     arr = as_array(t)
-    rec = as_array(recon)
+    shown = getattr(t, "name", None) or "<unnamed>"
+    try:
+        rec = as_array(recon)
+    except NonFiniteValue:
+        raise NonFiniteValue(f"tensor {shown!r}: the reconstruction contains NaN or Inf",
+                             tensor=shown) from None
     if arr.shape != rec.shape:
         raise ShapeMismatch(f"shape {arr.shape} vs {rec.shape}")
-    shown = getattr(t, "name", None) or "<unnamed>"
     if not arr.size:  # nothing was reconstructed, exactly or not
         raise ZeroSignal(f"tensor {shown!r} has no elements, so no SQNR", tensor=shown)
     if ref_norm is None:  # |x|_F from the same pass as the error figures
@@ -275,15 +280,19 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, ref_norm=None):
 
 
 def compare_formats(t, formats, role):
-    """One FidelityReport per format, all against the same input tensor."""
-    arr = as_array(t)
-    ref_norm = _norm(arr)
+    """One FidelityReport per format, all against the same input tensor.
+
+    The input is converted and checked once (``as_tensor``), and that one
+    Tensor is handed to every codec, so a strided array is copied once.
+    """
+    x = as_tensor(t)
+    ref_norm = _norm(x.data)
     reports = []
     for fmt in formats:
         codec = as_codec(fmt)
         # no name holds the reconstruction, so it is freed before the next one is made
         reports.append(fidelity_from_reconstruction(
-            t, Tensor.of_checked(codec.reconstruct(t, role)), codec, role,
+            x, Tensor.of_checked(codec.reconstruct(x, role)), codec, role,
             ref_norm=ref_norm))
     return reports
 

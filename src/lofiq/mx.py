@@ -22,12 +22,13 @@ import numpy as np
 
 from .codebook import Codebook, FpFormatSpec, _round, _rule, builtin_spec, enumerate_codebook
 from .errors import UnknownFormat
-from .tensor import Record, as_array, block_view, for_chunks
+from .tensor import Record, as_array, block_absmax, block_view, for_chunks
 
 __all__ = ["DEFAULT_BLOCK", "MxQuantized", "mx_quantize", "mx_dequantize", "resolve_element"]
 
 DEFAULT_BLOCK = 32
 E_MIN, E_MAX = -127, 127
+_MIN_SUBNORMAL = 2.0**-1074
 
 
 def resolve_element(element):
@@ -80,12 +81,11 @@ class MxQuantized(Record):
 
 
 def _ceil_log2_ratio(amax, q_max):
-    """Smallest integer e with amax <= q_max * 2**e, for amax > 0, exactly."""
-    _, ea = np.frexp(amax)
-    _, eq = np.frexp(q_max)
-    e = ea.astype(np.int64) - int(eq) + 1
+    """Smallest integer e with amax <= q_max * 2**e, for amax > 0, exactly; int32."""
+    _, e = np.frexp(amax)
+    e -= int(np.frexp(q_max)[1]) - 1
     # the ratio of two frexp mantissae lies in (0.5, 2), so at most one step down
-    e = np.where(np.ldexp(q_max, e - 1) >= amax, e - 1, e)
+    e -= np.ldexp(q_max, e - 1) >= amax
     return e
 
 
@@ -98,11 +98,11 @@ def mx_quantize(t, axis, element_spec, k=DEFAULT_BLOCK):
     e = np.empty(view.shape[:1] + view.shape[2:], dtype=np.int16)  # e - 1 fits too
 
     def chunk(s):
-        amax = np.max(np.abs(view[s]), axis=1)
-        nonzero = amax > 0
-        es = e[s]
-        es[...] = E_MIN
-        es[nonzero] = np.clip(_ceil_log2_ratio(amax[nonzero], q_max), E_MIN, E_MAX)
+        amax = block_absmax(view[s])
+        # a zero block's exponent is E_MIN, as is that of the least subnormal
+        np.maximum(amax, _MIN_SUBNORMAL, out=amax)
+        ex = _ceil_log2_ratio(amax, q_max)
+        np.minimum(np.maximum(ex, E_MIN, out=ex), E_MAX, out=e[s])
 
     for_chunks(chunk, view)
     return MxQuantized(source=arr, axis=axis, name=getattr(t, "name", None), element=cb,

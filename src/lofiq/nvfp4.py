@@ -12,10 +12,11 @@ largest observed pre-clip ratio is recorded as a diagnostic.
 A reconstruction is at most 2688 * s2. When that overflows float64 (max|x|
 at float64's maximum), quantizing raises NonFiniteValue naming the tensor.
 
-Quantizing fits s2, the block scales and the overshoot, all from the block
-maxima. The record, a ``tensor.Record``, makes the E2M1 codes of some blocks
-of the source in ``round`` and scales them in ``decode``;
-``nvfp4_dequantize`` and ``codes`` go through ``round``.
+Quantizing takes s2 from max|x|, which a Tensor keeps from its finiteness
+check, and then fits the block scales and the overshoot slice by slice from
+the block maxima, with no array of them. The record, a ``tensor.Record``,
+makes the E2M1 codes of some blocks of the source in ``round`` and scales
+them in ``decode``; ``nvfp4_dequantize`` and ``codes`` go through ``round``.
 """
 
 import math
@@ -27,7 +28,7 @@ import numpy as np
 from .codebook import _round
 from .errors import NonFiniteValue
 from .mx import resolve_element
-from .tensor import Record, as_array, block_view, for_chunks
+from .tensor import Record, as_tensor, block_absmax, block_view, for_chunks
 
 __all__ = ["BLOCK", "V_MAX", "Nvfp4Quantized", "nvfp4_quantize", "nvfp4_dequantize"]
 
@@ -37,6 +38,8 @@ E4M3_MAX = 448.0
 V_MAX = E4M3_MAX * E2M1_MAX  # 2688
 _E4M3_MIN_POS = 2.0**-9
 _MIN_SUBNORMAL = 2.0**-1074
+_EXPONENT = 0x7FF << 52  # the exponent field of a float64's bits
+_E4M3_SUBNORMAL_ADDEND = (1023 + 43) << 52  # the bits of 2**43
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -73,18 +76,34 @@ class Nvfp4Quantized(Record):
         out *= self.per_tensor_scale
 
 
+def _round_e4m3(est):
+    """``est`` (0 <= est <= 448) rounded in place to the nearest E4M3 value, ties to even.
+
+    ``codebook._round`` onto E4M3 in five numpy calls. For est in [2**e,
+    2**(e+1)) with e >= -6, est + 2**(e+49) lies in a binade whose ulp is
+    2**(e-3), E4M3's step there, so the sum rounds est to a multiple of that
+    step, ties to even; below 2**-6, est + 2**43 rounds it to a multiple of
+    2**-9, the subnormals' step. Subtracting the addend back is exact.
+    """
+    addend = np.bitwise_and(est.view(np.int64), _EXPONENT)  # 2**e, as bits
+    addend += 49 << 52
+    np.maximum(addend, _E4M3_SUBNORMAL_ADDEND, out=addend)
+    addend = addend.view(np.float64)
+    est += addend
+    est -= addend
+    return est
+
+
 def nvfp4_quantize(t, axis):
     """Fit s2, the block scales and the overshoot for 16-element blocks along ``axis``.
 
-    All of it comes from the block maxima; an all-zero tensor keeps s2 = 1.
+    s2 comes from max|x| (``Tensor.absmax``); an all-zero tensor keeps s2 = 1.
+    The block scales and the overshoot come from the block maxima, taken and
+    used slice by slice.
     """
-    e4m3 = resolve_element("e4m3")
-    arr = as_array(t)
-    view = block_view(arr, axis, BLOCK)
-    vmax = np.empty(view.shape[:1] + view.shape[2:])
-    for_chunks(lambda s: np.max(np.abs(view[s]), axis=1, out=vmax[s]), view)
-
-    amax = float(np.max(vmax, initial=0.0))
+    t = as_tensor(t)
+    view = block_view(t.data, axis, BLOCK)
+    amax = t.absmax
     # amax / V_MAX rounds to 0 for amax below 1344 * 2**-1074; the least
     # subnormal then keeps max|x / s2| below V_MAX, so it is the scale
     s2 = max(amax / V_MAX, _MIN_SUBNORMAL) if amax else 1.0
@@ -93,29 +112,34 @@ def nvfp4_quantize(t, axis):
     while amax / s2 > V_MAX:
         s2 = np.nextafter(s2, np.inf)
     if V_MAX * float(s2) == math.inf:  # the largest code times the largest block scale
-        shown = getattr(t, "name", None) or "<unnamed>"
+        shown = t.name or "<unnamed>"
         raise NonFiniteValue(f"tensor {shown!r}: the NVFP4 top level, {V_MAX:g} times the "
                              f"per-tensor scale {float(s2)!r}, overflows float64", tensor=shown)
 
-    s1 = np.zeros(vmax.shape, np.float32)  # every E4M3 value is a float32
+    s1 = np.zeros(view.shape[:1] + view.shape[2:], np.float32)  # every E4M3 value is a float32
 
-    def chunk(s):
+    def fit(s):
+        bmax = block_absmax(view[s])
         # x / s2 rounds monotonically, so the block maximum of |x / s2| is
         # max|x| / s2 exactly, and likewise for the overshoot below
-        bmax = vmax[s] / s2
+        bmax /= s2
         nonzero = bmax > 0
-        s1s = s1[s]
-        est = bmax[nonzero] / E2M1_MAX
-        s1s[nonzero] = _round(e4m3, est, est)
+        est = bmax / E2M1_MAX
         # a nonzero block whose scale estimate rounds to 0 (possible when the
         # block maximum is tiny relative to the tensor maximum) gets the
-        # smallest positive E4M3 value instead of a divide-by-zero
-        s1s[nonzero & (s1s == 0)] = _E4M3_MIN_POS
-        np.divide(bmax, np.where(nonzero, s1s, 1.0), out=bmax)
-        return np.max(bmax, initial=0.0)
+        # smallest positive E4M3 value instead of a divide-by-zero; rounding
+        # is monotone, so raising the estimate to that value first does it.
+        # An all-zero block keeps s1 = 0 and divides 0 by that value
+        np.maximum(est, _E4M3_MIN_POS, out=est)
+        np.copyto(s1[s], _round_e4m3(est), where=nonzero)
+        return np.maximum.reduce(np.divide(bmax, est, out=bmax), axis=None, initial=0.0)
 
-    overshoot = max(for_chunks(chunk, vmax), default=0.0)
-    return Nvfp4Quantized(source=arr, axis=axis, name=getattr(t, "name", None),
+    # for_chunks sizes the slices of view[:, :4] at CHUNK elements, so each
+    # fit covers a quarter of CHUNK blocks, four slices of the view: a quarter
+    # as many fits, and numpy calls, as one per slice, whose block maxima and
+    # scale estimates take a quarter of a slice each
+    overshoot = max(for_chunks(fit, view[:, :4]), default=0.0) + 0.0  # +0.0, not -0.0
+    return Nvfp4Quantized(source=t.data, axis=axis, name=t.name,
                           per_tensor_scale=float(s2), block_scales=s1,
                           max_overshoot=float(overshoot))
 

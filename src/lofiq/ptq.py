@@ -29,7 +29,7 @@ from .errors import (AlphaOutOfRange, LengthMismatch, NonConvergence, NonFiniteV
                      RankOutOfRange, ShapeMismatch)
 from .metrics import _frobenius
 from .registry import as_codec
-from .tensor import Tensor, as_array, group_absmax, made_in_chunks
+from .tensor import as_array, as_tensor, group_absmax, made_in_chunks
 
 __all__ = [
     "ALPHA_GRID",
@@ -98,15 +98,14 @@ def _matrices(x, w):
     """X and W as Tensors: non-empty, 2-D, matching inner dimensions; else ShapeMismatch.
 
     A Tensor is taken as it is. Any other input is converted (to C order) and
-    checked here, once, so the steps it is handed on to make no copy of it.
+    checked here, once (``as_tensor``), so the steps it is handed on to make no
+    copy of it.
     """
-    xa, wa = as_array(x), as_array(w)
-    if xa.ndim != 2 or wa.ndim != 2 or xa.shape[1] != wa.shape[0] or not xa.size or not wa.size:
+    x, w = as_tensor(x), as_tensor(w)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or not x.size or not w.size:
         raise ShapeMismatch(f"need non-empty x (m, d) and w (d, n), "
-                            f"got x {xa.shape} and w {wa.shape}")
-    # a view, so that a caller's own array is not made read-only
-    return tuple(t if isinstance(t, Tensor) else Tensor.of_checked(a.view())
-                 for t, a in ((x, xa), (w, wa)))
+                            f"got x {x.shape} and w {w.shape}")
+    return x, w
 
 
 def _maxima(xa, wa):

@@ -42,12 +42,11 @@ _F32_INF = 2.0**128 - 2.0**103
 class Tensor:
     """Immutable dense tensor of finite float64 values with an optional name."""
 
-    __slots__ = ("data", "name")
+    __slots__ = ("data", "name", "_absmax")
 
     def __init__(self, values, name=None):
         arr = np.asarray(values, dtype=np.float64, order="C")  # 0-d stays 0-d
-        _check_finite(arr, name or "<unnamed>")
-        _hold(self, arr, name)
+        _hold(self, arr, name, _check_finite(arr, name or "<unnamed>"))
 
     @classmethod
     def of_checked(cls, values, name=None):
@@ -56,9 +55,7 @@ class Tensor:
         For an array ``made_in_chunks`` checked when it was made, or a view
         of one; a strided view is copied to C order.
         """
-        t = cls.__new__(cls)
-        _hold(t, np.asarray(values, dtype=np.float64, order="C"), name)
-        return t
+        return _hold(cls.__new__(cls), np.asarray(values, dtype=np.float64, order="C"), name, None)
 
     def __setattr__(self, key, value):
         raise AttributeError("Tensor is immutable")
@@ -75,15 +72,28 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
+    @property
+    def absmax(self):
+        """max|x| over the whole tensor; +0.0 if it is empty or all zero.
+
+        A Tensor checked when it was built (by ``Tensor``, ``as_tensor`` or
+        ``made_in_chunks``) kept it from that check, so nothing is read;
+        one from ``of_checked`` takes the check's two reductions again.
+        """
+        return _check_finite(self.data, self.name) if self._absmax is None else self._absmax
+
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"Tensor{label} shape={self.shape}"
 
 
-def _hold(t, arr, name):
+def _hold(t, arr, name, absmax):
+    """``t`` holding ``arr``, made read-only; ``absmax`` is max|x| over it, or None if unknown."""
     arr.flags.writeable = False
     object.__setattr__(t, "data", arr)
     object.__setattr__(t, "name", name)
+    object.__setattr__(t, "_absmax", absmax)
+    return t
 
 
 def tensor(values, name=None):
@@ -93,10 +103,24 @@ def tensor(values, name=None):
 
 def _check_finite(arr, shown):
     """NonFiniteValue unless ``arr`` is all finite; ``shown`` is the name of
-    the tensor it belongs to, or None for a bare array."""
-    if not np.all(np.isfinite(arr)):
+    the tensor it belongs to, or None for a bare array.
+
+    A max propagates NaN and +Inf and a min NaN and -Inf, so one of each
+    decides it, with no array of ``arr``'s size (``np.isfinite`` makes one
+    byte per element). An array of over CHUNK elements is reduced slice by
+    slice (``for_chunks``), so the min reads what the max left in cache.
+    Returns max|x| over ``arr``, +0.0 if it is empty or all zero.
+    """
+    def extremes(part):
+        return (float(np.maximum.reduce(part, axis=None, initial=0.0)),
+                float(np.minimum.reduce(part, axis=None, initial=0.0)))
+
+    pieces = (for_chunks(lambda s: extremes(arr[s]), arr) if arr.size > CHUNK
+              else [extremes(arr)])
+    if not all(math.isfinite(top) and math.isfinite(bottom) for top, bottom in pieces):
         label = "array" if shown is None else f"tensor {shown!r}"
         raise NonFiniteValue(f"{label} contains NaN or Inf", tensor=shown)
+    return abs(max(max(top, -bottom) for top, bottom in pieces))  # abs makes a zero +0.0
 
 
 # -- chunks on every core -----------------------------------------------------
@@ -253,10 +277,9 @@ def made_in_chunks(shape, fill, name, view=None):
     def chunk(s):
         part = parts[s]
         fill(s, part)
-        _check_finite(part, shown)
+        return _check_finite(part, shown)
 
-    for_chunks(chunk, parts)
-    return Tensor.of_checked(out, name)
+    return _hold(Tensor.__new__(Tensor), out, name, max(for_chunks(chunk, parts), default=0.0))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -325,6 +348,20 @@ def as_array(t):
     return arr
 
 
+def as_tensor(t):
+    """``t`` if it is a Tensor, else a Tensor of ``as_array(t)``, named like ``t`` if it has a name.
+
+    The array is converted and checked once, here, so every step it is
+    handed to reads it without a copy or a second check. The Tensor holds a
+    view of it, so a caller's own array is not made read-only.
+    """
+    if isinstance(t, Tensor):
+        return t
+    arr = np.asarray(t, dtype=np.float64, order="C")  # 0-d stays 0-d
+    return _hold(Tensor.__new__(Tensor), arr.view(), getattr(t, "name", None),
+                 _check_finite(arr, None))
+
+
 def block_view(arr, axis, k):
     """View ``arr`` as (blocks, k, *trailing): blocks of k consecutive elements along ``axis``.
 
@@ -363,6 +400,34 @@ def group_absmax(arr, axis):
     others = group_axes(arr.ndim, axis)
     return np.maximum(arr.max(axis=others, keepdims=True, initial=0.0),
                       -arr.min(axis=others, keepdims=True, initial=0.0))
+
+
+def block_absmax(v):
+    """max|x| of each block of a block view ``v`` (blocks, k, *trailing), as (blocks, *trailing).
+
+    No |x| array of ``v``'s size is made; callers hand it one slice of a
+    block view at a time. With trailing axes, or blocks longer than 64, it is
+    max(max x, -min x): two reductions along contiguous rows, with no
+    temporary but one of the result's size; a zero may come out as -0.0.
+    Blocks of at most 64 along the last axis are short rows, which numpy
+    reduces at a cost per row (about 4.6 ns per element at k = 16), so half a
+    slice at a time is copied transposed into a scratch of CHUNK / 2
+    elements, made |x| there and reduced elementwise across its k rows
+    (about 1.7 ns).
+    """
+    k = v.shape[1]
+    out = np.empty(v.shape[:1] + v.shape[2:])
+    if v.ndim > 2 or k > 64:
+        lo = np.minimum.reduce(v, axis=1)
+        np.maximum.reduce(v, axis=1, out=out)
+        return np.maximum(out, np.negative(lo, out=lo), out=out)
+    step = max(1, CHUNK // (2 * k))
+    scratch = np.empty((k, min(step, len(v))))
+    for i in range(0, len(v), step):
+        part, t = v[i:i + step], scratch[:, :min(step, len(v) - i)]
+        np.copyto(t, part.T)  # a ufunc would first copy the transposed operand into a buffer
+        np.maximum.reduce(np.abs(t, out=t), axis=0, out=out[i:i + step])
+    return out
 
 
 def write_in_place(path, parts, first=b""):

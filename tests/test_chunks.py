@@ -286,7 +286,7 @@ def test_kernel_boundaries_run_on_the_main_thread(tmp_path, monkeypatch):
     workers = set()
     check = CHUNKS._check_finite
     monkeypatch.setattr(CHUNKS, "_check_finite", lambda arr, label: (
-        workers.add(threading.current_thread() is threading.main_thread()), check(arr, label)))
+        workers.add(threading.current_thread() is threading.main_thread()), check(arr, label))[1])
 
     rng = np.random.default_rng(4)
     save_tensors([Tensor(rng.normal(0, 0.02, (128, 64)), "w")], tmp_path / "w.lqt")

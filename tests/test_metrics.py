@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -258,6 +259,16 @@ class TestFidelity:
         with pytest.raises(ShapeMismatch):
             fidelity_from_reconstruction(t, np.array([1.0]), codec, "weight")
 
+    @pytest.mark.parametrize("name,shown", [("w", "w"), (None, "<unnamed>")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_reconstruction_names_the_tensor(self, name, shown, bad):
+        t = tensor([1.0, 2.0, 3.0], name)
+        with pytest.raises(NonFiniteValue, match=rf"^tensor {re.escape(repr(shown))}: the "
+                                                 r"reconstruction contains NaN or Inf$") as exc:
+            fidelity_from_reconstruction(t, np.array([1.0, bad, 3.0]), parse_format("e4m3"),
+                                         "weight")
+        assert exc.value.tensor == shown
+
 
 def _whole(a):
     """numpy's own sum of a whole array, in C order."""
@@ -461,6 +472,11 @@ class TestSynth:
             SyntheticSpec("cauchy", (4,))
 
 
+# the formats of perfbench/workloads.py
+BENCH_FORMATS = ("int8", "int4", "e4m3", "e5m2", "hif8", "hif8-scaled",
+                 "mxfp8-e4m3", "mxfp4", "mxint8", "nvfp4", "hif4")
+
+
 class TestCompareFormats:
     def test_row_per_format(self):
         t = synth(SyntheticSpec("gaussian", (64, 64), sigma=0.02, seed=1))
@@ -502,6 +518,31 @@ class TestCompareFormats:
 
         t = synth(SyntheticSpec("gaussian", (8, 8), seed=3))
         assert len(compare_formats(t, [Spy(), Spy(), Spy()], "weight")) == 3
+
+    def test_a_strided_input_is_converted_once(self, monkeypatch):
+        module = sys.modules["lofiq.tensor"]  # the name lofiq.tensor is the function
+        monkeypatch.setattr(module, "CHUNK", 1 << 12)  # slices of 32 KiB, next to a 1 MiB input
+        x = np.random.default_rng(5).normal(0, 0.02, (512, 256)).T  # not C-ordered
+        assert not x.flags.c_contiguous
+        want = compare_formats(np.ascontiguousarray(x), BENCH_FORMATS, "weight")
+        compare_formats(x, BENCH_FORMATS, "weight")  # the pool's threads start outside the trace
+        checked = []
+        inner = module._check_finite
+        monkeypatch.setattr(module, "_check_finite",
+                            lambda arr, shown: (checked.append(arr.size), inner(arr, shown))[1])
+        tracemalloc.start()
+        try:
+            got = compare_formats(x, BENCH_FORMATS, "weight")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [repr(dataclasses.astuple(r)) for r in got] == \
+            [repr(dataclasses.astuple(r)) for r in want]
+        # one check of the whole input, by the one conversion; the outputs are checked by slice
+        assert checked.count(x.size) == 1
+        # the copy and one reconstruction at a time, with their slices (about 2.1 to 2.5 input
+        # sizes); a copy per codec as well would be at least 3
+        assert peak <= 2.75 * x.nbytes, f"{peak / x.nbytes:.3f} input sizes"
 
     def test_role_changes_granularity(self):
         t = synth(SyntheticSpec("gaussian", (32, 32), seed=0))

@@ -21,10 +21,17 @@ check that
   by at most a quarter of the added input bytes, for every format the
   benchmark runs, in the weight and activation roles;
 * ``quantize`` holds the input file plus one output: its traced peak grows
-  by at most 1.25 tensors per extra tensor in the file.
+  by at most 1.25 tensors per extra tensor in the file;
+* ingest checks finiteness with no array of the data's size: ``Tensor``,
+  ``as_array`` and ``load_tensors`` of 2**20 elements trace less than 1/64
+  of the data beyond the data, and NaN or Inf anywhere is still found;
+* a block codec's fit holds at most one float64 slice beyond its record's
+  fields, along either axis, with the pool off.
 """
 
+import math
 import os
+import re
 import sys
 import tracemalloc
 
@@ -32,8 +39,9 @@ import numpy as np
 import pytest
 
 from lofiq import cli, codebook, hif4, hif8, intquant, mx, nvfp4
+from lofiq.errors import NonFiniteValue
 from lofiq.registry import parse_format
-from lofiq.tensor import Tensor, save_tensors
+from lofiq.tensor import Tensor, as_array, as_tensor, load_tensors, save_tensors
 
 CHUNKS = sys.modules["lofiq.tensor"]  # the name lofiq.tensor is the function
 
@@ -309,3 +317,100 @@ def test_quantize_holds_the_file_plus_one_output(tmp_path, fmt, role):
     one, six = (_quantize_peak(paths[n], fmt, role, out) for n in (1, 6))
     per_tensor = (six - one) / 5 / (64 * 1024 * 8)
     assert per_tensor <= 1.25, f"{fmt}: the peak grows by {per_tensor:.3f} tensors per tensor"
+
+
+def _traced(fn):
+    """(fn(), the traced peak bytes of the call)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_ingest_checks_finiteness_with_no_array_of_the_datas_size(tmp_path):
+    x = np.random.default_rng(9).normal(size=1 << 20)
+    path = os.fspath(tmp_path / "x.lqt")
+    save_tensors([Tensor(x, "x")], path)
+    # (name, call, bytes of data the call reads in); np.isfinite's mask alone is 1/8 of the data
+    for name, call, data in (("Tensor", lambda: Tensor(x, "x"), 0),
+                             ("as_array", lambda: as_array(x), 0),
+                             ("load_tensors", lambda: load_tensors(path), x.nbytes)):
+        _, peak = _traced(call)
+        assert peak - data < x.nbytes / 64, f"{name}: {(peak - data) / x.nbytes:.4f} of the data"
+
+
+def _with_nonfinite(value, where):
+    """A finite array with ``value`` at its first, a middle or its last element, or 0-d."""
+    if where == "0-d":
+        return np.array(value)
+    x = np.random.default_rng(10).normal(size=(37, 41))
+    x.reshape(-1)[{"first": 0, "middle": x.size // 2, "last": -1}[where]] = value
+    return x
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last", "0-d"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_ingest_finds_nan_and_inf_anywhere(tmp_path, value, where):
+    x = _with_nonfinite(value, where)
+    with pytest.raises(NonFiniteValue, match=r"^tensor 'x' contains NaN or Inf$") as exc:
+        Tensor(x, "x")
+    assert exc.value.tensor == "x"
+    for convert in (as_array, as_tensor):
+        with pytest.raises(NonFiniteValue, match=r"^array contains NaN or Inf$") as exc:
+            convert(x)
+        assert exc.value.tensor is None
+    # an LQT1 file whose payload holds the value: write a finite one, then put it in place
+    path = tmp_path / "x.lqt"
+    save_tensors([Tensor(np.zeros(x.shape), "x")], path)
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) - x.nbytes:] = x.astype("<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(NonFiniteValue,
+                       match=rf"^{re.escape(str(path))}: tensor 'x' contains NaN or Inf$") as exc:
+        load_tensors(path)
+    assert exc.value.tensor == "x"
+
+
+@pytest.mark.parametrize("make", ["Tensor", "as_tensor", "made_in_chunks", "of_checked"])
+def test_a_tensor_knows_its_absmax(monkeypatch, make):
+    monkeypatch.setattr(CHUNKS, "CHUNK", 64)  # made_in_chunks joins the maxima of 16 slices
+    x = _data((32, 32), seed=11)
+    build = {"Tensor": lambda a: Tensor(a),
+             "as_tensor": as_tensor,
+             "made_in_chunks": lambda a: CHUNKS.made_in_chunks(
+                 a.shape, lambda s, part: np.copyto(part, a.reshape(-1)[s]), None, np.ravel),
+             "of_checked": Tensor.of_checked}[make]
+    assert build(x).absmax == np.abs(x).max()
+    for zeros in (np.zeros((4, 4)), -np.zeros((4, 4)), np.zeros((0, 3)), np.array(-0.0)):
+        got = build(zeros).absmax
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+# (quantize, the record fields it keeps)
+BLOCK_FITS = {
+    "mxfp8-e4m3": (lambda t, a: mx.mx_quantize(t, a, "e4m3"), ("shared_exponents",)),
+    "mxfp4": (lambda t, a: mx.mx_quantize(t, a, "e2m1"), ("shared_exponents",)),
+    "mxint8": (lambda t, a: mx.mx_quantize(t, a, "int8"), ("shared_exponents",)),
+    "nvfp4": (nvfp4.nvfp4_quantize, ("block_scales",)),
+    "hif4": (hif4.hif4_quantize, ("e1", "m1", "e2", "e3")),
+    "hif4-halfrange": (lambda t, a: hif4.hif4_quantize(t, a, "halfrange"), ("e1", "m1", "e2", "e3")),
+}
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("name", sorted(BLOCK_FITS))
+def test_a_block_fit_holds_at_most_one_slice_beyond_its_fields(monkeypatch, name, axis):
+    monkeypatch.setattr(CHUNKS, "CHUNK", 1 << 12)  # a float64 slice is 32 KiB
+    monkeypatch.setattr(CHUNKS, "_pool", False)  # one slice at a time
+    quantize, fields = BLOCK_FITS[name]
+    # 1024 x 64 makes slices of CHUNK elements along either axis: for_chunks splits a block
+    # view along its first axis only, so a wider block row would make a larger slice
+    t = Tensor(_data((1024, 64), seed=7), "t")
+    quantize(t, axis)
+    q, peak = _traced(lambda: quantize(t, axis))
+    kept = sum(getattr(q, field).nbytes for field in fields)
+    slices = (peak - kept) / (CHUNKS.CHUNK * 8)
+    assert slices <= 1.0, f"{name} along {axis}: {slices:.3f} float64 slices beyond its fields"
