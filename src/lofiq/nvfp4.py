@@ -28,7 +28,7 @@ import numpy as np
 from .codebook import _round
 from .errors import NonFiniteValue
 from .mx import resolve_element
-from .tensor import Record, as_tensor, block_absmax, block_view, for_chunks
+from .tensor import Record, as_tensor, block_absmax, block_view, for_each, rows_per_chunk
 
 __all__ = ["BLOCK", "V_MAX", "Nvfp4Quantized", "nvfp4_quantize", "nvfp4_dequantize"]
 
@@ -134,11 +134,12 @@ def nvfp4_quantize(t, axis):
         np.copyto(s1[s], _round_e4m3(est), where=nonzero)
         return np.maximum.reduce(np.divide(bmax, est, out=bmax), axis=None, initial=0.0)
 
-    # for_chunks sizes the slices of view[:, :4] at CHUNK elements, so each
-    # fit covers a quarter of CHUNK blocks, four slices of the view: a quarter
-    # as many fits, and numpy calls, as one per slice, whose block maxima and
-    # scale estimates take a quarter of a slice each
-    overshoot = max(for_chunks(fit, view[:, :4]), default=0.0) + 0.0  # +0.0, not -0.0
+    # each fit covers four slices of CHUNK elements: a quarter as many fits,
+    # and numpy calls, as one per slice, whose block maxima and scale
+    # estimates take a quarter of a slice each
+    step = 4 * rows_per_chunk(view.shape)
+    fits = for_each(fit, [slice(i, i + step) for i in range(0, len(view), step)])
+    overshoot = max(fits, default=0.0) + 0.0  # +0.0, not -0.0
     return Nvfp4Quantized(source=t.data, axis=axis, name=t.name,
                           per_tensor_scale=float(s2), block_scales=s1,
                           max_overshoot=float(overshoot))

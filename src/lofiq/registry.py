@@ -40,7 +40,7 @@ import numpy as np
 from . import hif4, hif8, intquant, mx, nvfp4
 from .codebook import enumerate_codebook, project
 from .errors import LofiqError, UnknownFormat
-from .tensor import Tensor, as_array
+from .tensor import Tensor, _hold, as_tensor
 
 __all__ = ["ROLES", "parse_format", "as_codec", "group_axis_for", "block_axis_for"]
 
@@ -154,12 +154,12 @@ class _Codec:
         """``t`` zero-padded along ``axis`` to a multiple of the block, reconstructed and cropped
         back, so padded elements never reach the output or statistics built on it. The padded
         copy carries ``t``'s name, so a kernel error names ``t``."""
-        arr = as_array(t)
-        widths = [(0, 0)] * arr.ndim
-        widths[axis] = (0, -arr.shape[axis] % self.block)
-        # the zeros are finite and arr was checked, so no second scan
-        padded = Tensor.of_checked(np.pad(arr, widths), getattr(t, "name", None))
-        return self._reconstruct(padded, role, axis).take(range(arr.shape[axis]), axis)
+        src = as_tensor(t)
+        widths = [(0, 0)] * src.ndim
+        widths[axis] = (0, -src.shape[axis] % self.block)
+        # the zeros are finite and leave max|x| as it was, so no second scan
+        padded = _hold(Tensor.__new__(Tensor), np.pad(src.data, widths), src.name, src.absmax)
+        return self._reconstruct(padded, role, axis).take(range(src.shape[axis]), axis)
 
     def __repr__(self):
         return f"<codec {self.selector}>"

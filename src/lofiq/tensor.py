@@ -174,8 +174,13 @@ def for_chunks(fn, arr):
     about CHUNK elements (at least one index). The slices run as ``for_each``
     runs its items.
     """
-    step = max(1, CHUNK // max(1, math.prod(arr.shape[1:])))
+    step = rows_per_chunk(arr.shape)
     return for_each(fn, [slice(i, i + step) for i in range(0, arr.shape[0], step)])
+
+
+def rows_per_chunk(shape):
+    """How many indices of the first axis of ``shape`` hold about CHUNK elements (at least one)."""
+    return max(1, CHUNK // max(1, math.prod(shape[1:])))
 
 
 def for_each(fn, items):
@@ -334,26 +339,23 @@ class Record:
 
 
 def as_array(t):
-    """The C-ordered float64 array behind ``t``, the one ingest of every library entry point.
+    """The read-only, C-ordered float64 array behind ``t``: ``as_tensor(t).data``, the one
+    ingest of every library entry point.
 
-    A Tensor gives its (already checked) data; any other array-like is
-    converted, copied once if it is not C-ordered, and must be finite, else
-    NonFiniteValue. So a kernel's block view of it, and a record built on
-    it, are views of that one array.
+    So a kernel's block view of it, and a record built on it, are views of
+    that one array.
     """
-    if isinstance(t, Tensor):
-        return t.data
-    arr = np.asarray(t, dtype=np.float64, order="C")  # 0-d stays 0-d
-    _check_finite(arr, None)
-    return arr
+    return as_tensor(t).data
 
 
 def as_tensor(t):
-    """``t`` if it is a Tensor, else a Tensor of ``as_array(t)``, named like ``t`` if it has a name.
+    """``t`` if it is a Tensor, else a Tensor of ``t`` converted, named like ``t`` if it has a name.
 
-    The array is converted and checked once, here, so every step it is
-    handed to reads it without a copy or a second check. The Tensor holds a
-    view of it, so a caller's own array is not made read-only.
+    Any other array-like is converted, copied once if it is not C-ordered,
+    and must be finite, else NonFiniteValue. It is converted and checked
+    once, here, so every step it is handed to reads it without a copy or a
+    second check. The Tensor holds a view of it, so a caller's own array is
+    not made read-only.
     """
     if isinstance(t, Tensor):
         return t

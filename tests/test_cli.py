@@ -156,6 +156,17 @@ class TestQuantize:
         # reconstruction, which becomes the output Tensor unscanned
         assert checked == {"a": 2 * 32, "b": 2 * 8}
 
+    def test_a_padded_nvfp4_input_is_checked_for_finiteness_once(self, tmp_path, monkeypatch):
+        src = tmp_path / "in.lqt"
+        save_tensors([tensor(np.random.default_rng(3).normal(size=(3, 60)), "w")], src)
+        checked = _spy_finiteness(monkeypatch)
+        assert run("quantize", src, "-f", "nvfp4", "--role", "activation", "--pad",
+                   "-o", tmp_path / "o.lqt") == 0
+        # the input on load, then the kernel's chunks of the padded (3, 64)
+        # reconstruction; the padded copy keeps the input's max|x|, which
+        # NVFP4 takes its per-tensor scale from, so it is not scanned
+        assert checked == {"w": 3 * 60 + 3 * 64}
+
     def test_all_zero_tensor_is_exact(self, tmp_path):
         # each codec reconstructs zeros exactly, and an exact result reports "inf"
         src, out, rep = tmp_path / "in.lqt", tmp_path / "out.lqt", tmp_path / "r.json"
