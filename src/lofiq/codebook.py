@@ -5,8 +5,9 @@ power-of-two and the unsigned block-scale formats) is an FpFormatSpec, one
 codepoint rule for all, realized as a Codebook: the complete sorted set of
 finite representable values. A grid has one rounding rule, round-to-nearest
 with ties to the even code, computed in closed form (see project); E8M0,
-with no mantissa bit to carry the tie parity, and any signed grid without
-zero have none, and project refuses them.
+with no mantissa bit to carry the tie parity, any signed grid without zero,
+and a user grid whose exponents pass the closed form's float64 reach (see
+Codebook) have none, and project refuses them.
 
 Conventions baked into the builtin specs:
   * E4M3 has no infinities; the top codepoint per sign (exp and mantissa all
@@ -115,7 +116,12 @@ class Codebook:
     in project() well defined. ``_exmy`` is the (emin, y) of that rule's
     closed form, or None for a grid without one: y = 0 leaves no mantissa
     bit for the tie parity, and a signed grid without zero has a gap at 0
-    that the closed form misses. Codebooks compare and hash by their spec.
+    that the closed form misses. The closed form adds 1.5 * 2**(e + 52 - y)
+    to an x of exponent e >= emin, so a grid is also refused when that
+    addend or the sum leaves float64: when y > 50, when its largest
+    exponent passes 971 + y, or when emin is below -1023, where float64
+    subnormals have no exponent field to read e from. Codebooks compare and
+    hash by their spec.
     """
 
     spec: FpFormatSpec
@@ -127,9 +133,13 @@ class Codebook:
         spec = self.spec
         values, codes = _grid(spec)
         values.flags.writeable = codes.flags.writeable = False
+        y = spec.mantissa_bits
+        emin = int(spec.subnormals) - spec.bias
+        emax = max(((_count(spec) - 1) >> y) - spec.bias, emin)
         exmy = None
-        if spec.mantissa_bits >= 1 and (spec.subnormals or not spec.signed):
-            exmy = (int(spec.subnormals) - spec.bias, spec.mantissa_bits)
+        if (1 <= y <= 50 and (spec.subnormals or not spec.signed)
+                and emin >= -1023 and emax <= 971 + y):
+            exmy = (emin, y)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "_exmy", exmy)
@@ -180,19 +190,24 @@ def _codebook(spec):
 
 # -- round-to-nearest projection ---------------------------------------------
 #
-# With q = max(floor(log2|x|), emin) - y the grid step around x is 2**q, so
-# rint(x / 2**q) * 2**q is the nearest value, and rint's ties-to-even on that
-# integer is the even code (for y >= 1 the integer's parity is the
-# codepoint's). A grid without subnormals starts at 2**emin, where the clip
-# puts every smaller x. Both scalings by 2**q are exact. The rounding runs in
-# its output: frexp leaves x = m * 2**e there as m and e, and x / 2**q is
-# m * 2**(e - q), so the only other arrays of a slice are two int32 ones.
+# For x of exponent e, the grid step is 2**k with k = max(e, emin) - y. The
+# addend a = 1.5 * 2**(k + 52) has ulp 2**k, and |x| < 2**(k + y + 1) keeps
+# x + a inside a's binade for either sign (y <= 50), so the float64 sum
+# rounds x to the nearest multiple of the step, ties to the even multiple:
+# a / 2**k is even, so the even code (for y >= 1 the multiple's parity is the
+# codepoint's). Subtracting a back is exact, and a zero result is +0.0. The
+# addend's bits are x's exponent field plus a constant, raised to the one at
+# emin; a grid without subnormals starts at 2**emin, where the clip puts
+# every smaller x.
+
+_EXPONENT = 0x7FF << 52  # the exponent field of a float64's bits
+
 
 def _rule(cb):
     """``cb`` itself, or UnknownFormat when its grid has no rounding rule."""
     if cb._exmy is None:
         raise UnknownFormat(f"{cb.spec.name!r} has no rounding rule: it needs a mantissa bit, "
-                            f"and zero or no sign")
+                            f"zero or no sign, and exponents within float64's reach")
     return cb
 
 
@@ -200,20 +215,19 @@ def _round(cb, x, out):
     """Round the finite array ``x`` (at least 1-D) onto ``cb`` into ``out``, which may be ``x``.
 
     project's rounding without its ingest and checks, for a kernel's chunk
-    of values it derived from checked data.
+    of values it derived from checked data: the one rounding onto an ExMy
+    grid, of the casts, the MX and NVFP4 elements and NVFP4's block scales.
+    It adds and subtracts the addends above, made in one int64 array.
     """
     emin, y = cb._exmy
     out = np.clip(x, cb.values[0], cb.values[-1], out=out)
-    e = np.empty(out.shape, np.int32)
-    np.frexp(out, out=(out, e))
-    # e - q = min(1 + y, e - emin + y), the shift that makes m * 2**(e - q) = x / 2**q
-    shift = np.subtract(e, emin - y)
-    np.minimum(shift, 1 + y, out=shift)
-    np.ldexp(out, shift, out=out)
-    np.rint(out, out=out)
-    e -= shift
-    np.ldexp(out, e, out=out)
-    out += 0.0  # -0.0 -> +0.0: the codebook holds only +0.0
+    shift = (52 - y) << 52 | 1 << 51  # onto the bits of 2**e: those of 1.5 * 2**(e + 52 - y)
+    a = np.bitwise_and(out.view(np.int64), _EXPONENT)
+    a += shift
+    np.maximum(a, ((emin + 1023) << 52) + shift, out=a)  # the addend at emin
+    a = a.view(np.float64)
+    out += a
+    out -= a
     return out
 
 

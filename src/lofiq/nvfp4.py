@@ -17,6 +17,8 @@ check, and then fits the block scales and the overshoot slice by slice from
 the block maxima, with no array of them. The record, a ``tensor.Record``,
 makes the E2M1 codes of some blocks of the source in ``round`` and scales
 them in ``decode``; ``nvfp4_dequantize`` and ``codes`` go through ``round``.
+The block scales and the elements both round through ``codebook._round``,
+onto E4M3 and E2M1.
 """
 
 import math
@@ -38,8 +40,6 @@ E4M3_MAX = 448.0
 V_MAX = E4M3_MAX * E2M1_MAX  # 2688
 _E4M3_MIN_POS = 2.0**-9
 _MIN_SUBNORMAL = 2.0**-1074
-_EXPONENT = 0x7FF << 52  # the exponent field of a float64's bits
-_E4M3_SUBNORMAL_ADDEND = (1023 + 43) << 52  # the bits of 2**43
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -76,24 +76,6 @@ class Nvfp4Quantized(Record):
         out *= self.per_tensor_scale
 
 
-def _round_e4m3(est):
-    """``est`` (0 <= est <= 448) rounded in place to the nearest E4M3 value, ties to even.
-
-    ``codebook._round`` onto E4M3 in five numpy calls. For est in [2**e,
-    2**(e+1)) with e >= -6, est + 2**(e+49) lies in a binade whose ulp is
-    2**(e-3), E4M3's step there, so the sum rounds est to a multiple of that
-    step, ties to even; below 2**-6, est + 2**43 rounds it to a multiple of
-    2**-9, the subnormals' step. Subtracting the addend back is exact.
-    """
-    addend = np.bitwise_and(est.view(np.int64), _EXPONENT)  # 2**e, as bits
-    addend += 49 << 52
-    np.maximum(addend, _E4M3_SUBNORMAL_ADDEND, out=addend)
-    addend = addend.view(np.float64)
-    est += addend
-    est -= addend
-    return est
-
-
 def nvfp4_quantize(t, axis):
     """Fit s2, the block scales and the overshoot for 16-element blocks along ``axis``.
 
@@ -117,6 +99,7 @@ def nvfp4_quantize(t, axis):
                              f"per-tensor scale {float(s2)!r}, overflows float64", tensor=shown)
 
     s1 = np.zeros(view.shape[:1] + view.shape[2:], np.float32)  # every E4M3 value is a float32
+    e4m3 = resolve_element("e4m3")
 
     def fit(s):
         bmax = block_absmax(view[s])
@@ -131,7 +114,7 @@ def nvfp4_quantize(t, axis):
         # is monotone, so raising the estimate to that value first does it.
         # An all-zero block keeps s1 = 0 and divides 0 by that value
         np.maximum(est, _E4M3_MIN_POS, out=est)
-        np.copyto(s1[s], _round_e4m3(est), where=nonzero)
+        np.copyto(s1[s], _round(e4m3, est, est), where=nonzero)
         return np.maximum.reduce(np.divide(bmax, est, out=bmax), axis=None, initial=0.0)
 
     # each fit covers four slices of CHUNK elements: a quarter as many fits,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lofiq.cli import main as cli_main
@@ -20,7 +20,8 @@ from lofiq.mx import resolve_element
 from lofiq.registry import parse_format
 from lofiq.tensor import tensor
 
-from oracles import brute_force_nearest, enumerate_by_codepoints, min_distances, walk_codepoints
+from oracles import (brute_force_nearest, enumerate_by_codepoints, grid_arrays, min_distances,
+                     walk_codepoints)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -35,6 +36,17 @@ _STANDARD = {
 GRIDS = ("e2m1", "e2m3", "e3m2", "e4m3", "e5m2", "int8", "e8m0", "e6m2u")
 # The grids with a rounding rule: all but e8m0, which has no mantissa bit.
 RULED = tuple(name for name in GRIDS if name != "e8m0")
+
+
+def _edge_inputs(values):
+    """Each of ``values``, each midpoint between neighbours, zeros, float64 subnormals and
+    inputs past the extremes, with both float64 neighbours of each, of both signs."""
+    mids = (values[:-1] + values[1:]) * 0.5  # exact: adjacent values share a binade or meet
+    top = np.abs(values).max()
+    x = np.concatenate([values, mids, [0.0, 5e-324, 1e-320, np.nextafter(2.0**-1022, 0.0),
+                                       1.5 * top, 1.79e308]])
+    x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+    return np.concatenate([x, -x])
 
 
 def independent_grid(name):
@@ -262,6 +274,54 @@ class TestProject:
                        lambda: resolve_element(cb)):
             with pytest.raises(UnknownFormat, match="no rounding rule"):
                 refuse()
+
+    @pytest.mark.parametrize("exp_bits, bias", [(10, 50), (3, 1024)])
+    def test_grids_at_the_addends_reach_round_by_the_rule(self, exp_bits, bias):
+        # e10m2 with bias 50 tops out at exponent 973 = 971 + y, where the
+        # addend 1.5 * 2**(973 + 50) is float64's top binade; e3m2 with bias
+        # 1024 has emin = -1023, float64's subnormals' own exponent
+        spec = FpFormatSpec(f"e{exp_bits}m2", exp_bits, 2, bias=bias)
+        values, codes = grid_arrays(walk_codepoints(exp_bits, 2, bias))
+        mag = np.abs(values)
+        # the binades at either end, where the addend meets float64's limits
+        x = _edge_inputs(values[(mag < 2.0 ** (3 - bias)) | (mag >= mag.max() / 16)])
+        want = brute_force_nearest(values, codes, np.clip(x, values[0], values[-1]))
+        cb = enumerate_codebook(spec)
+        assert project(cb, x).tobytes() == want.tobytes()
+        assert _round(cb, x, x.copy()).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("exp_bits, bias", [(10, 49), (10, 0), (3, 1025)])
+    def test_grids_past_the_addends_reach_have_no_rule(self, exp_bits, bias):
+        # the addend at the top binade overflows float64 (bias 49 and 0), or
+        # emin = -1024 lies below the exponent float64's subnormals read
+        spec = FpFormatSpec(f"e{exp_bits}m2", exp_bits, 2, bias=bias)
+        cb = enumerate_codebook(spec)
+        assert cb._exmy is None
+        for refuse in (lambda: project(cb, [0.5, 1.0]), lambda: resolve_element(spec)):
+            with pytest.raises(UnknownFormat, match="no rounding rule"):
+                refuse()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_user_grids_round_by_the_rule(self, data):
+        e = data.draw(st.integers(0, 5), "exponent_bits")
+        y = data.draw(st.integers(1, 4), "mantissa_bits")
+        signed, subnormals, has_inf = (data.draw(st.booleans(), n)
+                                       for n in ("signed", "subnormals", "has_inf"))
+        nan = 0 if has_inf else data.draw(st.integers(0, 2**y), "nan_encodings")
+        bias = data.draw(st.integers(-4, 20), "bias")
+        spec = FpFormatSpec(f"e{e}m{y}", e, y, signed=signed, bias=bias, has_inf=has_inf,
+                            nan_encodings=nan, subnormals=subnormals)
+        cb = enumerate_codebook(spec)
+        assume(len(cb) > 0 and cb._exmy is not None)
+        values, codes = grid_arrays(walk_codepoints(e, y, bias, has_inf, nan, signed, subnormals))
+        x = _edge_inputs(values)
+        want = brute_force_nearest(values, codes, np.clip(x, values[0], values[-1]))
+        got = project(cb, x)
+        assert got.tobytes() == want.tobytes()
+        assert not np.any(np.signbit(got[got == 0.0]))
+        out = x.copy()
+        assert _round(cb, out, out).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("make", [

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import brute_force_nearest, walk_codepoints
+from oracles import E4M3, brute_force_nearest, grid_arrays, nvfp4_by_definition
 
 from lofiq.errors import NonFiniteValue, NotDivisible
 from lofiq.mx import resolve_element
 from lofiq.codebook import _round
-from lofiq.nvfp4 import V_MAX, _round_e4m3, nvfp4_dequantize, nvfp4_quantize
+from lofiq.nvfp4 import V_MAX, nvfp4_dequantize, nvfp4_quantize
 from lofiq.tensor import tensor
 
 
@@ -144,37 +144,6 @@ class TestInvariants:
             nvfp4_quantize(tensor(np.zeros((2, 17))), 1)
 
 
-_E4M3 = walk_codepoints(4, 3, 7, False, 1)  # {value: mantissa field} of every finite E4M3 code
-
-
-def _fit_by_definition(x, axis):
-    """(s2, block scales, overshoot) of NVFP4 on the 2-D ``x`` along ``axis``, one element at a
-    time: s2 = max|x| / 2688 (the least subnormal if that is 0, and nudged up while max|x| / s2
-    passes 2688), s1 = the nearest E4M3 value to max|x / s2| / 6 over each block of 16 (2**-9 if
-    that is 0 in a nonzero block), and the overshoot the largest |x / s2| / s1. The scales come
-    back in block_view's layout: flat block order along axis 1, (blocks, columns) along 0."""
-    values = np.array(sorted(_E4M3))
-    codes = np.array([_E4M3[v] for v in values])
-    amax = max((abs(float(v)) for v in x.flat), default=0.0)
-    s2 = 1.0
-    if amax:
-        s2 = amax / V_MAX or 5e-324
-        while amax / s2 > V_MAX:
-            s2 = float(np.nextafter(s2, math.inf))
-    lines = x if axis == 1 else x.T  # each line holds blocks of 16 along the axis
-    scales = np.zeros((lines.shape[0], lines.shape[1] // 16))
-    overshoot = 0.0
-    for i, line in enumerate(lines):
-        for j in range(scales.shape[1]):
-            scaled = [abs(float(v)) / s2 for v in line[16 * j:16 * j + 16]]
-            if max(scaled) == 0.0:
-                continue
-            s1 = brute_force_nearest(values, codes, [max(scaled) / 6.0])[0] or 2.0**-9
-            scales[i, j] = s1
-            overshoot = max([overshoot] + [v / s1 for v in scaled])
-    return s2, (scales.reshape(-1) if axis == 1 else scales.T), overshoot
-
-
 def _oracle_cases():
     rng = np.random.default_rng(31)
     heavy = rng.normal(size=(32, 64)) * np.exp(rng.uniform(-20, 20, (32, 64)))
@@ -200,18 +169,20 @@ class TestFitOracle:
     @pytest.mark.parametrize("case", sorted(_oracle_cases()))
     def test_fit_matches_the_definition(self, case, axis):
         x = _oracle_cases()[case]
-        s2, scales, overshoot = _fit_by_definition(x, axis)
+        s2, scales, recon, overshoot = nvfp4_by_definition(x, axis)
         for arg in (x, tensor(x, case)):  # a bare array, and a Tensor that knows its max|x|
             q = nvfp4_quantize(arg, axis)
             assert q.per_tensor_scale == s2
             assert np.array_equal(q.block_scales.astype(np.float64), scales)
             assert q.max_overshoot == overshoot
             assert math.copysign(1.0, q.max_overshoot) == 1.0  # +0.0 when every block is zero
+            assert nvfp4_dequantize(q).data.tobytes() == recon.tobytes()
 
 
 def test_scale_rounding_matches_the_codebook():
-    """The fit's own E4M3 rounding of scale estimates equals codebook._round, and the
-    nearest-even search, on [0, 448]: every value, every midpoint and their neighbours."""
+    """The fit's E4M3 rounding of scale estimates, codebook._round, equals the nearest-even
+    search bit for bit on [0, 448]: every value, every midpoint and their neighbours, random
+    draws, zeros of both signs and float64 subnormals."""
     cb = resolve_element("e4m3")
     values = cb.values[cb.values >= 0]
     mids = (values[1:] + values[:-1]) / 2
@@ -221,8 +192,5 @@ def test_scale_rounding_matches_the_codebook():
                         rng.uniform(0.0, 448.0, 4096), np.exp(rng.uniform(-745.0, 6.1, 4096)),
                         [0.0, -0.0, 5e-324, 2.0**-10, 2.0**-1022]])
     x = x[x <= 448.0]
-    got = _round_e4m3(x.copy())
-    assert np.array_equal(got.view(np.int64), _round(cb, x, x.copy()).view(np.int64))
-    grid = np.array(sorted(_E4M3))
-    codes = np.array([_E4M3[v] for v in grid])
-    assert np.array_equal(got[:len(edges)], brute_force_nearest(grid, codes, edges))
+    want = brute_force_nearest(*grid_arrays(E4M3), x)
+    assert _round(cb, x, x.copy()).tobytes() == want.tobytes()
