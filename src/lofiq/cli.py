@@ -14,11 +14,10 @@ from .codebook import builtin_names, enumerate_codebook
 from .errors import LofiqError, UnknownFormat
 from .hif8 import hif8_enumerate
 from .metrics import (
-    _SYNTH_FIELDS,
-    SyntheticSpec,
     compare_formats,
     emit_report,
     fidelity_from_reconstruction,
+    parse_synth,
     report_rows,
     synth,
 )
@@ -94,50 +93,18 @@ def cmd_quantize(args):
     return 0
 
 
-def parse_synth(spec_str, seed):
-    """kind:AxB[:sigma[:fraction:scale]] -> SyntheticSpec.
-
-    gaussian reads kind:AxB[:sigma], uniform kind:AxB, and gaussian_outlier
-    kind:AxB:sigma:fraction[:scale]. A field the kind does not read, or a
-    non-finite number, raises ValueError.
-    """
-    parts = spec_str.split(":")
-    if len(parts) < 2:
-        raise ValueError(f"bad synth spec {spec_str!r}")
-    kind = parts[0]
-    fields = _SYNTH_FIELDS.get(kind)
-    if fields is None:
-        raise ValueError(f"{spec_str!r}: unknown synthetic kind {kind!r}")
-    if len(parts) > 2 + len(fields):
-        grammar = "".join(f":{f}" for f in fields)
-        raise ValueError(f"{spec_str!r}: {kind} reads no field past kind:AxB{grammar}")
-    if kind == "gaussian_outlier" and len(parts) <= 3:
-        raise ValueError(f"{spec_str!r}: gaussian_outlier needs kind:shape:sigma:fraction:scale")
-    try:
-        shape = tuple(int(s) for s in parts[1].lower().split("x"))
-        sigma = float(parts[2]) if len(parts) > 2 else 1.0
-        fraction = float(parts[3]) if len(parts) > 3 else 0.0
-        scale = float(parts[4]) if len(parts) > 4 else 1.0
-        return SyntheticSpec(kind, shape, sigma=sigma, outlier_fraction=fraction,
-                             outlier_scale=scale, seed=seed)
-    except ValueError as exc:
-        raise ValueError(f"{spec_str!r}: {exc}") from None
-
-
 def cmd_compare(args):
     formats = [f for f in (s.strip() for s in args.formats.split(",")) if f]
     if not formats:
         raise UnknownFormat("at least one format selector is required")
     codecs = [parse_format(f) for f in formats]
     if args.synth:
+        spec = None
         try:
-            spec = parse_synth(args.synth, args.seed)
-        except ValueError as exc:
-            raise LofiqError(str(exc)) from None
-        try:
+            spec = parse_synth(args.synth, args.seed)  # whose errors name the spec
             tensors = [synth(spec)]
-        except (ValueError, MemoryError) as exc:  # a negative extent, or too large to allocate
-            raise LofiqError(f"{args.synth!r}: {exc}") from None
+        except (ValueError, MemoryError) as exc:  # a bad spec, an overflow, or no memory
+            raise LofiqError(str(exc) if spec is None else f"{args.synth!r}: {exc}") from None
     else:
         tensors = load_tensors(args.input)
     reports = []
@@ -207,7 +174,7 @@ def build_parser():
     p = sub.add_parser("compare", help="compare formats on one tensor set")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="input .lqt file")
-    src.add_argument("--synth", help="synthetic spec kind:AxB[:sigma[:fraction:scale]], "
+    src.add_argument("--synth", help="synthetic spec kind:AxB and the fields its kind reads, "
                                      "e.g. gaussian:512x512:0.02")
     p.add_argument("--formats", required=True, help="comma-separated format selectors")
     p.add_argument("--role", choices=ROLES, default="weight")

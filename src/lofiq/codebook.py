@@ -121,7 +121,8 @@ class Codebook:
     addend or the sum leaves float64: when y > 50, when its largest
     exponent passes 971 + y, or when emin is below -1023, where float64
     subnormals have no exponent field to read e from. Codebooks compare and
-    hash by their spec.
+    hash by their spec. A grid with no finite value has no rule either, and
+    a spec with a negative field width or NaN count is no grid: UnknownFormat.
     """
 
     spec: FpFormatSpec
@@ -131,13 +132,16 @@ class Codebook:
 
     def __post_init__(self):
         spec = self.spec
+        if min(spec.exponent_bits, spec.mantissa_bits, spec.nan_encodings) < 0:
+            raise UnknownFormat(f"{spec.name!r}: exponent_bits, mantissa_bits and nan_encodings "
+                                f"must be non-negative")
         values, codes = _grid(spec)
         values.flags.writeable = codes.flags.writeable = False
         y = spec.mantissa_bits
         emin = int(spec.subnormals) - spec.bias
         emax = max(((_count(spec) - 1) >> y) - spec.bias, emin)
         exmy = None
-        if (1 <= y <= 50 and (spec.subnormals or not spec.signed)
+        if (len(values) and 1 <= y <= 50 and (spec.subnormals or not spec.signed)
                 and emin >= -1023 and emax <= 971 + y):
             exmy = (emin, y)
         object.__setattr__(self, "values", values)
@@ -206,8 +210,8 @@ _EXPONENT = 0x7FF << 52  # the exponent field of a float64's bits
 def _rule(cb):
     """``cb`` itself, or UnknownFormat when its grid has no rounding rule."""
     if cb._exmy is None:
-        raise UnknownFormat(f"{cb.spec.name!r} has no rounding rule: it needs a mantissa bit, "
-                            f"zero or no sign, and exponents within float64's reach")
+        raise UnknownFormat(f"{cb.spec.name!r} has no rounding rule: it needs a finite value, a "
+                            f"mantissa bit, zero or no sign, and exponents within float64's reach")
     return cb
 
 

@@ -20,7 +20,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .tensor import Tensor, as_array, as_tensor, pairwise_reduce, write_in_place
 __all__ = [
     "FidelityReport",
     "SyntheticSpec",
+    "parse_synth",
     "sqnr",
     "synth",
     "compare_formats",
@@ -55,9 +57,10 @@ class FidelityReport:
     config: dict = field(default_factory=dict)
 
 
-# Each synthetic kind, and the fields after kind:AxB it reads in parse_synth, in order
+# Each synthetic kind, and the SyntheticSpec fields its spec string gives after kind:AxB, in order
 _SYNTH_FIELDS = {"gaussian": ("sigma",), "uniform": (),
-                 "gaussian_outlier": ("sigma", "fraction", "scale")}
+                 "gaussian_outlier": ("sigma", "outlier_fraction", "outlier_scale")}
+_SYNTH_REQUIRED = {"gaussian_outlier": 2}  # how many of them a spec string must give, if not 0
 
 
 @dataclass(frozen=True)
@@ -74,13 +77,42 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in _SYNTH_FIELDS:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
-        for name in ("sigma", "outlier_fraction", "outlier_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not isinstance(self.shape, tuple) or any(operator.index(n) < 0 for n in self.shape):
+            raise ValueError(f"shape must be a tuple of non-negative extents, got {self.shape!r}")
+        for f in fields(self)[2:-1]:  # the numbers; one its kind does not read keeps its default
+            value = getattr(self, f.name)
+            if f.name not in _SYNTH_FIELDS[self.kind] and value != f.default:
+                raise ValueError(f"{self.kind} reads no {f.name}, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not 0.0 <= self.outlier_fraction <= 1.0:
             raise ValueError("outlier_fraction must be in [0, 1]")
-        if self.seed < 0:
+        if operator.index(self.seed) < 0:  # TypeError, as for an extent, unless an integer
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+
+
+def _grammar(kind, given=None):
+    """``kind``'s fields after kind:AxB, e.g. :sigma:fraction[:scale], without outlier_ prefixes;
+    all past the first ``given`` (by default, those a spec string must give) in brackets."""
+    names, given = _SYNTH_FIELDS[kind], _SYNTH_REQUIRED.get(kind, 0) if given is None else given
+    return "".join((":" if i < given else "[:") + f.removeprefix("outlier_")
+                   for i, f in enumerate(names)) + "]" * (len(names) - given)
+
+
+def parse_synth(spec_str, seed):
+    """kind:AxB[:number...] -> SyntheticSpec, numbers as the kind's _SYNTH_FIELDS; errors name it"""
+    kind, *parts = spec_str.split(":")
+    names = _SYNTH_FIELDS.get(kind)
+    try:
+        if names is None or len(parts) <= _SYNTH_REQUIRED.get(kind, 0):  # no kind:AxB, too short
+            known = ", ".join(f"{k}:AxB{_grammar(k)}" for k in _SYNTH_FIELDS)
+            raise ValueError(f"a synthetic spec is one of {known}")
+        if len(parts) > 1 + len(names):
+            raise ValueError(f"{kind} reads no field past kind:AxB{_grammar(kind, len(names))}")
+        shape = tuple(int(s) for s in parts[0].lower().split("x"))
+        return SyntheticSpec(kind, shape, seed=seed, **dict(zip(names, map(float, parts[1:]))))
+    except ValueError as exc:
+        raise ValueError(f"{spec_str!r}: {exc}") from None
 
 
 def _shift(top, size):

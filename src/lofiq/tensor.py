@@ -495,12 +495,13 @@ def save_tensors(tensors, path, dtype="f64"):
     names = set()
     offset = 0
     for i, t in enumerate(tensors):
-        arr = as_array(t)
+        x = as_tensor(t)  # a raw array's finiteness check gives its max|x| too
+        arr = x.data
         name = getattr(t, "name", None) or f"tensor_{i}"
         if not _is_name(name) or name in names:
             raise ValueError(f"tensor name {name!r} is not a unique string UTF-8 can encode")
         names.add(name)
-        if dtype == "f32" and max(arr.max(initial=0.0), -arr.min(initial=0.0)) >= _F32_INF:
+        if dtype == "f32" and x.absmax >= _F32_INF:
             raise NonFiniteValue(f"tensor {name!r} holds values beyond the range of f32",
                                  tensor=name)
         entries.append({"name": name, "dtype": dtype, "shape": list(arr.shape), "offset": offset})

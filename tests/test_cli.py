@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,6 +469,81 @@ class TestCompare:
         assert parse_synth("new_kind:4x4:0.5", 0) == SyntheticSpec("new_kind", (4, 4), sigma=0.5)
         with pytest.raises(ValueError, match="new_kind reads no field past kind:AxB:sigma"):
             parse_synth("new_kind:4x4:0.5:0.1", 0)
+
+    # the spec-level cases of _BAD_SYNTH, built directly; the sixth field of
+    # gaussian_outlier:8x8:1:0.1:10:7 has no SyntheticSpec keyword at all
+    _BAD_SPECS = {
+        "gaussian:4x4:1:0.5": lambda: SyntheticSpec("gaussian", (4, 4), outlier_fraction=0.5),
+        "uniform:8x8:0.3": lambda: SyntheticSpec("uniform", (8, 8), sigma=0.3),
+        "gaussian:4x4:nan": lambda: SyntheticSpec("gaussian", (4, 4), sigma=math.nan),
+        "gaussian:4x4:inf": lambda: SyntheticSpec("gaussian", (4, 4), sigma=math.inf),
+        "gaussian_outlier:8x8:1:nan:10": lambda: SyntheticSpec(
+            "gaussian_outlier", (8, 8), outlier_fraction=math.nan, outlier_scale=10.0),
+        "gaussian_outlier:8x8:1:0.1:-inf": lambda: SyntheticSpec(
+            "gaussian_outlier", (8, 8), outlier_fraction=0.1, outlier_scale=-math.inf),
+        "gaussian:4x4": lambda: SyntheticSpec("gaussian", (4, 4), seed=-1),
+    }
+
+    @pytest.mark.parametrize("spec", sorted(_BAD_SPECS))
+    def test_bad_synth_specs_fail_in_the_library_too(self, spec):
+        assert spec in [s for s, _, _ in self._BAD_SYNTH]
+        with pytest.raises(ValueError):
+            self._BAD_SPECS[spec]()
+
+    def test_negative_extent_fails_at_parse_time(self, tmp_path, capsys, monkeypatch):
+        message = "'gaussian:4x-4': shape must be a tuple of non-negative extents, got (4, -4)"
+        with pytest.raises(ValueError) as exc:
+            parse_synth("gaussian:4x-4", 0)
+        assert str(exc.value) == message
+
+        def synth(spec):
+            raise AssertionError("a refused spec is drawn")
+
+        monkeypatch.setattr(sys.modules["lofiq.cli"], "synth", synth)
+        assert run("compare", "--synth", "gaussian:4x-4", "--formats", "int8",
+                   "-o", tmp_path / "r.json") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    # the documented examples and the inputs of perfbench/workloads.py, with
+    # the digests of their data as drawn before parse_synth moved to metrics
+    _KNOWN_SPECS = [
+        ("gaussian:512x512:0.02", 0, SyntheticSpec("gaussian", (512, 512), sigma=0.02),
+         "f487f8decbce9986"),
+        ("gaussian_outlier:128x2048:0.02:0.001:100", 0,
+         SyntheticSpec("gaussian_outlier", (128, 2048), sigma=0.02, outlier_fraction=0.001,
+                       outlier_scale=100.0), "0f4eb0ce4fc386ca"),
+        ("gaussian_outlier:512x512:0.02:0.001:100", 7,
+         SyntheticSpec("gaussian_outlier", (512, 512), sigma=0.02, outlier_fraction=0.001,
+                       outlier_scale=100.0, seed=7), "5e2c40e8bab706a5"),
+        ("uniform:70x45", 3, SyntheticSpec("uniform", (70, 45), seed=3), "2f175fccf52c46fc"),
+        ("gaussian:4096x1024:0.02", 0, SyntheticSpec("gaussian", (4096, 1024), sigma=0.02),
+         "9abfe22ab2bb62b4"),
+        ("gaussian_outlier:256x4096:0.02:0.001:100.0", 3,
+         SyntheticSpec("gaussian_outlier", (256, 4096), sigma=0.02, outlier_fraction=0.001,
+                       outlier_scale=100.0, seed=3), "a19fa1aad52a3c84"),
+        ("gaussian_outlier:256x2048:0.02:0.001:100.0", 16,
+         SyntheticSpec("gaussian_outlier", (256, 2048), sigma=0.02, outlier_fraction=0.001,
+                       outlier_scale=100.0, seed=16), "541f14e66d17c9a6"),
+        ("gaussian:2048x2048:0.02", 17,
+         SyntheticSpec("gaussian", (2048, 2048), sigma=0.02, seed=17), "95e915f826ddce0c"),
+    ]
+
+    @pytest.mark.parametrize("text,seed,spec,digest", _KNOWN_SPECS,
+                             ids=[f"{text}-seed{seed}" for text, seed, _, _ in _KNOWN_SPECS])
+    def test_known_specs_parse_and_draw_as_before(self, text, seed, spec, digest):
+        assert parse_synth(text, seed) == spec
+        data = metrics.synth(spec).data
+        assert hashlib.sha256(data.tobytes()).hexdigest()[:16] == digest
+
+    def test_readme_states_the_grammar_parse_synth_reports(self):
+        readme = (Path(lofiq.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Synthetic tensor grammar\n", 1)[1].split("\n#", 1)[0]
+        documented = section.split("```\n", 2)[1].splitlines()
+        with pytest.raises(ValueError) as exc:
+            parse_synth("?", 0)  # names every kind's grammar
+        reported = str(exc.value).split("a synthetic spec is one of ", 1)[1].split(", ")
+        assert documented == reported
+        assert [line.split(":", 1)[0] for line in documented] == list(metrics._SYNTH_FIELDS)
 
 
 class TestPtqCommands:

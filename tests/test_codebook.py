@@ -323,6 +323,31 @@ class TestProject:
         out = x.copy()
         assert _round(cb, out, out).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("spec", [
+        # no finite codepoint: the one binade is the reserved top one, or
+        # more NaN codepoints than codepoints
+        FpFormatSpec("x", 0, 2, has_inf=True),
+        FpFormatSpec("x", 1, 1, nan_encodings=9),
+        # a negative field
+        FpFormatSpec("x", 2, -1),
+        FpFormatSpec("x", -1, 2),
+        FpFormatSpec("x", 2, 1, nan_encodings=-3),
+    ], ids=["all-reserved", "nan-past-count", "negative-mantissa", "negative-exponent",
+            "negative-nan"])
+    def test_malformed_specs_are_refused(self, spec):
+        if min(spec.exponent_bits, spec.mantissa_bits, spec.nan_encodings) < 0:
+            with pytest.raises(UnknownFormat, match="must be non-negative"):
+                Codebook(spec)
+            refusal = "must be non-negative"
+        else:
+            cb = enumerate_codebook(spec)
+            assert len(cb) == 0 and cb._exmy is None
+            refusal = "no rounding rule"
+        for refuse in (lambda: project(enumerate_codebook(spec), [0.5, 1.0]),
+                       lambda: resolve_element(spec)):
+            with pytest.raises(UnknownFormat, match=refusal):
+                refuse()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("make", [
         lambda: enumerate_codebook("e4m3"),

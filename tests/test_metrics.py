@@ -471,6 +471,41 @@ class TestSynth:
         with pytest.raises(ValueError):
             SyntheticSpec("cauchy", (4,))
 
+    @pytest.mark.parametrize("kind, given, message", [
+        ("uniform", {"sigma": 5.0}, "uniform reads no sigma, got 5.0"),
+        ("gaussian", {"outlier_fraction": 0.5, "outlier_scale": 1e3},
+         "gaussian reads no outlier_fraction, got 0.5"),
+        ("gaussian", {"outlier_scale": 1e3}, "gaussian reads no outlier_scale, got 1000.0"),
+        ("uniform", {"outlier_scale": math.nan}, "uniform reads no outlier_scale, got nan"),
+    ])
+    def test_fields_the_kind_does_not_read_are_refused(self, kind, given, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SyntheticSpec(kind, (2, 2), **given)
+
+    def test_fields_the_kind_does_not_read_may_hold_their_defaults(self):
+        spec = SyntheticSpec("uniform", (2, 2), sigma=1, outlier_fraction=0.0, outlier_scale=1.0)
+        assert spec == SyntheticSpec("uniform", (2, 2))
+
+    def test_shape_of_numpy_integers(self):
+        spec = SyntheticSpec("gaussian_outlier", (np.int64(8), np.uint8(4)), sigma=0.5,
+                             outlier_fraction=0.25, outlier_scale=10.0, seed=np.int32(2))
+        plain = SyntheticSpec("gaussian_outlier", (8, 4), sigma=0.5, outlier_fraction=0.25,
+                              outlier_scale=10.0, seed=2)
+        assert spec == plain
+        a, b = synth(spec), synth(plain)
+        assert a.name == b.name == "gaussian_outlier-8x4-seed2"
+        assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("shape, seed, error, message", [
+        ((4, -4), 0, ValueError, r"shape must be a tuple of non-negative extents, got \(4, -4\)"),
+        ([4, 4], 0, ValueError, r"shape must be a tuple of non-negative extents, got \[4, 4\]"),
+        ((4, 4.0), 0, TypeError, "'float' object cannot be interpreted as an integer"),
+        ((4, 4), 1.0, TypeError, "'float' object cannot be interpreted as an integer"),
+    ])
+    def test_bad_shape_or_seed(self, shape, seed, error, message):
+        with pytest.raises(error, match=message):
+            SyntheticSpec("gaussian", shape, seed=seed)
+
 
 # the formats of perfbench/workloads.py
 BENCH_FORMATS = ("int8", "int4", "e4m3", "e5m2", "hif8", "hif8-scaled",

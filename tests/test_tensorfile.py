@@ -70,6 +70,27 @@ def test_f32_overflow_rejected_before_the_file_is_opened(tmp_path, v):
     assert load_tensors(path)[0].data[1] == v
 
 
+def test_f32_range_of_raw_arrays_from_their_one_finiteness_pass(tmp_path, monkeypatch):
+    # the range check reads the max|x| of a raw array's finiteness check
+    module = sys.modules["lofiq.tensor"]  # the name lofiq.tensor is the function
+    inner, passes = module._check_finite, []
+
+    def spy(arr, shown):
+        passes.append(arr.size)
+        return inner(arr, shown)
+
+    monkeypatch.setattr(module, "_check_finite", spy)
+    path = tmp_path / "t.lqt"
+    with pytest.raises(NonFiniteValue, match="^tensor 'tensor_1' holds values beyond") as exc:
+        save_tensors([np.ones(3), np.array([0.0, -1e300])], path, dtype="f32")
+    assert exc.value.tensor == "tensor_1" and not path.exists()
+    assert passes == [3, 2]
+    passes.clear()
+    save_tensors([np.ones(3), np.arange(5.0)], path, dtype="f32")
+    assert passes == [3, 5]
+    assert [t.data.tolist() for t in load_tensors(path)] == [[1.0] * 3, list(range(5))]
+
+
 def test_f32_maximum_saves(tmp_path):
     m = float(np.finfo(np.float32).max)
     below = np.nextafter(2.0**128 - 2.0**103, 0.0)  # rounds down to the maximum
