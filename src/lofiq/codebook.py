@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownFormat
-from .tensor import as_array, made_in_chunks
+from .tensor import as_tensor, made_in_chunks
 
 __all__ = [
     "FpFormatSpec",
@@ -63,19 +63,22 @@ class FpFormatSpec:
 
     @property
     def max_finite(self):
-        return float(_magnitudes(self, _count(self) - 1))
+        return float(_magnitudes(self, _top(self)))
 
     @property
     def min_normal(self):
+        _top(self)
         return 2.0 ** (int(self.subnormals) - self.bias)
 
     @property
     def min_subnormal(self):
         """Smallest positive value (equals min_normal when subnormal-free)."""
+        _top(self)
         return float(_magnitudes(self, int(self.subnormals)))
 
     @property
     def max_subnormal(self):
+        _top(self)
         if not self.subnormals or self.mantissa_bits == 0:
             return None
         return float(_magnitudes(self, 2**self.mantissa_bits - 1))
@@ -132,10 +135,7 @@ class Codebook:
 
     def __post_init__(self):
         spec = self.spec
-        if min(spec.exponent_bits, spec.mantissa_bits, spec.nan_encodings) < 0:
-            raise UnknownFormat(f"{spec.name!r}: exponent_bits, mantissa_bits and nan_encodings "
-                                f"must be non-negative")
-        values, codes = _grid(spec)
+        values, codes = _grid(spec)  # refuses a negative field
         values.flags.writeable = codes.flags.writeable = False
         y = spec.mantissa_bits
         emin = int(spec.subnormals) - spec.bias
@@ -151,15 +151,25 @@ class Codebook:
     def __len__(self):
         return len(self.values)
 
-    @property
+    @functools.cached_property
     def max_finite(self):
-        return float(self.values[-1])
+        return self.spec.max_finite
 
 
 def _count(spec):
-    """Number of finite codepoints, sign bit aside: all but the reserved top ones."""
+    """Number of finite codepoints, sign bit aside; UnknownFormat for a negative field (no grid)."""
+    if min(spec.exponent_bits, spec.mantissa_bits, spec.nan_encodings) < 0:
+        raise UnknownFormat(f"{spec.name!r}: exponent_bits, mantissa_bits and nan_encodings "
+                            f"must be non-negative")
     return 2 ** (spec.exponent_bits + spec.mantissa_bits) - (
         2**spec.mantissa_bits if spec.has_inf else spec.nan_encodings)
+
+
+def _top(spec):
+    """The highest finite codepoint of ``spec``, sign bit aside; UnknownFormat if it has none."""
+    if (top := _count(spec) - 1) < 0:
+        raise UnknownFormat(f"{spec.name!r} has no finite value")
+    return top
 
 
 def _magnitudes(spec, k):
@@ -244,9 +254,8 @@ def project(cb, x):
     UnknownFormat, before anything is rounded. The ndarray output is rounded
     and checked in chunks, so a cast's reconstruction needs no second scan.
     """
-    arr = as_array(x)
+    x = as_tensor(x)
     _rule(cb)
-    flat = arr.reshape(-1)
-    return made_in_chunks(arr.shape, lambda s, o: _round(cb, flat[s], o),
-                          getattr(x, "name", None), np.ravel).data
+    flat = x.data.reshape(-1)
+    return made_in_chunks(x.shape, lambda s, o: _round(cb, flat[s], o), x.name, np.ravel).data
 

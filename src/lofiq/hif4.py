@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor import Record, as_array, block_view, for_chunks
+from .tensor import Record, as_tensor, block_view, for_chunks
 
 __all__ = ["BLOCK", "MODES", "Q_MIN", "Q_MAX", "Hif4Quantized", "hif4_quantize", "hif4_dequantize"]
 
@@ -159,15 +159,15 @@ def hif4_quantize(t, axis, subscale_mode="literal"):
     """Fit the scales of ``t``'s 64-element blocks along ``axis``."""
     if subscale_mode not in MODES:
         raise ValueError(f"subscale_mode must be one of {MODES}")
-    arr = as_array(t)
-    X = _blocks(arr, axis)
+    t = as_tensor(t)
+    X = _blocks(t.data, axis)
     B, T = X.shape[:1], X.shape[4:]
     fields = (np.empty(B + T, np.int8), np.empty(B + T, np.int8),
               np.empty(B + (8,) + T, np.int8), np.empty(B + (8, 2) + T, np.int8))
     halfrange = subscale_mode == "halfrange"
     for_chunks(lambda s: _fit_blocks(X[s], halfrange, *(field[s] for field in fields)), X)
     e1, m1, e2, e3 = fields
-    return Hif4Quantized(source=arr, axis=axis, name=getattr(t, "name", None), e1=e1, m1=m1,
+    return Hif4Quantized(source=t.data, axis=axis, name=t.name, e1=e1, m1=m1,
                          e2=e2, e3=e3, subscale_mode=subscale_mode)
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonFiniteValue
-from .tensor import Record, as_array, group_absmax, made_in_chunks
+from .tensor import Record, as_tensor, group_absmax, made_in_chunks
 
 __all__ = [
     "MAX_NORMAL",
@@ -94,10 +94,9 @@ def _quantize_into(x, out, signs=None):
 
 def hif8_quantize(t):
     """Elementwise quantize-dequantize of a whole tensor."""
-    arr = as_array(t)
-    flat = arr.reshape(-1)  # ufuncs turn 0-d arrays into scalars, which out= rejects
-    return made_in_chunks(arr.shape, lambda s, o: _quantize_into(flat[s], o),
-                          getattr(t, "name", None), np.ravel)
+    t = as_tensor(t)
+    flat = t.data.reshape(-1)  # ufuncs turn 0-d arrays into scalars, which out= rejects
+    return made_in_chunks(t.shape, lambda s, o: _quantize_into(flat[s], o), t.name, np.ravel)
 
 
 def hif8_enumerate():
@@ -151,18 +150,17 @@ def hif8_scaled_quantize(t, axis, K):
     """
     if K <= 0:
         raise ValueError("K must be positive")
-    arr = as_array(t)
-    name = getattr(t, "name", None)
+    t = as_tensor(t)
     with np.errstate(over="ignore", divide="ignore"):
-        scales = K / (group_absmax(arr, axis) + _SCALE_EPS)
+        scales = K / (group_absmax(t.data, axis) + _SCALE_EPS)
         flat = scales.reshape(-1)
         bad = ~np.isfinite(flat) | ~np.isfinite(MIN_SUBNORMAL / flat)
     if bad.any():
         i = int(np.argmax(bad))
-        shown = name or "<unnamed>"
+        shown = t.name or "<unnamed>"
         raise NonFiniteValue(f"tensor {shown!r}: hif8-scaled scale K / (max|x| + {_SCALE_EPS}) "
                              f"of group {i} is {flat[i]} for K={K}, out of range", tensor=shown)
-    return ScaledHif8Quantized(source=arr, axis=axis, name=name, scales=flat, K=float(K))
+    return ScaledHif8Quantized(source=t.data, axis=axis, name=t.name, scales=flat, K=float(K))
 
 
 def hif8_scaled_dequantize(q):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor import Record, as_array, group_absmax, group_axes
+from .tensor import Record, as_tensor, group_absmax, group_axes
 
 __all__ = ["IntQuantized", "int_quantize_symmetric", "int_quantize_asymmetric", "int_dequantize"]
 
@@ -86,11 +86,11 @@ def int_quantize_symmetric(t, axis, bits):
     """Per-group symmetric fit: scale = max|x| / (2**(b-1) - 1)."""
     if bits not in _BITS:
         raise ValueError(f"bits must be one of {_BITS}")
-    arr = as_array(t)
-    amax = group_absmax(arr, axis)
+    t = as_tensor(t)
+    amax = group_absmax(t.data, axis)
     scales = np.where(amax > 0, _positive_scales(amax / (2 ** (bits - 1) - 1)), 1.0)
-    return IntQuantized(source=arr, scales=scales.reshape(-1), zero_points=None, axis=axis,
-                        bits=bits, mode="symmetric", name=getattr(t, "name", None))
+    return IntQuantized(source=t.data, scales=scales.reshape(-1), zero_points=None, axis=axis,
+                        bits=bits, mode="symmetric", name=t.name)
 
 
 def int_quantize_asymmetric(t, axis, bits):
@@ -101,17 +101,17 @@ def int_quantize_asymmetric(t, axis, bits):
     """
     if bits not in _BITS:
         raise ValueError(f"bits must be one of {_BITS}")
-    arr = as_array(t)
-    others = group_axes(arr.ndim, axis)
+    t = as_tensor(t)
+    others = group_axes(t.ndim, axis)
     levels = 2**bits - 1
     # initial= gives an empty group the fields of an all-zero one
-    lo = arr.min(axis=others, keepdims=True, initial=np.inf)
-    hi = arr.max(axis=others, keepdims=True, initial=-np.inf)
+    lo = t.data.min(axis=others, keepdims=True, initial=np.inf)
+    hi = t.data.max(axis=others, keepdims=True, initial=-np.inf)
     scales = np.where(hi > lo, _positive_scales((hi - lo) / levels), 1.0)
     zps = np.clip(_round_half_away(np.abs(lo) / scales, -lo), 0, levels)
-    return IntQuantized(source=arr, scales=scales.reshape(-1),
+    return IntQuantized(source=t.data, scales=scales.reshape(-1),
                         zero_points=zps.reshape(-1).astype(np.int16), axis=axis, bits=bits,
-                        mode="asymmetric", name=getattr(t, "name", None))
+                        mode="asymmetric", name=t.name)
 
 
 def int_dequantize(q):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NonFiniteValue, ShapeMismatch, ZeroSignal
 from .registry import as_codec
-from .tensor import Tensor, as_array, as_tensor, pairwise_reduce, write_in_place
+from .tensor import Tensor, as_tensor, pairwise_reduce, write_in_place
 
 __all__ = [
     "FidelityReport",
@@ -209,7 +209,7 @@ def sqnr(x, x_hat, *, ref_norm=None, err_norm=None):
     pair for value * 2**k; with both, x and x_hat are not read.
     """
     if ref_norm is None or err_norm is None:
-        xa, ha = as_array(x), as_array(x_hat)
+        xa, ha = as_tensor(x).data, as_tensor(x_hat).data
         if xa.shape != ha.shape:
             raise ShapeMismatch(f"shape {xa.shape} vs {ha.shape}")
         ref_norm = _norm(xa) if ref_norm is None else ref_norm
@@ -272,10 +272,10 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, ref_norm=None):
     relative error beyond float64 raises NonFiniteValue; a zero-size tensor,
     or a nonzero error on an all-zero one, ZeroSignal. Each names the tensor.
     """
-    arr = as_array(t)
-    shown = getattr(t, "name", None) or "<unnamed>"
+    t = as_tensor(t)
+    arr, shown = t.data, t.name or "<unnamed>"
     try:
-        rec = as_array(recon)
+        rec = as_tensor(recon).data
     except NonFiniteValue:
         raise NonFiniteValue(f"tensor {shown!r}: the reconstruction contains NaN or Inf",
                              tensor=shown) from None

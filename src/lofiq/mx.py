@@ -22,7 +22,7 @@ import numpy as np
 
 from .codebook import Codebook, FpFormatSpec, _round, _rule, builtin_spec, enumerate_codebook
 from .errors import UnknownFormat
-from .tensor import Record, as_array, block_absmax, block_view, for_chunks
+from .tensor import Record, as_tensor, block_absmax, block_view, for_chunks
 
 __all__ = ["DEFAULT_BLOCK", "MxQuantized", "mx_quantize", "mx_dequantize", "resolve_element"]
 
@@ -92,8 +92,8 @@ def _ceil_log2_ratio(amax, q_max):
 def mx_quantize(t, axis, element_spec, k=DEFAULT_BLOCK):
     """Fit the shared exponent of each block of ``k`` along ``axis`` for ``element_spec``."""
     cb = resolve_element(element_spec)
-    arr = as_array(t)
-    view = block_view(arr, axis, k)
+    t = as_tensor(t)
+    view = block_view(t.data, axis, k)
     q_max = cb.max_finite
     e = np.empty(view.shape[:1] + view.shape[2:], dtype=np.int16)  # e - 1 fits too
 
@@ -105,7 +105,7 @@ def mx_quantize(t, axis, element_spec, k=DEFAULT_BLOCK):
         np.minimum(np.maximum(ex, E_MIN, out=ex), E_MAX, out=e[s])
 
     for_chunks(chunk, view)
-    return MxQuantized(source=arr, axis=axis, name=getattr(t, "name", None), element=cb,
+    return MxQuantized(source=t.data, axis=axis, name=t.name, element=cb,
                        block_size=k, shared_exponents=e)
 
 

@@ -29,7 +29,7 @@ from .errors import (AlphaOutOfRange, LengthMismatch, NonConvergence, NonFiniteV
                      RankOutOfRange, ShapeMismatch)
 from .metrics import _frobenius
 from .registry import as_codec
-from .tensor import as_array, as_tensor, group_absmax, made_in_chunks
+from .tensor import as_tensor, group_absmax, made_in_chunks
 
 __all__ = [
     "ALPHA_GRID",
@@ -86,7 +86,7 @@ def smooth_scales(x_colmax, w_rowmax, alpha):
     zero or infinite scale, and no floor depends on the units of X or W. A
     NaN or infinite maximum raises NonFiniteValue.
     """
-    xm, wm = as_array(x_colmax).ravel(), as_array(w_rowmax).ravel()
+    xm, wm = as_tensor(x_colmax).data.ravel(), as_tensor(w_rowmax).data.ravel()
     if xm.shape != wm.shape:
         raise LengthMismatch(f"activation maxima ({xm.size}) vs weight maxima ({wm.size})")
     _check_alpha(alpha)
@@ -257,7 +257,7 @@ def svd_split(w, rank):
     eigh's eigenvectors are freed before the residual is made. A failed
     eigendecomposition raises NonConvergence.
     """
-    wa = as_array(w)
+    wa = as_tensor(w).data
     if wa.ndim != 2:
         raise ShapeMismatch(f"svd_split needs a matrix, got shape {wa.shape}")
     _check_rank(rank, wa.shape)

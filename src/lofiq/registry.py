@@ -40,7 +40,7 @@ import numpy as np
 from . import hif4, hif8, intquant, mx, nvfp4
 from .codebook import enumerate_codebook, project
 from .errors import LofiqError, UnknownFormat
-from .tensor import Tensor, _hold, as_tensor
+from .tensor import zero_padded
 
 __all__ = ["ROLES", "parse_format", "as_codec", "group_axis_for", "block_axis_for"]
 
@@ -100,10 +100,10 @@ def block_axis_for(role, ndim):
 class _Codec:
     """Routing shared by every codec: the axis it works along, and padding.
 
-    ``role_axis`` is the role default (group_axis_for, block_axis_for, or
-    None for elementwise codecs), ``axis`` the selector's axis= override, and
-    ``block`` the multiple a block codec needs along that axis. Subclasses
-    supply ``_reconstruct(t, role, axis)`` on top of their kernels.
+    ``role_axis`` gives the role default axis (group_axis_for, block_axis_for,
+    or None for elementwise codecs) after refusing a role outside ROLES,
+    ``axis`` is the selector's axis= override, and ``block`` the multiple a
+    block codec needs along that axis. Subclasses supply ``_reconstruct``.
 
     parse_format builds each codec from the canonical ``selector`` it wrote
     and ``params`` (``bits``, ``mode``, ``cb``, ``element``, ``block``,
@@ -111,7 +111,7 @@ class _Codec:
     """
 
     axis = None
-    role_axis = None
+    role_axis = staticmethod(lambda role, ndim: _check_role(role))  # elementwise: no axis
     block = None
 
     def __init__(self, selector, **params):
@@ -119,9 +119,11 @@ class _Codec:
         vars(self).update(params)
 
     def axis_for(self, role, ndim):
-        return self.axis if self.axis is not None else self.role_axis(role, ndim)
+        axis = self.role_axis(role, ndim)  # checks the role
+        return axis if self.axis is None else self.axis
 
     def granularity(self, role, ndim):
+        self.axis_for(role, ndim)  # checks the role
         return "elementwise"
 
     def config(self, role):
@@ -137,8 +139,6 @@ class _Codec:
         when ``t`` has a name.
         """
         try:
-            if self.role_axis is None:
-                return self._reconstruct(t, role, None)
             ndim = np.ndim(t)
             axis = self.axis_for(role, ndim)
             if pad and self.block and -ndim <= axis < ndim and np.shape(t)[axis] % self.block:
@@ -152,14 +152,9 @@ class _Codec:
 
     def _padded(self, t, role, axis):
         """``t`` zero-padded along ``axis`` to a multiple of the block, reconstructed and cropped
-        back, so padded elements never reach the output or statistics built on it. The padded
-        copy carries ``t``'s name, so a kernel error names ``t``."""
-        src = as_tensor(t)
-        widths = [(0, 0)] * src.ndim
-        widths[axis] = (0, -src.shape[axis] % self.block)
-        # the zeros are finite and leave max|x| as it was, so no second scan
-        padded = _hold(Tensor.__new__(Tensor), np.pad(src.data, widths), src.name, src.absmax)
-        return self._reconstruct(padded, role, axis).take(range(src.shape[axis]), axis)
+        back, so padded elements never reach the output or statistics built on it."""
+        padded = zero_padded(t, axis, self.block)
+        return self._reconstruct(padded, role, axis).take(range(np.shape(t)[axis]), axis)
 
     def __repr__(self):
         return f"<codec {self.selector}>"
@@ -239,7 +234,8 @@ class ScaledHif8Codec(_Codec):
         return self.K if self.K is not None else hif8.DEFAULT_K[role]
 
     def granularity(self, role, ndim):
-        return f"per-axis(K={_g(self._K(role))},axis={self.axis_for(role, ndim)})"
+        axis = self.axis_for(role, ndim)
+        return f"per-axis(K={_g(self._K(role))},axis={axis})"
 
     def config(self, role):
         return {"K": self._K(role)}

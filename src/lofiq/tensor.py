@@ -1,12 +1,11 @@
 """Dense float64 tensor container, axis/block partitioning, slices run on every core, and LQT1.
 
 All codecs in this package consume and produce 64-bit tensors; narrower
-on-disk dtypes are widened losslessly on load. Non-finite values are
-rejected at ingest since no codec defines them: a Tensor is checked once
-when built, and ``as_array`` checks any other array-like it is handed. A
-kernel's output is made, checked slice by slice and named by ``made_in_chunks``;
-``Record``, the type of every record codec's record, builds its codes and its
-reconstruction so.
+on-disk dtypes are widened losslessly on load. Non-finite values, which no
+codec defines, are refused when a Tensor is built and by ``as_tensor``, the
+one ingest. Every Tensor is built here; a kernel's output is made, checked
+slice by slice and named by ``made_in_chunks``. ``Record``, the type of
+every record codec's record, builds its codes and its reconstruction so.
 Every file lofiq writes is written in place by ``write_in_place``.
 """
 
@@ -338,30 +337,28 @@ class Record:
         return made_in_chunks(self.shape, self.round_decode, self.name, self.view)
 
 
-def as_array(t):
-    """The read-only, C-ordered float64 array behind ``t``: ``as_tensor(t).data``, the one
-    ingest of every library entry point.
-
-    So a kernel's block view of it, and a record built on it, are views of
-    that one array.
-    """
-    return as_tensor(t).data
-
-
 def as_tensor(t):
     """``t`` if it is a Tensor, else a Tensor of ``t`` converted, named like ``t`` if it has a name.
 
-    Any other array-like is converted, copied once if it is not C-ordered,
-    and must be finite, else NonFiniteValue. It is converted and checked
-    once, here, so every step it is handed to reads it without a copy or a
-    second check. The Tensor holds a view of it, so a caller's own array is
-    not made read-only.
+    The one ingest of every library entry point: any other array-like is
+    converted (copied once if not C-ordered float64) and checked, else
+    NonFiniteValue, so no later step copies or checks it again. It is held as
+    a read-only view: the caller's array stays writable, unlike with ``Tensor``.
     """
     if isinstance(t, Tensor):
         return t
     arr = np.asarray(t, dtype=np.float64, order="C")  # 0-d stays 0-d
     return _hold(Tensor.__new__(Tensor), arr.view(), getattr(t, "name", None),
                  _check_finite(arr, None))
+
+
+def zero_padded(t, axis, multiple):
+    """``as_tensor(t)`` zero-padded along ``axis`` to a multiple of ``multiple``: a copy with
+    ``t``'s name and max|x| (zeros raise no maximum), so it is not scanned again."""
+    t = as_tensor(t)
+    widths = [(0, 0)] * t.ndim
+    widths[axis] = (0, -t.shape[axis] % multiple)
+    return _hold(Tensor.__new__(Tensor), np.pad(t.data, widths), t.name, t.absmax)
 
 
 def block_view(arr, axis, k):
@@ -496,17 +493,16 @@ def save_tensors(tensors, path, dtype="f64"):
     offset = 0
     for i, t in enumerate(tensors):
         x = as_tensor(t)  # a raw array's finiteness check gives its max|x| too
-        arr = x.data
-        name = getattr(t, "name", None) or f"tensor_{i}"
+        name = x.name or f"tensor_{i}"
         if not _is_name(name) or name in names:
             raise ValueError(f"tensor name {name!r} is not a unique string UTF-8 can encode")
         names.add(name)
         if dtype == "f32" and x.absmax >= _F32_INF:
             raise NonFiniteValue(f"tensor {name!r} holds values beyond the range of f32",
                                  tensor=name)
-        entries.append({"name": name, "dtype": dtype, "shape": list(arr.shape), "offset": offset})
-        arrays.append(arr)
-        offset += arr.size * np_dtype.itemsize
+        entries.append({"name": name, "dtype": dtype, "shape": list(x.shape), "offset": offset})
+        arrays.append(x.data)
+        offset += x.size * np_dtype.itemsize
     header = json.dumps({"tensors": entries}, separators=(",", ":")).encode("utf-8")
 
     def parts():  # one f32 copy at a time

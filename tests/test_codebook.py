@@ -348,6 +348,22 @@ class TestProject:
             with pytest.raises(UnknownFormat, match=refusal):
                 refuse()
 
+    @pytest.mark.parametrize("spec, refusal", [
+        (FpFormatSpec("x", 0, 2, has_inf=True), "no finite value"),
+        (FpFormatSpec("x", 1, 1, nan_encodings=9), "no finite value"),
+        (FpFormatSpec("x", 2, -1), "must be non-negative"),
+        (FpFormatSpec("x", -1, 2), "must be non-negative"),
+        (FpFormatSpec("x", 2, 1, nan_encodings=-3), "must be non-negative"),
+    ], ids=["all-reserved", "nan-past-count", "negative-mantissa", "negative-exponent",
+            "negative-nan"])
+    def test_malformed_specs_have_no_extremes(self, spec, refusal):
+        # the spec builds; each property and the codebook's max_finite refuse it by one rule
+        for name in ("max_finite", "min_normal", "min_subnormal", "max_subnormal"):
+            with pytest.raises(UnknownFormat, match=refusal):
+                getattr(spec, name)
+        with pytest.raises(UnknownFormat, match=refusal):
+            enumerate_codebook(spec).max_finite
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("make", [
         lambda: enumerate_codebook("e4m3"),

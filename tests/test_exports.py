@@ -1,8 +1,12 @@
-"""Every exported name resolves: a deleted function must not leave its export behind."""
+"""Every exported name resolves: a deleted function must not leave its export behind, and
+README's library example runs against the API as it is."""
 
 import ast
+import contextlib
 import importlib
+import io
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,25 @@ def test_oracles_import_nothing_from_lofiq():
             imported.append("." * node.level + (node.module or ""))
     assert "numpy" in imported
     assert [m for m in imported if m.startswith(".") or m.split(".")[0] == "lofiq"] == []
+
+
+def test_only_tensor_builds_a_tensor_around_its_check():
+    # every Tensor is made by tensor.py (Tensor, as_tensor, of_checked, made_in_chunks,
+    # zero_padded), so no other module can hold data that skipped the finiteness check
+    for path in sorted(Path(lofiq.__file__).parent.glob("*.py")):
+        if path.name != "tensor.py":
+            text = path.read_text(encoding="utf-8")
+            assert "_hold" not in text and "__new__" not in text, path.name
+
+
+def test_readme_library_example_prints_what_its_comment_says():
+    readme = (Path(lofiq.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.S | re.M)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    said = float(re.search(r"# ~([0-9.]+) dB", blocks[0]).group(1))
+    assert round(float(out.getvalue()), 2) == 31.54
+    assert abs(float(out.getvalue()) - said) < 0.05

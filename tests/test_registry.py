@@ -6,9 +6,14 @@ from hypothesis import strategies as st
 from lofiq import hif4, nvfp4, registry
 from lofiq.codebook import enumerate_codebook
 from lofiq.errors import AxisOutOfRange, NonFiniteValue, NotDivisible, UnknownFormat
+from lofiq.metrics import compare_formats
 from lofiq.mx import resolve_element
 from lofiq.registry import block_axis_for, group_axis_for, parse_format
 from lofiq.tensor import tensor
+
+# the formats of perfbench/workloads.py
+BENCH_FORMATS = ("int8", "int4", "e4m3", "e5m2", "hif8", "hif8-scaled",
+                 "mxfp8-e4m3", "mxfp4", "mxint8", "nvfp4", "hif4")
 
 # One selector per head (one per element for mx) and every alias.
 EVERY_SELECTOR = ([head for head in registry._SYNTAX if head != "mx"]
@@ -165,6 +170,20 @@ class TestRoleConventions:
     def test_bad_role(self):
         with pytest.raises(ValueError):
             group_axis_for("bias", 2)
+
+    @pytest.mark.parametrize("sel", BENCH_FORMATS + ("e3m2", "e2m3", "e2m1", "int8:axis=0",
+                                                     "hif8-scaled:axis=0", "mx:e2m1:axis=1"))
+    def test_every_codec_refuses_a_role_outside_roles(self, sel):
+        # the casts and hif8 take the same route as the codecs with a role axis, and an
+        # axis= override does not skip the check
+        x = np.random.default_rng(6).normal(size=(64, 64))
+        codec = parse_format(sel)
+        for call in (lambda: codec.reconstruct(x, "bogus"),
+                     lambda: codec.reconstruct(x, "bogus", pad=True),
+                     lambda: codec.granularity("bogus", 2),
+                     lambda: compare_formats(x, [sel], "bogus")):
+            with pytest.raises(ValueError, match=r"^role must be one of"):
+                call()
 
     def test_int_mode_defaults(self):
         c = parse_format("int8")

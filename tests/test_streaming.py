@@ -22,8 +22,10 @@ check that
   benchmark runs, in the weight and activation roles;
 * ``quantize`` holds the input file plus one output: its traced peak grows
   by at most 1.25 tensors per extra tensor in the file;
+* ``Tensor`` holds a C-ordered float64 array as it is and makes it read-only,
+  and ``as_tensor`` holds a read-only view of it and leaves it writable;
 * ingest checks finiteness with no array of the data's size: ``Tensor``,
-  ``as_array`` and ``load_tensors`` of 2**20 elements trace less than 1/64
+  ``as_tensor`` and ``load_tensors`` of 2**20 elements trace less than 1/64
   of the data beyond the data, and NaN or Inf anywhere is still found;
 * a block codec's fit holds at most one float64 slice beyond its record's
   fields, along either axis, with the pool off.
@@ -41,7 +43,7 @@ import pytest
 from lofiq import cli, codebook, hif4, hif8, intquant, mx, nvfp4
 from lofiq.errors import NonFiniteValue
 from lofiq.registry import parse_format
-from lofiq.tensor import Tensor, as_array, as_tensor, load_tensors, save_tensors
+from lofiq.tensor import Tensor, as_tensor, load_tensors, save_tensors
 
 CHUNKS = sys.modules["lofiq.tensor"]  # the name lofiq.tensor is the function
 
@@ -336,7 +338,7 @@ def test_ingest_checks_finiteness_with_no_array_of_the_datas_size(tmp_path):
     save_tensors([Tensor(x, "x")], path)
     # (name, call, bytes of data the call reads in); np.isfinite's mask alone is 1/8 of the data
     for name, call, data in (("Tensor", lambda: Tensor(x, "x"), 0),
-                             ("as_array", lambda: as_array(x), 0),
+                             ("as_tensor", lambda: as_tensor(x), 0),
                              ("load_tensors", lambda: load_tensors(path), x.nbytes)):
         _, peak = _traced(call)
         assert peak - data < x.nbytes / 64, f"{name}: {(peak - data) / x.nbytes:.4f} of the data"
@@ -358,10 +360,9 @@ def test_ingest_finds_nan_and_inf_anywhere(tmp_path, value, where):
     with pytest.raises(NonFiniteValue, match=r"^tensor 'x' contains NaN or Inf$") as exc:
         Tensor(x, "x")
     assert exc.value.tensor == "x"
-    for convert in (as_array, as_tensor):
-        with pytest.raises(NonFiniteValue, match=r"^array contains NaN or Inf$") as exc:
-            convert(x)
-        assert exc.value.tensor is None
+    with pytest.raises(NonFiniteValue, match=r"^array contains NaN or Inf$") as exc:
+        as_tensor(x)
+    assert exc.value.tensor is None
     # an LQT1 file whose payload holds the value: write a finite one, then put it in place
     path = tmp_path / "x.lqt"
     save_tensors([Tensor(np.zeros(x.shape), "x")], path)
@@ -372,6 +373,26 @@ def test_ingest_finds_nan_and_inf_anywhere(tmp_path, value, where):
                        match=rf"^{re.escape(str(path))}: tensor 'x' contains NaN or Inf$") as exc:
         load_tensors(path)
     assert exc.value.tensor == "x"
+
+
+def test_tensor_holds_the_callers_array_and_as_tensor_a_view():
+    # Tensor keeps a C-ordered float64 array as it is and makes it read-only, so the check it
+    # passed stays true; as_tensor holds a read-only view and leaves the caller's array writable
+    x = np.random.default_rng(12).normal(size=(8, 8))
+    t = Tensor(x, "x")
+    assert t.data is x and not x.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        x[0, 0] = np.nan
+    y = np.random.default_rng(12).normal(size=(8, 8))
+    v = as_tensor(y)
+    assert v.data.base is y and not v.data.flags.writeable and y.flags.writeable
+    # any other input is copied, and the caller's array is left as it was
+    for convert in (Tensor, as_tensor):
+        z = np.random.default_rng(13).normal(size=(8, 8))
+        for other in (z.T, z.astype(np.float32)):
+            held = convert(other).data
+            assert not np.shares_memory(held, other) and other.flags.writeable
+            assert held.flags.c_contiguous and held.dtype == np.float64
 
 
 @pytest.mark.parametrize("make", ["Tensor", "as_tensor", "made_in_chunks", "of_checked"])
