@@ -49,7 +49,8 @@ class FpFormatSpec:
     values (2**y + m) * 2**(c - bias - y). With ``subnormals``, c = 0 holds
     zero and the subnormals m * 2**(1 - bias - y) instead; without them the
     grid has no zero. The top codepoints are reserved: the whole top binade
-    with ``has_inf``, else the ``nan_encodings`` highest codepoints.
+    with ``has_inf``, else the ``nan_encodings`` highest codepoints. Each
+    extreme below is a value of that grid, or None when the grid has none.
     """
 
     name: str
@@ -63,25 +64,21 @@ class FpFormatSpec:
 
     @property
     def max_finite(self):
-        return float(_magnitudes(self, _top(self)))
+        return _value(self, _top(self))
 
     @property
     def min_normal(self):
-        _top(self)
-        return 2.0 ** (int(self.subnormals) - self.bias)
+        return _value(self, self.subnormals * 2**self.mantissa_bits)
 
     @property
     def min_subnormal(self):
         """Smallest positive value (equals min_normal when subnormal-free)."""
-        _top(self)
-        return float(_magnitudes(self, int(self.subnormals)))
+        return _value(self, int(self.subnormals))
 
     @property
     def max_subnormal(self):
-        _top(self)
-        if not self.subnormals or self.mantissa_bits == 0:
-            return None
-        return float(_magnitudes(self, 2**self.mantissa_bits - 1))
+        k = min(2**self.mantissa_bits - 1 if self.subnormals else 0, _top(self))
+        return _value(self, k) if k > 0 else None
 
 
 _BUILTINS = {
@@ -170,6 +167,11 @@ def _top(spec):
     if (top := _count(spec) - 1) < 0:
         raise UnknownFormat(f"{spec.name!r} has no finite value")
     return top
+
+
+def _value(spec, k):
+    """The value of codepoint ``k`` (sign bit aside), or None when ``spec``'s grid lacks it."""
+    return float(_magnitudes(spec, k)) if k <= _top(spec) else None
 
 
 def _magnitudes(spec, k):

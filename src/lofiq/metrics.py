@@ -13,7 +13,9 @@ so each figure depends on the data alone, not on the core count,
 
 Every figure is that of the plain formula without overflow or underflow.
 Data whose squares could leave float64's normal range is scaled by 2**-k,
-which is exact, and its norm kept as a pair (value, k) for value * 2**k.
+which is exact, and its norm kept as a pair (value, k) for value * 2**k:
+``_norm`` takes |x|_F in one pass, k read off the Tensor's max|x|, and
+``_abs_sums`` the error figures of x_hat - x in another.
 """
 
 import csv
@@ -124,8 +126,8 @@ def _shift(top, size):
     return top if 2 * top + size.bit_length() > 1023 or 2 * top < -967 else 0
 
 
-def _abs_sums(a, b=None, with_norm=False):
-    """(max|d|, sum|d * 2**-k|, sum (d * 2**-k)**2, k) of d = b - a, or of d = a without b.
+def _abs_sums(a, b):
+    """(max|d|, sum|d * 2**-k|, |d * 2**-k|_F, k) of the error d = b - a.
 
     a and b have one shape, and d runs over it in C order. k = _shift(top,
     size) for max|d| < 2**top. Each slice of d is formed in a scratch array
@@ -133,67 +135,58 @@ def _abs_sums(a, b=None, with_norm=False):
     d (``pairwise_reduce``), so no array of a's size is made and no figure
     depends on the core count, CHUNK or BLAS. When k is not 0 the slices
     run again on d * 2**-k.
-
-    With ``with_norm`` (and b), ``_norm(a)`` follows as a fifth item: max|a|
-    and sum a**2 are taken in the same pass, from each slice of |a| before d
-    is formed in its place, so a is read in one pass, not two.
     """
-    x = a.reshape(-1)  # a view of a C-contiguous array such as a Tensor's
-    y = None if b is None else b.reshape(-1)
+    x, y = a.reshape(-1), b.reshape(-1)  # views of C-contiguous arrays such as a Tensor's
 
-    def sums(k, y, with_norm=False):
+    def sums(k):
         @np.errstate(over="ignore")  # an overflow gives inf, which the callers check
         def leaf(s):
-            norm = ()
-            if y is None:
-                d = np.abs(x[s])
-            else:
-                if with_norm:
-                    d = np.abs(x[s])
-                    norm = (float(d.max(initial=0.0)),
-                            float(np.add.reduce(np.multiply(d, d, out=d))))
-                    np.subtract(y[s], x[s], out=d)
-                else:
-                    d = np.subtract(y[s], x[s])
-                np.abs(d, out=d)
+            d = np.subtract(y[s], x[s])
+            np.abs(d, out=d)
             if k:
                 np.ldexp(d, -k, out=d)
             top, total = d.max(initial=0.0), np.add.reduce(d)
-            return (float(top), float(total),
-                    float(np.add.reduce(np.multiply(d, d, out=d)))) + norm
+            return float(top), float(total), float(np.add.reduce(np.multiply(d, d, out=d)))
 
         return pairwise_reduce(leaf, _join, x.size)
 
-    top, total, squares, *norm = sums(0, y, with_norm and y is not None)
+    top, total, squares = sums(0)
     # with |d| < 2**e its squares sum below 2**(2 * e + bits of size)
     k = _shift(math.frexp(top)[1], x.size)
     if k:
-        _, total, squares = sums(k, y)
-    if not norm:
-        return top, total, squares, k
-    a_top, a_squares = norm
-    j = _shift(math.frexp(a_top)[1], x.size)
-    if j:
-        _, _, a_squares = sums(j, None)
-    return top, total, squares, k, (math.sqrt(a_squares), j)
+        _, total, squares = sums(k)
+    return top, total, math.sqrt(squares), k
 
 
 def _join(p, q):
-    """The figures of two adjacent ranges joined: maxima (items 0 and 3) by max, sums by +."""
-    return tuple(max(u, v) if i % 3 == 0 else u + v for i, (u, v) in enumerate(zip(p, q)))
+    """The figures of two adjacent ranges joined: the maxima by max, the sums by +."""
+    return max(p[0], q[0]), p[1] + q[1], p[2] + q[2]
 
 
-def _norm(a, b=None):
-    """(|d * 2**-k|_F, k) of d = b - a, or of d = a without b, with k as in ``_abs_sums``."""
-    _, _, squares, k = _abs_sums(a, b)
-    return math.sqrt(squares), k
+def _norm(t):
+    """(|x * 2**-k|_F, k) of x = ``as_tensor(t)``, k = _shift of the Tensor's max|x|.
+
+    k is known before any data is read, so the sum of squares is one
+    pairwise pass (``pairwise_reduce``) over slices of x * 2**-k, and no
+    maximum or |x| is formed: a Tensor from ``Tensor``, ``as_tensor`` or
+    ``made_in_chunks`` kept max|x| from its finiteness check.
+    """
+    t = as_tensor(t)
+    x = t.data.reshape(-1)
+    k = _shift(math.frexp(t.absmax)[1], x.size)
+
+    def leaf(s):
+        d = np.ldexp(x[s], -k) if k else x[s]
+        return float(np.add.reduce(d * d))
+
+    return math.sqrt(pairwise_reduce(leaf, operator.add, x.size)), k
 
 
 def _frobenius(a, b=None):
-    """|b - a|_F, or |a|_F without b, with no square lost to overflow or underflow; inf if
-    beyond float64."""
+    """|a|_F (``_norm``), or |b - a|_F of two arrays of one shape (``_abs_sums``), with no
+    square lost to overflow or underflow; inf if beyond float64."""
     with np.errstate(over="ignore"):
-        return float(np.ldexp(*_norm(a, b)))
+        return float(np.ldexp(*(_norm(a) if b is None else _abs_sums(a, b)[2:])))
 
 
 def _pair(v):
@@ -209,11 +202,11 @@ def sqnr(x, x_hat, *, ref_norm=None, err_norm=None):
     pair for value * 2**k; with both, x and x_hat are not read.
     """
     if ref_norm is None or err_norm is None:
-        xa, ha = as_tensor(x).data, as_tensor(x_hat).data
-        if xa.shape != ha.shape:
-            raise ShapeMismatch(f"shape {xa.shape} vs {ha.shape}")
-        ref_norm = _norm(xa) if ref_norm is None else ref_norm
-        err_norm = _norm(xa, ha) if err_norm is None else err_norm
+        x, x_hat = as_tensor(x), as_tensor(x_hat)
+        if x.shape != x_hat.shape:
+            raise ShapeMismatch(f"shape {x.shape} vs {x_hat.shape}")
+        ref_norm = _norm(x) if ref_norm is None else ref_norm
+        err_norm = _abs_sums(x.data, x_hat.data)[2:] if err_norm is None else err_norm
     (s, ks), (n, kn) = _pair(ref_norm), _pair(err_norm)
     if n == 0.0:  # exact, whatever the signal
         return math.inf
@@ -260,17 +253,17 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, ref_norm=None):
 
     ``recon`` is checked for finiteness once, here, unless it is a Tensor
     (checked when built); NaN or Inf in it raises NonFiniteValue naming the
-    tensor. ``ref_norm`` (|x|_F, a float or a pair) may be
-    passed by a caller that scores many reconstructions of ``t``. sqnr_db
-    and rel_fro_err both come from it and |recon - x|_F.
+    tensor. |x|_F is ``ref_norm`` (a float or a pair), which a caller that
+    scores many reconstructions of ``t`` passes, else ``_norm(t)``, one pass
+    over x. sqnr_db and rel_fro_err both come from it and |recon - x|_F.
 
-    max|e|, sum|e| and sum e**2 of e = recon - x come from one pass on every
-    core that forms e slice by slice in cache, with no error array; they
-    equal np.abs(e).max(), np.abs(e).mean() * size and np.add.reduce of e*e
-    over the whole array bit for bit. Without ``ref_norm``, |x|_F is taken in
-    that same pass, bit-identical to ``_norm(x)``. An error or
-    relative error beyond float64 raises NonFiniteValue; a zero-size tensor,
-    or a nonzero error on an all-zero one, ZeroSignal. Each names the tensor.
+    max|e|, sum|e| and |e|_F of e = recon - x come from one pass on every
+    core that forms e slice by slice in cache, with no error array
+    (``_abs_sums``); they equal np.abs(e).max(), np.abs(e).mean() * size
+    and the root of np.add.reduce of e*e over the whole array, bit for bit.
+    An error or relative error beyond float64 raises NonFiniteValue; a
+    zero-size tensor, or a nonzero error on an all-zero one, ZeroSignal.
+    Each names the tensor.
     """
     t = as_tensor(t)
     arr, shown = t.data, t.name or "<unnamed>"
@@ -283,12 +276,9 @@ def fidelity_from_reconstruction(t, recon, codec, role, *, ref_norm=None):
         raise ShapeMismatch(f"shape {arr.shape} vs {rec.shape}")
     if not arr.size:  # nothing was reconstructed, exactly or not
         raise ZeroSignal(f"tensor {shown!r} has no elements, so no SQNR", tensor=shown)
-    if ref_norm is None:  # |x|_F from the same pass as the error figures
-        max_abs, total, squares, k, (rn, rk) = _abs_sums(arr, rec, with_norm=True)
-    else:
-        (rn, rk), (max_abs, total, squares, k) = _pair(ref_norm), _abs_sums(arr, rec)
+    rn, rk = _norm(t) if ref_norm is None else _pair(ref_norm)
+    max_abs, total, en, k = _abs_sums(arr, rec)
     mean_abs = math.ldexp(total / arr.size, k)
-    en = math.sqrt(squares)
     with np.errstate(over="ignore"):
         rel = float(np.ldexp(en / rn, k - rk)) if rn else 0.0
     if rel == math.inf:
@@ -318,7 +308,7 @@ def compare_formats(t, formats, role):
     Tensor is handed to every codec, so a strided array is copied once.
     """
     x = as_tensor(t)
-    ref_norm = _norm(x.data)
+    ref_norm = _norm(x)
     reports = []
     for fmt in formats:
         codec = as_codec(fmt)

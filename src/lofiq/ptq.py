@@ -174,8 +174,8 @@ _CHECK_EVERY = 4  # Ritz residuals are checked every 4 blocks
 _TOL = 1e-12  # stop when the estimated product error is below this times |W|_F
 
 
-def _krylov_top(wa, rank):
-    """Top-``rank`` eigenvectors of the Gram matrix G of ``wa``'s smaller side as (n, rank)
+def _krylov_top(w, rank):
+    """Top-``rank`` eigenvectors of the Gram matrix G of W's smaller side as (n, rank)
     columns, strongest first, or None when ``np.linalg.eigh`` of G must decide.
 
     G is ``W^T W`` for a tall W and ``W W^T`` for a wide one, n x n with n
@@ -195,11 +195,12 @@ def _krylov_top(wa, rank):
     only if they pass the same test. A block at roundoff level is never QR'd
     into the basis.
     """
-    a = wa if wa.shape[0] >= wa.shape[1] else wa.T  # G = a^T a
+    w = as_tensor(w)  # a Tensor, so |W|_F reads the max|x| it holds
+    a = w.data if w.shape[0] >= w.shape[1] else w.data.T  # G = a^T a
     n = a.shape[1]
     b = rank
     cap = n // _CAP_DIV // b * b
-    fro = _frobenius(wa)
+    fro = _frobenius(w)
     fro2 = fro * fro  # |W|_F^2 = trace(G), an upper bound on |G|_2
     if cap < _MIN_BLOCKS * b or not np.isfinite(fro2):
         return None
@@ -257,13 +258,13 @@ def svd_split(w, rank):
     eigh's eigenvectors are freed before the residual is made. A failed
     eigendecomposition raises NonConvergence.
     """
-    wa = as_tensor(w).data
+    wa = (w := as_tensor(w)).data
     if wa.ndim != 2:
         raise ShapeMismatch(f"svd_split needs a matrix, got shape {wa.shape}")
     _check_rank(rank, wa.shape)
     tall = wa.shape[0] >= wa.shape[1]
     try:
-        top = _krylov_top(wa, rank)
+        top = _krylov_top(w, rank)
         if top is None:  # ascending eigenvalues; strongest first, copied out of the n x n result
             top = np.linalg.eigh(wa.T @ wa if tall else wa @ wa.T)[1][:, -rank:][:, ::-1].copy()
     except np.linalg.LinAlgError as exc:
@@ -314,7 +315,10 @@ def _smoothing_stage(x, w, codec, alpha, rank=None):
     if rank is not None:
         _check_rank(rank, w.shape)
     ref = x.data @ w.data
-    ref_norm = _frobenius(ref)
+    try:
+        ref_norm = _frobenius(ref)
+    except NonFiniteValue:  # an entry of x @ w overflowed
+        ref_norm = np.inf
     if ref_norm == 0.0:
         raise ShapeMismatch("x @ w vanishes; relative errors are undefined")
     if ref_norm == np.inf:

@@ -103,7 +103,8 @@ class _Codec:
     ``role_axis`` gives the role default axis (group_axis_for, block_axis_for,
     or None for elementwise codecs) after refusing a role outside ROLES,
     ``axis`` is the selector's axis= override, and ``block`` the multiple a
-    block codec needs along that axis. Subclasses supply ``_reconstruct``.
+    block codec needs along that axis. Subclasses supply ``_reconstruct`` and
+    ``_config``, which ``config`` echoes once it has checked the role.
 
     parse_format builds each codec from the canonical ``selector`` it wrote
     and ``params`` (``bits``, ``mode``, ``cb``, ``element``, ``block``,
@@ -112,6 +113,7 @@ class _Codec:
 
     axis = None
     role_axis = staticmethod(lambda role, ndim: _check_role(role))  # elementwise: no axis
+    _config = staticmethod(lambda role: {})  # no parameter to echo
     block = None
 
     def __init__(self, selector, **params):
@@ -127,7 +129,8 @@ class _Codec:
         return "elementwise"
 
     def config(self, role):
-        return {}
+        _check_role(role)
+        return self._config(role)
 
     def reconstruct(self, t, role, pad=False):
         """Quantize then dequantize ``t`` under ``role``'s conventions.
@@ -170,7 +173,7 @@ class IntCodec(_Codec):
         kind = "per-channel" if role == "weight" else "per-token"
         return f"{kind}(axis={self.axis_for(role, ndim)},{self._mode(role)})"
 
-    def config(self, role):
+    def _config(self, role):
         return {"bits": self.bits, "mode": self._mode(role)}
 
     def _reconstruct(self, t, role, axis):
@@ -192,7 +195,7 @@ class MxCodec(_Codec):
     def granularity(self, role, ndim):
         return f"block(k={self.block},axis={self.axis_for(role, ndim)})"
 
-    def config(self, role):
+    def _config(self, role):
         return {"element": self.element, "k": self.block}
 
     def _reconstruct(self, t, role, axis):
@@ -215,7 +218,7 @@ class Nvfp4Codec(_Codec):
     def granularity(self, role, ndim):
         return f"per-tensor+block(k=16,axis={self.axis_for(role, ndim)})"
 
-    def config(self, role):
+    def _config(self, role):
         return {"k": nvfp4.BLOCK}
 
     def _reconstruct(self, t, role, axis):
@@ -237,7 +240,7 @@ class ScaledHif8Codec(_Codec):
         axis = self.axis_for(role, ndim)
         return f"per-axis(K={_g(self._K(role))},axis={axis})"
 
-    def config(self, role):
+    def _config(self, role):
         return {"K": self._K(role)}
 
     def _reconstruct(self, t, role, axis):
@@ -252,7 +255,7 @@ class Hif4Codec(_Codec):
     def granularity(self, role, ndim):
         return f"hier(64/8/4,axis={self.axis_for(role, ndim)})"
 
-    def config(self, role):
+    def _config(self, role):
         return {"mode": self.mode}
 
     def _reconstruct(self, t, role, axis):

@@ -364,6 +364,36 @@ class TestProject:
         with pytest.raises(UnknownFormat, match=refusal):
             enumerate_codebook(spec).max_finite
 
+    @staticmethod
+    def _check_extremes(spec):
+        """Each extreme of ``spec`` is the value its enumerated grid gives, or None without one."""
+        values = enumerate_codebook(spec).values
+        pos = values[values > 0]
+        edge = 2.0 ** (1 - spec.bias)  # with subnormals, the normals start here
+        normal, sub = (pos[pos >= edge], pos[pos < edge]) if spec.subnormals else (pos, pos[:0])
+        want = {"max_finite": float(values[-1]),
+                "min_normal": float(normal[0]) if normal.size else None,
+                "min_subnormal": float(pos[0]) if pos.size else None,
+                "max_subnormal": float(sub[-1]) if sub.size else None}
+        assert {name: getattr(spec, name) for name in want} == want, spec
+
+    @pytest.mark.parametrize("spec", [builtin_spec(n) for n in builtin_names()] + [
+        FpFormatSpec("x", 1, 2, nan_encodings=6),  # {-0.5, 0, 0.5}: no normal value
+        FpFormatSpec("x", 0, 0),  # {0}: no positive value
+        FpFormatSpec("x", 2, 2, nan_encodings=9),  # the top of the subnormals reserved
+        FpFormatSpec("x", 2, 1, has_inf=True, subnormals=False, signed=False),
+    ], ids=lambda spec: spec.name if spec.name != "x" else None)
+    def test_extremes_are_values_of_the_grid(self, spec):
+        self._check_extremes(spec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(FpFormatSpec, st.just("x"), st.integers(0, 4), st.integers(0, 3),
+                     st.booleans(), st.integers(-3, 8), st.booleans(), st.integers(0, 40),
+                     st.booleans()))
+    def test_user_extremes_are_values_of_the_grid(self, spec):
+        assume(len(enumerate_codebook(spec)))
+        self._check_extremes(spec)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("make", [
         lambda: enumerate_codebook("e4m3"),

@@ -302,11 +302,11 @@ class TestOnePass:
     def test_figures_are_those_of_whole_array_numpy(self, shape, role, fmt):
         t, recon, codec = self._pair(shape, role, fmt)
         x, e = t.data, recon - t.data
-        top, total, squares, k = metrics._abs_sums(x, recon)
+        top, total, norm, k = metrics._abs_sums(x, recon)
         assert k == 0
         assert top == np.abs(e).max()
         assert total == _whole(np.abs(e))
-        assert squares == _whole(e * e)
+        assert norm == math.sqrt(_whole(e * e))
         assert metrics._norm(x) == (math.sqrt(_whole(x * x)), 0)
         r = fidelity_from_reconstruction(t, recon, codec, role)
         assert r.max_abs_err == float(np.abs(e).max())
@@ -372,7 +372,8 @@ def _bits(report):
 
 
 class TestNormInTheSamePass:
-    """Without ref_norm, |x|_F comes from the error figures' pass, bit for bit _norm(x)."""
+    """Without ref_norm, |x|_F is _norm(x), bit for bit: one pass of its own over x, scaled by
+    the Tensor's max|x|, beside _abs_sums' pass over the error."""
 
     SETTINGS = [("CHUNK", None), ("CHUNK", 16), ("_pool", False)]
 
@@ -380,17 +381,18 @@ class TestNormInTheSamePass:
         codec = codec or parse_format("int8")
         t = tensor(x, "t")
         alone = fidelity_from_reconstruction(t, recon, codec, role)
-        given = fidelity_from_reconstruction(t, recon, codec, role, ref_norm=metrics._norm(t.data))
-        return _bits(alone), _bits(given), metrics._abs_sums(x, recon, with_norm=True)[4]
+        given = fidelity_from_reconstruction(t, recon, codec, role, ref_norm=metrics._norm(t))
+        return _bits(alone), _bits(given), metrics._norm(t)
 
     def _check(self, monkeypatch, x, recon, *args):
         want = None
         for attr, value in self.SETTINGS:
             if value is not None:
                 monkeypatch.setattr(CHUNKS, attr, value)
-            alone, given, norm = self._both(x, recon, *args)
+            alone, given, (norm, j) = self._both(x, recon, *args)
             assert alone == given, (attr, value)
-            assert norm == metrics._norm(x)
+            scaled = np.ldexp(x, -j)
+            assert norm == math.sqrt(_whole(scaled * scaled)), (attr, value)
             want = want or alone
             assert alone == want, (attr, value)  # nor on the CHUNK or the pool
             monkeypatch.undo()
@@ -401,7 +403,7 @@ class TestNormInTheSamePass:
         codec = parse_format(fmt)
         self._check(monkeypatch, x, codec.reconstruct(x, role), codec, role)
 
-    # (k, j): the shifts of the error and of x, each of which reruns its slices
+    # (k, j): the shifts of the error (which reruns its slices) and of x (read off max|x|)
     @pytest.mark.parametrize("case,shifts", [
         ("both huge", (True, True)), ("both tiny", (True, True)),
         ("x huge", (False, True)), ("x tiny, exact", (False, True)),
@@ -426,26 +428,60 @@ class TestNormInTheSamePass:
             x[::7] *= 2.0**-500
             recon = x.copy()
             recon[::7] += e[::7] * 2.0**-500
-        *_, k, (_, j) = metrics._abs_sums(x, recon, with_norm=True)
+        k, j = metrics._abs_sums(x, recon)[3], metrics._norm(x)[1]
         assert (k != 0, j != 0) == shifts
+        assert j == metrics._abs_sums(np.zeros_like(x), x)[3]  # read off max|x| by the same rule
         self._check(monkeypatch, x, recon)
 
-    def test_one_pairwise_pass_per_tensor(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _passes(monkeypatch):
+        """Spy on metrics' pairwise passes: each is logged as the routine that made it and its
+        length, e.g. ("_norm", 64)."""
+        passes, inner = [], metrics.pairwise_reduce
+
+        def spy(fn, join, n):
+            passes.append((fn.__qualname__.split(".")[0], n))
+            return inner(fn, join, n)
+
+        monkeypatch.setattr(metrics, "pairwise_reduce", spy)
+        return passes
+
+    @staticmethod
+    def _two_tensors(tmp_path):
         rng = np.random.default_rng(12)
         src = tmp_path / "a.lqt"
         save_tensors([tensor(rng.normal(0.0, 0.02, (64, 256)), "a"),
                       tensor(rng.normal(0.0, 0.02, (32, 64)), "b")], src)
-        passes = []
-        inner = metrics.pairwise_reduce
+        return src
 
-        def spy(fn, join, n):
-            passes.append(n)
-            return inner(fn, join, n)
-
-        monkeypatch.setattr(metrics, "pairwise_reduce", spy)
+    def test_one_pairwise_pass_per_tensor(self, tmp_path, monkeypatch):
+        src = self._two_tensors(tmp_path)
+        passes = self._passes(monkeypatch)
         assert main(["quantize", str(src), "-f", "hif4", "--role", "activation",
                      "-o", str(tmp_path / "o.lqt"), "--report", str(tmp_path / "r.json")]) == 0
-        assert passes == [64 * 256, 32 * 64]
+        # one norm pass and one error pass per tensor, none of them rerun
+        assert passes == [("_norm", 64 * 256), ("_abs_sums", 64 * 256),
+                          ("_norm", 32 * 64), ("_abs_sums", 32 * 64)]
+
+    def test_the_norm_reads_max_abs_off_the_tensor(self, tmp_path, monkeypatch):
+        t = tensor(np.random.default_rng(13).normal(size=(64, 256)) * 2.0**600, "t")
+        checks, inner = [], CHUNKS._check_finite
+
+        def spy(arr, shown):
+            checks.append(arr.size)
+            return inner(arr, shown)
+
+        monkeypatch.setattr(CHUNKS, "_check_finite", spy)
+        assert metrics._norm(t)[1] != 0  # the shift comes from max|x|, with no check of x
+        assert checks == []
+        monkeypatch.undo()
+        # compare forms |x|_F once per tensor and passes it to every format
+        src = self._two_tensors(tmp_path)
+        passes = self._passes(monkeypatch)
+        assert main(["compare", "--input", str(src), "--formats", "int8,e4m3,hif4",
+                     "--role", "activation", "-o", str(tmp_path / "r.json")]) == 0
+        assert [p for p in passes if p[0] == "_norm"] == [("_norm", 64 * 256), ("_norm", 32 * 64)]
+        assert len(passes) == 2 + 2 * 3
 
 
 class TestSynth:

@@ -428,6 +428,22 @@ class TestKrylovSplit:
         assert max(c[0] for c in eigh_calls) < 256  # the Krylov path, no full eigh
         assert peaks[0] < 256 * 256 * 8, f"{peaks[0] / (256 * 256 * 8):.3f} n x n arrays"
 
+    def test_w_norm_reads_max_abs_off_the_tensor(self, monkeypatch, eigh_calls):
+        # |W|_F takes its scale from the max|x| W kept from its own check: W is not checked again
+        w = tensor(_with_spectrum((768, 256), 0.95 ** np.arange(256.0), 5))
+        tensor_module, checks = sys.modules["lofiq.tensor"], []
+        inner = tensor_module._check_finite
+
+        def spy(arr, shown):
+            checks.append(arr.size)
+            return inner(arr, shown)
+
+        monkeypatch.setattr(tensor_module, "_check_finite", spy)
+        b = svd_split(w, 2)
+        assert max(c[0] for c in eigh_calls) < 256  # the Krylov path, which takes |W|_F
+        assert checks == []
+        assert np.array_equal(b.residual, w.data - b.l1 @ b.l2)
+
     @pytest.mark.parametrize("shape", [(768, 256), (256, 768)])
     def test_tall_and_wide(self, shape, eigh_calls):
         w = _with_spectrum(shape, 0.95 ** np.arange(256.0), 5)
@@ -677,3 +693,15 @@ class TestPipelines:
         x, w = tensor(np.full((4, 4), 1e300)), tensor(np.full((4, 4), 2e7))
         with pytest.raises(NonFiniteValue, match="overflows"):
             smoothquant_pipeline(x, w, "int8")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_product_with_an_inf_entry_raises(self, sign):
+        # each entry of x @ w overflows to Inf; with row 0 of w negated, -Inf + Inf makes NaN
+        x, w = tensor(np.full((4, 4), 1e300)), np.full((4, 4), 1e10)
+        w[0] *= sign
+        w = tensor(w)
+        for run in (lambda: smoothquant_pipeline(x, w, "int8"),
+                    lambda: svdquant_pipeline(x, w, "int8", rank=1)):
+            with pytest.raises(NonFiniteValue, match="overflows"):
+                run()

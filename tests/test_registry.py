@@ -181,6 +181,7 @@ class TestRoleConventions:
         for call in (lambda: codec.reconstruct(x, "bogus"),
                      lambda: codec.reconstruct(x, "bogus", pad=True),
                      lambda: codec.granularity("bogus", 2),
+                     lambda: codec.config("bogus"),
                      lambda: compare_formats(x, [sel], "bogus")):
             with pytest.raises(ValueError, match=r"^role must be one of"):
                 call()
