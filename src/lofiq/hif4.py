@@ -6,7 +6,7 @@ sub-block, A1 per block); the block scale S1 = M1 * 2**(E1-2) encodes
 A1 / 7 in an unsigned mantissa-exponent form clipped to [2**-48, 1.5*2**15],
 and the sub-block / micro-block refinements are single-bit exponents E2, E3.
 Element magnitudes are normalized by S1*S2*S3, clipped to 1.75 and rounded
-onto the quarter-step grid {0 .. 7} / 4.
+onto the quarter-step grid {0 .. 7} / 4, ties up.
 
 Dequantization is sign * M1 * 2**(E1+E2+E3-4) * Xhat: integer exponent
 addition plus a shift, bit-identical to multiplying the three scales.
@@ -17,8 +17,7 @@ thresholds to half the range for sensitivity studies.
 
 Quantizing fits E1, M1, E2 and E3, all four as int8. The record, a
 ``tensor.Record``, makes the element codes of some blocks of the source in
-``round`` and scales and signs them in ``decode``; ``hif4_dequantize`` and
-``xhat`` go through ``round``.
+``round`` (``xhat``) and their signed values in ``round_decode`` (``hif4_dequantize``).
 """
 
 import sys
@@ -36,6 +35,9 @@ Q_MIN = 2.0**-48
 Q_MAX = 1.5 * 2.0**15
 MODES = ("literal", "halfrange")
 _TOP_BYTE = 7 if sys.byteorder == "little" else 0  # the byte of a float64 with its sign bit
+# the largest double below 0.5: in float64, v + 0.5 rounds v = 0.5 - 2**-54 up to 1.0, while
+# floor(v + _HALF) is floor(v + 0.5) in exact arithmetic for every v >= 0
+_HALF = 0.5 - 2.0**-54
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -66,24 +68,16 @@ class Hif4Quantized(Record):
         """``arr`` as (B, 8, 2, 4, *trailing): 64-blocks split into sub- and micro-blocks."""
         return _blocks(arr, self.axis)
 
-    def round(self, s, out, step=None):
-        """Element codes floor(min(|X| / step, 7) + 0.5) of blocks ``s``, as float64 in ``out``.
+    def round(self, s, out):
+        """Element codes 0..7 of blocks ``s``, as float64 in ``out``."""
+        return self._codes(s, out, self._step(s))
 
-        ``X`` is the source's ``view``. As step = S1*S2*S3 / 4 is that product
-        scaled by a power of two, this is floor(4 * min(|X| / (S1*S2*S3), 1.75)
-        + 0.5), the code 0..7, bit for bit. ``step`` is ``_step(s)``, formed
-        here unless the caller holds it.
-        """
-        step = self._step(s) if step is None else step
-        v = np.divide(np.abs(self.view(self.source)[s], out=out), step, out=out)
-        np.minimum(v, 7.0, out=v)
-        v += 0.5
-        return np.floor(v, out=v)
-
-    def decode(self, s, out, step=None):
-        """sign * Xhat * step, in place; ``step`` as in ``round``."""
+    def round_decode(self, s, out):
+        """sign * Xhat * step of blocks ``s``, in ``out``, with the step formed once."""
+        step = self._step(s)
+        self._codes(s, out, step)
         # M1 * 2**exp is a normal float and M1 * Xhat < 2**6, so the product is exact
-        out *= self._step(s) if step is None else step
+        out *= step
         # a zero code under a negative input is -0.0, and under -0.0 it is +0.0;
         # out >= +0 here, so setting the sign bit negates: each x < 0 (a bool,
         # 1) shifted up 7 bits is the sign bit in its element's top byte
@@ -92,10 +86,17 @@ class Hif4Quantized(Record):
         top = out.view(np.uint8)[..., _TOP_BYTE::8]
         top |= sign
 
-    def round_decode(self, s, out):
-        """``decode(s, round(s, out))`` with the step formed once."""
-        step = self._step(s)
-        self.decode(s, self.round(s, out, step), step)
+    def _codes(self, s, out, step):
+        """min(|X| / step, 7) rounded half up, of blocks ``s`` of the source's view X, in ``out``.
+
+        As ``step`` = ``_step(s)`` = S1*S2*S3 / 4 is that product scaled by a
+        power of two, this is 4 * min(|X| / (S1*S2*S3), 1.75) rounded half
+        up, the code 0..7, bit for bit.
+        """
+        v = np.divide(np.abs(self.view(self.source)[s], out=out), step, out=out)
+        np.minimum(v, 7.0, out=v)
+        v += _HALF
+        return np.floor(v, out=v)
 
     def _step(self, s):
         """The element step S1*S2*S3 / 4 = M1 * 2**(E1+E2+E3-4) of blocks ``s``, per micro-block.

@@ -11,8 +11,8 @@ The exponent is extracted from the binary representation of |x| itself
 
 The scaled variant's quantize fits one scale per group. Its record, a
 ``tensor.Record``, makes the values of a slice of the scaled source in
-``round`` and divides them by the scales in ``decode``;
-``hif8_scaled_dequantize`` and ``values`` go through ``round``.
+``round`` (``values``) and divides them by the scales in ``round_decode``
+(``hif8_scaled_dequantize``).
 """
 
 import math
@@ -133,9 +133,9 @@ class ScaledHif8Quantized(Record):
         np.multiply(x, self.groups(self.scales, s), out=out)
         return _quantize_into(out, out, x)  # a scale is positive, so x has the product's signs
 
-    def decode(self, s, out):
-        """value / scale, in place."""
-        np.divide(out, self.groups(self.scales, s), out=out)
+    def round_decode(self, s, out):
+        """value / scale of slice ``s``, in ``out``."""
+        np.divide(self.round(s, out), self.groups(self.scales, s), out=out)
 
 
 def hif8_scaled_quantize(t, axis, K):

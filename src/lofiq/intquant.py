@@ -6,8 +6,8 @@ keeping the most-negative code unused so the grid stays symmetric around
 zero. Code rounding is half-away-from-zero throughout.
 
 Quantizing fits the scales and zero-points only. The record, a
-``tensor.Record``, makes the codes of a slice of the source in ``round`` and
-their values in ``decode``; ``int_dequantize`` and ``codes`` go through ``round``.
+``tensor.Record``, makes the codes of a slice of the source in ``round``
+(``codes``) and their values in ``round_decode`` (``int_dequantize``).
 """
 
 from dataclasses import dataclass
@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import NonFiniteValue
 from .tensor import Record, as_tensor, group_absmax, group_axes
 
 __all__ = ["IntQuantized", "int_quantize_symmetric", "int_quantize_asymmetric", "int_dequantize"]
@@ -57,8 +58,9 @@ class IntQuantized(Record):
         v += 0.0  # -0.0 -> +0.0
         return v
 
-    def decode(self, s, out):
-        """scale * code (symmetric) or scale * (code - zero_point), in place."""
+    def round_decode(self, s, out):
+        """scale * code (symmetric) or scale * (code - zero_point) of slice ``s``, in ``out``."""
+        self.round(s, out)
         if self.zero_points is not None:
             out -= self.groups(self.zero_points, s)  # integer differences are exact in float64
         out *= self.groups(self.scales, s)
@@ -97,7 +99,9 @@ def int_quantize_asymmetric(t, axis, bits):
     """Per-group zero-point fit: scale = (max - min) / (2**b - 1).
 
     A constant group keeps scale 1 with the zero-point absorbing the
-    constant, so integer-valued constants in range reconstruct exactly.
+    constant, so integer-valued constants in range reconstruct exactly. A
+    group whose max - min overflows float64 has no scale and raises
+    NonFiniteValue before anything is rounded.
     """
     if bits not in _BITS:
         raise ValueError(f"bits must be one of {_BITS}")
@@ -107,7 +111,14 @@ def int_quantize_asymmetric(t, axis, bits):
     # initial= gives an empty group the fields of an all-zero one
     lo = t.data.min(axis=others, keepdims=True, initial=np.inf)
     hi = t.data.max(axis=others, keepdims=True, initial=-np.inf)
-    scales = np.where(hi > lo, _positive_scales((hi - lo) / levels), 1.0)
+    with np.errstate(over="ignore"):
+        span = hi - lo  # -inf for an empty group
+    overflow = (span == np.inf).reshape(-1)
+    if overflow.any():
+        shown = t.name or "<unnamed>"
+        raise NonFiniteValue(f"tensor {shown!r}: int{bits} asymmetric range max - min of "
+                             f"group {int(np.argmax(overflow))} overflows float64", tensor=shown)
+    scales = np.where(hi > lo, _positive_scales(span / levels), 1.0)
     zps = np.clip(_round_half_away(np.abs(lo) / scales, -lo), 0, levels)
     return IntQuantized(source=t.data, scales=scales.reshape(-1),
                         zero_points=zps.reshape(-1).astype(np.int16), axis=axis, bits=bits,

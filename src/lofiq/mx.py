@@ -11,8 +11,8 @@ power-of-two comparison; a floating log would misround exactly at powers of
 two, which are the boundary cases that matter here.
 
 Quantizing fits the exponents only. The record, a ``tensor.Record``, makes
-the element codes of some blocks of the source in ``round`` and scales them
-in ``decode``; ``mx_dequantize`` and ``codes`` go through ``round``.
+the element codes of some blocks of the source in ``round`` (``codes``) and
+their values in ``round_decode`` (``mx_dequantize``).
 """
 
 from dataclasses import dataclass
@@ -74,9 +74,10 @@ class MxQuantized(Record):
         y = np.divide(self.view(self.source)[s], np.ldexp(1.0, e)[:, None], out=out)
         return _round(self.element, y, y)
 
-    def decode(self, s, out):
-        """2**e * code, in place."""
+    def round_decode(self, s, out):
+        """2**e * code of blocks ``s``, in ``out``."""
         # a code times 2**e is a normal float, so the product equals ldexp(code, e)
+        self.round(s, out)
         out *= np.ldexp(1.0, self.shared_exponents[s])[:, None]
 
 

@@ -15,8 +15,8 @@ at float64's maximum), quantizing raises NonFiniteValue naming the tensor.
 Quantizing takes s2 from max|x|, which a Tensor keeps from its finiteness
 check, and then fits the block scales and the overshoot slice by slice from
 the block maxima, with no array of them. The record, a ``tensor.Record``,
-makes the E2M1 codes of some blocks of the source in ``round`` and scales
-them in ``decode``; ``nvfp4_dequantize`` and ``codes`` go through ``round``.
+makes the E2M1 codes of some blocks of the source in ``round`` (``codes``)
+and their values in ``round_decode`` (``nvfp4_dequantize``).
 The block scales and the elements both round through ``codebook._round``,
 onto E4M3 and E2M1.
 """
@@ -70,8 +70,9 @@ class Nvfp4Quantized(Record):
         np.divide(y, np.where(s1 > 0, s1, 1.0)[:, None], out=y)
         return _round(resolve_element("e2m1"), y, y)
 
-    def decode(self, s, out):
-        """s1 * s2 * code, in place."""
+    def round_decode(self, s, out):
+        """s1 * s2 * code of blocks ``s``, in ``out``."""
+        self.round(s, out)
         out *= self.block_scales[s][:, None]
         out *= self.per_tensor_scale
 

@@ -113,6 +113,17 @@ def _maxima(xa, wa):
     return group_absmax(xa, 1).ravel(), group_absmax(wa, 0).ravel()
 
 
+def _product(x, w):
+    """x @ w of the Tensors from ``_matrices``, as a Tensor, checked once; NonFiniteValue if an
+    entry overflows (Inf, or NaN from Inf - Inf), with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = x.data @ w.data
+    try:
+        return as_tensor(ref)  # the Tensor keeps max|x @ w| from this check, for |x @ w|_F
+    except NonFiniteValue:
+        raise NonFiniteValue("|x @ w|_F overflows float64") from None
+
+
 def apply_smoothing(x, w, plan):
     """Return (x / s columnwise, s * w rowwise); the product is unchanged.
 
@@ -134,14 +145,15 @@ def search_alpha(x, w, fmt, grid=ALPHA_GRID, ref=None):
     Returns the winner as ``(plan, error, qx)``: its SmoothingPlan (whose
     ``alpha`` is the winning alpha), the absolute product error and Q(x').
     Ties resolve to the smaller alpha. A caller that holds ``x @ w`` passes
-    it as ``ref``; otherwise it is formed here.
+    it as ``ref``; otherwise it is formed here, and an entry that overflows
+    raises NonFiniteValue.
     """
     codec = as_codec(fmt)
     if len(grid) == 0:
         raise ValueError("alpha grid is empty")
     x, w = _matrices(x, w)
     if ref is None:
-        ref = x.data @ w.data
+        ref = _product(x, w).data
     maxima = _maxima(x.data, w.data)
     best = None
     for alpha in grid:
@@ -314,11 +326,8 @@ def _smoothing_stage(x, w, codec, alpha, rank=None):
         _check_alpha(alpha)
     if rank is not None:
         _check_rank(rank, w.shape)
-    ref = x.data @ w.data
-    try:
-        ref_norm = _frobenius(ref)
-    except NonFiniteValue:  # an entry of x @ w overflowed
-        ref_norm = np.inf
+    product = _product(x, w)
+    ref, ref_norm = product.data, _frobenius(product)
     if ref_norm == 0.0:
         raise ShapeMismatch("x @ w vanishes; relative errors are undefined")
     if ref_norm == np.inf:

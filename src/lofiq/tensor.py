@@ -293,11 +293,10 @@ class Record:
     The record protocol: ``view(arr)`` is the layout sliced along its first
     axis (``arr`` itself, or a codec's block view), ``round(s, out)`` writes
     the float64 codes of slice ``s`` of ``view(source)`` into ``out`` and
-    returns ``out``, ``decode(s, out)`` turns them into values in place, and
-    ``round_decode(s, out)`` does both.
+    returns ``out``, and ``round_decode(s, out)`` writes their values there.
     Each record codec subclasses Record with its fitted fields, ``round`` and
-    ``decode``. ``source`` is held C-ordered (a C-ordered input, such as a
-    Tensor's data, as it is; any other copied once), so ``view(source)`` and
+    ``round_decode``. ``source`` is held C-ordered (a C-ordered input, such as
+    a Tensor's data, as it is; any other copied once), so ``view(source)`` and
     its slices are views. It is read again whenever codes are rounded, so it
     must not be written to while the record is in use (a Tensor's data cannot be).
     """
@@ -327,13 +326,8 @@ class Record:
         """The float64 codes of the whole source, in its shape, made by ``round`` slice by slice."""
         return made_in_chunks(self.shape, self.round, self.name, self.view).data
 
-    def round_decode(self, s, out):
-        """``decode(s, round(s, out))``: the values of slice ``s``, in ``out``. A codec whose
-        ``round`` and ``decode`` share a per-slice term overrides it to form that term once."""
-        self.decode(s, self.round(s, out))
-
     def dequantized(self):
-        """The reconstruction, a Tensor: each slice rounded and decoded in cache."""
+        """The reconstruction, a Tensor, made by ``round_decode`` slice by slice in cache."""
         return made_in_chunks(self.shape, self.round_decode, self.name, self.view)
 
 

@@ -1,10 +1,10 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately decoupled from the library internals:
-bit-level float decoders, brute-force nearest search, MX and NVFP4 fitted
-and rounded block by block from their definitions, HiF8 rounding in exact
-rationals, and a one-sided Jacobi SVD, so that library results are checked
-against a second route. Nothing here imports lofiq.
+bit-level float decoders, brute-force nearest search, MX, NVFP4 and HiF4
+fitted and rounded block by block from their definitions, HiF8 rounding in
+exact rationals, and a one-sided Jacobi SVD, so that library results are
+checked against a second route. Nothing here imports lofiq.
 """
 
 import math
@@ -85,11 +85,24 @@ def _blocks(x, axis, k):
             for line in lines]
 
 
+def _per_block(fields, axis):
+    """A per-block field made (lines, blocks, *per block), in the codecs' layout: flat block
+    order along axis 1, (blocks, *per block, columns) along 0."""
+    fields = np.array(fields)
+    return fields.reshape((-1,) + fields.shape[2:]) if axis == 1 else np.moveaxis(fields, 0, -1)
+
+
 def _laid_out(fields, recon, axis):
     """Per-block fields and reconstruction, made (lines, blocks) and (lines, elements), in the
-    codecs' layout: fields in flat block order along axis 1 and (blocks, columns) along 0."""
-    fields, recon = np.array(fields), np.array(recon)
-    return (fields.reshape(-1), recon) if axis == 1 else (fields.T, recon.T)
+    codecs' layout (``_per_block``; the reconstruction in ``x``'s)."""
+    recon = np.array(recon)
+    return _per_block(fields, axis), (recon if axis == 1 else recon.T)
+
+
+def _exponent(q):
+    """floor(log2(q)) of a positive Fraction, exactly."""
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    return e - 1 if q < Fraction(2) ** e else e
 
 
 def mx_by_definition(x, axis, k, element):
@@ -163,6 +176,50 @@ def nvfp4_by_definition(x, axis):
     return (s2, *_laid_out(scales, recon, axis), overshoot)
 
 
+def hif4_by_definition(x, axis, mode):
+    """(E1, M1, E2, E3, reconstruction) of HiF4 on the 2-D ``x``, 64-blocks along ``axis``,
+    in exact rationals.
+
+    A block is 8 sub-blocks of 2 micro-blocks of 4 elements; A3, A2 and A1
+    are the max|x| of a micro-block, a sub-block and the block. A1 / 7,
+    clipped to [2**-48, 1.5 * 2**15], is coded as S1 = M1 * 2**(E1 - 2):
+    E1 = floor(log2(A1 / 7)) and M1 = A1 / 7 / 2**(E1 - 2) rounded half up
+    (4..8). E2 = 1 where A2 / S1 reaches 4, and E3 = 1 where A3 / (S1 *
+    2**E2) reaches 2 (2 and 1 under ``halfrange``). Each element's code is
+    4 * min(|x| / (S1 * 2**E2 * 2**E3), 1.75) rounded half up, 0..7, and it
+    reconstructs as sign * code / 4 * S1 * 2**E2 * 2**E3, the sign that of
+    x < 0: -0.0 for a zero code under a negative x, +0.0 under -0.0. A last,
+    shorter run of the axis is a block padded with zeros, which raise no
+    maximum. The fields come as in ``_per_block``: (blocks,), (blocks, 8)
+    and (blocks, 8, 2) along axis 1.
+    """
+    e2_at, e3_at = (2, 1) if mode == "halfrange" else (4, 2)
+    fields, recon = ([], [], [], []), []
+    for line in _blocks(x, axis, 64):
+        for field in fields:
+            field.append([])
+        recon.append([])
+        for block in line:
+            mags = [abs(Fraction(v)) for v in block] + [Fraction(0)] * (64 - len(block))
+            a3 = [max(mags[j:j + 4]) for j in range(0, 64, 4)]  # 16 micro-blocks
+            a2 = [max(a3[j:j + 2]) for j in range(0, 16, 2)]  # 8 sub-blocks
+            at1 = min(max(max(a2) / 7, Fraction(2) ** -48), Fraction(3, 2) * 2**15)
+            e1 = _exponent(at1)
+            m1 = math.floor(at1 / Fraction(2) ** (e1 - 2) + Fraction(1, 2))
+            s1 = m1 * Fraction(2) ** (e1 - 2)
+            e2 = [int(a / s1 >= e2_at) for a in a2]
+            e3 = [int(a / (s1 * 2 ** e2[j // 2]) >= e3_at) for j, a in enumerate(a3)]
+            for field, value in zip(fields, (e1, m1, e2, [e3[j:j + 2] for j in range(0, 16, 2)])):
+                field[-1].append(value)
+            for i, v in enumerate(block):
+                scale = s1 * 2 ** (e2[i // 8] + e3[i // 4])
+                code = math.floor(4 * min(mags[i] / scale, Fraction(7, 4)) + Fraction(1, 2))
+                value = float(code * scale / 4)
+                recon[-1].append(-value if v < 0 else value)
+    recon = np.array(recon)
+    return (*(_per_block(field, axis) for field in fields), recon if axis == 1 else recon.T)
+
+
 # HiF8 mantissa width by |exponent|: 3 bits up to |e| = 3, 2 up to 7, 1 up to 15, 0 beyond
 _HIF8_WIDTHS = ((3, 3), (7, 2), (15, 1))
 
@@ -178,9 +235,7 @@ def hif8_round(x):
     ax = Fraction(abs(x))
     if ax == 0:
         return 0.0
-    e = ax.numerator.bit_length() - ax.denominator.bit_length()
-    if ax < Fraction(2) ** e:
-        e -= 1
+    e = _exponent(ax)
     if e < -22:
         return math.copysign(2.0**-22, x)
     width = next((w for bound, w in _HIF8_WIDTHS if abs(e) <= bound), 0)

@@ -313,6 +313,25 @@ class TestQuantize:
         assert proc.stderr.count("'big'") == 1
         assert not (tmp_path / "o.lqt").exists()
 
+    @pytest.mark.parametrize("bits,args", [
+        (8, ("quantize", "-f", "int8", "--role", "activation")),
+        (4, ("quantize", "-f", "int4:asym:axis=0")),
+        (4, ("compare", "--formats", "e4m3,int4", "--role", "kv")),
+    ])
+    def test_asymmetric_range_beyond_float64_is_one_error_line(self, tmp_path, bits, args):
+        # a row holding -1.7e308 and 1.7e308: its max - min overflows, though every value is finite
+        x = np.ones((3, 4))
+        x[1, 0], x[1, 3] = -1.7e308, 1.7e308
+        src, out = tmp_path / "big.lqt", tmp_path / "o"
+        save_tensors([tensor(x, name="big")], src)
+        cmd, *rest = args
+        inp = ("--input", src) if cmd == "compare" else (src,)
+        proc = run_subprocess(cmd, *inp, *rest, "-o", out)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error: tensor 'big': int{bits} asymmetric range max - min "
+                               "of group 1 overflows float64\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("fmt", ["nvfp4:k=8", "mx:e8m0"])
     def test_unknown_selector_parameter_exits_2(self, tmp_path, fmt):
         src = tmp_path / "in.lqt"
@@ -616,6 +635,16 @@ class TestPtqCommands:
         assert run("smooth", "--x", xp, "--w", wp, "-f", "int8", "-o", tmp_path / "r.json") == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "x @ w vanishes" in err
+
+    @pytest.mark.parametrize("cmd", ["smooth", "svdq"])
+    def test_overflowing_product_is_one_error_line(self, tmp_path, cmd):
+        # every entry of x @ w overflows to Inf; numpy's matmul warning must not reach stderr
+        xp, wp = tmp_path / "x.lqt", tmp_path / "w.lqt"
+        save_tensors([tensor(np.full((16, 16), 1e300), name="x")], xp)  # svdq's rank is 16
+        save_tensors([tensor(np.full((16, 16), 1e10), name="w")], wp)
+        proc = run_subprocess(cmd, "--x", xp, "--w", wp, "-f", "int8", "-o", tmp_path / "r.json")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: |x @ w|_F overflows float64\n"
 
     @pytest.mark.parametrize("cmd", ["smooth", "svdq"])
     def test_squares_beyond_float64_write_valid_json(self, tmp_path, cmd):

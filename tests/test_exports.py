@@ -4,6 +4,7 @@ README's library example runs against the API as it is."""
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 import pkgutil
 import re
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import lofiq
+from lofiq.tensor import Record
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(lofiq.__path__))
 
@@ -56,6 +58,23 @@ def test_only_tensor_builds_a_tensor_around_its_check():
         if path.name != "tensor.py":
             text = path.read_text(encoding="utf-8")
             assert "_hold" not in text and "__new__" not in text, path.name
+
+
+def test_every_record_has_one_method_per_builder():
+    # rounded() calls round and dequantized() calls round_decode: each record defines both,
+    # with no decode step between them, no default to override and no optional argument
+    records = {cls.__name__: cls for name in MODULES
+               for cls in vars(importlib.import_module(f"lofiq.{name}")).values()
+               if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record}
+    assert sorted(records) == ["Hif4Quantized", "IntQuantized", "MxQuantized",
+                               "Nvfp4Quantized", "ScaledHif8Quantized"]
+    assert not hasattr(Record, "round_decode")
+    for name, cls in records.items():
+        assert not hasattr(cls, "decode"), name
+        for method in ("round", "round_decode"):
+            assert method in vars(cls), (name, method)
+            params = inspect.signature(vars(cls)[method]).parameters
+            assert list(params) == ["self", "s", "out"], (name, method)
 
 
 def test_readme_library_example_prints_what_its_comment_says():

@@ -56,6 +56,18 @@ class TestAsymmetric:
         assert d.data[0, 0] == (0 - 128) * 2.0 / 255.0
         assert abs(d.data[0, 0] - -1.00392156) < 1e-6
 
+    @pytest.mark.filterwarnings("error")  # refused with no numpy warning
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_range_beyond_float64_is_refused(self, bits):
+        # max - min of group 1 overflows; groups 0 and 2 are finite and keep their fields
+        x = np.array([[-1.0, 2.0], [-1.7e308, 1.7e308], [3.0, 4.0]])
+        with pytest.raises(NonFiniteValue, match=r"^tensor 'big': int%d asymmetric range "
+                           r"max - min of group 1 overflows float64$" % bits) as info:
+            int_quantize_asymmetric(tensor(x, "big"), 0, bits)
+        assert info.value.tensor == "big"
+        q = int_quantize_asymmetric(tensor(x[::2]), 0, bits)
+        assert q.scales.tolist() == [3.0 / (2**bits - 1), 1.0 / (2**bits - 1)]
+
 
 class TestDequantize:
     def test_zero_code(self):
