@@ -17,8 +17,8 @@ from .hif8 import (
 )
 from .intquant import IntQuantized, int_dequantize, int_quantize_asymmetric, int_quantize_symmetric
 from .metrics import FidelityReport, SyntheticSpec, compare_formats, emit_report, sqnr, synth
-from .mx import MxQuantized, mx_dequantize, mx_quantize
-from .nvfp4 import Nvfp4Quantized, nvfp4_dequantize, nvfp4_quantize
+from .mx import BlockQuantized, mx_dequantize, mx_quantize
+from .nvfp4 import nvfp4_dequantize, nvfp4_quantize
 from .ptq import (
     LowRankBranch,
     SmoothingPlan,

@@ -217,6 +217,9 @@ def _codebook(spec):
 # every smaller x.
 
 _EXPONENT = 0x7FF << 52  # the exponent field of a float64's bits
+# the largest double below 0.5: in float64, v + 0.5 rounds v = 0.5 - 2**-54 up to 1.0, while
+# floor(v + _HALF) is floor(v + 0.5) in exact arithmetic for every v >= 0
+_HALF = 0.5 - 2.0**-54
 
 
 def _rule(cb):

@@ -26,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .codebook import _HALF
 from .tensor import Record, as_tensor, block_view, for_chunks
 
 __all__ = ["BLOCK", "MODES", "Q_MIN", "Q_MAX", "Hif4Quantized", "hif4_quantize", "hif4_dequantize"]
@@ -35,9 +36,6 @@ Q_MIN = 2.0**-48
 Q_MAX = 1.5 * 2.0**15
 MODES = ("literal", "halfrange")
 _TOP_BYTE = 7 if sys.byteorder == "little" else 0  # the byte of a float64 with its sign bit
-# the largest double below 0.5: in float64, v + 0.5 rounds v = 0.5 - 2**-54 up to 1.0, while
-# floor(v + _HALF) is floor(v + 0.5) in exact arithmetic for every v >= 0
-_HALF = 0.5 - 2.0**-54
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .codebook import _HALF
 from .errors import NonFiniteValue
 from .tensor import Record, as_tensor, group_absmax, group_axes
 
@@ -69,11 +70,11 @@ class IntQuantized(Record):
 def _round_half_away(mag, sign):
     """Round v half away from zero in place, where ``mag`` holds |v| and ``sign`` has v's sign.
 
-    Gives the bits of sign(v) * floor(|v| + 0.5). A quotient by a positive
-    scale has its dividend's sign, so callers pass the input as ``sign``
-    and no signed copy of v is made.
+    Gives the bits of sign(v) * floor(|v| + 0.5), in exact arithmetic. A
+    quotient by a positive scale has its dividend's sign, so callers pass
+    the input as ``sign`` and no signed copy of v is made.
     """
-    mag += 0.5
+    mag += _HALF
     np.floor(mag, out=mag)
     return np.copysign(mag, sign, out=mag)
 

@@ -14,25 +14,22 @@ at float64's maximum), quantizing raises NonFiniteValue naming the tensor.
 
 Quantizing takes s2 from max|x|, which a Tensor keeps from its finiteness
 check, and then fits the block scales and the overshoot slice by slice from
-the block maxima, with no array of them. The record, a ``tensor.Record``,
-makes the E2M1 codes of some blocks of the source in ``round`` (``codes``)
-and their values in ``round_decode`` (``nvfp4_dequantize``).
-The block scales and the elements both round through ``codebook._round``,
-onto E4M3 and E2M1.
+the block maxima, with no array of them. The E4M3 block scales round through
+``codebook._round``. The record is ``mx.BlockQuantized`` with E2M1 elements,
+k = 16 and s2: it makes the E2M1 codes in ``round`` (``codes``) and their
+values in ``round_decode`` (``nvfp4_dequantize``).
 """
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .codebook import _round
 from .errors import NonFiniteValue
-from .mx import resolve_element
-from .tensor import Record, as_tensor, block_absmax, block_view, for_each, rows_per_chunk
+from .mx import BlockQuantized, resolve_element
+from .tensor import as_tensor, block_absmax, block_view, for_each, rows_per_chunk
 
-__all__ = ["BLOCK", "V_MAX", "Nvfp4Quantized", "nvfp4_quantize", "nvfp4_dequantize"]
+__all__ = ["BLOCK", "V_MAX", "nvfp4_quantize", "nvfp4_dequantize"]
 
 BLOCK = 16
 E2M1_MAX = 6.0
@@ -40,41 +37,6 @@ E4M3_MAX = 448.0
 V_MAX = E4M3_MAX * E2M1_MAX  # 2688
 _E4M3_MIN_POS = 2.0**-9
 _MIN_SUBNORMAL = 2.0**-1074
-
-
-@dataclass(frozen=True, kw_only=True)
-class Nvfp4Quantized(Record):
-    """Fitted scales of ``source``; the E2M1 codes are derived from both."""
-
-    per_tensor_scale: float
-    block_scales: np.ndarray  # E4M3 per block as float32, 0 if all-zero; (blocks, *trailing)
-    max_overshoot: float  # largest |x~/s1| seen before the element clip
-
-    @cached_property
-    def codes(self):
-        """E2M1 members, in the input's shape."""
-        return self.rounded()
-
-    def view(self, arr):
-        """``arr`` as block_view's (blocks, 16, *trailing)."""
-        return block_view(arr, self.axis, BLOCK)
-
-    def round(self, s, out):
-        """The E2M1 codes of blocks ``s`` of the source's block view, in ``out``.
-
-        An all-zero block divides by 1 and stays +-0, which rounds to +0; the
-        rounding also applies the +-6 element clip.
-        """
-        s1 = self.block_scales[s]
-        y = np.divide(self.view(self.source)[s], self.per_tensor_scale, out=out)
-        np.divide(y, np.where(s1 > 0, s1, 1.0)[:, None], out=y)
-        return _round(resolve_element("e2m1"), y, y)
-
-    def round_decode(self, s, out):
-        """s1 * s2 * code of blocks ``s``, in ``out``."""
-        self.round(s, out)
-        out *= self.block_scales[s][:, None]
-        out *= self.per_tensor_scale
 
 
 def nvfp4_quantize(t, axis):
@@ -124,8 +86,8 @@ def nvfp4_quantize(t, axis):
     step = 4 * rows_per_chunk(view.shape)
     fits = for_each(fit, [slice(i, i + step) for i in range(0, len(view), step)])
     overshoot = max(fits, default=0.0) + 0.0  # +0.0, not -0.0
-    return Nvfp4Quantized(source=t.data, axis=axis, name=t.name,
-                          per_tensor_scale=float(s2), block_scales=s1,
+    return BlockQuantized(source=t.data, axis=axis, name=t.name, element=resolve_element("e2m1"),
+                          block_size=BLOCK, block_scales=s1, per_tensor_scale=float(s2),
                           max_overshoot=float(overshoot))
 
 

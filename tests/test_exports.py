@@ -10,9 +10,12 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lofiq
+from lofiq.mx import mx_quantize
+from lofiq.nvfp4 import nvfp4_quantize
 from lofiq.tensor import Record
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(lofiq.__path__))
@@ -66,8 +69,11 @@ def test_every_record_has_one_method_per_builder():
     records = {cls.__name__: cls for name in MODULES
                for cls in vars(importlib.import_module(f"lofiq.{name}")).values()
                if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record}
-    assert sorted(records) == ["Hif4Quantized", "IntQuantized", "MxQuantized",
-                               "Nvfp4Quantized", "ScaledHif8Quantized"]
+    assert sorted(records) == ["BlockQuantized", "Hif4Quantized", "IntQuantized",
+                               "ScaledHif8Quantized"]
+    # MX and NVFP4 are two scale rules of one block-scaled record
+    x = np.ones((2, 32))
+    assert type(mx_quantize(x, 1, "e2m1")) is type(nvfp4_quantize(x, 1)) is records["BlockQuantized"]
     assert not hasattr(Record, "round_decode")
     for name, cls in records.items():
         assert not hasattr(cls, "decode"), name

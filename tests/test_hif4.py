@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import hif4_by_definition
 
 from lofiq.errors import NotDivisible
 from lofiq.hif4 import Q_MAX, Q_MIN, hif4_dequantize, hif4_quantize
@@ -139,3 +140,21 @@ class TestInvariants:
         # blocks run down each column: one block, one column per trailing index
         assert q.e1.shape == (1, 3)
         assert q.xhat.shape == (1, 8, 2, 4, 3)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_m1_decides_as_defined_at_every_half_step(axis):
+    # M1 = floor(8 f + 0.5) for A1 / 7 = f * 2**(E1 + 1), f in [0.5, 1): 8 f lies in [4, 8),
+    # where floor(v + 0.5) is exact. One block per row puts A1 / 7 on each half step
+    # 4.5 .. 7.5 of each binade E1 = -48 .. 15, and A1 one ulp to either side; the last
+    # binade's upper steps lie past the clip at 1.5 * 2**15
+    a1 = np.array([7 * (n + 0.5) * 2.0 ** (e1 - 2) for e1 in range(-48, 16) for n in range(4, 8)])
+    a1 = np.concatenate([np.nextafter(a1, 0.0), a1, np.nextafter(a1, np.inf)])
+    x = np.zeros((a1.size, 64))
+    x[:, 0] = a1 * (-1.0) ** np.arange(a1.size)
+    x = x if axis == 1 else x.T
+    e1, m1, e2, e3, recon = hif4_by_definition(x, axis, "literal")
+    q = hif4_quantize(x, axis)
+    for name, want in zip(("e1", "m1", "e2", "e3"), (e1, m1, e2, e3)):
+        assert np.array_equal(getattr(q, name), want), name
+    assert hif4_dequantize(q).data.tobytes() == recon.tobytes()

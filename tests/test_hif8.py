@@ -88,6 +88,19 @@ class TestWorkedValues:
             assert _quantize_into(out, out, x) is out
         assert out.tobytes() == want
 
+    def test_rounds_as_the_oracle_at_every_half_step_of_each_binade(self):
+        # the kernel takes floor(v + 0.5) of v = |x| / 2**(e - n_m) in [2**n_m, 2**(n_m + 1)),
+        # where v >= 1 makes it exact: |x| on each half step (j + 1/2) * 2**(e - n_m) of each
+        # binade e, the flushed ones below 2**-22 and the saturated ones past 2**15 too, and
+        # one ulp to either side
+        steps = [(j + 0.5) * 2.0 ** (e - nm) for e in range(-25, 18)
+                 for nm in [3 if abs(e) <= 3 else 2 if abs(e) <= 7 else 1 if abs(e) <= 15 else 0]
+                 for j in range(2**nm, 2 ** (nm + 1))]
+        x = np.concatenate([np.nextafter(steps, 0.0), steps, np.nextafter(steps, np.inf)])
+        x = np.concatenate([x, -x])
+        want = np.array([hif8_round(v) for v in x]).tobytes()
+        assert hif8_quantize(tensor(x)).data.tobytes() == want
+
 
 class TestEnumerate:
     def test_extremes(self):

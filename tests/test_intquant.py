@@ -161,7 +161,12 @@ _TINY = np.nextafter(0.0, 1.0)
 
 
 def _round_oracle(v):
-    return np.sign(v) * np.floor(np.abs(v) + 0.5)
+    """v rounded half away from zero in exact arithmetic: |v| - floor(|v|) is exact in float64,
+    while floor(|v| + 0.5) rounds 0.5 - 2**-54 up to 1."""
+    a = np.abs(v)
+    f = np.floor(a)
+    with np.errstate(invalid="ignore"):  # an empty group's |lo| / scale is inf; inf - inf is NaN
+        return np.sign(v) * (f + (a - f >= 0.5))
 
 
 def _oracle(x, axis, bits, mode):
@@ -262,3 +267,45 @@ def test_scale_below_smallest_subnormal_stays_positive(x, codes):
     q = int_quantize_asymmetric(np.array(x), 0, 8)
     assert q.scales[0] == _TINY
     assert np.array_equal(int_dequantize(q).data, x)
+
+
+def _half_steps(top):
+    """n + 0.5 for n = 0 .. top - 1, and one ulp to either side of each."""
+    steps = np.arange(top) + 0.5
+    return np.concatenate([np.nextafter(steps, 0.0), steps, np.nextafter(steps, np.inf)])
+
+
+def _half_step_groups(mode, bits):
+    """Groups, one per row, whose quotients x / scale sit on every half step of the code grid
+    and one ulp to either side; a row is padded with its first element, which moves no extreme.
+
+    A symmetric row holds +-qmax, so its scale is 1. The asymmetric rows span [0, 2**b - 1]
+    and [-(2**b - 1), 0], scale 1 again, and one row per step p spans [-p, 2**b - 1 - p],
+    so that its zero-point is p rounded.
+    """
+    if mode == "symmetric":
+        qmax = 2 ** (bits - 1) - 1
+        probes = _half_steps(qmax)
+        rows = [[qmax, *probes, *-probes]]
+    else:
+        levels = 2**bits - 1
+        probes = _half_steps(levels)
+        rows = [[0.0, levels, *probes], [-levels, 0.0, *-probes]]
+        rows += [[-p, levels - p] for p in probes]
+    width = max(map(len, rows))
+    return np.array([row + [row[0]] * (width - len(row)) for row in rows])
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("bits", [4, 8])
+@pytest.mark.parametrize("mode", sorted(_QUANTIZERS))
+def test_kernel_rounds_every_half_step_as_the_oracle(mode, bits, axis):
+    x = _half_step_groups(mode, bits)
+    x = x if axis == 0 else x.T
+    q = _QUANTIZERS[mode](x, axis, bits)
+    codes, scales, zps, recon = _oracle(x, axis, bits, mode)
+    assert np.array_equal(q.codes, codes)
+    assert q.scales.tobytes() == scales.tobytes()
+    if zps is not None:
+        assert np.array_equal(q.zero_points, zps)
+    assert int_dequantize(q).data.tobytes() == recon.tobytes()

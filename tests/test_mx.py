@@ -1,10 +1,15 @@
+import sys
+
 import numpy as np
 import pytest
 
 from lofiq.codebook import builtin_spec, enumerate_codebook
 from lofiq.errors import NotDivisible, UnknownFormat
-from lofiq.mx import mx_dequantize, mx_quantize, resolve_element
-from lofiq.tensor import tensor
+from lofiq.mx import BlockQuantized, mx_dequantize, mx_quantize, resolve_element
+from lofiq.nvfp4 import nvfp4_dequantize, nvfp4_quantize
+from lofiq.tensor import Tensor, tensor
+
+CHUNKS = sys.modules["lofiq.tensor"]  # the name lofiq.tensor is the function
 
 ELEMENTS = ["e5m2", "e4m3", "e3m2", "e2m3", "e2m1", "int8"]
 
@@ -126,3 +131,37 @@ class TestConfig:
             mx_quantize(tensor([[-1.0, 0.5, 0.0, 3.0]]), 1, element, 4)
         with pytest.raises(UnknownFormat):
             resolve_element(element)
+
+
+# (fit, reconstruction) of each scale rule
+FITS = {
+    "mxfp4": (lambda t, axis: mx_quantize(t, axis, "e2m1"), mx_dequantize),
+    "mxfp8-e4m3": (lambda t, axis: mx_quantize(t, axis, "e4m3", 16), mx_dequantize),
+    "mxint8": (lambda t, axis: mx_quantize(t, axis, "int8"), mx_dequantize),
+    "nvfp4": (nvfp4_quantize, nvfp4_dequantize),
+}
+
+
+@pytest.mark.parametrize("mode", ["chunk-16", "pool-off"])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_a_record_built_from_its_fields_reconstructs_as_the_fit(monkeypatch, name, axis, mode):
+    # the fields are the whole record: the fit's scales, element and block size, given by
+    # keyword, round and decode as the fitted record does, bit for bit
+    if mode == "chunk-16":
+        monkeypatch.setattr(CHUNKS, "CHUNK", 16)
+    else:
+        monkeypatch.setattr(CHUNKS, "_pool", False)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(64, 96)) * np.exp2(rng.integers(-30, 30, (64, 1)))
+    x[:32, :32] = 0.0  # an all-zero block along either axis
+    x[40, :] = -0.0
+    fit, reconstruct = FITS[name]
+    q = fit(Tensor(x, "x"), axis)
+    built = BlockQuantized(source=x, axis=axis, element=q.element, block_size=q.block_size,
+                           block_scales=q.block_scales, per_tensor_scale=q.per_tensor_scale)
+    # NVFP4 gives an all-zero block s1 = 0, MX the scale 2**-127
+    assert np.any(q.block_scales == 0) == (name == "nvfp4")
+    assert (q.per_tensor_scale != 1.0) == (name == "nvfp4")
+    assert built.codes.tobytes() == q.codes.tobytes()
+    assert reconstruct(built).data.tobytes() == reconstruct(q).data.tobytes()
